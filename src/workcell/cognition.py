@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import ScriptGapError
-from .serialization import canonical_dumps
 from .world_model import (
     EdgeStatus,
     Lifecycle,
@@ -278,12 +277,7 @@ def extract_subgraph(
             candidates[a] = store.vertices[a]
 
     arg_set = set(args)
-    hop = set()
-    for e in store.edges:
-        if e.subject in arg_set:
-            hop.add(e.obj)
-        if e.obj in arg_set:
-            hop.add(e.subject)
+    hop = store.neighbors(arg_set)
     keywords = list(subtask.get("keywords", []))
 
     kept = []
@@ -375,20 +369,6 @@ class ScriptedReasoner(Reasoner):
         )
 
 
-def semantic_similarity(
-    reasoner: Reasoner, label_a: str, label_b: str, context: dict | None = None
-) -> float:
-    resp = reasoner.query(ReasonerRequest(
-        RequestKind.SEMANTIC_SIMILARITY,
-        key=f"{label_a}|{label_b}",
-        payload=dict(context or {}),
-    ))
-    sim = float(resp)
-    if not 0.0 <= sim <= 1.0:
-        raise ValueError(f"similarity {sim} outside [0, 1]")
-    return sim
-
-
 @dataclass
 class GetErtOutcome:
     ert: ERT | None
@@ -422,8 +402,3 @@ def get_valid_ert(
         payload = dict(payload)
         payload["validation_feedback"] = report.to_dict()
     return GetErtOutcome(None, n_max, reports)
-
-
-def payload_bytes(payload: dict) -> str:
-    """Canonical wire form; identical inputs must serialize identically."""
-    return canonical_dumps(payload)

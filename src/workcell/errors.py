@@ -37,9 +37,5 @@ class ScriptGapError(WorkcellError):
     """The scripted reasoner has no response for a request."""
 
 
-class TransportError(WorkcellError):
-    """The reasoner backend is unavailable."""
-
-
 class ScenarioError(WorkcellError):
     """A scenario file failed validation."""

@@ -154,37 +154,9 @@ class ActionHistory:
 # -- constraint-state machine ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Fulfilled:
-    """A validated causal assumption came true for this action."""
-
-    action: str
-    expected_cs: ConstraintState
-
-
-_LEGAL_FROM = {
-    "Pick": {Phase.IDLE, Phase.APPROACHING},
-    "Place": {Phase.HOLDING, Phase.TRANSPORTING, Phase.PLACING},
-    "Insert": {Phase.HOLDING, Phase.INSERTING},
-    "Move": set(Phase),
-    "Rotate": {Phase.HOLDING},
-    "OpenGripper": set(Phase),
-    "CloseGripper": set(Phase),
-}
-
-
 def update_cs(cs: ConstraintState, event) -> ConstraintState:
-    """Event-driven transition: either a fulfilled causal assumption or a
-    mapped controller event."""
-    if isinstance(event, Fulfilled):
-        legal = _LEGAL_FROM.get(event.action)
-        if legal is None:
-            raise StateMachineError(f"unknown action {event.action!r}")
-        if cs.phase not in legal:
-            raise StateMachineError(
-                f"{event.action} cannot be fulfilled from {cs.phase.value}"
-            )
-        return event.expected_cs
+    """Event-driven transition on a mapped controller event. A skill that
+    succeeds moves the state through its transaction instead."""
     if isinstance(event, ControllerEvent):
         if event == ControllerEvent.GRASP_FAILURE:
             return ConstraintState(Phase.IDLE)
@@ -227,13 +199,7 @@ class DiscrepancyReport:
 def touched_objects(store: WorldStore, ert: ERT) -> set[str]:
     """The action's arguments plus their 1-hop relation neighbors."""
     direct = {v for v in ert.args.values() if isinstance(v, str) and v in store.vertices}
-    out = set(direct)
-    for e in store.edges:
-        if e.subject in direct:
-            out.add(e.obj)
-        if e.obj in direct:
-            out.add(e.subject)
-    return out
+    return direct | store.neighbors(direct)
 
 
 def compute_discrepancy(

@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg
-from scipy.stats import chi2
 
 from .errors import InsufficientDataError, NumericError
 
@@ -18,7 +17,12 @@ COV_EPSILON = 1e-6
 # Minimum eigenvalue an envelope covariance may carry.
 MIN_EIGENVALUE = 1e-9
 
-_ROT_TOL = 1e-9
+# Sign patterns of a box's eight corners, one row per corner.
+CORNER_SIGNS = np.array(
+    [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
+    dtype=float,
+)
+CORNER_SIGNS.flags.writeable = False
 
 
 def as_point3(p) -> np.ndarray:
@@ -117,15 +121,7 @@ class OrientedBox:
         return np.all(np.abs(local) <= self.half_extents + 1e-12, axis=1)
 
     def corners(self) -> np.ndarray:
-        signs = np.array(
-            [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
-            dtype=float,
-        )
-        return (signs * self.half_extents) @ self.rotation.T + self.center
-
-    def aabb(self) -> tuple[np.ndarray, np.ndarray]:
-        c = self.corners()
-        return c.min(axis=0), c.max(axis=0)
+        return (CORNER_SIGNS * self.half_extents) @ self.rotation.T + self.center
 
 
 @dataclass
@@ -176,69 +172,15 @@ def envelope_from_points(pc: PointCloudData) -> GaussianEnvelope:
     return GaussianEnvelope(mean, cov)
 
 
-_IOU_SAMPLES = 10_000
-_IOU_SEED = 20240
-
-def _mc_intersection(a: OrientedBox, b: OrientedBox) -> float:
-    """Fixed-seed Monte-Carlo estimate of the intersection volume."""
-    rng = np.random.default_rng(_IOU_SEED)
-    inter = 0.0
-    for box, other in ((a, b), (b, a)):
-        u = rng.uniform(-1.0, 1.0, size=(_IOU_SAMPLES, 3)) * box.half_extents
-        pts = u @ box.rotation.T + box.center
-        inter += box.volume * other.contains(pts).mean()
-    return inter / 2.0
-
-
-def _axis_aligned_intersection(a: OrientedBox, b: OrientedBox) -> float:
-    """Exact intersection for boxes sharing one orientation."""
-    r = a.rotation
-    ca = r.T @ a.center
-    cb = r.T @ b.center
-    lo = np.maximum(ca - a.half_extents, cb - b.half_extents)
-    hi = np.minimum(ca + a.half_extents, cb + b.half_extents)
-    ext = np.clip(hi - lo, 0.0, None)
-    return float(np.prod(ext))
-
-
-def box_iou(
-    a: OrientedBox,
-    b: OrientedBox,
-    fallback_masks: tuple[np.ndarray, np.ndarray] | None = None,
-) -> float:
-    """Volume IoU of two oriented boxes; 2D mask-area IoU when requested.
-
-    Boxes sharing an orientation use the closed form; the general case
-    falls back to a fixed-seed sampling estimate.
-    """
-    if fallback_masks is not None:
-        ma = np.asarray(fallback_masks[0], dtype=bool)
-        mb = np.asarray(fallback_masks[1], dtype=bool)
-        union = np.logical_or(ma, mb).sum()
-        if union == 0:
-            return 0.0
-        return float(np.logical_and(ma, mb).sum() / union)
-
-    # Cheap separation check on world-frame AABBs.
-    alo, ahi = a.aabb()
-    blo, bhi = b.aabb()
-    if np.any(ahi < blo) or np.any(bhi < alo):
-        return 0.0
-
-    if np.allclose(a.rotation, b.rotation, atol=1e-12):
-        inter = _axis_aligned_intersection(a, b)
-    else:
-        inter = _mc_intersection(a, b)
-    union = a.volume + b.volume - inter
+def xy_iou(lo_a, hi_a, lo_b, hi_b) -> float:
+    """Footprint IoU of two axis-aligned boxes given by their (lo, hi)
+    corners; only the x and y components are read."""
+    ix = max(0.0, min(hi_a[0], hi_b[0]) - max(lo_a[0], lo_b[0]))
+    iy = max(0.0, min(hi_a[1], hi_b[1]) - max(lo_a[1], lo_b[1]))
+    inter = ix * iy
+    area_a = (hi_a[0] - lo_a[0]) * (hi_a[1] - lo_a[1])
+    area_b = (hi_b[0] - lo_b[0]) * (hi_b[1] - lo_b[1])
+    union = area_a + area_b - inter
     if union <= 0:
         return 0.0
     return float(min(max(inter / union, 0.0), 1.0))
-
-
-def chi_square_threshold(dof: int, confidence: float) -> float:
-    """Upper chi-square quantile used by statistical relation tests."""
-    if dof < 1:
-        raise ValueError(f"dof must be >= 1, got {dof}")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    return float(chi2.ppf(confidence, df=dof))

@@ -37,7 +37,14 @@ from .executive import (
     SenseResult,
     TaskDAG,
 )
-from .geometry import GaussianEnvelope, OrientedBox, PointCloudData, PoseSE3
+from .geometry import (
+    CORNER_SIGNS,
+    GaussianEnvelope,
+    OrientedBox,
+    PointCloudData,
+    PoseSE3,
+    xy_iou,
+)
 from .perception import CameraIntrinsics, PerceptionConfig, assemble_snapshot
 from .serialization import canonical_dumps, to_jsonable
 from .simulator import (
@@ -201,7 +208,7 @@ def build_store(doc: dict, world: SimWorld,
     for o in doc["objects"]:
         he = np.asarray(o["half_extents"], dtype=float)
         sigma = np.maximum(he, _PRIOR_SIGMA_FLOOR)
-        pts = _box_corner_cloud(np.asarray(o["position"], dtype=float), he)
+        pts = np.asarray(o["position"], dtype=float) + CORNER_SIGNS * he
         store.add_entity(
             label=o["label"],
             envelope=GaussianEnvelope(
@@ -219,14 +226,6 @@ def build_store(doc: dict, world: SimWorld,
     if priors:
         store.priors.update(copy.deepcopy(priors))
     return store
-
-
-def _box_corner_cloud(center: np.ndarray, he: np.ndarray) -> np.ndarray:
-    signs = np.array(
-        [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
-        dtype=float,
-    )
-    return center + signs * he
 
 
 def _points_geom(points: np.ndarray):
@@ -269,18 +268,6 @@ def build_reasoner(doc: dict) -> ScriptedReasoner:
 
 
 # -- perception loop ---------------------------------------------------------
-
-
-def _xy_iou(lo_a, hi_a, lo_b, hi_b) -> float:
-    ix = max(0.0, min(hi_a[0], hi_b[0]) - max(lo_a[0], lo_b[0]))
-    iy = max(0.0, min(hi_a[1], hi_b[1]) - max(lo_a[1], lo_b[1]))
-    inter = ix * iy
-    area_a = (hi_a[0] - lo_a[0]) * (hi_a[1] - lo_a[1])
-    area_b = (hi_b[0] - lo_b[0]) * (hi_b[1] - lo_b[1])
-    union = area_a + area_b - inter
-    if union <= 0:
-        return 0.0
-    return float(min(max(inter / union, 0.0), 1.0))
 
 
 class TrialRuntime:
@@ -344,7 +331,7 @@ class TrialRuntime:
             lo_a = obs.envelope.mean - 2 * np.sqrt(np.diag(obs.envelope.covariance))
             hi_a = obs.envelope.mean + 2 * np.sqrt(np.diag(obs.envelope.covariance))
             lo_b, hi_b = record_bounds(memory[i])
-            return _xy_iou(lo_a, hi_a, lo_b, hi_b)
+            return xy_iou(lo_a, hi_a, lo_b, hi_b)
 
         def sim_fn(k, i):
             resp = self.reasoner.query(ReasonerRequest(

@@ -9,8 +9,7 @@ distance, and emits one observation per instance.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +28,6 @@ DEFAULT_R_FAR = 2.0
 VOXEL_CELL_SIZE = 0.02
 # Perpendicular ray tolerance for label assignment (one voxel).
 DEFAULT_RAY_EPSILON = 0.01
-# Background refresh period when no trigger event arrives (seconds).
-T_MAX_SECONDS = 10.0
 
 
 @dataclass(frozen=True)
@@ -115,20 +112,6 @@ class Observation:
     envelope: GaussianEnvelope
     description: str = ""
     confidence: float = 1.0
-
-
-class TriggerKind(Enum):
-    ACTION_BOUNDARY = "action_boundary"
-    ZONE_TRANSITION = "zone_transition"
-    ANOMALY_DETECTED = "anomaly_detected"
-    EXPLICIT_QUERY = "explicit_query"
-    TIMEOUT = "timeout"
-
-
-@dataclass(frozen=True)
-class TriggerEvent:
-    kind: TriggerKind
-    timestamp: float = 0.0
 
 
 @dataclass
@@ -254,17 +237,6 @@ def assemble_snapshot(
             )
         )
     return observations
-
-
-def should_trigger(
-    events: list[TriggerEvent], last_run: float, now: float
-) -> bool:
-    """Run the pipeline on any event, or after T_MAX seconds of silence."""
-    if now < last_run:
-        raise ValueError("now precedes last_run")
-    if events:
-        return True
-    return (now - last_run) >= T_MAX_SECONDS
 
 
 # --- Frame fixture format ----------------------------------------------------

@@ -32,13 +32,6 @@ class RegistrationResult:
             raise ValueError("scale must be positive")
 
 
-def huber_weight(r: float, delta: float) -> float:
-    """IRLS weight rho'(r)/r for the Huber loss."""
-    if r <= delta:
-        return 1.0
-    return delta / r
-
-
 def icp_register(
     source: PointCloudData,
     target: PointCloudData,

@@ -195,14 +195,8 @@ def state_bytes(store: WorldStore, cs: ConstraintState) -> str:
 
 
 def _touched_uids(store: WorldStore, args: dict) -> set[str]:
-    uids = {ROBOT_UID}
     direct = {v for v in args.values() if isinstance(v, str) and v in store.vertices}
-    uids |= direct
-    for e in store.edges:
-        if e.subject in direct:
-            uids.add(e.obj)
-        if e.obj in direct:
-            uids.add(e.subject)
+    uids = {ROBOT_UID} | direct | store.neighbors(direct)
     return {u for u in uids if u in store.vertices}
 
 
@@ -266,14 +260,6 @@ class TransitionResult:
 # -- preconditions and effects -----------------------------------------------
 
 
-def _is_clear(store: WorldStore, uid: str) -> bool:
-    blockers = [
-        e for e in store.find_edges(predicate="On", obj=uid)
-        if e.status != EdgeStatus.REFUTED
-    ]
-    return not blockers
-
-
 def _check_preconditions(
     store: WorldStore, cs: ConstraintState, action: str, args: dict
 ) -> str | None:
@@ -284,7 +270,7 @@ def _check_preconditions(
             raise TransactionError(f"Pick target {obj} not in graph")
         if cs.phase == Phase.HOLDING:
             return "GripperEmpty"
-        if not _is_clear(store, obj):
+        if not store.is_clear(obj):
             return f"Clear({obj})"
     elif action == "Place":
         if cs.phase not in (Phase.HOLDING, Phase.TRANSPORTING):

@@ -117,30 +117,6 @@ def update_occupancy(
 
 
 @dataclass
-class Billboard:
-    image_ref: str
-    view_vector: np.ndarray
-    centroid: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.view_vector, dtype=float).reshape(3)
-        if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-            raise ValueError("billboard view vector must be unit norm")
-        self.view_vector = v
-        self.centroid = np.asarray(self.centroid, dtype=float).reshape(3)
-
-
-def billboard_retrieve(boards: list[Billboard], query: np.ndarray) -> Billboard | None:
-    """Board whose view vector best matches the query direction."""
-    q = np.asarray(query, dtype=float).reshape(3)
-    if abs(np.linalg.norm(q) - 1.0) > 1e-9:
-        raise ValueError("query vector must be unit norm")
-    if not boards:
-        return None
-    return max(boards, key=lambda b: float(q @ b.view_vector))
-
-
-@dataclass
 class ZoneNode:
     zone_id: str
     name: str
@@ -204,7 +180,6 @@ class WorldStore:
         self.records: dict[str, ObjectRecord] = {}
         self.vertices: dict[str, ObjectVertex] = {}
         self.edges: list[RelationEdge] = []
-        self.billboards: list[Billboard] = []
         self.priors: dict[str, ShapePrior] = {}
         self.background = BackgroundMap()
         self.tentative: dict[int, TentativeTrack] = {}
@@ -303,6 +278,25 @@ class WorldStore:
             and (obj is None or e.obj == obj)
         ]
 
+    def neighbors(self, uids) -> set[str]:
+        """Endpoints of every edge that has one end in ``uids``: the 1-hop
+        neighbors, whatever the edge's status."""
+        uids = set(uids)
+        out = set()
+        for e in self.edges:
+            if e.subject in uids:
+                out.add(e.obj)
+            if e.obj in uids:
+                out.add(e.subject)
+        return out
+
+    def is_clear(self, uid: str) -> bool:
+        """No unrefuted On edge has ``uid`` as its support."""
+        return not any(
+            e.status != EdgeStatus.REFUTED
+            for e in self.find_edges(predicate="On", obj=uid)
+        )
+
     def check_integrity(self):
         for uid, v in self.vertices.items():
             if v.lifecycle in (Lifecycle.ACTIVE, Lifecycle.UNCERTAIN):
@@ -380,11 +374,6 @@ class WorldStore:
                  "object": e.obj, "status": e.status.value}
                 for e in self.edges
             ],
-            "billboards": [
-                {"image_ref": b.image_ref, "view_vector": b.view_vector.tolist(),
-                 "centroid": b.centroid.tolist()}
-                for b in self.billboards
-            ],
             "priors": {
                 p.prior_id: {
                     "points": p.canonical_cloud.points.tolist(),
@@ -455,10 +444,6 @@ class WorldStore:
         store.edges = [
             RelationEdge(e["predicate"], e["subject"], e["object"], EdgeStatus(e["status"]))
             for e in data["edges"]
-        ]
-        store.billboards = [
-            Billboard(b["image_ref"], np.array(b["view_vector"]), np.array(b["centroid"]))
-            for b in data["billboards"]
         ]
         store.priors = {
             pid: ShapePrior(
@@ -575,11 +560,7 @@ def verify_relation(edge: RelationEdge, store: WorldStore) -> EdgeStatus:
     elif pred in ("Aligned", "Inserted"):
         ok = _check_mating(store, a, b)
     elif pred == "Clear":
-        blockers = [
-            e for e in store.find_edges(predicate="On", obj=edge.subject)
-            if e.status != EdgeStatus.REFUTED
-        ]
-        ok = not blockers
+        ok = store.is_clear(edge.subject)
     else:
         raise WorkcellError(f"no verification rule for predicate {pred}")
     return EdgeStatus.VERIFIED if ok else EdgeStatus.REFUTED

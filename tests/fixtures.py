@@ -1,22 +1,16 @@
 """Shared scenario documents for harness and acceptance tests.
 
-Two desk-scale fixtures: a three-zone assembly task, and a single-transfer
-task with one injectable failure (part slip, obstacle, or moved target)
-plus the scripted recovery for it.
+The two desk-scale fixtures are the shipped scenario files: a three-zone
+assembly task, and a single-transfer task with one injectable failure
+(part slip, obstacle, or moved target) plus the scripted recovery for it.
 """
 
 from __future__ import annotations
 
-_TOPDOWN_ROT = [1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, -1.0]
+import json
+from pathlib import Path
 
-
-def _camera(x: float, y: float) -> dict:
-    return {
-        "fx": 60.0, "fy": 60.0, "cx": 32.0, "cy": 24.0,
-        "width": 64, "height": 48,
-        "rotation": _TOPDOWN_ROT,
-        "translation": [x, y, 1.0],
-    }
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def ert_doc(action, args, expected_cs, add=(), remove=(), beliefs=(),
@@ -35,237 +29,18 @@ def ert_doc(action, args, expected_cs, add=(), remove=(), beliefs=(),
     }
 
 
-def _zones() -> list[dict]:
-    return [
-        {"id": "zone_a", "name": "staging", "center": [0.5, 0.0, 0.1],
-         "half_extents": [0.3, 0.3, 0.1], "reachable": ["zone_b", "zone_c"]},
-        {"id": "zone_b", "name": "assembly", "center": [1.2, 0.0, 0.1],
-         "half_extents": [0.3, 0.3, 0.1], "reachable": ["zone_a"]},
-        {"id": "zone_c", "name": "storage", "center": [0.5, 1.2, 0.1],
-         "half_extents": [0.3, 0.3, 0.1], "reachable": ["zone_a"]},
-    ]
+def _load(name: str) -> dict:
+    return json.loads((SCENARIOS / name).read_text())
 
 
 def task1_doc() -> dict:
     """Three-zone assembly: two parts stacked onto a plate, with the
     storage-zone objects out of view for the whole run."""
-    idle = {"phase": "Idle", "target": None}
-    micro_a = {"sequence": [
-        ert_doc("Move", {"zone": "zone_a", "position": [0.45, -0.1, 0.1],
-                         "target": "part_a"},
-                {"phase": "Approaching", "target": "part_a"}),
-        ert_doc("CloseGripper", {}, {"phase": "Approaching", "target": "part_a"}),
-        ert_doc("Pick", {"object": "part_a", "position": [0.45, -0.1, 0.015]},
-                {"phase": "Holding", "target": "part_a"}),
-    ]}
-    micro_b = {"sequence": [
-        ert_doc("Move", {"zone": "zone_a", "position": [0.55, 0.1, 0.1],
-                         "target": "part_b"},
-                {"phase": "Approaching", "target": "part_b"}),
-        ert_doc("CloseGripper", {}, {"phase": "Approaching", "target": "part_b"}),
-        ert_doc("Pick", {"object": "part_b", "position": [0.55, 0.1, 0.015]},
-                {"phase": "Holding", "target": "part_b"}),
-    ]}
-    return {
-        "version": 1,
-        "name": "three-zone-assembly",
-        "seed": 11,
-        "trials": 1,
-        "zones": _zones(),
-        "cameras": {
-            "zone_a": _camera(0.5, 0.0),
-            "zone_b": _camera(1.2, 0.0),
-            "zone_c": _camera(0.5, 1.2),
-        },
-        "objects": [
-            {"id": "base_plate", "label": "base_plate", "zone": "zone_b",
-             "position": [1.2, 0.0, 0.015], "half_extents": [0.05, 0.05, 0.015]},
-            {"id": "part_a", "label": "bracket", "zone": "zone_a",
-             "position": [0.45, -0.1, 0.015], "half_extents": [0.02, 0.02, 0.015],
-             "attributes": {"color": "red"}},
-            {"id": "part_b", "label": "pin", "zone": "zone_a",
-             "position": [0.55, 0.1, 0.015], "half_extents": [0.02, 0.02, 0.015],
-             "attributes": {"color": "blue"}},
-            {"id": "wrench", "label": "wrench", "zone": "zone_c",
-             "position": [0.45, 1.15, 0.015], "half_extents": [0.03, 0.02, 0.015]},
-            {"id": "widget", "label": "widget", "zone": "zone_c",
-             "position": [0.6, 1.3, 0.015], "half_extents": [0.02, 0.02, 0.015]},
-        ],
-        "robot": {"zone": "zone_a", "position": [0.5, 0.0, 0.1]},
-        "task": {"nodes": [
-            {"id": 1, "function": "AcquirePartA", "manipulation": True,
-             "key": "pick_a", "args": {"object": "part_a"}},
-            {"id": 2, "function": "Move", "key": "m2", "deps": [1],
-             "args": {"target": "base_plate"}},
-            {"id": 3, "function": "Place", "key": "p3", "deps": [2],
-             "args": {"object": "part_a", "destination": "base_plate"}},
-            {"id": 4, "function": "AcquirePartB", "manipulation": True,
-             "key": "pick_b", "deps": [3], "args": {"object": "part_b"}},
-            {"id": 5, "function": "Move", "key": "m5", "deps": [4],
-             "args": {"target": "base_plate"}},
-            {"id": 6, "function": "Place", "key": "p6", "deps": [5],
-             "args": {"object": "part_b", "destination": "part_a"}},
-            {"id": 7, "function": "Move", "key": "m7", "deps": [6], "args": {}},
-        ]},
-        "script": [
-            {"kind": "ProposeMicroSequence", "key": "pick_a", "responses": [micro_a]},
-            {"kind": "ProposeERT", "key": "m2", "responses": [
-                ert_doc("Move", {"zone": "zone_b", "position": [1.2, 0.0, 0.1],
-                                 "target": "base_plate"},
-                        {"phase": "Transporting", "target": "part_a"}),
-            ]},
-            {"kind": "ProposeERT", "key": "p3", "responses": [
-                ert_doc("Place", {"destination": "base_plate",
-                                  "position": [1.2, 0.0, 0.045], "zone": "zone_b"},
-                        idle,
-                        add=[["On", "part_a", "base_plate"]],
-                        beliefs=[["Holding", "robot", "part_a"]],
-                        positions={"part_a": [1.2, 0.0, 0.045]}),
-            ]},
-            {"kind": "ProposeMicroSequence", "key": "pick_b", "responses": [micro_b]},
-            {"kind": "ProposeERT", "key": "m5", "responses": [
-                ert_doc("Move", {"zone": "zone_b", "position": [1.2, 0.0, 0.15],
-                                 "target": "base_plate"},
-                        {"phase": "Transporting", "target": "part_b"}),
-            ]},
-            {"kind": "ProposeERT", "key": "p6", "responses": [
-                ert_doc("Place", {"destination": "part_a",
-                                  "position": [1.2, 0.0, 0.075], "zone": "zone_b"},
-                        idle,
-                        add=[["On", "part_b", "part_a"]],
-                        positions={"part_b": [1.2, 0.0, 0.075]}),
-            ]},
-            {"kind": "ProposeERT", "key": "m7", "responses": [
-                ert_doc("Move", {"zone": "zone_a", "position": [0.5, 0.0, 0.1]},
-                        idle),
-            ]},
-        ],
-        "questions": [
-            {"kind": "position", "uid": "part_a", "expect": [1.2, 0.0, 0.045]},
-            {"kind": "relation", "predicate": "On", "subject": "part_b",
-             "object": "part_a", "expect": True},
-            {"kind": "position", "uid": "base_plate", "expect": [1.2, 0.0, 0.015]},
-            {"kind": "zone_of", "uid": "wrench", "expect": "zone_c"},
-            {"kind": "position", "uid": "widget", "expect": [0.6, 1.3, 0.015]},
-        ],
-        "queries": [
-            {"kind": "relation", "predicate": "On", "subject": "part_a",
-             "object": "base_plate", "expect": True},
-            {"kind": "zone_count", "zone": "zone_b", "expect": 3},
-            {"kind": "zone_of", "uid": "widget", "expect": "zone_c"},
-        ],
-    }
+    return _load("assembly.json")
 
 
 def task3_doc(kind: str) -> dict:
     """Single transfer with one injected failure and its scripted recovery."""
-    idle = {"phase": "Idle", "target": None}
-    base = {
-        "version": 1,
-        "name": f"transfer-with-{kind.lower()}",
-        "seed": 23,
-        "trials": 1,
-        "zones": _zones(),
-        "cameras": {
-            "zone_a": _camera(0.5, 0.0),
-            "zone_b": _camera(1.2, 0.0),
-            "zone_c": _camera(0.5, 1.2),
-        },
-        "objects": [
-            {"id": "base_plate", "label": "base_plate", "zone": "zone_b",
-             "position": [1.2, 0.0, 0.015], "half_extents": [0.05, 0.05, 0.015]},
-            {"id": "part_x", "label": "gear", "zone": "zone_a",
-             "position": [0.45, -0.1, 0.015], "half_extents": [0.02, 0.02, 0.015]},
-        ],
-        "robot": {"zone": "zone_a", "position": [0.5, 0.0, 0.1]},
-        "task": {"nodes": [
-            {"id": 1, "function": "Move", "key": "m1",
-             "args": {"target": "part_x"}},
-            {"id": 2, "function": "Pick", "key": "k2", "deps": [1],
-             "args": {"object": "part_x"}},
-            {"id": 3, "function": "Move", "key": "m3", "deps": [2],
-             "args": {"target": "base_plate"}},
-            {"id": 4, "function": "Place", "key": "p4", "deps": [3],
-             "args": {"object": "part_x", "destination": "base_plate"}},
-        ]},
-        "root_cause": kind,
-    }
-    m1 = ert_doc("Move", {"zone": "zone_a", "position": [0.45, -0.1, 0.1],
-                          "target": "part_x"},
-                 {"phase": "Approaching", "target": "part_x"})
-    k2 = ert_doc("Pick", {"object": "part_x", "position": [0.45, -0.1, 0.015]},
-                 {"phase": "Holding", "target": "part_x"},
-                 positions={"part_x": [0.45, -0.1, 0.015]})
-    m3 = ert_doc("Move", {"zone": "zone_b", "position": [1.2, 0.0, 0.1],
-                          "target": "base_plate"},
-                 {"phase": "Transporting", "target": "part_x"})
-    p4 = ert_doc("Place", {"destination": "base_plate",
-                           "position": [1.2, 0.0, 0.045], "zone": "zone_b"},
-                 idle,
-                 add=[["On", "part_x", "base_plate"]],
-                 positions={"part_x": [1.2, 0.0, 0.045]})
-    script = [
-        {"kind": "ProposeERT", "key": "m1", "responses": [m1]},
-        {"kind": "ProposeERT", "key": "k2", "responses": [k2]},
-        {"kind": "ProposeERT", "key": "m3", "responses": [m3]},
-        {"kind": "ProposeERT", "key": "p4", "responses": [p4]},
-    ]
-
-    if kind == "PartSlip":
-        base["injections"] = [
-            {"kind": "PartSlip", "trigger_phase": "Move", "trigger_step": 3,
-             "params": {"drop_offset": [0.05, 0.05, 0.0]}},
-        ]
-        script += [
-            {"kind": "RecoveryPlan", "key": "GraspSlip", "responses": [
-                {"nodes": [
-                    {"id": 101, "function": "Pick", "key": "r1",
-                     "args": {"object": "part_x"}},
-                    {"id": 102, "function": "Move", "key": "r2", "deps": [101],
-                     "args": {"target": "base_plate"}},
-                ]},
-            ]},
-            {"kind": "ProposeERT", "key": "r1", "responses": [
-                ert_doc("Pick", {"object": "part_x",
-                                 "position": [0.5, -0.05, 0.015]},
-                        {"phase": "Holding", "target": "part_x"}),
-            ]},
-            {"kind": "ProposeERT", "key": "r2", "responses": [m3]},
-        ]
-    elif kind == "Obstacle":
-        base["injections"] = [
-            {"kind": "Obstacle", "trigger_phase": "Move", "trigger_step": 1,
-             "params": {}},
-        ]
-        script += [
-            {"kind": "RecoveryPlan", "key": "MotionInterrupted", "responses": [
-                {"nodes": [
-                    {"id": 201, "function": "Move", "key": "r1",
-                     "args": {"target": "part_x"}},
-                ]},
-            ]},
-            {"kind": "ProposeERT", "key": "r1", "responses": [m1]},
-        ]
-    elif kind == "TargetMoved":
-        base["injections"] = [
-            {"kind": "TargetMoved", "trigger_step": 2,
-             "params": {"target": "part_x", "move_delta": [0.15, 0.0, 0.0]}},
-        ]
-        script += [
-            {"kind": "RecoveryPlan", "key": "GraspSlip", "responses": [
-                {"nodes": [
-                    {"id": 301, "function": "Pick", "key": "r1",
-                     "args": {"object": "part_x"}},
-                ]},
-            ]},
-            {"kind": "ProposeERT", "key": "r1", "responses": [
-                ert_doc("Pick", {"object": "part_x",
-                                 "position": [0.6, -0.1, 0.015]},
-                        {"phase": "Holding", "target": "part_x"}),
-            ]},
-        ]
-    else:
+    if kind not in ("PartSlip", "Obstacle", "TargetMoved"):
         raise ValueError(f"unknown failure kind {kind!r}")
-
-    base["script"] = script
-    return base
+    return _load(f"transfer_{kind.lower()}.json")

@@ -55,6 +55,8 @@ def test_hybrid_cost_formula():
     assert hybrid_cost(0.5, 1.0, cfg) == pytest.approx(0.35)
     with pytest.raises(ValueError):
         hybrid_cost(1.5, 0.5, cfg)
+    with pytest.raises(ValueError):
+        hybrid_cost(0.5, 1.7, cfg)
 
 
 def test_build_cost_matrix_gates_distant_pairs():

@@ -4,6 +4,7 @@ replay, and the verify-retry loop."""
 import numpy as np
 import pytest
 
+from workcell.association import AssociationConfig, hybrid_cost
 from workcell.cognition import (
     BRIEFING,
     ContextSubgraph,
@@ -16,13 +17,12 @@ from workcell.cognition import (
     get_valid_ert,
     keyword_similarity,
     parse_ert,
-    payload_bytes,
-    semantic_similarity,
     serialize_context,
     validate_ert,
 )
 from workcell.errors import ScriptGapError
 from workcell.geometry import GaussianEnvelope
+from workcell.serialization import canonical_dumps
 from workcell.transactions import ConstraintState
 from workcell.world_model import Lifecycle, WorldStore, ZoneNode
 
@@ -155,6 +155,20 @@ def test_keyword_similarity_binary():
     assert keyword_similarity("gear", [], syn) == 0.0
 
 
+def test_semantic_similarity_helper_validates_range():
+    # The reasoner's similarity answer is range-checked where it is used:
+    # hybrid_cost rejects a value outside [0, 1].
+    cfg = AssociationConfig()
+    req = ReasonerRequest(RequestKind.SEMANTIC_SIMILARITY, key="gear|cog")
+    r = ScriptedReasoner({("SemanticSimilarity", ""): [0.25]})
+    sim = float(r.query(req))
+    assert sim == 0.25
+    assert hybrid_cost(1.0, sim, cfg) == pytest.approx(hybrid_cost(1.0, 0.25, cfg))
+    bad = ScriptedReasoner({("SemanticSimilarity", ""): [1.7]})
+    with pytest.raises(ValueError):
+        hybrid_cost(1.0, float(bad.query(req)), cfg)
+
+
 def test_extract_subgraph_direct_args_and_hops():
     store = make_store()
     store.add_entity("clamp", _env([0.45, 0, 0.02]), "z1", uid="clamp")
@@ -200,7 +214,7 @@ def test_serialize_context_deterministic():
     sub = extract_subgraph(store, {"args": ["part"]}, ConstraintState())
     payload_a = serialize_context(sub, store, {"id": 1}, ConstraintState())
     payload_b = serialize_context(sub, store, {"id": 1}, ConstraintState())
-    assert payload_bytes(payload_a) == payload_bytes(payload_b)
+    assert canonical_dumps(payload_a) == canonical_dumps(payload_b)
     assert payload_a["briefing"] == BRIEFING
     uids = [v["uid"] for v in payload_a["vertices"]]
     assert uids == sorted(uids)
@@ -230,14 +244,6 @@ def test_scripted_reasoner_wildcard_key_and_gap():
     assert r.query(ReasonerRequest(RequestKind.SEMANTIC_SIMILARITY, "x|y")) == 0.7
     with pytest.raises(ScriptGapError):
         r.query(ReasonerRequest(RequestKind.PROPOSE_ERT, "missing"))
-
-
-def test_semantic_similarity_helper_validates_range():
-    r = ScriptedReasoner({("SemanticSimilarity", ""): [0.25]})
-    assert semantic_similarity(r, "gear", "cog") == 0.25
-    bad = ScriptedReasoner({("SemanticSimilarity", ""): [1.7]})
-    with pytest.raises(ValueError):
-        semantic_similarity(bad, "gear", "cog")
 
 
 # -- verify-retry loop --------------------------------------------------------

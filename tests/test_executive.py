@@ -10,7 +10,6 @@ from workcell.executive import (
     ActionHistory,
     DiscrepancyReport,
     FailureCategory,
-    Fulfilled,
     HistoryEntry,
     NodeStatus,
     TaskDAG,
@@ -101,18 +100,6 @@ def test_action_history_append_only():
 
 
 # -- constraint-state machine -------------------------------------------------
-
-
-def test_update_cs_fulfilled_legality():
-    holding = ConstraintState(Phase.HOLDING, "A")
-    out = update_cs(ConstraintState(), Fulfilled("Pick", holding))
-    assert out == holding
-    with pytest.raises(StateMachineError):
-        update_cs(holding, Fulfilled("Pick", holding))  # pick while holding
-    with pytest.raises(StateMachineError):
-        update_cs(ConstraintState(), Fulfilled("Place", ConstraintState()))
-    with pytest.raises(StateMachineError):
-        update_cs(ConstraintState(), Fulfilled("Conjure", ConstraintState()))
 
 
 def test_update_cs_controller_events():

@@ -12,13 +12,13 @@ from workcell.geometry import (
     OrientedBox,
     PointCloudData,
     PoseSE3,
-    box_iou,
-    chi_square_threshold,
     cholesky_solve,
     envelope_from_points,
     mahalanobis_between,
     spd_inverse,
+    xy_iou,
 )
+from workcell.world_model import CHI2_THRESH_3DOF
 
 
 def random_rotation(seed):
@@ -150,64 +150,36 @@ def test_mahalanobis_between_oracle():
 # -- IoU ----------------------------------------------------------------------
 
 
+def _footprint(center, half):
+    c, h = np.asarray(center, dtype=float), np.asarray(half, dtype=float)
+    return c - h, c + h
+
+
 def test_box_iou_identical_and_disjoint():
-    a = OrientedBox([0, 0, 0], [1, 1, 1])
-    assert box_iou(a, a) == pytest.approx(1.0)
-    b = OrientedBox([10, 0, 0], [1, 1, 1])
-    assert box_iou(a, b) == 0.0
+    a = _footprint([0, 0, 0], [1, 1, 1])
+    assert xy_iou(*a, *a) == pytest.approx(1.0)
+    b = _footprint([10, 0, 0], [1, 1, 1])
+    assert xy_iou(*a, *b) == 0.0
+    # Only the footprint counts: a box above another overlaps it fully.
+    assert xy_iou(*a, *_footprint([0, 0, 5], [1, 1, 1])) == pytest.approx(1.0)
 
 
 def test_box_iou_axis_aligned_exact():
-    a = OrientedBox([0, 0, 0], [1, 1, 1])
-    b = OrientedBox([1, 0, 0], [1, 1, 1])
-    # Intersection 1x2x2 = 4, union 8 + 8 - 4 = 12.
-    assert box_iou(a, b) == pytest.approx(4.0 / 12.0)
-
-
-def test_box_iou_shared_rotation_exact():
-    rot = Rotation.from_euler("z", 30, degrees=True).as_matrix()
-    a = OrientedBox([0, 0, 0], [1, 1, 1], rot)
-    shift = rot @ np.array([1.0, 0.0, 0.0])
-    b = OrientedBox(shift, [1, 1, 1], rot)
-    assert box_iou(a, b) == pytest.approx(4.0 / 12.0)
-
-
-def test_box_iou_rotated_sampling_near_truth():
-    rot = Rotation.from_euler("z", 45, degrees=True).as_matrix()
-    a = OrientedBox([0, 0, 0], [1, 1, 1])
-    b = OrientedBox([0, 0, 0], [1, 1, 1], rot)
-    # Same-center unit cubes rotated 45 deg about z: intersection is the
-    # regular-octagon prism with area 8(sqrt(2)-1), volume 2x that.
-    inter = 8 * (np.sqrt(2) - 1) * 2
-    expected = inter / (8 + 8 - inter)
-    val = box_iou(a, b)
-    assert val == pytest.approx(expected, abs=0.02)
-    # Fixed seed: repeatable to the bit.
-    assert box_iou(a, b) == val
-
-
-def test_box_iou_mask_fallback():
-    m1 = np.zeros((4, 4), dtype=bool)
-    m2 = np.zeros((4, 4), dtype=bool)
-    m1[:2] = True
-    m2[1:3] = True
-    assert box_iou(
-        OrientedBox([0, 0, 0], [1, 1, 1]), OrientedBox([0, 0, 0], [1, 1, 1]),
-        fallback_masks=(m1, m2),
-    ) == pytest.approx(4 / 12)
-    assert box_iou(
-        OrientedBox([0, 0, 0], [1, 1, 1]), OrientedBox([0, 0, 0], [1, 1, 1]),
-        fallback_masks=(np.zeros((2, 2), bool), np.zeros((2, 2), bool)),
-    ) == 0.0
+    a = _footprint([0, 0, 0], [1, 1, 1])
+    b = _footprint([1, 0, 0], [1, 1, 1])
+    # Intersection 1x2 = 2, union 4 + 4 - 2 = 6.
+    assert xy_iou(*a, *b) == pytest.approx(2.0 / 6.0)
+    assert xy_iou(*b, *a) == xy_iou(*a, *b)
+    # A degenerate footprint has no area and no union.
+    flat = _footprint([0, 0, 0], [0, 0, 1])
+    assert xy_iou(*flat, *flat) == 0.0
 
 
 # -- chi-square ---------------------------------------------------------------
 
 
 def test_chi_square_threshold_known_quantiles():
-    assert chi_square_threshold(3, 0.95) == pytest.approx(7.8147, abs=1e-3)
-    assert chi_square_threshold(1, 0.95) == pytest.approx(3.8415, abs=1e-3)
-    with pytest.raises(ValueError):
-        chi_square_threshold(0, 0.95)
-    with pytest.raises(ValueError):
-        chi_square_threshold(3, 1.5)
+    from scipy.stats import chi2
+
+    # The literal stands in for the 95% quantile of chi-square with 3 dof.
+    assert CHI2_THRESH_3DOF == pytest.approx(chi2.ppf(0.95, 3), abs=1e-3)

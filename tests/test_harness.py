@@ -3,6 +3,9 @@ metrics, the trial runner, and the CLI."""
 
 import copy
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -258,3 +261,18 @@ def test_cli_reports_errors(tmp_path, capsys):
     assert cli.main(["validate", str(bad)]) == 1
     assert "error" in capsys.readouterr().err
     assert cli.main(["metrics", str(tmp_path / "missing")]) == 1
+
+
+# -- import path --------------------------------------------------------------
+
+
+def test_engine_import_leaves_out_scipy_stats():
+    # scipy.stats is slow and large to import, and the engine has no use
+    # for it; a fresh interpreter shows what the import path pulls in.
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, workcell.harness; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"

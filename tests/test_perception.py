@@ -1,5 +1,4 @@
-"""Frame lifting, geometric abstraction, triggers, and the frame fixture
-format."""
+"""Frame lifting, geometric abstraction, and the frame fixture format."""
 
 import numpy as np
 import pytest
@@ -12,16 +11,12 @@ from workcell.perception import (
     Frame,
     PerceptionConfig,
     PointsGeom,
-    T_MAX_SECONDS,
-    TriggerEvent,
-    TriggerKind,
     VoxelsGeom,
     assemble_snapshot,
     back_project,
     lift_frame,
     quantize_by_distance,
     read_frame_dir,
-    should_trigger,
     write_frame_dir,
 )
 
@@ -151,18 +146,6 @@ def test_assemble_snapshot_drops_starved_instances():
     frame.depth[1:4, 1:4] = 0.0
     frame.depth[2, 2] = 0.5  # single surviving point
     assert assemble_snapshot(frame, K) == []
-
-
-# -- triggers -----------------------------------------------------------------
-
-
-def test_should_trigger_on_event_or_timeout():
-    ev = [TriggerEvent(TriggerKind.ACTION_BOUNDARY)]
-    assert should_trigger(ev, last_run=0.0, now=0.1)
-    assert not should_trigger([], last_run=0.0, now=T_MAX_SECONDS - 0.01)
-    assert should_trigger([], last_run=0.0, now=T_MAX_SECONDS)
-    with pytest.raises(ValueError):
-        should_trigger([], last_run=1.0, now=0.5)
 
 
 # -- fixture format -----------------------------------------------------------

@@ -6,7 +6,7 @@ from scipy.spatial.transform import Rotation
 
 from workcell.errors import RegistrationError
 from workcell.geometry import PointCloudData, PoseSE3
-from workcell.registration import huber_weight, icp_register
+from workcell.registration import icp_register
 
 
 def _cloud(rng, n=120):
@@ -15,11 +15,6 @@ def _cloud(rng, n=120):
 
 def _transform(points, scale, rot, trans):
     return scale * (points @ rot.T + trans)
-
-
-def test_huber_weight():
-    assert huber_weight(0.5, 1.0) == 1.0
-    assert huber_weight(2.0, 1.0) == pytest.approx(0.5)
 
 
 def test_identity_registration():

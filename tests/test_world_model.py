@@ -1,5 +1,5 @@
-"""Persistent store: occupancy, billboards, graph, relation verification,
-lifecycle curation, and the register/update pipeline."""
+"""Persistent store: occupancy, graph, relation verification, lifecycle
+curation, and the register/update pipeline."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from workcell.geometry import GaussianEnvelope, PointCloudData, PoseSE3
 from workcell.perception import Observation, PointsGeom
 from workcell.world_model import (
     BackgroundMap,
-    Billboard,
     EdgeStatus,
     L_FREE,
     L_MAX,
@@ -30,7 +29,6 @@ from workcell.world_model import (
     WorldStore,
     ZoneNode,
     apply_drift_inflation,
-    billboard_retrieve,
     curate_zone,
     record_bounds,
     register_or_update,
@@ -102,18 +100,6 @@ def test_occupancy_bounds_enforced():
         update_occupancy(bg, [OccupancyMeasurement((5, 0, 0), True)])
 
 
-# -- billboards ---------------------------------------------------------------
-
-
-def test_billboard_retrieve_best_view():
-    bx = Billboard("a", [1, 0, 0], [0, 0, 0])
-    bz = Billboard("b", [0, 0, 1], [0, 0, 0])
-    assert billboard_retrieve([bx, bz], [0.9, 0.0, np.sqrt(1 - 0.81)]) is bx
-    assert billboard_retrieve([], [1, 0, 0]) is None
-    with pytest.raises(ValueError):
-        billboard_retrieve([bx], [2, 0, 0])
-
-
 # -- graph mutation and queries ----------------------------------------------
 
 
@@ -149,6 +135,7 @@ def test_find_and_remove_edges():
     store.add_edge("On", b, a)
     store.add_edge("Near", a, b)
     assert len(store.find_edges(predicate="On")) == 1
+    assert store.neighbors({a}) == {b} and store.neighbors([]) == set()
     removed = store.remove_edges(subject=b)
     assert [e.predicate for e in removed] == ["On"]
     assert [e.predicate for e in store.edges] == ["Near"]
@@ -192,7 +179,6 @@ def _populated_store():
         pose=PoseSE3.identity(),
     )
     store.add_edge("On", a, b, EdgeStatus.VERIFIED)
-    store.billboards.append(Billboard("crop/7", [0, 0, 1], [1, 1, 1]))
     update_occupancy(store.background, [OccupancyMeasurement((0, 1, 2), True)])
     return store
 
@@ -308,6 +294,8 @@ def test_verify_clear_and_unknown_predicate():
     assert verify_relation(RelationEdge("Clear", a, a), store) == EdgeStatus.VERIFIED
     store.add_edge("On", b, a)
     assert verify_relation(RelationEdge("Clear", a, a), store) == EdgeStatus.REFUTED
+    store.edges[-1].status = EdgeStatus.REFUTED  # a refuted support blocks nothing
+    assert store.is_clear(a)
     with pytest.raises(WorkcellError):
         verify_relation(RelationEdge("Levitates", a, b), store)
 
