@@ -8,14 +8,8 @@ import json
 import sys
 
 from .errors import WorkcellError
-from .harness import (
-    ScenarioSpec,
-    load_scenario,
-    metrics_from_dir,
-    run_scenario,
-    validate_scenario,
-)
-from .serialization import to_jsonable
+from .harness import load_scenario, metrics_from_dir, run_scenario, validate_scenario
+from .serialization import json_line
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -60,15 +54,15 @@ def main(argv: list[str] | None = None) -> int:
             if args.trace:
                 for log in logs:
                     for event in log["trace"]:
-                        print(json.dumps(to_jsonable(event), sort_keys=True))
+                        print(json_line(event))
             print(report.table())
-            print(json.dumps(to_jsonable(report.to_dict()), sort_keys=True))
+            print(json_line(report.to_dict()))
             return 0
 
         if args.command == "metrics":
             report = metrics_from_dir(args.trace_dir)
             print(report.table())
-            print(json.dumps(to_jsonable(report.to_dict()), sort_keys=True))
+            print(json_line(report.to_dict()))
             return 0
     except (WorkcellError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import ScriptGapError
+from .transactions import SKILLS
 from .world_model import (
     EdgeStatus,
     Lifecycle,
@@ -29,7 +30,6 @@ BRIEFING = (
     "structured records conforming to the declared schema."
 )
 
-_SKILL_NAMES = ("Pick", "Place", "Insert", "Move", "Rotate", "OpenGripper", "CloseGripper")
 _VERIFIABLE_PREDICATES = ("On", "Inside", "Near", "Contact", "Aligned", "Inserted", "Clear")
 
 
@@ -181,7 +181,7 @@ def validate_ert(doc, store: WorldStore) -> tuple[ERT | None, ValidationReport]:
     ert, err = parse_ert(doc)
     if ert is None:
         return None, _fail(ValidationStage.SYNTACTIC, err, stages)
-    if ert.action not in _SKILL_NAMES:
+    if ert.action not in SKILLS:
         return None, _fail(
             ValidationStage.SYNTACTIC, f"unknown action {ert.action!r}", stages
         )

@@ -608,8 +608,6 @@ def _cs_during_action(cs: ConstraintState, ert: ERT) -> ConstraintState:
         part = ert.args.get("part") or cs.target
         if part is not None:
             return ConstraintState(Phase.INSERTING, part)
-    if ert.action in ("Pick", "CloseGripper"):
-        return cs
     return cs
 
 

@@ -120,9 +120,6 @@ class OrientedBox:
         local = (np.atleast_2d(points) - self.center) @ self.rotation
         return np.all(np.abs(local) <= self.half_extents + 1e-12, axis=1)
 
-    def corners(self) -> np.ndarray:
-        return (CORNER_SIGNS * self.half_extents) @ self.rotation.T + self.center
-
 
 @dataclass
 class PointCloudData:

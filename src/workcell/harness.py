@@ -29,7 +29,7 @@ from .cognition import (
     ScriptedReasoner,
     SubgraphConfig,
 )
-from .errors import ScenarioError
+from .errors import ScenarioError, WorkcellError
 from .executive import (
     ExecutionFeedback,
     Executive,
@@ -45,8 +45,8 @@ from .geometry import (
     PoseSE3,
     xy_iou,
 )
-from .perception import CameraIntrinsics, PerceptionConfig, assemble_snapshot
-from .serialization import canonical_dumps, to_jsonable
+from .perception import CameraIntrinsics, PerceptionConfig, PointsGeom, assemble_snapshot
+from .serialization import canonical_dumps, json_line
 from .simulator import (
     FailureInjection,
     SimCamera,
@@ -201,7 +201,6 @@ def build_store(doc: dict, world: SimWorld,
                         np.asarray(z["half_extents"], dtype=float)),
         ))
     store.robot_zone = world.robot_zone
-    store.vertices[ROBOT_UID].zone_id = world.robot_zone
     store.records[ROBOT_UID].envelope = GaussianEnvelope(
         world.robot_position, 1e-6 * np.eye(3)
     )
@@ -215,23 +214,16 @@ def build_store(doc: dict, world: SimWorld,
                 np.asarray(o["position"], dtype=float), np.diag(sigma**2)
             ),
             zone_id=o["zone"],
-            geometry=None,
+            geometry=PointsGeom(PointCloudData(pts)),
             attributes=dict(o.get("attributes", {})),
             uid=o["id"],
         )
-        store.records[o["id"]].geometry = _points_geom(pts)
     for pred, subj, obj in sorted(world.ground_truth_relations()):
         if pred == "On":
             store.add_edge("On", subj, obj, EdgeStatus.VERIFIED)
     if priors:
         store.priors.update(copy.deepcopy(priors))
     return store
-
-
-def _points_geom(points: np.ndarray):
-    from .perception import PointsGeom
-
-    return PointsGeom(PointCloudData(points))
 
 
 def build_cameras(doc: dict) -> dict[str, SimCamera]:
@@ -334,11 +326,13 @@ class TrialRuntime:
             return xy_iou(lo_a, hi_a, lo_b, hi_b)
 
         def sim_fn(k, i):
-            resp = self.reasoner.query(ReasonerRequest(
-                RequestKind.SEMANTIC_SIMILARITY,
-                key=f"{observations[k].label}|"
-                    f"{self.store.vertices[memory_uids[i]].label}",
-            ))
+            key = f"{observations[k].label}|{self.store.vertices[memory_uids[i]].label}"
+            resp = self.reasoner.query(
+                ReasonerRequest(RequestKind.SEMANTIC_SIMILARITY, key))
+            if isinstance(resp, bool) or not isinstance(resp, (int, float)) \
+                    or not 0.0 <= resp <= 1.0:
+                raise WorkcellError(f"SemanticSimilarity reply {resp!r} for {key!r} "
+                                    "is not a number in [0, 1]")
             return float(resp)
 
         cost = build_cost_matrix(observations, memory, self.assoc_cfg, iou_fn, sim_fn)
@@ -367,10 +361,14 @@ class TrialRuntime:
         for k, _i, _c in matched:
             if k in gammas:
                 continue
-            level = self.reasoner.query(ReasonerRequest(
-                RequestKind.RELIABILITY_JUDGMENT, key=observations[k].label
-            ))
-            gammas[k] = gamma_of(ReliabilityJudgment(level))
+            key = observations[k].label
+            level = self.reasoner.query(
+                ReasonerRequest(RequestKind.RELIABILITY_JUDGMENT, key))
+            try:
+                gammas[k] = gamma_of(ReliabilityJudgment(level))
+            except ValueError:
+                raise WorkcellError(f"ReliabilityJudgment reply {level!r} for {key!r} "
+                                    "is not High, Medium, Low or Bad") from None
 
         final = MatchResult(matched, unmatched_obs, unmatched_mem)
         delta = register_or_update(
@@ -614,13 +612,11 @@ def run_trial(spec: ScenarioSpec, trial_index: int,
     question_results = []
     for q in doc.get("questions", []):
         answer, correct = answer_question(store, q)
-        question_results.append({"question": q, "answer": to_jsonable(answer),
-                                 "correct": correct})
+        question_results.append({"question": q, "answer": answer, "correct": correct})
     query_results = []
     for q in doc.get("queries", []):
         answer, correct = answer_question(store, q)
-        query_results.append({"question": q, "answer": to_jsonable(answer),
-                              "correct": correct})
+        query_results.append({"question": q, "answer": answer, "correct": correct})
 
     n_items = sum(
         1 for v in store.vertices.values()
@@ -671,7 +667,7 @@ def run_scenario(
                 fh.write(canonical_dumps(log))
             with open(out / f"trace_{i:03d}.ndjson", "w") as fh:
                 for event in log["trace"]:
-                    fh.write(json.dumps(to_jsonable(event), sort_keys=True) + "\n")
+                    fh.write(json_line(event) + "\n")
         with open(out / "metrics.json", "w") as fh:
             fh.write(canonical_dumps(report.to_dict()))
     return report, logs

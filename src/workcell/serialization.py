@@ -2,6 +2,8 @@
 
 Every persisted document and every transaction hash flows through
 ``canonical_dumps`` so byte-identical state compares are meaningful.
+Encoding is one ``json.dumps`` pass over str-keyed documents; ``_plain``
+converts numpy values as it meets them and rejects everything else.
 """
 
 from __future__ import annotations
@@ -12,24 +14,23 @@ import json
 import numpy as np
 
 
-def to_jsonable(value):
-    """Recursively convert numpy containers to plain JSON values."""
+def _plain(value):
+    """``json.dumps`` hook: numpy arrays and scalars as plain values."""
     if isinstance(value, np.ndarray):
-        return [to_jsonable(v) for v in value.tolist()]
+        return value.tolist()
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
-    if isinstance(value, dict):
-        return {str(k): to_jsonable(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(value, (list, tuple)):
-        return [to_jsonable(v) for v in value]
-    if isinstance(value, float):
-        return value
-    return value
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def canonical_dumps(value) -> str:
     """Deterministic JSON: sorted keys, compact separators."""
-    return json.dumps(to_jsonable(value), sort_keys=True, separators=(",", ":"))
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), default=_plain)
+
+
+def json_line(value) -> str:
+    """One sorted-key JSON line, for NDJSON files and CLI output."""
+    return json.dumps(value, sort_keys=True, default=_plain)
 
 
 def sha256_of(value) -> str:

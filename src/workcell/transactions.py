@@ -9,7 +9,6 @@ A hash-chained log makes every transition auditable.
 from __future__ import annotations
 
 import copy
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -18,7 +17,7 @@ import numpy as np
 
 from .errors import TransactionError
 from .geometry import GaussianEnvelope, PoseSE3
-from .serialization import canonical_dumps, sha256_of, to_jsonable
+from .serialization import canonical_dumps, json_line
 from .world_model import (
     EdgeStatus,
     ROBOT_UID,
@@ -155,7 +154,7 @@ class TransactionEntry:
             "pre_hash": self.pre_hash,
             "post_hash": self.post_hash,
             "action": self.action,
-            "args": to_jsonable(self.args),
+            "args": dict(self.args),
             "delta": list(self.delta),
             "outcome": self.outcome,
         }
@@ -180,11 +179,7 @@ class TransactionLog:
     def export_ndjson(self, path: str | Path) -> None:
         with open(path, "w") as fh:
             for e in self.entries:
-                fh.write(json.dumps(to_jsonable(e.to_record()), sort_keys=True) + "\n")
-
-
-def state_hash(store: WorldStore, cs: ConstraintState) -> str:
-    return sha256_of({"store": store.to_dict(), "cs": cs.to_dict()})
+                fh.write(json_line(e.to_record()) + "\n")
 
 
 def state_bytes(store: WorldStore, cs: ConstraintState) -> str:
@@ -204,7 +199,8 @@ def capture_inverse(store: WorldStore, cs: ConstraintState, args: dict) -> dict:
     """Structural snapshot of exactly the entities a skill may touch.
 
     Cheaper than copying the store; restoring it must be indistinguishable
-    from restoring a full copy.
+    from restoring a full copy. Edges are immutable, so a copy of the list
+    is exact; the zone index is derived from the vertices and is not kept.
     """
     uids = _touched_uids(store, args)
     # The held object is mutated by detach-style effects even when the
@@ -215,26 +211,14 @@ def capture_inverse(store: WorldStore, cs: ConstraintState, args: dict) -> dict:
         "cs": cs,
         "records": {u: copy.deepcopy(store.records.get(u)) for u in uids},
         "vertices": {u: copy.deepcopy(store.vertices.get(u)) for u in uids},
-        "edges": copy.deepcopy(store.edges),
-        "zone_index": copy.deepcopy(store._zone_index),
-        "robot_zone": store.robot_zone,
+        "edges": list(store.edges),
     }
 
 
 def apply_inverse(store: WorldStore, inverse: dict) -> ConstraintState:
-    for uid, rec in inverse["records"].items():
-        if rec is None:
-            store.records.pop(uid, None)
-        else:
-            store.records[uid] = rec
     for uid, vert in inverse["vertices"].items():
-        if vert is None:
-            store.vertices.pop(uid, None)
-        else:
-            store.vertices[uid] = vert
-    store.edges = copy.deepcopy(inverse["edges"])
-    store._zone_index = copy.deepcopy(inverse["zone_index"])
-    store.robot_zone = inverse["robot_zone"]
+        store.restore_entity(uid, inverse["records"][uid], vert)
+    store.edges = list(inverse["edges"])
     return inverse["cs"]
 
 
@@ -324,10 +308,7 @@ def _apply_effects(
             store.add_edge("On", obj, dest, EdgeStatus.VERIFIED)
             delta.append(f"+On({obj},{dest})")
         if "zone" in args:
-            v = store.vertices[obj]
-            store._index_remove(obj, v.zone_id)
-            v.zone_id = args["zone"]
-            store._index_add(obj, v.zone_id)
+            store.set_zone(obj, args["zone"])
             delta.append(f"zone({obj},{args['zone']})")
         delta.append(f"detach({obj})")
         cs = ConstraintState(Phase.IDLE)
@@ -343,7 +324,6 @@ def _apply_effects(
     elif action == "Move":
         if "zone" in args:
             store.robot_zone = args["zone"]
-            store.vertices[ROBOT_UID].zone_id = args["zone"]
             delta.append(f"robot_zone={args['zone']}")
         if "position" in args:
             rec = store.records[ROBOT_UID]

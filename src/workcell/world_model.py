@@ -2,8 +2,12 @@
 semantic graph with grounding links, relation verification, and
 lifecycle curation.
 
-All mutation goes through the transaction layer or the perception
-pipeline; readers see a consistent snapshot.
+The store document (``to_dict``) is the whole state. Only the zone index
+is derived from it, by one rule (``_indexed_zone``), so the writes that
+can change it go through ``WorldStore`` methods that apply the rule:
+``add_entity``, ``set_zone``, ``set_lifecycle`` and ``restore_entity``.
+Fields the index never reads (envelopes, geometry, confidence,
+attachment) are written in place by transactions and perception.
 """
 
 from __future__ import annotations
@@ -158,18 +162,23 @@ class ObjectVertex:
     zone_id: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RelationEdge:
     predicate: str
     subject: str
     obj: str
     status: EdgeStatus = EdgeStatus.HYPOTHESIS
 
-    def key(self) -> tuple[str, str, str]:
-        return (self.predicate, self.subject, self.obj)
-
 
 ROBOT_UID = "robot"
+
+
+def _indexed_zone(v: ObjectVertex | None) -> str:
+    """The zone index rule: a vertex is indexed under its zone_id if and
+    only if it is not the robot and is not archived ("" for no zone)."""
+    if v is None or v.uid == ROBOT_UID or v.lifecycle == Lifecycle.ARCHIVED:
+        return ""
+    return v.zone_id
 
 
 class WorldStore:
@@ -185,7 +194,6 @@ class WorldStore:
         self.tentative: dict[int, TentativeTrack] = {}
         self._uid_counters: dict[str, int] = {}
         self._zone_index: dict[str, set[str]] = {}
-        self.robot_zone: str = ""
         self._init_robot()
 
     def _init_robot(self):
@@ -202,13 +210,23 @@ class WorldStore:
         self._uid_counters[label] = n
         return f"{label}_{n}"
 
-    def _index_add(self, uid: str, zone_id: str):
-        if zone_id:
-            self._zone_index.setdefault(zone_id, set()).add(uid)
+    def _reindex(self, uid: str, was: str):
+        """The one writer of the zone index: move ``uid`` from ``was``, the
+        zone the rule gave it before a change, to the zone it gives now."""
+        now = _indexed_zone(self.vertices.get(uid))
+        if was and was != now:
+            self._zone_index[was].discard(uid)
+        if now:
+            self._zone_index.setdefault(now, set()).add(uid)
 
-    def _index_remove(self, uid: str, zone_id: str):
-        if zone_id and zone_id in self._zone_index:
-            self._zone_index[zone_id].discard(uid)
+    @property
+    def robot_zone(self) -> str:
+        """The robot's zone, stored once: as its vertex's ``zone_id``."""
+        return self.vertices[ROBOT_UID].zone_id
+
+    @robot_zone.setter
+    def robot_zone(self, zone_id: str):
+        self.set_zone(ROBOT_UID, zone_id)
 
     # -- graph mutation ----------------------------------------------------
 
@@ -243,9 +261,31 @@ class WorldStore:
             grounding=uid,
             zone_id=zone_id,
         )
-        self._index_add(uid, zone_id)
+        self._reindex(uid, "")
         self.check_integrity()
         return uid
+
+    def set_zone(self, uid: str, zone_id: str):
+        was = _indexed_zone(self.vertices[uid])
+        self.vertices[uid].zone_id = zone_id
+        self._reindex(uid, was)
+
+    def set_lifecycle(self, uid: str, lifecycle: Lifecycle):
+        was = _indexed_zone(self.vertices[uid])
+        self.vertices[uid].lifecycle = lifecycle
+        self._reindex(uid, was)
+
+    def restore_entity(self, uid: str, record: ObjectRecord | None,
+                       vertex: ObjectVertex | None):
+        """Put back an entity's record and vertex as captured earlier;
+        None means the entity did not exist then."""
+        was = _indexed_zone(self.vertices.get(uid))
+        for table, value in ((self.records, record), (self.vertices, vertex)):
+            if value is None:
+                table.pop(uid, None)
+            else:
+                table[uid] = value
+        self._reindex(uid, was)
 
     def add_edge(
         self, predicate: str, subject: str, obj: str,
@@ -309,13 +349,11 @@ class WorldStore:
         """Non-archived vertices in a zone; candidate set is the zone index."""
         if zone_id not in self.zones:
             raise WorkcellError(f"unknown zone {zone_id}")
-        candidates = self._zone_index.get(zone_id, set())
-        out = [
+        return [
             self.vertices[uid]
-            for uid in sorted(candidates)
+            for uid in sorted(self._zone_index.get(zone_id, set()))
             if self.vertices[uid].lifecycle != Lifecycle.ARCHIVED
         ]
-        return out
 
     def zone_candidate_count(self, zone_id: str) -> int:
         return len(self._zone_index.get(zone_id, set()))
@@ -403,7 +441,6 @@ class WorldStore:
             )
 
         store = cls.__new__(cls)
-        store.robot_zone = data["robot_zone"]
         store._uid_counters = dict(data["uid_counters"])
         store.tentative = {}
         store.zones = {}
@@ -432,15 +469,13 @@ class WorldStore:
         store.vertices = {}
         store._zone_index = {}
         for uid, v in data["vertices"].items():
-            vert = ObjectVertex(
+            store.vertices[uid] = ObjectVertex(
                 uid=uid, label=v["label"], state_tag=v["state_tag"],
                 attributes=dict(v["attributes"]), grounding=v["grounding"],
                 lifecycle=Lifecycle(v["lifecycle"]), confidence=v["confidence"],
                 zone_id=v["zone_id"],
             )
-            store.vertices[uid] = vert
-            if vert.lifecycle != Lifecycle.ARCHIVED:
-                store._index_add(uid, vert.zone_id)
+            store._reindex(uid, "")
         store.edges = [
             RelationEdge(e["predicate"], e["subject"], e["object"], EdgeStatus(e["status"]))
             for e in data["edges"]
@@ -598,31 +633,26 @@ def curate_zone(
     if zone_id not in store.zones:
         raise WorkcellError(f"unknown zone {zone_id}")
     events: list[LifecycleEvent] = []
-    in_zone = [v.uid for v in store.entities_in_zone(zone_id) if v.uid != ROBOT_UID]
-    for uid in in_zone:
-        if uid in observed_uids:
+    for v in store.entities_in_zone(zone_id):
+        if v.uid in observed_uids:
             continue
-        v = store.vertices[uid]
         v.confidence *= LAMBDA_DECAY
-        events.append(LifecycleEvent("decayed", uid, v.confidence))
+        events.append(LifecycleEvent("decayed", v.uid, v.confidence))
         if v.confidence < TAU_ARCHIVE:
-            v.lifecycle = Lifecycle.ARCHIVED
-            store._index_remove(uid, v.zone_id)
-            events.append(LifecycleEvent("archived", uid, v.confidence))
+            store.set_lifecycle(v.uid, Lifecycle.ARCHIVED)
+            events.append(LifecycleEvent("archived", v.uid, v.confidence))
         elif v.confidence < TAU_UNCERTAIN:
             if v.lifecycle != Lifecycle.UNCERTAIN:
-                v.lifecycle = Lifecycle.UNCERTAIN
-                events.append(LifecycleEvent("uncertain", uid, v.confidence))
+                store.set_lifecycle(v.uid, Lifecycle.UNCERTAIN)
+                events.append(LifecycleEvent("uncertain", v.uid, v.confidence))
     for uid in sorted(observed_uids):
         v = store.vertices.get(uid)
         if v is None:
             continue
         if v.lifecycle == Lifecycle.ARCHIVED:
-            v.lifecycle = Lifecycle.ACTIVE
-            store._index_add(uid, v.zone_id)
             events.append(LifecycleEvent("restored", uid, v.confidence))
         v.confidence = 1.0
-        v.lifecycle = Lifecycle.ACTIVE
+        store.set_lifecycle(uid, Lifecycle.ACTIVE)
         events.append(LifecycleEvent("reinforced", uid, 1.0))
     return events
 
@@ -691,9 +721,8 @@ def register_or_update(
         restored = restore_candidates(store, obs, cfg)
         if restored is not None:
             v = store.vertices[restored]
-            v.lifecycle = Lifecycle.ACTIVE
             v.confidence = 1.0
-            store._index_add(restored, v.zone_id)
+            store.set_lifecycle(restored, Lifecycle.ACTIVE)
             rec = store.records[v.grounding]
             rec.envelope = fuse(rec.envelope, obs.envelope, gammas.get(obs_idx, 1.0))
             delta.restored.append(restored)

@@ -69,3 +69,28 @@ def information_fusion(prior_mean, prior_cov, obs_mean, obs_cov, gamma):
     mean = cov @ (prior_info @ np.asarray(prior_mean, float)
                   + gamma * obs_info @ np.asarray(obs_mean, float))
     return mean, cov
+
+
+def to_jsonable(value):
+    """Plain-JSON copy of a value: the recursive encoder the package used
+    before it let ``json.dumps`` convert numpy values through a hook.
+    ``json.dumps(to_jsonable(x), sort_keys=True)`` is the reference output."""
+    if isinstance(value, np.ndarray):
+        return [to_jsonable(v) for v in value.tolist()]
+    if isinstance(value, (np.floating, np.integer)):
+        return value.item()
+    if isinstance(value, dict):
+        return {str(k): to_jsonable(v)
+                for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
+    if isinstance(value, (list, tuple)):
+        return [to_jsonable(v) for v in value]
+    return value
+
+
+def zone_members(store, zone_id: str) -> list[str]:
+    """The zone index rebuilt from the vertices: every vertex in the zone
+    that is neither the robot nor archived, sorted by uid."""
+    return sorted(
+        uid for uid, v in store.vertices.items()
+        if v.zone_id == zone_id and uid != "robot" and v.lifecycle.value != "Archived"
+    )

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from workcell import cli
-from workcell.errors import ScenarioError
+from workcell.errors import ScenarioError, WorkcellError
 from workcell.geometry import GaussianEnvelope
 from workcell.harness import (
     ScenarioSpec,
@@ -218,6 +218,17 @@ def test_run_scenario_writes_artifacts(tmp_path):
         ["trace_000.ndjson", "trace_001.ndjson"]
     recomputed = metrics_from_dir(out)
     assert recomputed.to_dict() == json.loads((out / "metrics.json").read_text())
+
+
+@pytest.mark.parametrize("key,reply,kind", [
+    ("similarity_default", 1.7, "SemanticSimilarity"),
+    ("reliability_default", "Maybe", "ReliabilityJudgment"),
+])
+def test_run_scenario_rejects_out_of_range_reasoner_replies(key, reply, kind):
+    doc = task1_doc()
+    doc[key] = reply
+    with pytest.raises(WorkcellError, match=kind):
+        run_scenario(ScenarioSpec(doc), trials=1)
 
 
 def test_metrics_from_dir_empty_raises(tmp_path):

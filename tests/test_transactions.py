@@ -4,14 +4,17 @@ rollback byte-identity, hash chaining, and commit confirmation."""
 import numpy as np
 import pytest
 
+from workcell.association import MatchResult
 from workcell.errors import TransactionError
 from workcell.geometry import GaussianEnvelope, PointCloudData, PoseSE3
+from workcell.perception import Observation
 from workcell.transactions import (
     ConstraintState,
     ControllerEvent,
     FTEvent,
     FTSignal,
     Phase,
+    TransactionEntry,
     TransactionLog,
     TransitionStatus,
     apply_transition,
@@ -25,10 +28,15 @@ from workcell.transactions import (
 )
 from workcell.world_model import (
     EdgeStatus,
+    Lifecycle,
+    ROBOT_UID,
     ShapePrior,
     WorldStore,
     ZoneNode,
+    register_or_update,
 )
+
+from oracles import zone_members
 
 
 def _env(mean, sigma=0.01):
@@ -175,7 +183,8 @@ def test_place_effects_update_position_edge_and_zone():
     on = store.find_edges("On", "part", "plate")
     assert len(on) == 1 and on[0].status == EdgeStatus.VERIFIED
     assert store.vertices["part"].zone_id == "z2"
-    assert "part" in store._zone_index["z2"]
+    assert [v.uid for v in store.entities_in_zone("z2")] == ["part", "plate"]
+    assert store.entities_in_zone("z1") == []
 
 
 def test_move_updates_robot_and_constraint_state():
@@ -184,7 +193,7 @@ def test_move_updates_robot_and_constraint_state():
     res = apply_transition(store, ConstraintState(), log, "Move",
                            {"zone": "z2", "position": [1.0, 0, 0.1],
                             "target": "plate"})
-    assert store.robot_zone == "z2"
+    assert store.robot_zone == store.vertices[ROBOT_UID].zone_id == "z2"
     assert np.allclose(store.records["robot"].envelope.mean, [1.0, 0, 0.1])
     assert res.cs == ConstraintState(Phase.APPROACHING, "plate")
     # While holding, a move becomes a transport.
@@ -250,6 +259,31 @@ def test_explicit_rollback_lifo_and_chain():
     assert log.validate_chain()
     with pytest.raises(TransactionError):
         rollback(log, store)  # nothing pending anymore
+
+
+def test_rollback_across_perception_update_keeps_promoted_entity():
+    # The executive's abort path: a skill is applied, post-action perception
+    # promotes a new entity and is logged as its own entry, the commit check
+    # fails, and the skill is rolled back. Only the skill is undone.
+    store = make_store()
+    log = TransactionLog()
+    apply_transition(store, ConstraintState(), log, "Pick", {"object": "part"})
+    pre = store.state_hash()
+    obs = Observation(instance_id=0, label="gear", geometry=None,
+                      envelope=_env([0.6, 0.2, 0.02]))
+    for step in (0, 1):  # two sightings promote the track
+        register_or_update(store, [obs], MatchResult(unmatched_observations=[0]),
+                           [], {}, "z1", step=step)
+    log.append(TransactionEntry(pre, store.state_hash(), "PerceptionUpdate",
+                                {}, [], outcome="committed"))
+    rollback(log, store)
+    assert store.vertices["gear_1"].lifecycle == Lifecycle.ACTIVE
+    assert store.records["part"].attached_to == "world"
+    for zone_id in store.zones:
+        uids = [v.uid for v in store.entities_in_zone(zone_id)]
+        assert uids == zone_members(store, zone_id)
+    assert zone_members(store, "z1") == ["gear_1", "part"]
+    assert log.validate_chain()
 
 
 def test_mark_committed_drops_inverse():

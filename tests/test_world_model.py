@@ -1,6 +1,8 @@
 """Persistent store: occupancy, graph, relation verification, lifecycle
 curation, and the register/update pipeline."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,9 @@ from hypothesis import strategies as st
 from workcell.association import AssociationConfig, MatchResult
 from workcell.errors import IntegrityError, WorkcellError
 from workcell.geometry import GaussianEnvelope, PointCloudData, PoseSE3
+from workcell.harness import build_store, build_world
 from workcell.perception import Observation, PointsGeom
+from workcell.serialization import canonical_dumps, json_line
 from workcell.world_model import (
     BackgroundMap,
     EdgeStatus,
@@ -36,6 +40,9 @@ from workcell.world_model import (
     update_occupancy,
     verify_relation,
 )
+
+from fixtures import task1_doc
+from oracles import to_jsonable, zone_members
 
 
 def _env(mean, sigma=0.01):
@@ -190,6 +197,58 @@ def test_serialization_roundtrip_lossless():
     assert clone.serialize() == store.serialize()
     # The round-tripped store keeps working (indexes rebuilt).
     assert {v.uid for v in clone.entities_in_zone("z1")} == {"gear_1", "slot_1"}
+    # A briefing store puts the robot in a zone; the clone's index must
+    # still leave it out, like the original's.
+    doc = task1_doc()
+    briefed = build_store(doc, build_world(doc, trial_seed=0))
+    assert briefed.vertices[ROBOT_UID].zone_id == doc["robot"]["zone"]
+    clone = WorldStore.from_dict(briefed.to_dict())
+    assert clone.serialize() == briefed.serialize()
+    assert clone.robot_zone == briefed.robot_zone
+    for zone_id in briefed.zones:
+        uids = [v.uid for v in clone.entities_in_zone(zone_id)]
+        assert uids == [v.uid for v in briefed.entities_in_zone(zone_id)]
+        assert uids == zone_members(briefed, zone_id)
+        assert clone.zone_candidate_count(zone_id) == len(uids)
+
+
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**53, 2**53), st.text(max_size=8),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(np.float32),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.integers(-2**31, 2**31).map(np.int64),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4).map(np.array),
+    st.lists(st.integers(-100, 100), max_size=4).map(
+        lambda xs: np.array(xs, dtype=np.int64).reshape(-1, 1)),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_json_values)
+def test_one_pass_encoders_match_recursive_encoder(value):
+    reference = to_jsonable(value)
+    assert canonical_dumps(value) == json.dumps(
+        reference, sort_keys=True, separators=(",", ":")
+    )
+    assert json_line(value) == json.dumps(reference, sort_keys=True)
+
+
+def test_encoders_reject_what_json_cannot_hold():
+    for value in ({"x": object()}, [np.bool_(True)], {"s": {1, 2}}):
+        with pytest.raises(TypeError):
+            canonical_dumps(value)
+        with pytest.raises(TypeError):
+            json_line(value)
 
 
 def test_serialization_rejects_unknown_schema():
@@ -294,7 +353,8 @@ def test_verify_clear_and_unknown_predicate():
     assert verify_relation(RelationEdge("Clear", a, a), store) == EdgeStatus.VERIFIED
     store.add_edge("On", b, a)
     assert verify_relation(RelationEdge("Clear", a, a), store) == EdgeStatus.REFUTED
-    store.edges[-1].status = EdgeStatus.REFUTED  # a refuted support blocks nothing
+    # A refuted support blocks nothing; edges are immutable, so replace it.
+    store.edges[-1] = RelationEdge("On", b, a, EdgeStatus.REFUTED)
     assert store.is_clear(a)
     with pytest.raises(WorkcellError):
         verify_relation(RelationEdge("Levitates", a, b), store)
@@ -361,8 +421,9 @@ def test_observation_resets_confidence():
 
 def test_robot_is_never_curated():
     store = _store_with_zone()
-    store.vertices[ROBOT_UID].zone_id = "z1"
-    store._index_add(ROBOT_UID, "z1")
+    store.robot_zone = "z1"
+    assert store.vertices[ROBOT_UID].zone_id == "z1"
+    assert store.entities_in_zone("z1") == []
     for _ in range(50):
         curate_zone(store, "z1", observed_uids=set())
     assert store.vertices[ROBOT_UID].lifecycle == Lifecycle.ACTIVE
@@ -431,14 +492,15 @@ def test_unsighted_track_is_discarded():
 def test_register_restores_archived_before_opening_track():
     store = _store_with_zone()
     uid = store.add_entity("gear", _env([0, 0, 0], sigma=0.04), "z1")
-    store.vertices[uid].lifecycle = Lifecycle.ARCHIVED
-    store._index_remove(uid, "z1")
+    store.set_lifecycle(uid, Lifecycle.ARCHIVED)
+    assert store.zone_candidate_count("z1") == 0
     obs = _obs("gear", [0.02, 0, 0])
     d = register_or_update(
         store, [obs], MatchResult(unmatched_observations=[0]), [], {0: 1.0}, "z1"
     )
     assert d.restored == [uid] and store.tentative == {}
     assert store.vertices[uid].lifecycle == Lifecycle.ACTIVE
+    assert store.zone_candidate_count("z1") == 1
 
 
 def test_drift_inflation_skips_robot_and_held():
