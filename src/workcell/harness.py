@@ -201,9 +201,9 @@ def build_store(doc: dict, world: SimWorld,
                         np.asarray(z["half_extents"], dtype=float)),
         ))
     store.robot_zone = world.robot_zone
-    store.records[ROBOT_UID].envelope = GaussianEnvelope(
+    store.update_record(ROBOT_UID, envelope=GaussianEnvelope(
         world.robot_position, 1e-6 * np.eye(3)
-    )
+    ))
     for o in doc["objects"]:
         he = np.asarray(o["half_extents"], dtype=float)
         sigma = np.maximum(he, _PRIOR_SIGMA_FLOOR)
@@ -300,8 +300,10 @@ class TrialRuntime:
         for uid, v in self.store.vertices.items():
             rec = self.store.records.get(v.grounding)
             if rec is not None and rec.attached_to == "gripper":
-                rec.envelope = GaussianEnvelope(gripper_pos, 1e-4 * np.eye(3))
-                rec.geometry = None  # surface scan from the table is stale now
+                # The surface scan from the table is stale now.
+                self.store.update_record(
+                    v.grounding, envelope=GaussianEnvelope(gripper_pos, 1e-4 * np.eye(3)),
+                    geometry=None)
                 held_uids.append(uid)
 
         frame = render_frame(self.world, camera)

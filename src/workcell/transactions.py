@@ -286,8 +286,7 @@ def _apply_effects(
     delta: list[str] = []
     if action == "Pick":
         obj = args["object"]
-        rec = store.records[store.vertices[obj].grounding]
-        rec.attached_to = "gripper"
+        store.update_record(store.vertices[obj].grounding, attached_to="gripper")
         delta.append(f"attach({obj},gripper)")
         for e in store.remove_edges(predicate="On", subject=obj):
             delta.append(f"-On({e.subject},{e.obj})")
@@ -296,27 +295,28 @@ def _apply_effects(
     elif action == "Place":
         obj = cs.target
         dest = args["destination"]
-        rec = store.records[store.vertices[obj].grounding]
-        rec.attached_to = "world"
+        rid = store.vertices[obj].grounding
+        rec = store.records[rid]
+        fields = {"attached_to": "world"}
         if "position" in args:
             pos = np.asarray(args["position"], dtype=float)
-            rec.envelope = GaussianEnvelope(pos, rec.envelope.covariance)
+            fields["envelope"] = GaussianEnvelope(pos, rec.envelope.covariance)
             if rec.pose is not None:
-                rec.pose = PoseSE3(rec.pose.rotation, pos)
+                fields["pose"] = PoseSE3(rec.pose.rotation, pos)
             delta.append(f"moveto({obj},{pos.tolist()})")
+        store.update_record(rid, **fields)
         if dest in store.vertices:
             store.add_edge("On", obj, dest, EdgeStatus.VERIFIED)
             delta.append(f"+On({obj},{dest})")
         if "zone" in args:
-            store.set_zone(obj, args["zone"])
+            store.update_vertex(obj, zone_id=args["zone"])
             delta.append(f"zone({obj},{args['zone']})")
         delta.append(f"detach({obj})")
         cs = ConstraintState(Phase.IDLE)
         delta.append("CS=Idle")
     elif action == "Insert":
         part, receptacle = args["part"], args["receptacle"]
-        rec = store.records[store.vertices[part].grounding]
-        rec.attached_to = "world"
+        store.update_record(store.vertices[part].grounding, attached_to="world")
         store.add_edge("Inserted", part, receptacle, EdgeStatus.VERIFIED)
         delta.append(f"+Inserted({part},{receptacle})")
         cs = ConstraintState(Phase.IDLE)
@@ -326,9 +326,9 @@ def _apply_effects(
             store.robot_zone = args["zone"]
             delta.append(f"robot_zone={args['zone']}")
         if "position" in args:
-            rec = store.records[ROBOT_UID]
             pos = np.asarray(args["position"], dtype=float)
-            rec.envelope = GaussianEnvelope(pos, rec.envelope.covariance)
+            store.update_record(ROBOT_UID, envelope=GaussianEnvelope(
+                pos, store.records[ROBOT_UID].envelope.covariance))
             delta.append(f"robot_pos={pos.tolist()}")
         target = args.get("target")
         if cs.phase == Phase.HOLDING:
@@ -339,17 +339,16 @@ def _apply_effects(
             delta.append(f"CS=Approaching({target})")
     elif action == "Rotate":
         obj = args["object"]
-        rec = store.records[store.vertices[obj].grounding]
-        if rec.pose is not None:
-            rec.pose = PoseSE3(
-                np.asarray(args["rotation"], dtype=float), rec.pose.translation
-            )
+        rid = store.vertices[obj].grounding
+        pose = store.records[rid].pose
+        if pose is not None:
+            store.update_record(rid, pose=PoseSE3(
+                np.asarray(args["rotation"], dtype=float), pose.translation))
             delta.append(f"rotate({obj})")
     elif action == "OpenGripper":
         if cs.phase in (Phase.HOLDING, Phase.TRANSPORTING):
             obj = cs.target
-            rec = store.records[store.vertices[obj].grounding]
-            rec.attached_to = "world"
+            store.update_record(store.vertices[obj].grounding, attached_to="world")
             delta.append(f"detach({obj})")
             cs = ConstraintState(Phase.IDLE)
             delta.append("CS=Idle")

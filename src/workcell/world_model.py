@@ -2,18 +2,20 @@
 semantic graph with grounding links, relation verification, and
 lifecycle curation.
 
-The store document (``to_dict``) is the whole state. Only the zone index
-is derived from it, by one rule (``_indexed_zone``), so the writes that
-can change it go through ``WorldStore`` methods that apply the rule:
-``add_entity``, ``set_zone``, ``set_lifecycle`` and ``restore_entity``.
-Fields the index never reads (envelopes, geometry, confidence,
-attachment) are written in place by transactions and perception.
+The store document (``to_dict``) is the whole state. Two things are
+derived from it: the zone index, by one rule (``_indexed_zone``), and the
+canonical-JSON text of each record and vertex, cached for ``state_hash``.
+So every write to an entity goes through a ``WorldStore`` method that
+keeps both: ``add_entity``, ``update_record``, ``update_vertex`` and
+``restore_entity``. Edges are immutable, and ``state_hash`` compares the
+edge list with the one it hashed last, so edge writes need no such method.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import pickle
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -38,7 +40,14 @@ from .geometry import (
     mahalanobis_between,
 )
 from .perception import BillboardGeom, GeomAbstraction, Observation, PointsGeom, VoxelsGeom
-from .serialization import canonical_dumps, sha256_of
+from .serialization import (
+    Encoded,
+    canonical_dumps,
+    encoded,
+    encoded_member,
+    encoded_object,
+    sha256_of,
+)
 
 # Occupancy log-odds increments and clamp bounds.
 L_OCC = 0.85
@@ -173,6 +182,13 @@ class RelationEdge:
 ROBOT_UID = "robot"
 
 
+def _assign(obj, fields: dict):
+    for name, value in fields.items():
+        if name not in obj.__dataclass_fields__:
+            raise WorkcellError(f"{type(obj).__name__} has no field {name!r}")
+        setattr(obj, name, value)
+
+
 def _indexed_zone(v: ObjectVertex | None) -> str:
     """The zone index rule: a vertex is indexed under its zone_id if and
     only if it is not the robot and is not archived ("" for no zone)."""
@@ -194,6 +210,7 @@ class WorldStore:
         self.tentative: dict[int, TentativeTrack] = {}
         self._uid_counters: dict[str, int] = {}
         self._zone_index: dict[str, set[str]] = {}
+        self._clear_hash_cache()
         self._init_robot()
 
     def _init_robot(self):
@@ -226,7 +243,7 @@ class WorldStore:
 
     @robot_zone.setter
     def robot_zone(self, zone_id: str):
-        self.set_zone(ROBOT_UID, zone_id)
+        self.update_vertex(ROBOT_UID, zone_id=zone_id)
 
     # -- graph mutation ----------------------------------------------------
 
@@ -262,17 +279,20 @@ class WorldStore:
             zone_id=zone_id,
         )
         self._reindex(uid, "")
-        self.check_integrity()
+        self.check_integrity([uid])
         return uid
 
-    def set_zone(self, uid: str, zone_id: str):
-        was = _indexed_zone(self.vertices[uid])
-        self.vertices[uid].zone_id = zone_id
-        self._reindex(uid, was)
+    def update_record(self, record_id: str, **fields):
+        """Set fields of a record in place and drop its cached text."""
+        _assign(self.records[record_id], fields)
+        self._fragments["records"].pop(record_id, None)
 
-    def set_lifecycle(self, uid: str, lifecycle: Lifecycle):
+    def update_vertex(self, uid: str, **fields):
+        """Set fields of a vertex in place, drop its cached text, and move
+        it in the zone index if its zone or lifecycle changed."""
         was = _indexed_zone(self.vertices[uid])
-        self.vertices[uid].lifecycle = lifecycle
+        _assign(self.vertices[uid], fields)
+        self._fragments["vertices"].pop(uid, None)
         self._reindex(uid, was)
 
     def restore_entity(self, uid: str, record: ObjectRecord | None,
@@ -285,6 +305,8 @@ class WorldStore:
                 table.pop(uid, None)
             else:
                 table[uid] = value
+        for cache in self._fragments.values():
+            cache.pop(uid, None)
         self._reindex(uid, was)
 
     def add_edge(
@@ -300,13 +322,9 @@ class WorldStore:
 
     def remove_edges(self, predicate: str | None = None,
                      subject: str | None = None, obj: str | None = None) -> list[RelationEdge]:
-        removed = [
-            e for e in self.edges
-            if (predicate is None or e.predicate == predicate)
-            and (subject is None or e.subject == subject)
-            and (obj is None or e.obj == obj)
-        ]
-        self.edges = [e for e in self.edges if e not in removed]
+        removed = self.find_edges(predicate, subject, obj)
+        gone = {id(e) for e in removed}
+        self.edges = [e for e in self.edges if id(e) not in gone]
         return removed
 
     def find_edges(self, predicate: str | None = None,
@@ -337,8 +355,11 @@ class WorldStore:
             for e in self.find_edges(predicate="On", obj=uid)
         )
 
-    def check_integrity(self):
-        for uid, v in self.vertices.items():
+    def check_integrity(self, uids=None):
+        """No live vertex's grounding link dangles; only ``uids`` are
+        checked when given, every vertex otherwise."""
+        for uid in self.vertices if uids is None else uids:
+            v = self.vertices[uid]
             if v.lifecycle in (Lifecycle.ACTIVE, Lifecycle.UNCERTAIN):
                 if v.grounding not in self.records:
                     raise IntegrityError(f"vertex {uid} grounding link dangling")
@@ -360,12 +381,8 @@ class WorldStore:
 
     # -- persistence -------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        def pose_d(p: PoseSE3 | None):
-            return None if p is None else {
-                "rotation": p.rotation.tolist(), "translation": p.translation.tolist()
-            }
-
+    def _head(self) -> dict:
+        """The document's sections other than records, vertices and edges."""
         return {
             "version": STORE_SCHEMA_VERSION,
             "robot_zone": self.robot_zone,
@@ -382,40 +399,10 @@ class WorldStore:
                 }
                 for z in self.zones.values()
             },
-            "records": {
-                r.record_id: {
-                    "envelope": {
-                        "mean": r.envelope.mean.tolist(),
-                        "covariance": r.envelope.covariance.tolist(),
-                    },
-                    "geometry": geom_to_dict(r.geometry),
-                    "shape_prior": r.shape_prior,
-                    "pose": pose_d(r.pose),
-                    "attached_to": r.attached_to,
-                }
-                for r in self.records.values()
-            },
-            "vertices": {
-                v.uid: {
-                    "label": v.label,
-                    "state_tag": v.state_tag,
-                    "attributes": dict(v.attributes),
-                    "grounding": v.grounding,
-                    "lifecycle": v.lifecycle.value,
-                    "confidence": v.confidence,
-                    "zone_id": v.zone_id,
-                }
-                for v in self.vertices.values()
-            },
-            "edges": [
-                {"predicate": e.predicate, "subject": e.subject,
-                 "object": e.obj, "status": e.status.value}
-                for e in self.edges
-            ],
             "priors": {
                 p.prior_id: {
                     "points": p.canonical_cloud.points.tolist(),
-                    "functional_frame": pose_d(p.functional_frame),
+                    "functional_frame": _pose_doc(p.functional_frame),
                     "grasp_annotations": p.grasp_annotations,
                 }
                 for p in self.priors.values()
@@ -430,6 +417,14 @@ class WorldStore:
             },
         }
 
+    def to_dict(self) -> dict:
+        return {
+            **self._head(),
+            "records": {uid: _record_doc(r) for uid, r in self.records.items()},
+            "vertices": {uid: _vertex_doc(v) for uid, v in self.vertices.items()},
+            "edges": [_edge_doc(e) for e in self.edges],
+        }
+
     @classmethod
     def from_dict(cls, data: dict) -> "WorldStore":
         if data.get("version") != STORE_SCHEMA_VERSION:
@@ -441,6 +436,7 @@ class WorldStore:
             )
 
         store = cls.__new__(cls)
+        store._clear_hash_cache()
         store._uid_counters = dict(data["uid_counters"])
         store.tentative = {}
         store.zones = {}
@@ -500,11 +496,94 @@ class WorldStore:
     def serialize(self) -> str:
         return canonical_dumps(self.to_dict())
 
+    # -- hashing -----------------------------------------------------------
+
+    def _clear_hash_cache(self):
+        # Per table: the '"uid":{...}' text of each entry, and the uids in
+        # sorted order (a dict, so its keys compare with the table's).
+        self._fragments: dict[str, dict[str, str]] = {"records": {}, "vertices": {}}
+        self._order: dict[str, dict[str, None]] = {"records": {}, "vertices": {}}
+        self._hashed_edges: list[RelationEdge] | None = None
+        self._head_key = b""
+        self._sections: dict[str, Encoded] = {}  # top-level key -> its value's text
+        self._digest = ""
+
     def state_hash(self) -> str:
-        return sha256_of(self.to_dict())
+        """``sha256(serialize())``, assembled from cached texts.
+
+        Only the records and vertices whose text a write dropped (or that
+        were never hashed) are encoded again; the edge list only when it
+        differs from the one hashed last; the head sections only when
+        their pickle differs, which is exact and, unlike encoding their
+        floats, cheap. When nothing differs, the last digest is returned.
+        """
+        sections = self._sections
+        changed = False
+        for name, table, to_doc in (("records", self.records, _record_doc),
+                                    ("vertices", self.vertices, _vertex_doc)):
+            cache = self._fragments[name]
+            if cache.keys() == table.keys() and name in sections:
+                continue
+            for uid in cache.keys() - table.keys():
+                del cache[uid]
+            for uid in table.keys() - cache.keys():
+                cache[uid] = encoded_member(uid, to_doc(table[uid]))
+            if self._order[name].keys() != table.keys():
+                self._order[name] = dict.fromkeys(sorted(table))
+            sections[name] = encoded_object([cache[uid] for uid in self._order[name]])
+            changed = True
+        if self.edges != self._hashed_edges:
+            self._hashed_edges = list(self.edges)
+            sections["edges"] = encoded([_edge_doc(e) for e in self.edges])
+            changed = True
+        head = self._head()
+        key = pickle.dumps(head, pickle.HIGHEST_PROTOCOL)
+        if key != self._head_key:
+            self._head_key = key
+            sections.update((name, encoded(value)) for name, value in head.items())
+            changed = True
+        if changed:
+            self._digest = sha256_of(sections)
+        return self._digest
 
     def snapshot(self) -> "WorldStore":
         return copy.deepcopy(self)
+
+
+def _pose_doc(p: PoseSE3 | None):
+    return None if p is None else {
+        "rotation": p.rotation.tolist(), "translation": p.translation.tolist()
+    }
+
+
+def _record_doc(r: ObjectRecord) -> dict:
+    return {
+        "envelope": {
+            "mean": r.envelope.mean.tolist(),
+            "covariance": r.envelope.covariance.tolist(),
+        },
+        "geometry": geom_to_dict(r.geometry),
+        "shape_prior": r.shape_prior,
+        "pose": _pose_doc(r.pose),
+        "attached_to": r.attached_to,
+    }
+
+
+def _vertex_doc(v: ObjectVertex) -> dict:
+    return {
+        "label": v.label,
+        "state_tag": v.state_tag,
+        "attributes": dict(v.attributes),
+        "grounding": v.grounding,
+        "lifecycle": v.lifecycle.value,
+        "confidence": v.confidence,
+        "zone_id": v.zone_id,
+    }
+
+
+def _edge_doc(e: RelationEdge) -> dict:
+    return {"predicate": e.predicate, "subject": e.subject,
+            "object": e.obj, "status": e.status.value}
 
 
 def geom_to_dict(g: GeomAbstraction | None):
@@ -636,14 +715,14 @@ def curate_zone(
     for v in store.entities_in_zone(zone_id):
         if v.uid in observed_uids:
             continue
-        v.confidence *= LAMBDA_DECAY
+        store.update_vertex(v.uid, confidence=v.confidence * LAMBDA_DECAY)
         events.append(LifecycleEvent("decayed", v.uid, v.confidence))
         if v.confidence < TAU_ARCHIVE:
-            store.set_lifecycle(v.uid, Lifecycle.ARCHIVED)
+            store.update_vertex(v.uid, lifecycle=Lifecycle.ARCHIVED)
             events.append(LifecycleEvent("archived", v.uid, v.confidence))
         elif v.confidence < TAU_UNCERTAIN:
             if v.lifecycle != Lifecycle.UNCERTAIN:
-                store.set_lifecycle(v.uid, Lifecycle.UNCERTAIN)
+                store.update_vertex(v.uid, lifecycle=Lifecycle.UNCERTAIN)
                 events.append(LifecycleEvent("uncertain", v.uid, v.confidence))
     for uid in sorted(observed_uids):
         v = store.vertices.get(uid)
@@ -651,8 +730,7 @@ def curate_zone(
             continue
         if v.lifecycle == Lifecycle.ARCHIVED:
             events.append(LifecycleEvent("restored", uid, v.confidence))
-        v.confidence = 1.0
-        store.set_lifecycle(uid, Lifecycle.ACTIVE)
+        store.update_vertex(uid, confidence=1.0, lifecycle=Lifecycle.ACTIVE)
         events.append(LifecycleEvent("reinforced", uid, 1.0))
     return events
 
@@ -707,12 +785,13 @@ def register_or_update(
 
     for obs_idx, mem_idx, _cost in match.matched:
         uid = memory_uids[mem_idx]
-        rec = store.records[store.vertices[uid].grounding]
+        rid = store.vertices[uid].grounding
         gamma = gammas.get(obs_idx, 1.0)
         obs = observations[obs_idx]
-        rec.envelope = fuse(rec.envelope, obs.envelope, gamma)
+        fields = {"envelope": fuse(store.records[rid].envelope, obs.envelope, gamma)}
         if gamma > 0.1 and obs.geometry is not None:
-            rec.geometry = obs.geometry
+            fields["geometry"] = obs.geometry
+        store.update_record(rid, **fields)
         delta.fused.append(uid)
 
     sighted_keys = set()
@@ -720,11 +799,10 @@ def register_or_update(
         obs = observations[obs_idx]
         restored = restore_candidates(store, obs, cfg)
         if restored is not None:
-            v = store.vertices[restored]
-            v.confidence = 1.0
-            store.set_lifecycle(restored, Lifecycle.ACTIVE)
-            rec = store.records[v.grounding]
-            rec.envelope = fuse(rec.envelope, obs.envelope, gammas.get(obs_idx, 1.0))
+            store.update_vertex(restored, confidence=1.0, lifecycle=Lifecycle.ACTIVE)
+            rid = store.vertices[restored].grounding
+            store.update_record(rid, envelope=fuse(
+                store.records[rid].envelope, obs.envelope, gammas.get(obs_idx, 1.0)))
             delta.restored.append(restored)
             continue
         key = _tentative_key(store, obs, cfg)
@@ -755,7 +833,7 @@ def register_or_update(
             del store.tentative[key]
             delta.discarded.append(key)
 
-    store.check_integrity()
+    store.check_integrity(delta.fused + delta.restored + delta.promoted)
     return delta
 
 
@@ -776,4 +854,4 @@ def apply_drift_inflation(store: WorldStore, unobserved_uids: list[str], cycles:
             continue
         rec = store.records.get(v.grounding)
         if rec is not None and rec.attached_to == "world":
-            rec.envelope = inflate_drift(rec.envelope, cycles)
+            store.update_record(v.grounding, envelope=inflate_drift(rec.envelope, cycles))

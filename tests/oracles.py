@@ -6,7 +6,9 @@ disagreement with the package points at the package.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 
 import numpy as np
 
@@ -94,3 +96,10 @@ def zone_members(store, zone_id: str) -> list[str]:
         uid for uid, v in store.vertices.items()
         if v.zone_id == zone_id and uid != "robot" and v.lifecycle.value != "Archived"
     )
+
+
+def store_digest(store) -> str:
+    """The store hash computed from scratch: SHA-256 of the whole document,
+    encoded by the reference path above rather than the package's."""
+    text = json.dumps(to_jsonable(store.to_dict()), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()

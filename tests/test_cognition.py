@@ -111,7 +111,7 @@ def test_validate_semantic_unknown_and_archived():
     assert report.stages["Physical"] == "skipped"
 
     store = make_store()
-    store.vertices["part"].lifecycle = Lifecycle.ARCHIVED
+    store.update_vertex("part", lifecycle=Lifecycle.ARCHIVED)
     _, report = validate_ert(good_doc(), store)
     assert report.failing_stage == ValidationStage.SEMANTIC
     assert "archived" in report.detail
@@ -123,7 +123,7 @@ def test_validate_physical_belief_contradiction():
     _, report = validate_ert(doc, make_store())
     assert report.failing_stage == ValidationStage.PHYSICAL
     store = make_store()
-    store.records["part"].attached_to = "gripper"
+    store.update_record("part", attached_to="gripper")
     ert, report = validate_ert(doc, store)
     assert ert is not None and report.ok
 
@@ -133,7 +133,7 @@ def test_validate_geometric_belief():
     _, report = validate_ert(doc, make_store())
     assert report.failing_stage == ValidationStage.PHYSICAL
     close = make_store()
-    close.records["plate"].envelope = _env([0.5, 0, 0.02])
+    close.update_record("plate", envelope=_env([0.5, 0, 0.02]))
     ert, report = validate_ert(doc, close)
     assert ert is not None and report.ok
 

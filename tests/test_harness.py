@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import workcell.harness as harness
 from workcell import cli
 from workcell.errors import ScenarioError, WorkcellError
 from workcell.geometry import GaussianEnvelope
@@ -28,9 +29,12 @@ from workcell.harness import (
     sta_from_samples,
     validate_scenario,
 )
-from workcell.world_model import Lifecycle, WorldStore, ZoneNode
+from workcell.world_model import EdgeStatus, Lifecycle, WorldStore, ZoneNode
 
 from fixtures import task1_doc, task3_doc
+from oracles import store_digest
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _env(mean, sigma=0.01):
@@ -134,7 +138,7 @@ def test_answer_question_all_kinds():
 
 def test_answer_question_archived_is_unanswerable():
     store = _question_store()
-    store.vertices["bolt"].lifecycle = Lifecycle.ARCHIVED
+    store.update_vertex("bolt", lifecycle=Lifecycle.ARCHIVED)
     ans, ok = answer_question(store, {"kind": "position", "uid": "bolt",
                                       "expect": [0.5, 0.1, 0.02]})
     assert ans is None and not ok
@@ -236,6 +240,59 @@ def test_metrics_from_dir_empty_raises(tmp_path):
         metrics_from_dir(tmp_path)
 
 
+# -- store hash cache ---------------------------------------------------------
+
+
+@pytest.fixture
+def checked_hashes(monkeypatch):
+    """Every state_hash call, checked against the digest computed from
+    scratch; a write that did not drop its cached text fails here."""
+    digests = []
+    cached = WorldStore.state_hash
+
+    def checked(store):
+        digest = cached(store)
+        assert digest == store_digest(store), "state_hash missed a change"
+        digests.append(digest)
+        return digest
+
+    monkeypatch.setattr(WorldStore, "state_hash", checked)
+    return digests
+
+
+def test_hash_cache_matches_scratch_digest_on_shipped_scenarios(checked_hashes):
+    paths = sorted(SCENARIOS.glob("*.json"))
+    assert len(paths) == 4
+    for path in paths:
+        report, logs = run_scenario(load_scenario(path))
+        assert report.tsr == pytest.approx(100.0)
+        assert logs[-1]["store_hash"] == checked_hashes[-1]
+    assert len(checked_hashes) > 4 * 10
+
+
+def test_hash_cache_matches_scratch_digest_on_resumed_store(checked_hashes, monkeypatch):
+    # An assembly trial resumed from persisted memory: the briefing store
+    # plus 300 remembered entities and 150 On edges in a camera-less zone.
+    doc = task1_doc()
+    store = build_store(doc, build_world(doc, trial_seed=0))
+    store.add_zone(ZoneNode("stock", "stock"))
+    rng = np.random.default_rng(5)
+    for i in range(300):
+        store.add_entity("crate", _env([5.0 + rng.uniform(-0.2, 0.2), 0.01 * i, 0.02]),
+                         "stock", uid=f"crate_{i:03d}")
+    order = rng.permutation(300)
+    for k in range(150):
+        store.add_edge("On", f"crate_{order[2 * k]:03d}", f"crate_{order[2 * k + 1]:03d}",
+                       EdgeStatus.VERIFIED)
+    saved = store.to_dict()
+    monkeypatch.setattr(harness, "build_store",
+                        lambda doc, world, priors=None: WorldStore.from_dict(saved))
+    log = run_trial(ScenarioSpec(doc), 0)
+    assert log["success"] and log["log_chain_valid"]
+    assert log["store_hash"] == checked_hashes[-1]
+    assert len(checked_hashes) > 10
+
+
 # -- CLI ----------------------------------------------------------------------
 
 
@@ -256,7 +313,7 @@ def test_cli_validate_run_metrics(tmp_path, capsys):
 
 
 def test_shipped_scenarios_validate_and_run(capsys):
-    scen_dir = Path(__file__).resolve().parent.parent / "scenarios"
+    scen_dir = SCENARIOS
     paths = sorted(scen_dir.glob("*.json"))
     assert len(paths) >= 4
     for path in paths:

@@ -171,7 +171,7 @@ def test_pick_effects():
 
 def test_place_effects_update_position_edge_and_zone():
     store = make_store()
-    store.records["part"].attached_to = "gripper"
+    store.update_record("part", attached_to="gripper")
     log = TransactionLog()
     res = apply_transition(
         store, ConstraintState(Phase.HOLDING, "part"), log, "Place",
@@ -204,7 +204,7 @@ def test_move_updates_robot_and_constraint_state():
 
 def test_open_gripper_releases():
     store = make_store()
-    store.records["part"].attached_to = "gripper"
+    store.update_record("part", attached_to="gripper")
     res = apply_transition(store, ConstraintState(Phase.HOLDING, "part"),
                            TransactionLog(), "OpenGripper", {})
     assert res.cs == ConstraintState()

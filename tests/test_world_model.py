@@ -1,19 +1,44 @@
 """Persistent store: occupancy, graph, relation verification, lifecycle
 curation, and the register/update pipeline."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    rule,
+    run_state_machine_as_test,
+)
 
+import workcell
 from workcell.association import AssociationConfig, MatchResult
 from workcell.errors import IntegrityError, WorkcellError
 from workcell.geometry import GaussianEnvelope, PointCloudData, PoseSE3
 from workcell.harness import build_store, build_world
 from workcell.perception import Observation, PointsGeom
-from workcell.serialization import canonical_dumps, json_line
+from workcell.serialization import (
+    canonical_dumps,
+    encoded,
+    encoded_member,
+    encoded_object,
+    json_line,
+)
+from workcell.transactions import (
+    ConstraintState,
+    FTEvent,
+    FTSignal,
+    TransactionLog,
+    apply_inverse,
+    apply_transition,
+    capture_inverse,
+    state_bytes,
+)
 from workcell.world_model import (
     BackgroundMap,
     EdgeStatus,
@@ -42,7 +67,7 @@ from workcell.world_model import (
 )
 
 from fixtures import task1_doc
-from oracles import to_jsonable, zone_members
+from oracles import store_digest, to_jsonable, zone_members
 
 
 def _env(mean, sigma=0.01):
@@ -154,7 +179,7 @@ def test_entities_in_zone_uses_index_and_skips_archived():
     a = store.add_entity("a", _env([0, 0, 0]), "z1")
     store.add_entity("b", _env([0, 0, 0]), "z2")
     assert [v.uid for v in store.entities_in_zone("z1")] == [a]
-    store.vertices[a].lifecycle = Lifecycle.ARCHIVED
+    store.update_vertex(a, lifecycle=Lifecycle.ARCHIVED)
     assert store.entities_in_zone("z1") == []
     with pytest.raises(WorkcellError):
         store.entities_in_zone("nope")
@@ -243,6 +268,14 @@ def test_one_pass_encoders_match_recursive_encoder(value):
     assert json_line(value) == json.dumps(reference, sort_keys=True)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.dictionaries(st.text(max_size=6), _json_values, min_size=1, max_size=5))
+def test_encoded_parts_join_to_the_canonical_text(doc):
+    whole = canonical_dumps(doc)
+    assert canonical_dumps({key: encoded(value) for key, value in doc.items()}) == whole
+    assert encoded_object([encoded_member(key, doc[key]) for key in sorted(doc)]) == whole
+
+
 def test_encoders_reject_what_json_cannot_hold():
     for value in ({"x": object()}, [np.bool_(True)], {"s": {1, 2}}):
         with pytest.raises(TypeError):
@@ -261,7 +294,7 @@ def test_serialization_rejects_unknown_schema():
 def test_snapshot_is_independent():
     store = _populated_store()
     snap = store.snapshot()
-    store.vertices["gear_1"].confidence = 0.1
+    store.update_vertex("gear_1", confidence=0.1)
     assert snap.vertices["gear_1"].confidence == 1.0
 
 
@@ -338,13 +371,13 @@ def test_verify_aligned_mating_frame():
     )
     assert verify_relation(RelationEdge("Aligned", part, hole), store) == EdgeStatus.VERIFIED
     # 1 cm positional error: outside the 5 mm band.
-    store.records[part].pose = PoseSE3(np.eye(3), [0.01, 0, 0.02])
+    store.update_record(part, pose=PoseSE3(np.eye(3), [0.01, 0, 0.02]))
     assert verify_relation(RelationEdge("Aligned", part, hole), store) == EdgeStatus.REFUTED
     # 3 deg twist at the right position: outside the 2 deg band.
     c, s = np.cos(np.radians(3)), np.sin(np.radians(3))
-    store.records[part].pose = PoseSE3(
+    store.update_record(part, pose=PoseSE3(
         np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]]), [0, 0, 0.02]
-    )
+    ))
     assert verify_relation(RelationEdge("Aligned", part, hole), store) == EdgeStatus.REFUTED
 
 
@@ -432,7 +465,7 @@ def test_robot_is_never_curated():
 def test_restore_candidates_label_and_gate():
     store = _store_with_zone()
     uid = store.add_entity("gear", _env([0, 0, 0]), "z1")
-    store.vertices[uid].lifecycle = Lifecycle.ARCHIVED
+    store.update_vertex(uid, lifecycle=Lifecycle.ARCHIVED)
     cfg = AssociationConfig()
     assert restore_candidates(store, _obs("gear", [0.01, 0, 0]), cfg) == uid
     assert restore_candidates(store, _obs("bolt", [0.01, 0, 0]), cfg) is None
@@ -492,7 +525,7 @@ def test_unsighted_track_is_discarded():
 def test_register_restores_archived_before_opening_track():
     store = _store_with_zone()
     uid = store.add_entity("gear", _env([0, 0, 0], sigma=0.04), "z1")
-    store.set_lifecycle(uid, Lifecycle.ARCHIVED)
+    store.update_vertex(uid, lifecycle=Lifecycle.ARCHIVED)
     assert store.zone_candidate_count("z1") == 0
     obs = _obs("gear", [0.02, 0, 0])
     d = register_or_update(
@@ -507,10 +540,168 @@ def test_drift_inflation_skips_robot_and_held():
     store = _store_with_zone()
     a = store.add_entity("a", _env([0, 0, 0]), "z1")
     h = store.add_entity("h", _env([0, 0, 0]), "z1")
-    store.records[h].attached_to = "gripper"
+    store.update_record(h, attached_to="gripper")
     before_a = store.records[a].envelope.covariance.copy()
     before_h = store.records[h].envelope.covariance.copy()
     apply_drift_inflation(store, [a, h, ROBOT_UID], cycles=2)
     assert np.allclose(store.records[a].envelope.covariance,
                        before_a + 0.002 * np.eye(3))
     assert np.allclose(store.records[h].envelope.covariance, before_h)
+
+
+# -- hash cache ---------------------------------------------------------------
+
+_coord = st.floats(-0.05, 0.05, allow_nan=False)
+_mean = st.tuples(_coord, _coord, _coord)
+_zone = st.sampled_from(["z1", "z2"])
+_label = st.sampled_from(["gear", "bolt"])
+
+
+class StoreHashMachine(RuleBasedStateMachine):
+    """Random writes through the store's methods. After every step the
+    cached ``state_hash`` equals the digest computed from scratch, and a
+    reverted write restores ``state_bytes``."""
+
+    def __init__(self):
+        super().__init__()
+        self.store = _store_with_zone()
+        self.store.add_zone(ZoneNode("z2", "z2"))
+
+    def _uid(self, data):
+        return data.draw(st.sampled_from(sorted(self.store.vertices)))
+
+    @rule(label=_label, mean=_mean, zone=_zone)
+    def add_entity(self, label, mean, zone):
+        self.store.add_entity(label, _env(mean), zone)
+
+    @rule(data=st.data(), mean=_mean, attached=st.sampled_from(["world", "gripper"]),
+          posed=st.booleans(), scanned=st.booleans())
+    def update_record(self, data, mean, attached, posed, scanned):
+        rid = self.store.vertices[self._uid(data)].grounding
+        fields = data.draw(st.sampled_from([
+            {"envelope": _env(mean)},
+            {"attached_to": attached},
+            {"pose": PoseSE3(np.eye(3), mean) if posed else None},
+            {"geometry": PointsGeom(PointCloudData(np.array([mean]))) if scanned else None},
+        ]))
+        self.store.update_record(rid, **fields)
+
+    @rule(data=st.data(), zone=_zone, confidence=st.floats(0.0, 1.0),
+          lifecycle=st.sampled_from(list(Lifecycle)), tag=st.sampled_from(["", "worn"]))
+    def update_vertex(self, data, zone, confidence, lifecycle, tag):
+        fields = data.draw(st.sampled_from([
+            {"zone_id": zone}, {"confidence": confidence}, {"lifecycle": lifecycle},
+            {"state_tag": tag, "attributes": {"note": tag}},
+        ]))
+        self.store.update_vertex(self._uid(data), **fields)
+
+    @rule(data=st.data(), predicate=st.sampled_from(["On", "Near"]),
+          status=st.sampled_from(list(EdgeStatus)))
+    def add_edge(self, data, predicate, status):
+        self.store.add_edge(predicate, self._uid(data), self._uid(data), status)
+
+    @rule(data=st.data(), predicate=st.sampled_from([None, "On", "Near"]))
+    def remove_edges(self, data, predicate):
+        self.store.remove_edges(predicate=predicate, subject=self._uid(data))
+
+    @rule(data=st.data(), mean=_mean)
+    def capture_write_revert(self, data, mean):
+        uid, cs = self._uid(data), ConstraintState()
+        before = state_bytes(self.store, cs)
+        inverse = capture_inverse(self.store, cs, {"object": uid})
+        self.store.update_record(self.store.vertices[uid].grounding,
+                                 envelope=_env(mean), attached_to="gripper")
+        self.store.update_vertex(uid, zone_id="z2", lifecycle=Lifecycle.UNCERTAIN)
+        self.store.remove_edges(subject=uid)
+        self.store.add_edge("Near", uid, "z1")
+        assert self.store.state_hash() == store_digest(self.store)
+        assert apply_inverse(self.store, inverse) == cs
+        assert state_bytes(self.store, cs) == before
+
+    @rule(data=st.data())
+    def reverted_pick(self, data):
+        before = state_bytes(self.store, ConstraintState())
+        squeeze = FTEvent(FTSignal.GRIPPER_FORCE, 50.0, "N")
+        apply_transition(self.store, ConstraintState(), TransactionLog(), "Pick",
+                         {"object": self._uid(data)}, ft_events=[squeeze])
+        assert state_bytes(self.store, ConstraintState()) == before
+
+    @rule(data=st.data(), mean=_mean, label=_label, new=st.booleans())
+    def register(self, data, mean, label, new):
+        memory = [v.uid for v in self.store.entities_in_zone("z1")]
+        observations, matched = [], []
+        if memory:
+            i = data.draw(st.integers(0, len(memory) - 1))
+            observations.append(_obs(self.store.vertices[memory[i]].label, mean))
+            matched.append((0, i, 0.1))
+        unmatched = [len(observations)] if new else []
+        if new:
+            observations.append(_obs(label, [0.3, 0.3, 0.0]))
+        gammas = {k: 1.0 for k in range(len(observations))}
+        register_or_update(self.store, observations, MatchResult(matched, unmatched),
+                           memory, gammas, "z1")
+
+    @rule(data=st.data(), zone=_zone)
+    def curate(self, data, zone):
+        observed = set(data.draw(st.lists(st.sampled_from(sorted(self.store.vertices)),
+                                          max_size=2)))
+        curate_zone(self.store, zone, observed)
+
+    @rule(cell=st.integers(0, 3), hit=st.booleans())
+    def observe_background(self, cell, hit):
+        # No store method sees this write; state_hash must notice the head changed.
+        update_occupancy(self.store.background, [OccupancyMeasurement((cell, 0, 0), hit)])
+
+    @invariant()
+    def hash_matches_scratch_digest(self):
+        assert self.store.state_hash() == store_digest(self.store)
+
+
+def test_hash_cache_matches_scratch_digest_under_random_writes():
+    run_state_machine_as_test(StoreHashMachine, settings=settings(
+        max_examples=40, stateful_step_count=30, deadline=None, derandomize=True))
+
+
+# Fields of records and vertices whose writes must go through update_record
+# or update_vertex, which drop the cached text state_hash re-assembles.
+_STORE_FIELDS = {"envelope", "geometry", "attached_to", "confidence", "lifecycle",
+                 "zone_id", "state_tag", "pose"}
+# The simulator moves its own objects by their pose; the store is not involved.
+_ALLOWED = {"world_model.py": _STORE_FIELDS, "simulator.py": {"pose"}}
+
+
+def _attribute_writes(tree):
+    """(line, name) of every assignment to an attribute, setattr included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "setattr" and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)):
+            yield node.lineno, node.args[1].value
+            continue
+        else:
+            continue
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store):
+                    yield sub.lineno, sub.attr
+
+
+def test_store_fields_are_written_only_through_the_store():
+    offenders = []
+    for path in sorted(Path(workcell.__file__).parent.glob("*.py")):
+        allowed = _ALLOWED.get(path.name, set())
+        for line, name in _attribute_writes(ast.parse(path.read_text())):
+            if name in _STORE_FIELDS - allowed:
+                offenders.append(f"{path.name}:{line} writes .{name}")
+    assert offenders == []
+
+
+def test_store_field_lint_sees_every_form_of_write():
+    code = ("rec.envelope = e\nv.confidence *= 0.9\na.pose, b.zone_id = p, z\n"
+            "setattr(v, 'lifecycle', x)\nv.label = 'ok'\n")
+    names = sorted(name for _, name in _attribute_writes(ast.parse(code)))
+    assert names == ["confidence", "envelope", "label", "lifecycle", "pose", "zone_id"]
