@@ -45,7 +45,13 @@ from .geometry import (
     PoseSE3,
     xy_iou,
 )
-from .perception import CameraIntrinsics, PerceptionConfig, PointsGeom, assemble_snapshot
+from .perception import (
+    CameraIntrinsics,
+    Frame,
+    PerceptionConfig,
+    PointsGeom,
+    assemble_snapshot,
+)
 from .serialization import canonical_dumps, json_line
 from .simulator import (
     FailureInjection,
@@ -263,7 +269,13 @@ def build_reasoner(doc: dict) -> ScriptedReasoner:
 
 
 class TrialRuntime:
-    """Wires simulator, store, and executive together for one trial."""
+    """Wires simulator, store, and executive together for one trial.
+
+    The world changes only inside ``execute_skill``, so the runtime holds the
+    last rendered frame and serves it to ``sense`` and ``record_sta_sample``
+    until the next skill dispatch or a change of active camera: each world
+    state is rendered once, however often it is read.
+    """
 
     def __init__(self, doc: dict, world: SimWorld, store: WorldStore,
                  reasoner: ScriptedReasoner):
@@ -274,6 +286,7 @@ class TrialRuntime:
         self.cameras = build_cameras(doc)
         self.assoc_cfg = AssociationConfig()
         self.sta_samples: list[dict] = []
+        self._held: tuple[SimCamera, Frame] | None = None
 
     def active_camera(self) -> SimCamera:
         cam = self.cameras.get(self.world.robot_zone)
@@ -281,10 +294,20 @@ class TrialRuntime:
             cam = next(iter(self.cameras.values()))
         return cam
 
+    def frame(self) -> Frame:
+        """The active camera's frame of the current world state."""
+        camera = self.active_camera()
+        if self._held is None or self._held[0] is not camera:
+            self._held = (camera, render_frame(self.world, camera))
+        return self._held[1]
+
     # -- executive hooks ----------------------------------------------------
 
     def execute_skill(self, action: str, args: dict) -> ExecutionFeedback:
         self.record_sta_sample()
+        # The only world writes of a trial follow; nothing renders until
+        # both have returned.
+        self._held = None
         self.world.step()
         outcome = self.world.execute_skill(action, args)
         return ExecutionFeedback(
@@ -306,9 +329,8 @@ class TrialRuntime:
                     geometry=None)
                 held_uids.append(uid)
 
-        frame = render_frame(self.world, camera)
         observations = assemble_snapshot(
-            frame, camera.intrinsics, PerceptionConfig()
+            self.frame(), camera.intrinsics, PerceptionConfig()
         )
 
         memory_uids = [
@@ -396,7 +418,7 @@ class TrialRuntime:
     # -- bookkeeping --------------------------------------------------------
 
     def record_sta_sample(self):
-        counts = visible_pixel_counts(self.world, self.active_camera())
+        counts = visible_pixel_counts(self.world, self.frame())
         truth = self.world.true_positions()
         gt_on = {
             (s, o) for p, s, o in self.world.ground_truth_relations() if p == "On"

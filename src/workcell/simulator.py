@@ -4,6 +4,13 @@ Ground-truth object states live here, never in the engine's store. Skills
 execute abstractly (no dynamics), frames render from oriented-box proxies
 with perfect masks, and failure injections synthesize exactly the
 force-torque signatures the transaction layer watches for.
+
+Rendering ray-casts each object's box against the camera's pixel rays, which
+the frozen ``SimCamera`` computes once. Each box is tested only against the
+pixels its projected corners can cover; the frame is the same, bit for bit,
+as a full-frame test of every box would give. The simulator keeps no frame:
+tests move ``SimObject`` poses directly, so a caller that wants to reuse a
+frame must know when the world last changed (``harness.TrialRuntime.frame``).
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ScenarioError, WorkcellError
-from .geometry import OrientedBox, PoseSE3
+from .geometry import CORNER_SIGNS, OrientedBox, PoseSE3
 from .perception import CameraIntrinsics, Frame
 from .transactions import FTEvent, FTSignal
 from .world_model import D_NEAR, EPS_CONTACT
@@ -45,9 +52,6 @@ class SimObject:
         self.half_extents = np.asarray(self.half_extents, dtype=float).reshape(3)
         if not np.all(self.half_extents > 0):
             raise ScenarioError(f"{self.object_id}: half extents must be positive")
-
-    def box(self) -> OrientedBox:
-        return OrientedBox(self.pose.translation, self.half_extents, self.pose.rotation)
 
     @property
     def top_z(self) -> float:
@@ -87,12 +91,28 @@ class SkillOutcome:
     note: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimCamera:
+    """A pinhole camera. ``rays`` holds one base-frame direction per pixel,
+    row-major, scaled so its camera-frame z component is 1; it is computed
+    once here, and the camera is frozen so it cannot go stale."""
+
     intrinsics: CameraIntrinsics
     pose: PoseSE3  # camera-to-base
     width: int = 64
     height: int = 48
+    rays: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        k, w, h = self.intrinsics, self.width, self.height
+        uu, vv = np.meshgrid(np.arange(w), np.arange(h))
+        rays_c = np.stack(
+            [(uu.ravel() - k.cx) / k.fx, (vv.ravel() - k.cy) / k.fy,
+             np.ones(w * h)], axis=1,
+        )
+        rays = rays_c @ self.pose.rotation.T
+        rays.flags.writeable = False
+        object.__setattr__(self, "rays", rays)
 
 
 class SimWorld:
@@ -356,26 +376,29 @@ class SimWorld:
 
 # -- rendering ---------------------------------------------------------------
 
+# Camera-frame depth band around the image plane. A box wholly behind the
+# band is skipped; a box with a corner inside or behind it is tested against
+# every pixel, since its corners do not project to a usable rectangle.
+_NEAR_PLANE = 1e-6
+
 
 def _ray_box_depth(
-    origins_dir: np.ndarray, box: OrientedBox, cam_origin: np.ndarray
+    d_local: np.ndarray, o_local: np.ndarray, half_extents: np.ndarray
 ) -> np.ndarray:
-    """Slab-test depth (distance along each unit-z camera ray) for one box.
+    """Slab-test depth (distance along each unit-z camera ray) of a box.
 
-    origins_dir: (N, 3) base-frame ray directions scaled so the camera-frame
-    z component is 1; entries with no hit come back as +inf.
+    Row i tests ray direction d_local[i] against the box whose frame it is
+    given in, from the camera origin o_local[i] in that frame, with
+    half-extents half_extents[i]. Directions are scaled so the camera-frame
+    z component is 1; rays with no hit come back as +inf.
     """
-    rel = cam_origin - box.center
-    o_local = box.rotation.T @ rel
-    d_local = origins_dir @ box.rotation  # row-wise R^T @ d
-
-    t_near = np.full(len(origins_dir), -np.inf)
-    t_far = np.full(len(origins_dir), np.inf)
-    hit = np.ones(len(origins_dir), dtype=bool)
+    t_near = np.full(len(d_local), -np.inf)
+    t_far = np.full(len(d_local), np.inf)
+    hit = np.ones(len(d_local), dtype=bool)
     for axis in range(3):
         d = d_local[:, axis]
-        o = o_local[axis]
-        h = box.half_extents[axis]
+        o = o_local[:, axis]
+        h = half_extents[:, axis]
         parallel = np.abs(d) < 1e-12
         with np.errstate(divide="ignore", invalid="ignore"):
             t1 = (-h - o) / d
@@ -390,49 +413,96 @@ def _ray_box_depth(
     return np.where(hit, t_enter, np.inf)
 
 
-def render_frame(world: SimWorld, camera: SimCamera) -> Frame:
-    """Depth + exact instance mask from oriented-box proxies."""
+def _screen_windows(camera: SimCamera, objects: list[SimObject]) -> list:
+    """Per box, the pixel rows and columns it can cover, or None.
+
+    The rectangle holds the pixel centres inside the bounding box of the
+    projected corners, widened by one pixel so that rounding cannot put a
+    ray the slab test hits outside it, and clipped to the image. A box
+    reaching the near-plane band gets the whole image.
+    """
+    corners = np.array([
+        o.pose.translation + (CORNER_SIGNS * o.half_extents) @ o.pose.rotation.T
+        for o in objects
+    ]).reshape(-1, 8, 3)
+    cam = (corners - camera.pose.translation) @ camera.pose.rotation
+    z = cam[..., 2]
     k = camera.intrinsics
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = k.fx * cam[..., 0] / z + k.cx  # used only where every z is in front
+        v = k.fy * cam[..., 1] / z + k.cy
+        u0 = np.maximum(np.ceil(u.min(axis=1)) - 1, 0)
+        u1 = np.minimum(np.floor(u.max(axis=1)) + 1, camera.width - 1)
+        v0 = np.maximum(np.ceil(v.min(axis=1)) - 1, 0)
+        v1 = np.minimum(np.floor(v.max(axis=1)) + 1, camera.height - 1)
+    windows = []
+    for i, z_i in enumerate(z):
+        if np.all(z_i < -_NEAR_PLANE):
+            windows.append(None)
+        elif np.any(z_i <= _NEAR_PLANE):
+            windows.append((slice(None), slice(None)))
+        elif u0[i] > u1[i] or v0[i] > v1[i]:
+            windows.append(None)
+        else:
+            windows.append((slice(int(v0[i]), int(v1[i]) + 1),
+                            slice(int(u0[i]), int(u1[i]) + 1)))
+    return windows
+
+
+def render_frame(world: SimWorld, camera: SimCamera) -> Frame:
+    """Depth + exact instance mask from oriented-box proxies.
+
+    The rays of every box's window, each in its box's frame, go through one
+    slab test. Boxes are then drawn in id order, and a pixel changes owner
+    only on a strictly nearer hit, so depth ties go to the earlier id.
+    """
     h, w = camera.height, camera.width
-    uu, vv = np.meshgrid(np.arange(w), np.arange(h))
-    rays_c = np.stack(
-        [(uu.ravel() - k.cx) / k.fx, (vv.ravel() - k.cy) / k.fy,
-         np.ones(w * h)], axis=1,
-    )
-    rays_b = rays_c @ camera.pose.rotation.T
-    origin = camera.pose.translation
+    ids = sorted(world.objects)
+    objects = [world.objects[oid] for oid in ids]
+    drawn = [(oid, obj, window) for oid, obj, window
+             in zip(ids, objects, _screen_windows(camera, objects)) if window is not None]
 
-    best_depth = np.full(w * h, np.inf)
-    best_id = np.full(w * h, -1, dtype=np.int32)
-    for oid in sorted(world.objects):
-        obj = world.objects[oid]
-        t = _ray_box_depth(rays_b, obj.box(), origin)
-        closer = t < best_depth
-        best_depth = np.where(closer, t, best_depth)
-        best_id = np.where(closer, world.instance_ids[oid], best_id)
+    best_depth = np.full((h, w), np.inf)
+    best_id = np.full((h, w), -1, dtype=np.int32)
+    if drawn:
+        d_local, o_local, extents = [], [], []
+        for _oid, obj, window in drawn:
+            rotation = obj.pose.rotation
+            # Row-wise R^T @ d over every ray, then the window's rows: the
+            # floats a full-frame slab test would use.
+            d = (camera.rays @ rotation).reshape(h, w, 3)[window].reshape(-1, 3)
+            d_local.append(d)
+            o_local.append(rotation.T @ (camera.pose.translation - obj.pose.translation))
+            extents.append(obj.half_extents)
+        sizes = [len(d) for d in d_local]
+        t_all = _ray_box_depth(np.concatenate(d_local), np.repeat(o_local, sizes, axis=0),
+                               np.repeat(extents, sizes, axis=0))
+        for (oid, _obj, window), t in zip(drawn, np.split(t_all, np.cumsum(sizes)[:-1])):
+            depth_win, id_win = best_depth[window], best_id[window]
+            t = t.reshape(depth_win.shape)
+            closer = t < depth_win
+            depth_win[closer] = t[closer]
+            id_win[closer] = world.instance_ids[oid]
 
-    depth = np.where(np.isfinite(best_depth), best_depth, 0.0).reshape(h, w)
-    mask = best_id.reshape(h, w)
-    visible = set(np.unique(mask)) - {-1}
+    depth = np.where(np.isfinite(best_depth), best_depth, 0.0)
+    visible = set(np.unique(best_id)) - {-1}
     labels = {
         world.instance_ids[oid]: (world.objects[oid].label, 1.0)
-        for oid in sorted(world.objects)
+        for oid in ids
         if world.instance_ids[oid] in visible
     }
     return Frame(
         depth=depth.astype(np.float32),
-        mask=mask,
+        mask=best_id,
         labels=labels,
         camera_pose=camera.pose,
     )
 
 
-def visible_pixel_counts(world: SimWorld, camera: SimCamera) -> dict[str, int]:
-    """Rendered pixel count per object id; zero means out of view."""
-    frame = render_frame(world, camera)
-    counts = {oid: 0 for oid in world.objects}
+def visible_pixel_counts(world: SimWorld, frame: Frame) -> dict[str, int]:
+    """Pixel count per object id in a frame rendered from ``world``; zero
+    means out of view."""
     ids, tallies = np.unique(frame.mask, return_counts=True)
     by_instance = dict(zip(ids.tolist(), tallies.tolist()))
-    for oid, iid in world.instance_ids.items():
-        counts[oid] = int(by_instance.get(iid, 0))
-    return counts
+    return {oid: int(by_instance.get(world.instance_ids[oid], 0))
+            for oid in world.objects}

@@ -730,7 +730,8 @@ def curate_zone(
             continue
         if v.lifecycle == Lifecycle.ARCHIVED:
             events.append(LifecycleEvent("restored", uid, v.confidence))
-        store.update_vertex(uid, confidence=1.0, lifecycle=Lifecycle.ACTIVE)
+        if v.confidence != 1.0 or v.lifecycle != Lifecycle.ACTIVE:
+            store.update_vertex(uid, confidence=1.0, lifecycle=Lifecycle.ACTIVE)
         events.append(LifecycleEvent("reinforced", uid, 1.0))
     return events
 

@@ -103,3 +103,72 @@ def store_digest(store) -> str:
     encoded by the reference path above rather than the package's."""
     text = json.dumps(to_jsonable(store.to_dict()), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _ray_box_depth_reference(origins_dir, box, cam_origin):
+    """Slab-test depth (distance along each unit-z camera ray) for one box.
+
+    origins_dir: (N, 3) base-frame ray directions scaled so the camera-frame
+    z component is 1; entries with no hit come back as +inf.
+    """
+    rel = cam_origin - box.center
+    o_local = box.rotation.T @ rel
+    d_local = origins_dir @ box.rotation  # row-wise R^T @ d
+
+    t_near = np.full(len(origins_dir), -np.inf)
+    t_far = np.full(len(origins_dir), np.inf)
+    hit = np.ones(len(origins_dir), dtype=bool)
+    for axis in range(3):
+        d = d_local[:, axis]
+        o = o_local[axis]
+        h = box.half_extents[axis]
+        parallel = np.abs(d) < 1e-12
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1 = (-h - o) / d
+            t2 = (h - o) / d
+        lo = np.minimum(t1, t2)
+        hi = np.maximum(t1, t2)
+        t_near = np.where(parallel, t_near, np.maximum(t_near, lo))
+        t_far = np.where(parallel, t_far, np.minimum(t_far, hi))
+        hit &= ~(parallel & (np.abs(o) > h))
+    hit &= (t_far >= t_near) & (t_far > 0)
+    t_enter = np.where(t_near > 0, t_near, t_far)
+    return np.where(hit, t_enter, np.inf)
+
+
+def render_frame_reference(world, camera):
+    """The renderer before frame reuse and screen clipping: every box, built
+    as an ``OrientedBox`` per call, slab-tested against every pixel ray.
+    Returns ``(depth, mask, labels)`` as ``simulator.render_frame`` fills
+    its ``Frame``."""
+    from workcell.geometry import OrientedBox
+
+    k = camera.intrinsics
+    h, w = camera.height, camera.width
+    uu, vv = np.meshgrid(np.arange(w), np.arange(h))
+    rays_c = np.stack(
+        [(uu.ravel() - k.cx) / k.fx, (vv.ravel() - k.cy) / k.fy,
+         np.ones(w * h)], axis=1,
+    )
+    rays_b = rays_c @ camera.pose.rotation.T
+    origin = camera.pose.translation
+
+    best_depth = np.full(w * h, np.inf)
+    best_id = np.full(w * h, -1, dtype=np.int32)
+    for oid in sorted(world.objects):
+        obj = world.objects[oid]
+        box = OrientedBox(obj.pose.translation, obj.half_extents, obj.pose.rotation)
+        t = _ray_box_depth_reference(rays_b, box, origin)
+        closer = t < best_depth
+        best_depth = np.where(closer, t, best_depth)
+        best_id = np.where(closer, world.instance_ids[oid], best_id)
+
+    depth = np.where(np.isfinite(best_depth), best_depth, 0.0).reshape(h, w)
+    mask = best_id.reshape(h, w)
+    visible = set(np.unique(mask)) - {-1}
+    labels = {
+        world.instance_ids[oid]: (world.objects[oid].label, 1.0)
+        for oid in sorted(world.objects)
+        if world.instance_ids[oid] in visible
+    }
+    return depth.astype(np.float32), mask, labels

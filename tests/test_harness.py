@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import workcell.harness as harness
-from workcell import cli
+from workcell import cli, simulator
 from workcell.errors import ScenarioError, WorkcellError
 from workcell.geometry import GaussianEnvelope
 from workcell.harness import (
@@ -291,6 +291,57 @@ def test_hash_cache_matches_scratch_digest_on_resumed_store(checked_hashes, monk
     assert log["success"] and log["log_chain_valid"]
     assert log["store_hash"] == checked_hashes[-1]
     assert len(checked_hashes) > 10
+
+
+# -- frame reuse --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["assembly.json", "transfer_targetmoved.json"])
+def test_each_world_state_is_rendered_once(name, monkeypatch):
+    """A trial renders at most once per skill dispatch plus once at the
+    start, and every STA sample equals the one a fresh render of the same
+    world state gives, so a frame kept across a ``TargetMoved``
+    displacement fails here."""
+    fresh = simulator.render_frame
+    calls = {"render": 0, "dispatch": 0, "samples": 0}
+
+    def counted_render(world, camera):
+        calls["render"] += 1
+        return fresh(world, camera)
+
+    def counted_dispatch(self, action, args):
+        calls["dispatch"] += 1
+        return dispatch(self, action, args)
+
+    def checked_sample(self):
+        before = len(self.sta_samples)
+        record(self)
+        kept = len(self.sta_samples)
+        self.frame = lambda: fresh(self.world, self.active_camera())
+        try:
+            record(self)
+        finally:
+            del self.frame
+        assert self.sta_samples[kept:] == self.sta_samples[before:kept]
+        del self.sta_samples[kept:]
+        calls["samples"] += kept - before
+
+    def checked_trial(spec, trial_index, priors=None):
+        calls.update(render=0, dispatch=0)
+        log = trial(spec, trial_index, priors)
+        assert 0 < calls["render"] <= calls["dispatch"] + 1
+        return log
+
+    dispatch = harness.TrialRuntime.execute_skill
+    record = harness.TrialRuntime.record_sta_sample
+    trial = harness.run_trial
+    monkeypatch.setattr(harness, "render_frame", counted_render)
+    monkeypatch.setattr(harness.TrialRuntime, "execute_skill", counted_dispatch)
+    monkeypatch.setattr(harness.TrialRuntime, "record_sta_sample", checked_sample)
+    monkeypatch.setattr(harness, "run_trial", checked_trial)
+    report, _logs = run_scenario(load_scenario(SCENARIOS / name))
+    assert report.tsr == pytest.approx(100.0)
+    assert calls["samples"] > 0
 
 
 # -- CLI ----------------------------------------------------------------------

@@ -3,6 +3,9 @@ ground truth."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from workcell.errors import ScenarioError, WorkcellError
 from workcell.geometry import OrientedBox, PoseSE3
@@ -17,6 +20,8 @@ from workcell.simulator import (
     visible_pixel_counts,
 )
 from workcell.transactions import FTSignal
+
+from oracles import render_frame_reference
 
 TOPDOWN = np.array([[1.0, 0, 0], [0, -1.0, 0], [0, 0, -1.0]])
 
@@ -106,11 +111,104 @@ def test_render_occlusion_nearest_wins():
 
 def test_visible_pixel_counts_and_oov():
     world = make_world()
-    counts = visible_pixel_counts(world, _camera(0.5, 0.0))
+    counts = visible_pixel_counts(world, render_frame(world, _camera(0.5, 0.0)))
     assert counts["part"] > 0
     assert counts["plate"] == 0  # other zone: out of view
     labels = render_frame(world, _camera(0.5, 0.0)).labels
     assert all(name != "plate" for name, _c in labels.values())
+
+
+def _rotation(rnd, family) -> np.ndarray:
+    """The identity, the top-down camera rotation of the scenarios, or a
+    uniformly random rotation."""
+    if family == "random":
+        return Rotation.random(random_state=rnd.getrandbits(32)).as_matrix()
+    return {"identity": np.eye(3), "topdown": TOPDOWN}[family]
+
+
+_families = st.sampled_from(["identity", "topdown", "random"])
+
+
+@st.composite
+def _scenes(draw):
+    """A camera at a random pose and image size, and 0-8 boxes placed in
+    its frame: in front (aimed at a pixel that may lie off-screen), behind
+    the image plane, straddling it, around the camera, aligned with the
+    camera axes with a corner on a pixel's ray (so rounding decides that
+    pixel), or an exact copy of the previous box.
+
+    Hypothesis draws the structure; real numbers come from a seeded
+    ``random.Random``, because Hypothesis favours round floats, whose
+    arithmetic is exact and never lands a corner on the wrong side of a
+    pixel."""
+    rnd = draw(st.randoms(use_true_random=True))
+    w, h = draw(st.integers(1, 40)), draw(st.integers(1, 30))
+    k = CameraIntrinsics(rnd.uniform(5.0, 120.0), rnd.uniform(5.0, 120.0),
+                         rnd.uniform(-5.0, w + 5.0), rnd.uniform(-5.0, h + 5.0))
+    cam = SimCamera(k, PoseSE3(_rotation(rnd, draw(_families)),
+                               [rnd.uniform(-1.0, 1.0) for _ in range(3)]), w, h)
+    objects = []
+    for i in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(
+            ["front", "behind", "straddle", "around", "corner", "corner", "copy"]))
+        if kind == "copy" and objects:
+            last = objects[-1]
+            objects.append(SimObject(f"o{i}", f"l{i}", last.half_extents,
+                                     last.pose, "z1"))
+            continue
+        he = [rnd.uniform(0.01, 0.4) for _ in range(3)]
+        rotation = _rotation(rnd, draw(_families))
+        if kind == "around":  # the camera sits inside the box
+            local = [rnd.uniform(-0.005, 0.005) for _ in range(3)]
+            he = [x + 0.01 for x in he]
+        else:
+            z = rnd.uniform(*{"behind": (-3.0, -0.5),
+                              "straddle": (-0.3, 0.3)}.get(kind, (0.1, 3.0)))
+            if kind == "corner":
+                u, v = rnd.randrange(w), rnd.randrange(h)
+            else:
+                u, v = rnd.uniform(-0.25 * w, 1.25 * w), rnd.uniform(-0.25 * h, 1.25 * h)
+            local = [(u - k.cx) / k.fx * z, (v - k.cy) / k.fy * z, z]
+            if kind == "corner":
+                # The box reaches back from its near corner and inward
+                # towards the principal ray, so the corner is the
+                # outermost point of its silhouette.
+                signs = [-np.sign(local[0]), -np.sign(local[1]), 1.0]
+                local = [c + s * e for c, s, e in zip(local, signs, he)]
+                rotation = cam.pose.rotation
+        center = cam.pose.apply(np.array(local)[None, :])[0]
+        objects.append(SimObject(f"o{i}", f"l{i}", np.array(he),
+                                 PoseSE3(rotation, center), "z1"))
+    world = SimWorld([_zone("z1", 0.0, 0.0)], objects, "z1", [0.0, 0.0, 0.0])
+    return world, cam
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_scenes())
+def test_render_matches_full_frame_reference(scene):
+    world, cam = scene
+    frame = render_frame(world, cam)
+    depth, mask, labels = render_frame_reference(world, cam)
+    assert frame.depth.tobytes() == depth.tobytes()
+    assert np.array_equal(frame.mask, mask)
+    assert frame.labels == labels
+
+
+def test_render_depth_tie_goes_to_earlier_id():
+    box = dict(he=(0.05, 0.05, 0.015))
+    world = SimWorld([_zone("z1", 0.5, 0.0)],
+                     [_obj("b", [0.5, 0.0, 0.015], **box),
+                      _obj("a", [0.5, 0.0, 0.015], **box)], "z1", [0.5, 0, 0.1])
+    frame = render_frame(world, _camera(0.5, 0.0))
+    assert set(np.unique(frame.mask)) == {-1, world.instance_ids["a"]}
+
+
+def test_camera_rays_are_fixed_at_construction():
+    cam = _camera(0.5, 0.0)
+    with pytest.raises(AttributeError):
+        cam.pose = PoseSE3(np.eye(3), [0.0, 0.0, 1.0])
+    with pytest.raises(ValueError):
+        cam.rays[0, 0] = 1.0
 
 
 # -- skills -------------------------------------------------------------------

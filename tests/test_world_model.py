@@ -452,6 +452,26 @@ def test_observation_resets_confidence():
     assert store.vertices[uid].confidence == 1.0
 
 
+def test_reinforcing_an_active_entity_writes_nothing(monkeypatch):
+    store = _store_with_zone()
+    a = store.add_entity("a", _env([0, 0, 0]), "z1")
+    b = store.add_entity("b", _env([1, 0, 0]), "z1")
+    for _ in range(3):
+        curate_zone(store, "z1", observed_uids={a})
+    first = curate_zone(store, "z1", observed_uids={a, b})
+    written = []
+    update = WorldStore.update_vertex
+
+    def recorded(self, uid, **fields):
+        written.append(uid)
+        update(self, uid, **fields)
+
+    monkeypatch.setattr(WorldStore, "update_vertex", recorded)
+    assert curate_zone(store, "z1", observed_uids={a, b}) == first
+    assert written == []
+    assert [(e.kind, e.uid) for e in first] == [("reinforced", a), ("reinforced", b)]
+
+
 def test_robot_is_never_curated():
     store = _store_with_zone()
     store.robot_zone = "z1"
