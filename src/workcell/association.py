@@ -13,10 +13,18 @@ from enum import Enum
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import GaussianEnvelope, mahalanobis_between, spd_inverse
+from .geometry import (
+    GaussianEnvelope,
+    mahalanobis_between,
+    mahalanobis_pairs,
+    spd_inverse,
+)
 
 # Sentinel for gated (infeasible) pairs.
 GATED = np.inf
+# Relative distance from tau_geo inside which a batched gating distance is
+# not trusted to fall on the same side as the exact per-pair one.
+_RECHECK_BAND = 1e-6
 # Finite stand-in used when feeding the assignment solver.
 _BIG_COST = 1e9
 
@@ -102,14 +110,26 @@ def build_cost_matrix(
     """(n_obs, n_mem) hybrid costs with GATED entries for infeasible pairs.
 
     iou_fn / sim_fn take (observation index, memory index) and return a
-    scalar in [0, 1]; they are only consulted for pairs inside the gate.
+    scalar in [0, 1]; they are only consulted for pairs inside the gate,
+    in row-major order.
+
+    All gating distances come from one batched pass. A pair whose batched
+    distance is not finite or lies within the recheck band around tau_geo
+    is decided by mahalanobis_between instead, so every gate decision is
+    the per-pair one.
     """
     cost = np.full((len(observations), len(memory)), GATED)
-    for k, obs in enumerate(observations):
-        for i, mem in enumerate(memory):
-            if mahalanobis_between(obs.envelope, mem.envelope) >= cfg.tau_geo:
-                continue
-            cost[k, i] = hybrid_cost(iou_fn(k, i), sim_fn(k, i), cfg)
+    if cost.size == 0:
+        return cost
+    dist = mahalanobis_pairs([o.envelope for o in observations],
+                             [m.envelope for m in memory])
+    recheck = ~np.isfinite(dist) | (
+        np.abs(dist - cfg.tau_geo) <= _RECHECK_BAND * cfg.tau_geo)
+    for k, i in np.argwhere(recheck | (dist < cfg.tau_geo)).tolist():
+        if recheck[k, i] and mahalanobis_between(
+                observations[k].envelope, memory[i].envelope) >= cfg.tau_geo:
+            continue
+        cost[k, i] = hybrid_cost(iou_fn(k, i), sim_fn(k, i), cfg)
     return cost
 
 

@@ -23,7 +23,7 @@ from .cognition import (
     serialize_context,
     validate_ert,
 )
-from .errors import ScenarioError, StateMachineError
+from .errors import ScenarioError, StateMachineError, WorkcellError
 from .transactions import (
     CommitDecision,
     ConstraintState,
@@ -64,6 +64,10 @@ class TaskNode:
     key: str = ""
     keywords: list[str] = field(default_factory=list)
     zones: list[str] = field(default_factory=list)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class TaskDAG:
@@ -113,13 +117,23 @@ class TaskDAG:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "TaskDAG":
+        if not isinstance(doc, dict) or not isinstance(doc.get("nodes", []), list):
+            raise ScenarioError(f"task graph {doc!r} is not an object with a list of nodes")
         nodes = []
         for nd in doc.get("nodes", []):
+            if not (isinstance(nd, dict) and _is_int(nd.get("id"))
+                    and isinstance(nd.get("function"), str)
+                    and isinstance(nd.get("args", {}), dict)
+                    and isinstance(nd.get("deps", []), list)
+                    and all(_is_int(d) for d in nd.get("deps", []))):
+                raise ScenarioError(
+                    f"task node {nd!r} needs an integer id, a string function, "
+                    "an args object and a list of integer deps")
             nodes.append(TaskNode(
-                node_id=int(nd["id"]),
-                function=str(nd["function"]),
+                node_id=nd["id"],
+                function=nd["function"],
                 args=dict(nd.get("args", {})),
-                deps=[int(d) for d in nd.get("deps", [])],
+                deps=list(nd.get("deps", [])),
                 manipulation=bool(nd.get("manipulation", False)),
                 key=str(nd.get("key", "")),
                 keywords=list(nd.get("keywords", [])),
@@ -584,7 +598,10 @@ class Executive:
                 self._count_calls(before)
             self._record("recovery_plan", node=node.node_id,
                          category=category.value)
-            recovery_dag = TaskDAG.from_doc(plan_doc)
+            try:
+                recovery_dag = TaskDAG.from_doc(plan_doc)
+            except ScenarioError as exc:
+                raise WorkcellError(f"RecoveryPlan reply is not a task graph: {exc}") from None
             result = self.main_loop(recovery_dag)
         finally:
             self._in_recovery = False

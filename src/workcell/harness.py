@@ -77,6 +77,9 @@ from .world_model import (
 SCENARIO_VERSION = 1
 STA_POSITION_TOL = 0.05
 _RELOCALIZE_GAMMA = 100.0
+# Belief covariance of an object riding the end effector.
+_HELD_COVARIANCE = 1e-4 * np.eye(3)
+_HELD_COVARIANCE.flags.writeable = False
 _PRIOR_SIGMA_FLOOR = 0.02
 
 
@@ -318,15 +321,19 @@ class TrialRuntime:
         camera = self.active_camera()
         gripper_pos = self.world.robot_position.copy()
 
-        # Kinematic tracking: a held object rides the end effector.
+        # Kinematic tracking: a held object rides the end effector. Its
+        # record is written only when it differs, byte for byte, from the
+        # belief below; the surface scan from the table is stale now.
         held_uids = []
         for uid, v in self.store.vertices.items():
             rec = self.store.records.get(v.grounding)
             if rec is not None and rec.attached_to == "gripper":
-                # The surface scan from the table is stale now.
-                self.store.update_record(
-                    v.grounding, envelope=GaussianEnvelope(gripper_pos, 1e-4 * np.eye(3)),
-                    geometry=None)
+                if (rec.geometry is not None
+                        or rec.envelope.mean.tobytes() != gripper_pos.tobytes()
+                        or rec.envelope.covariance.tobytes() != _HELD_COVARIANCE.tobytes()):
+                    self.store.update_record(
+                        v.grounding, envelope=GaussianEnvelope(gripper_pos, _HELD_COVARIANCE),
+                        geometry=None)
                 held_uids.append(uid)
 
         observations = assemble_snapshot(
@@ -420,9 +427,7 @@ class TrialRuntime:
     def record_sta_sample(self):
         counts = visible_pixel_counts(self.world, self.frame())
         truth = self.world.true_positions()
-        gt_on = {
-            (s, o) for p, s, o in self.world.ground_truth_relations() if p == "On"
-        }
+        gt_on = {(s, o) for _p, s, o in self.world.on_relations()}
         sample = {}
         for oid, n_pixels in counts.items():
             if n_pixels > 0:

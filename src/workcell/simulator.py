@@ -348,12 +348,14 @@ class SimWorld:
 
     # -- ground truth -------------------------------------------------------
 
+    def on_relations(self) -> set[tuple[str, str, str]]:
+        """("On", object, supporter) for each object resting on another."""
+        return {("On", obj.object_id, obj.support)
+                for obj in self.objects.values() if obj.support is not None}
+
     def ground_truth_relations(self) -> set[tuple[str, str, str]]:
         """On/Near/Holding tuples under the verifier's own thresholds."""
-        rels: set[tuple[str, str, str]] = set()
-        for obj in self.objects.values():
-            if obj.support is not None:
-                rels.add(("On", obj.object_id, obj.support))
+        rels = self.on_relations()
         if self.gripper is not None:
             rels.add(("Holding", "robot", self.gripper))
         ids = sorted(self.objects)

@@ -11,6 +11,7 @@ import itertools
 import json
 
 import numpy as np
+from scipy import linalg
 
 # The assignment convention under test: the solver sees gated pairs as a
 # large finite sentinel, always produces a full min(n, m) assignment, and
@@ -172,3 +173,84 @@ def render_frame_reference(world, camera):
         if world.instance_ids[oid] in visible
     }
     return depth.astype(np.float32), mask, labels
+
+
+# -- SPD algebra and association before the direct-LAPACK rewrite ------------
+#
+# The package's solves, envelope checks and gate as they were written on top
+# of scipy's wrappers, ``np.allclose`` and ``eigvalsh``, one pair at a time.
+# The package must reproduce them to the bit.
+
+
+def cholesky_solve_reference(matrix, rhs):
+    from workcell.errors import NumericError
+
+    try:
+        factor = linalg.cho_factor(matrix, lower=True, check_finite=False)
+    except linalg.LinAlgError as exc:
+        raise NumericError(f"matrix is not positive definite: {exc}") from exc
+    return linalg.cho_solve(factor, rhs, check_finite=False)
+
+
+def spd_inverse_reference(matrix):
+    return cholesky_solve_reference(matrix, np.eye(len(matrix)))
+
+
+def mahalanobis_reference(a, b):
+    diff = a.mean - b.mean
+    d2 = float(diff @ cholesky_solve_reference(a.covariance + b.covariance, diff))
+    return float(np.sqrt(max(d2, 0.0)))
+
+
+def envelope_reference(mean, covariance):
+    """The covariance check of ``GaussianEnvelope``: the stored covariance,
+    or ValueError. The mean is coerced as the package does."""
+    from workcell.geometry import MIN_EIGENVALUE
+
+    cov = np.asarray(covariance, dtype=float).reshape(3, 3)
+    if not np.allclose(cov, cov.T, atol=1e-9):
+        raise ValueError("covariance must be symmetric")
+    cov = 0.5 * (cov + cov.T)
+    eigvals = np.linalg.eigvalsh(cov)
+    if eigvals.min() < MIN_EIGENVALUE * (1 - 1e-9):
+        raise ValueError(
+            f"covariance smallest eigenvalue {eigvals.min():.3e} below floor"
+        )
+    return np.asarray(mean, dtype=float).reshape(3), cov
+
+
+def check_rotation_reference(r):
+    r = np.asarray(r, dtype=float).reshape(3, 3)
+    if not np.allclose(r.T @ r, np.eye(3), atol=1e-8):
+        raise ValueError("rotation matrix is not orthonormal")
+    if not abs(np.linalg.det(r) - 1.0) < 1e-6:
+        raise ValueError("rotation matrix determinant is not +1")
+    return r
+
+
+def fuse_reference(prior, obs, gamma):
+    """(mean, covariance) of the information-filter fusion."""
+    if gamma < 0:
+        raise ValueError("gamma must be non-negative")
+    if gamma == 0.0:
+        return prior.mean, prior.covariance
+    prior_info = spd_inverse_reference(prior.covariance)
+    obs_info = spd_inverse_reference(obs.covariance)
+    info = prior_info + gamma * obs_info
+    cov = spd_inverse_reference(info)
+    cov = 0.5 * (cov + cov.T)
+    mean = cov @ (prior_info @ prior.mean + gamma * (obs_info @ obs.mean))
+    return envelope_reference(mean, cov)
+
+
+def build_cost_matrix_reference(observations, memory, cfg, iou_fn, sim_fn):
+    """The per-pair gate: every pair's distance on its own."""
+    from workcell.association import GATED, hybrid_cost
+
+    cost = np.full((len(observations), len(memory)), GATED)
+    for k, obs in enumerate(observations):
+        for i, mem in enumerate(memory):
+            if mahalanobis_reference(obs.envelope, mem.envelope) >= cfg.tau_geo:
+                continue
+            cost[k, i] = hybrid_cost(iou_fn(k, i), sim_fn(k, i), cfg)
+    return cost

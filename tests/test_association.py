@@ -22,9 +22,15 @@ from workcell.association import (
     hybrid_cost,
     inflate_drift,
 )
+from workcell.errors import NumericError
 from workcell.geometry import GaussianEnvelope
 
-from oracles import brute_force_assignment_cost
+from oracles import (
+    brute_force_assignment_cost,
+    build_cost_matrix_reference,
+    fuse_reference,
+    mahalanobis_reference,
+)
 
 
 class _Obs:
@@ -203,6 +209,134 @@ def test_fuse_commutative_and_associative(sa, sb, sc):
     acb = fuse(fuse(a, c, 1.0), b, 1.0)
     assert np.allclose(abc.mean, acb.mean, atol=1e-9)
     assert np.allclose(abc.covariance, acb.covariance, atol=1e-10)
+
+
+def _envelope(rng, scale):
+    a = rng.normal(size=(3, 3)) * scale * 10.0 ** rng.uniform(-2, 0, 3)
+    return GaussianEnvelope(rng.normal(size=3) * 0.1, a @ a.T + 1e-6 * np.eye(3))
+
+
+def _bytes_or_error(fn, *args):
+    try:
+        mean, cov = fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return mean.tobytes(), cov.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1e-4, 1e-2, 1.0]),
+       st.sampled_from([1.0, 0.5, 0.1, 0.01, 100.0]))
+def test_fuse_bytes_equal_reference(seed, scale, gamma):
+    rng = np.random.default_rng(seed)
+    prior, obs = _envelope(rng, scale), _envelope(rng, 0.01)
+
+    def package(p, o, g):
+        out = fuse(p, o, g)
+        return out.mean, out.covariance
+
+    assert _bytes_or_error(package, prior, obs, gamma) == \
+        _bytes_or_error(fuse_reference, prior, obs, gamma)
+
+
+# -- the batched gate against the per-pair loop -------------------------------
+
+
+class _Item:
+    def __init__(self, envelope):
+        self.envelope = envelope
+
+
+def _gate(build, observations, memory, cfg):
+    """The cost matrix's bytes, or the error raised, plus every scorer call
+    in the order it was made."""
+    calls = []
+
+    def scorer(tag):
+        def score(k, i):
+            calls.append((tag, k, i))
+            return ((7 * k + 3 * i + len(tag)) % 11) / 10.0
+        return score
+
+    try:
+        cost = build(observations, memory, cfg, scorer("iou"), scorer("sim"))
+    except NumericError as exc:
+        return type(exc).__name__, calls
+    return (cost.shape, cost.tobytes()), calls
+
+
+def _at_distance(rng, obs, target):
+    """A memory envelope whose per-pair distance to obs is target, up to the
+    roundoff of placing its mean."""
+    mem = _envelope(rng, 0.02)
+    u = rng.normal(size=3)
+    unit = mahalanobis_reference(GaussianEnvelope(u, obs.covariance),
+                                 GaussianEnvelope(np.zeros(3), mem.covariance))
+    return GaussianEnvelope(obs.mean - target / unit * u, mem.covariance)
+
+
+# Relative offsets from tau_geo at which boundary pairs are placed: inside the
+# recheck band (1e-6), at its edge, and clear of it.
+_OFFSETS = [0.0, 1e-9, -1e-9, 1e-7, -1e-7, 1e-6, -1e-6, 3e-6, -3e-6, 0.5, -0.5]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.integers(0, 5),
+       st.lists(st.sampled_from(_OFFSETS), max_size=4))
+def test_gate_matches_per_pair_loop(seed, n_obs, n_mem, offsets):
+    rng = np.random.default_rng(seed)
+    cfg = AssociationConfig()
+    observations = [_Item(_envelope(rng, 0.02)) for _ in range(n_obs)]
+    memory = [_Item(_envelope(rng, 0.02)) for _ in range(n_mem)]
+    for off in offsets if observations else []:
+        obs = observations[rng.integers(len(observations))].envelope
+        memory.insert(rng.integers(len(memory) + 1),
+                      _Item(_at_distance(rng, obs, cfg.tau_geo * (1 + off))))
+    assert _gate(build_cost_matrix, observations, memory, cfg) == \
+        _gate(build_cost_matrix_reference, observations, memory, cfg)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([-1, 0, 1]))
+def test_gate_at_the_exact_distance_matches_per_pair_loop(seed, ulps):
+    """tau_geo set to the per-pair distance itself, or one ulp either side:
+    a batched distance that differs from it in the last bits falls on the
+    other side of the gate unless the pair is rechecked."""
+    rng = np.random.default_rng(seed)
+    observations = [_Item(_envelope(rng, 0.02)) for _ in range(3)]
+    memory = [_Item(_envelope(rng, 0.02)) for _ in range(3)]
+    tau = mahalanobis_reference(observations[1].envelope, memory[2].envelope)
+    for _ in range(abs(ulps)):
+        tau = np.nextafter(tau, ulps * np.inf)
+    cfg = AssociationConfig(tau_geo=float(tau))
+    assert _gate(build_cost_matrix, observations, memory, cfg) == \
+        _gate(build_cost_matrix_reference, observations, memory, cfg)
+
+
+class _Fake:
+    """An envelope-like value the constructor would refuse."""
+
+    def __init__(self, mean, covariance):
+        self.mean, self.covariance = np.asarray(mean, float), np.asarray(covariance, float)
+
+
+def test_gate_raises_as_per_pair_loop_on_an_indefinite_sum():
+    cfg = AssociationConfig()
+    observations = [_Item(GaussianEnvelope([0, 0, 0], 0.01 * np.eye(3))),
+                    _Item(_Fake([0, 0, 0], -np.eye(3)))]
+    memory = [_Item(GaussianEnvelope([0.01, 0, 0], 0.01 * np.eye(3)))] * 2
+    outcome = _gate(build_cost_matrix, observations, memory, cfg)
+    assert outcome[0] == "NumericError"
+    assert outcome == _gate(build_cost_matrix_reference, observations, memory, cfg)
+
+
+def test_gate_with_no_observations_or_no_memory_consults_nothing():
+    cfg = AssociationConfig()
+    items = [_Item(GaussianEnvelope([0, 0, 0], 0.01 * np.eye(3)))] * 2
+    for observations, memory in (([], items), (items, []), ([], [])):
+        outcome = _gate(build_cost_matrix, observations, memory, cfg)
+        assert outcome[1] == []
+        assert outcome == _gate(build_cost_matrix_reference, observations, memory, cfg)
 
 
 # -- drift --------------------------------------------------------------------

@@ -1,13 +1,18 @@
 """Geometric value types: poses, envelopes, boxes, IoU, chi-square."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
+import workcell
 from workcell.errors import InsufficientDataError, NumericError
 from workcell.geometry import (
+    MIN_EIGENVALUE,
     GaussianEnvelope,
     OrientedBox,
     PointCloudData,
@@ -15,10 +20,18 @@ from workcell.geometry import (
     cholesky_solve,
     envelope_from_points,
     mahalanobis_between,
+    mahalanobis_pairs,
     spd_inverse,
     xy_iou,
 )
 from workcell.world_model import CHI2_THRESH_3DOF
+
+from oracles import (
+    check_rotation_reference,
+    cholesky_solve_reference,
+    envelope_reference,
+    mahalanobis_reference,
+)
 
 
 def random_rotation(seed):
@@ -142,6 +155,170 @@ def test_mahalanobis_between_oracle():
     assert mahalanobis_between(a, b) == pytest.approx(np.sqrt(2.0))
     assert mahalanobis_between(a, b) == pytest.approx(mahalanobis_between(b, a))
     assert mahalanobis_between(a, a) == pytest.approx(0.0)
+
+
+def test_envelope_rejects_non_finite_covariance():
+    for cov in (np.diag([np.inf, 1.0, 1.0]), np.diag([1.0, np.nan, 1.0])):
+        with pytest.raises(ValueError, match="non-finite"):
+            GaussianEnvelope(np.zeros(3), cov)
+    cov = np.eye(3)
+    cov[0, 1] = cov[1, 0] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        GaussianEnvelope(np.zeros(3), cov)
+
+
+# -- the same bits as the scipy / allclose / eigvalsh reference ---------------
+
+
+def _outcome(fn, *args):
+    """What a call gives: the bytes of its arrays, or the error it raised."""
+    try:
+        out = fn(*args)
+    except (ValueError, NumericError) as exc:
+        return type(exc).__name__
+    if isinstance(out, tuple):
+        return tuple((a.shape, a.tobytes()) for a in out)
+    return out.shape, out.tobytes()
+
+
+# Smallest eigenvalue of a generated covariance, relative to the floor: right
+# at it, one part in 1e9 either side (the floor test's own margin), and clear.
+_FLOOR_FACTORS = [1 - 2e-9, 1 - 1e-9, 1.0, 1 + 1e-9, 1 + 1e-6, 1e3, 1e7]
+
+
+def _covariance(seed, floor_factor, spread, axes_seed=None):
+    """Q diag(ev) Q^T in floating point: symmetric only to roundoff, with its
+    smallest eigenvalue near floor_factor * MIN_EIGENVALUE along the first
+    axis of Q, the rotation drawn from axes_seed (default: seed)."""
+    rng = np.random.default_rng(seed)
+    ev = np.array([floor_factor * MIN_EIGENVALUE,
+                   *(floor_factor * MIN_EIGENVALUE * 10.0 ** rng.uniform(0, spread, 2))])
+    q = random_rotation(seed if axes_seed is None else axes_seed)
+    return q @ np.diag(ev) @ q.T
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(_FLOOR_FACTORS),
+       st.floats(0, 9), st.booleans())
+def test_cholesky_solve_bytes_equal_scipy_wrappers(seed, floor_factor, spread, identity):
+    cov = _covariance(seed, floor_factor, spread)
+    rhs = np.eye(3) if identity else np.random.default_rng(seed).normal(size=3)
+    assert _outcome(cholesky_solve, cov, rhs) == _outcome(cholesky_solve_reference, cov, rhs)
+
+
+def test_cholesky_solve_indefinite_singular_and_nan_match_reference():
+    for m in (np.diag([1.0, -1.0, 1.0]), np.zeros((3, 3)), np.diag([1.0, 1.0, np.nan])):
+        assert _outcome(cholesky_solve, m, np.ones(3)) == \
+            _outcome(cholesky_solve_reference, m, np.ones(3))
+    assert _outcome(cholesky_solve, np.zeros((3, 3)), np.ones(3)) == "NumericError"
+
+
+def _asymmetric(cov, nudge):
+    """cov with entry (0, 1) moved off (1, 0) by nudge times the symmetry
+    tolerance, |a - b| <= 1e-9 + 1e-5 |b|."""
+    cov = cov.copy()
+    cov[0, 1] = cov[1, 0] + nudge * (1e-9 + 1e-5 * abs(cov[1, 0]))
+    return cov
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(_FLOOR_FACTORS), st.floats(0, 9),
+       st.sampled_from([0.0, 0.5, 1 - 1e-9, 1.0, 1 + 1e-9, 2.0, -1.0]))
+def test_envelope_check_decides_and_stores_as_reference(seed, floor_factor, spread, nudge):
+    cov = _asymmetric(_covariance(seed, floor_factor, spread), nudge)
+    mean = np.random.default_rng(seed).normal(size=3)
+
+    def package(m, c):
+        env = GaussianEnvelope(m, c)
+        return env.mean, env.covariance
+
+    assert _outcome(package, mean, cov) == _outcome(envelope_reference, mean, cov)
+
+
+# Axis stretch of a rotation at which r^T r stops passing allclose with
+# atol 1e-8: (1 + e)^2 - 1 = 1e-8 + 1e-5. The opposite axis shrinks by
+# 1 / (1 + e), so the determinant stays 1 and only the orthonormality test
+# decides; one part in 1e9 of e is below the roundoff of r^T r.
+_EDGE = np.sqrt(1 + 1e-8 + 1e-5) - 1
+_STRETCHES = [0.0, 1e-9, _EDGE * (1 - 1e-3), _EDGE * (1 - 1e-9), _EDGE,
+              _EDGE * (1 + 1e-9), _EDGE * (1 + 1e-3), 1e-4]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(_STRETCHES), st.booleans())
+def test_rotation_check_decides_as_reference(seed, stretch, reflect):
+    r = random_rotation(seed) @ np.diag(
+        [1 + stretch, 1 / (1 + stretch), -1.0 if reflect else 1.0])
+
+    def package(rot):
+        return PoseSE3(rot, np.zeros(3)).rotation
+
+    assert _outcome(package, r) == _outcome(check_rotation_reference, r)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1.01, 1e3, 1e7]),
+       st.sampled_from([0, 3, 6, 9, 11, 12]), st.integers(1, 4), st.integers(1, 4),
+       st.booleans())
+def test_mahalanobis_pairs_agree_with_the_per_pair_distance(seed, floor_factor, spread,
+                                                             n_a, n_b, shared_axes):
+    """Every finite batched distance is far inside the gate's recheck band
+    around the per-pair one; ill-conditioned sums may come back non-finite.
+    With shared axes the thin directions line up, so a sum can be as
+    ill-conditioned as its parts."""
+    rng = np.random.default_rng(seed)
+    envs = [GaussianEnvelope(rng.normal(size=3) * 10.0 ** rng.uniform(-5, 0),
+                             _covariance(seed + j, floor_factor, spread,
+                                         seed if shared_axes else None))
+            for j in range(n_a + n_b)]
+    a, b = envs[:n_a], envs[n_a:]
+    dist = mahalanobis_pairs(a, b)
+    assert dist.shape == (n_a, n_b)
+    for (k, i), d in np.ndenumerate(dist):
+        if np.isfinite(d):
+            exact = mahalanobis_reference(a[k], b[i])
+            assert abs(d - exact) <= 1e-7 * exact
+
+
+# -- one home for SPD algebra -------------------------------------------------
+
+_SPD_CALLS = {"solve", "inv", "cholesky", "eigvalsh", "eigh"}
+
+
+def _spd_algebra_uses(tree):
+    """(line, what) of every scipy.linalg import and np.linalg SPD call."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("scipy.linalg"):
+                    yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = {alias.name for alias in node.names}
+            if node.module.startswith("scipy.linalg") or (
+                    node.module == "scipy" and "linalg" in names):
+                yield node.lineno, f"from {node.module} import ..."
+            elif node.module == "numpy.linalg" and names & _SPD_CALLS:
+                yield node.lineno, f"from numpy.linalg import {sorted(names & _SPD_CALLS)}"
+        elif (isinstance(node, ast.Attribute) and node.attr in _SPD_CALLS
+              and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+            yield node.lineno, f"linalg.{node.attr}"
+
+
+def test_spd_algebra_lives_only_in_geometry():
+    offenders = []
+    for path in sorted(Path(workcell.__file__).parent.glob("*.py")):
+        if path.name == "geometry.py":
+            continue
+        for line, what in _spd_algebra_uses(ast.parse(path.read_text())):
+            offenders.append(f"{path.name}:{line} {what}")
+    assert offenders == []
+
+
+def test_spd_algebra_lint_sees_every_form():
+    code = ("import scipy.linalg\nfrom scipy import linalg\nfrom scipy.linalg import lapack\n"
+            "from numpy.linalg import inv\nnp.linalg.solve(a, b)\nnumpy.linalg.eigh(a)\n"
+            "np.linalg.norm(v)\nnp.linalg.svd(a)\n")
+    assert [line for line, _ in _spd_algebra_uses(ast.parse(code))] == [1, 2, 3, 4, 5, 6]
 
 
 # -- IoU ----------------------------------------------------------------------

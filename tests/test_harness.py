@@ -235,6 +235,55 @@ def test_run_scenario_rejects_out_of_range_reasoner_replies(key, reply, kind):
         run_scenario(ScenarioSpec(doc), trials=1)
 
 
+@pytest.mark.parametrize("plan", [
+    "garbage",
+    {"nodes": "garbage"},
+    {"nodes": ["garbage"]},
+    {"nodes": [{"id": "201", "function": "Move", "key": "r1"}]},
+    {"nodes": [{"id": 201, "function": 7, "key": "r1"}]},
+    {"nodes": [{"id": 201, "function": "Move", "key": "r1", "deps": "ab"}]},
+])
+def test_malformed_recovery_plan_is_a_workcell_error(plan):
+    doc = task3_doc("Obstacle")
+    entry = next(e for e in doc["script"] if e["kind"] == "RecoveryPlan")
+    entry["responses"] = [plan]
+    with pytest.raises(WorkcellError, match="RecoveryPlan"):
+        run_scenario(ScenarioSpec(doc), trials=1)
+
+
+def test_validate_scenario_reports_a_malformed_task_graph():
+    doc = task1_doc()
+    doc["task"] = {"nodes": "garbage"}
+    assert any(e.startswith("task graph") for e in validate_scenario(doc))
+
+
+def test_sense_does_not_rewrite_an_unmoved_held_object():
+    doc = task1_doc()
+    world = build_world(doc, trial_seed=0)
+    store = build_store(doc, world)
+    runtime = harness.TrialRuntime(doc, world, store, harness.build_reasoner(doc))
+    # Held where the zone camera does not see it, so no observation is fused.
+    world.execute_skill("Move", {"position": [0.3, -0.3, 0.3]})
+    world.execute_skill("Pick", {"object": "part_a"})
+    rid = store.vertices["part_a"].grounding
+    store.update_record(rid, attached_to="gripper")
+    runtime.sense()
+    held = store.records[rid].envelope
+    assert held.mean.tolist() == world.robot_position.tolist()
+
+    written = []
+    update = store.update_record
+
+    def spy(record_id, **fields):
+        written.append(record_id)
+        update(record_id, **fields)
+
+    store.update_record = spy
+    runtime.sense()
+    assert rid not in written
+    assert store.records[rid].envelope is held
+
+
 def test_metrics_from_dir_empty_raises(tmp_path):
     with pytest.raises(ScenarioError):
         metrics_from_dir(tmp_path)

@@ -313,10 +313,12 @@ def test_ground_truth_relations():
     rels = world.ground_truth_relations()
     assert ("On", "top", "base") in rels
     assert ("Near", "base", "nearby") in rels and ("Near", "nearby", "base") in rels
+    assert world.on_relations() == {r for r in rels if r[0] == "On"}
     world.execute_skill("Pick", {"object": "top"})
     rels = world.ground_truth_relations()
     assert ("Holding", "robot", "top") in rels
     assert all(r[0] != "On" or r[1] != "top" for r in rels)
+    assert world.on_relations() == {r for r in rels if r[0] == "On"}
 
 
 def test_true_positions_are_copies():
