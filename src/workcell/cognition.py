@@ -365,7 +365,8 @@ class ScriptedReasoner(Reasoner):
                 response = queue.pop(0) if len(queue) > 1 else queue[0]
                 return response
         raise ScriptGapError(
-            f"no scripted response for {request.kind.value!r} key {request.key!r}"
+            request.kind.value,
+            f"no scripted response for {request.kind.value!r} key {request.key!r}",
         )
 
 

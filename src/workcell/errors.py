@@ -33,7 +33,16 @@ class TransactionError(WorkcellError):
     """Transaction log misuse (empty rollback, unknown action)."""
 
 
-class ScriptGapError(WorkcellError):
+class ReasonerFault(WorkcellError):
+    """The reasoner gave no usable reply to a request of kind ``kind``.
+    It ends the trial, which is recorded as failed, not the run."""
+
+    def __init__(self, kind: str, message: str):
+        super().__init__(message)
+        self.kind = kind
+
+
+class ScriptGapError(ReasonerFault):
     """The scripted reasoner has no response for a request."""
 
 

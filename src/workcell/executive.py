@@ -23,7 +23,7 @@ from .cognition import (
     serialize_context,
     validate_ert,
 )
-from .errors import ScenarioError, StateMachineError, WorkcellError
+from .errors import ReasonerFault, ScenarioError, StateMachineError
 from .transactions import (
     CommitDecision,
     ConstraintState,
@@ -38,7 +38,7 @@ from .transactions import (
     mark_committed,
     rollback,
 )
-from .world_model import EdgeStatus, WorldStore
+from .world_model import EdgeStatus, RelationEdge, WorldStore
 
 DRIFT_FLAG_METERS = 0.05
 
@@ -423,7 +423,15 @@ class Executive:
             self._record("subtask_end", node=node.node_id, ok=ok)
             if not ok:
                 break
-        completed = dag.all_completed()
+        return self._result(dag.all_completed())
+
+    def abandon(self, fault: ReasonerFault) -> RunResult:
+        """End the run on a reasoner fault: record it and report the run
+        as not completed."""
+        self._record("reasoner_fault", kind=fault.kind, detail=str(fault))
+        return self._result(False)
+
+    def _result(self, completed: bool) -> RunResult:
         return RunResult(
             completed, self.trace, self.history, self.diagnostics,
             self.n_init, self.n_replan,
@@ -471,10 +479,7 @@ class Executive:
 
     def _execute_primitive(self, node: TaskNode, ert: ERT) -> bool:
         self._clock += 1
-        pre_edges = {
-            (e.predicate, e.subject, e.obj)
-            for e in self.store.edges if e.status != EdgeStatus.REFUTED
-        }
+        pre_edges = list(self.store.edges)
         cs_before = self.cs
         feedback: ExecutionFeedback = self.execute_skill(ert.action, ert.args)
         result = apply_transition(
@@ -545,7 +550,7 @@ class Executive:
         self,
         node: TaskNode,
         ert: ERT,
-        pre_edges: set,
+        pre_edges: list[RelationEdge],
         cs_before: ConstraintState,
         failed_action: str,
         sensed: SenseResult | None = None,
@@ -553,13 +558,17 @@ class Executive:
         if self._in_recovery:
             return False  # one level of recovery; nested failures abort
         sensed = sensed or self._sense_logged()
+        pre_live = {
+            (e.predicate, e.subject, e.obj)
+            for e in pre_edges if e.status != EdgeStatus.REFUTED
+        }
         actual_cs = self.cs
         category = FailureCategory.UNKNOWN
         report = None
         rounds = 0
         for rounds in range(1, self.n_max + 1):
             report = compute_discrepancy(
-                self.store, ert, pre_edges, actual_cs, sensed.positions
+                self.store, ert, pre_live, actual_cs, sensed.positions
             )
             try:
                 category = diagnose(report)
@@ -601,7 +610,8 @@ class Executive:
             try:
                 recovery_dag = TaskDAG.from_doc(plan_doc)
             except ScenarioError as exc:
-                raise WorkcellError(f"RecoveryPlan reply is not a task graph: {exc}") from None
+                raise ReasonerFault(RequestKind.RECOVERY_PLAN.value,
+                                    f"RecoveryPlan reply is not a task graph: {exc}") from None
             result = self.main_loop(recovery_dag)
         finally:
             self._in_recovery = False

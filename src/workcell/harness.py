@@ -29,7 +29,7 @@ from .cognition import (
     ScriptedReasoner,
     SubgraphConfig,
 )
-from .errors import ScenarioError, WorkcellError
+from .errors import ReasonerFault, ScenarioError
 from .executive import (
     ExecutionFeedback,
     Executive,
@@ -231,7 +231,7 @@ def build_store(doc: dict, world: SimWorld,
         if pred == "On":
             store.add_edge("On", subj, obj, EdgeStatus.VERIFIED)
     if priors:
-        store.priors.update(copy.deepcopy(priors))
+        store.add_priors(copy.deepcopy(priors))
     return store
 
 
@@ -324,17 +324,16 @@ class TrialRuntime:
         # Kinematic tracking: a held object rides the end effector. Its
         # record is written only when it differs, byte for byte, from the
         # belief below; the surface scan from the table is stale now.
-        held_uids = []
-        for uid, v in self.store.vertices.items():
-            rec = self.store.records.get(v.grounding)
-            if rec is not None and rec.attached_to == "gripper":
-                if (rec.geometry is not None
-                        or rec.envelope.mean.tobytes() != gripper_pos.tobytes()
-                        or rec.envelope.covariance.tobytes() != _HELD_COVARIANCE.tobytes()):
-                    self.store.update_record(
-                        v.grounding, envelope=GaussianEnvelope(gripper_pos, _HELD_COVARIANCE),
-                        geometry=None)
-                held_uids.append(uid)
+        held_uids = self.store.held_uids()
+        for uid in held_uids:
+            rid = self.store.vertices[uid].grounding
+            rec = self.store.records[rid]
+            if (rec.geometry is not None
+                    or rec.envelope.mean.tobytes() != gripper_pos.tobytes()
+                    or rec.envelope.covariance.tobytes() != _HELD_COVARIANCE.tobytes()):
+                self.store.update_record(
+                    rid, envelope=GaussianEnvelope(gripper_pos, _HELD_COVARIANCE),
+                    geometry=None)
 
         observations = assemble_snapshot(
             self.frame(), camera.intrinsics, PerceptionConfig()
@@ -349,12 +348,18 @@ class TrialRuntime:
             for u in memory_uids
         ]
 
+        # Each side's box depends on that side only: computed on first use.
+        obs_boxes: dict[int, tuple] = {}
+        memory_boxes: dict[int, tuple] = {}
+
         def iou_fn(k, i):
-            obs = observations[k]
-            lo_a = obs.envelope.mean - 2 * np.sqrt(np.diag(obs.envelope.covariance))
-            hi_a = obs.envelope.mean + 2 * np.sqrt(np.diag(obs.envelope.covariance))
-            lo_b, hi_b = record_bounds(memory[i])
-            return xy_iou(lo_a, hi_a, lo_b, hi_b)
+            if k not in obs_boxes:
+                env = observations[k].envelope
+                obs_boxes[k] = (env.mean - 2 * np.sqrt(np.diag(env.covariance)),
+                                env.mean + 2 * np.sqrt(np.diag(env.covariance)))
+            if i not in memory_boxes:
+                memory_boxes[i] = record_bounds(memory[i])
+            return xy_iou(*obs_boxes[k], *memory_boxes[i])
 
         def sim_fn(k, i):
             key = f"{observations[k].label}|{self.store.vertices[memory_uids[i]].label}"
@@ -362,7 +367,8 @@ class TrialRuntime:
                 ReasonerRequest(RequestKind.SEMANTIC_SIMILARITY, key))
             if isinstance(resp, bool) or not isinstance(resp, (int, float)) \
                     or not 0.0 <= resp <= 1.0:
-                raise WorkcellError(f"SemanticSimilarity reply {resp!r} for {key!r} "
+                raise ReasonerFault(RequestKind.SEMANTIC_SIMILARITY.value,
+                                    f"SemanticSimilarity reply {resp!r} for {key!r} "
                                     "is not a number in [0, 1]")
             return float(resp)
 
@@ -398,7 +404,8 @@ class TrialRuntime:
             try:
                 gammas[k] = gamma_of(ReliabilityJudgment(level))
             except ValueError:
-                raise WorkcellError(f"ReliabilityJudgment reply {level!r} for {key!r} "
+                raise ReasonerFault(RequestKind.RELIABILITY_JUDGMENT.value,
+                                    f"ReliabilityJudgment reply {level!r} for {key!r} "
                                     "is not High, Medium, Low or Bad") from None
 
         final = MatchResult(matched, unmatched_obs, unmatched_mem)
@@ -635,7 +642,10 @@ def run_trial(spec: ScenarioSpec, trial_index: int,
         subgraph_cfg=SubgraphConfig(synonyms=synonyms),
     )
     dag = TaskDAG.from_doc(doc["task"])
-    result = executive.main_loop(dag)
+    try:
+        result = executive.main_loop(dag)
+    except ReasonerFault as fault:
+        result = executive.abandon(fault)
     runtime.record_sta_sample()
 
     question_results = []

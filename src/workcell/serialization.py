@@ -6,9 +6,9 @@ Encoding is one pass of CPython's C JSON encoder, built once, over
 str-keyed documents; ``_plain`` converts numpy values as it meets them
 and rejects everything else. A document can also be assembled from parts
 encoded at different times: ``encoded`` and ``encoded_member`` encode
-the parts, ``encoded_object`` joins members, and ``canonical_dumps``
-joins a dict whose values are all ``Encoded``. The text is the same
-either way.
+the parts, ``encoded_object`` joins members, ``encoded_array`` joins
+items, and ``canonical_dumps`` joins a dict whose values are all
+``Encoded``. The text is the same either way.
 """
 
 from __future__ import annotations
@@ -50,12 +50,17 @@ def encoded(value) -> Encoded:
 
 def encoded_member(key: str, value) -> str:
     """``"key":value`` as it appears inside a canonical JSON object."""
-    return _encode({key: value})[1:-1]
+    return encode_basestring_ascii(key) + ":" + _encode(value)
 
 
 def encoded_object(members: list[str]) -> Encoded:
     """The JSON object of ``encoded_member`` texts given in sorted-key order."""
     return Encoded("{" + ",".join(members) + "}")
+
+
+def encoded_array(items: list[str]) -> Encoded:
+    """The JSON array of ``encoded`` texts given in order."""
+    return Encoded("[" + ",".join(items) + "]")
 
 
 def canonical_dumps(value) -> str:

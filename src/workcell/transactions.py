@@ -199,8 +199,10 @@ def capture_inverse(store: WorldStore, cs: ConstraintState, args: dict) -> dict:
     """Structural snapshot of exactly the entities a skill may touch.
 
     Cheaper than copying the store; restoring it must be indistinguishable
-    from restoring a full copy. Edges are immutable, so a copy of the list
-    is exact; the zone index is derived from the vertices and is not kept.
+    from restoring a full copy. Records and vertices have their fields
+    replaced through the store, never mutated in place, and edges are
+    frozen; so a shallow copy of each touched entity and a copy of the edge
+    list are exact. The store's indexes are derived and are not kept.
     """
     uids = _touched_uids(store, args)
     # The held object is mutated by detach-style effects even when the
@@ -209,8 +211,8 @@ def capture_inverse(store: WorldStore, cs: ConstraintState, args: dict) -> dict:
         uids.add(cs.target)
     return {
         "cs": cs,
-        "records": {u: copy.deepcopy(store.records.get(u)) for u in uids},
-        "vertices": {u: copy.deepcopy(store.vertices.get(u)) for u in uids},
+        "records": {u: copy.copy(store.records.get(u)) for u in uids},
+        "vertices": {u: copy.copy(store.vertices.get(u)) for u in uids},
         "edges": list(store.edges),
     }
 
@@ -218,7 +220,7 @@ def capture_inverse(store: WorldStore, cs: ConstraintState, args: dict) -> dict:
 def apply_inverse(store: WorldStore, inverse: dict) -> ConstraintState:
     for uid, vert in inverse["vertices"].items():
         store.restore_entity(uid, inverse["records"][uid], vert)
-    store.edges = list(inverse["edges"])
+    store.set_edges(inverse["edges"])
     return inverse["cs"]
 
 

@@ -2,20 +2,24 @@
 semantic graph with grounding links, relation verification, and
 lifecycle curation.
 
-The store document (``to_dict``) is the whole state. Two things are
-derived from it: the zone index, by one rule (``_indexed_zone``), and the
-canonical-JSON text of each record and vertex, cached for ``state_hash``.
-So every write to an entity goes through a ``WorldStore`` method that
-keeps both: ``add_entity``, ``update_record``, ``update_vertex`` and
-``restore_entity``. Edges are immutable, and ``state_hash`` compares the
-edge list with the one it hashed last, so edge writes need no such method.
+The store document (``to_dict``) is the whole state. Everything else the
+store keeps is derived from it: the zone index, by one rule
+(``_indexed_zone``); the vertices grounded on each record; the records
+attached to the gripper; the edges by subject and by object; and the
+canonical-JSON text of each record, vertex, edge and head section, cached
+for ``state_hash``. So every write goes through a ``WorldStore`` method
+that keeps all of these and marks what it touched for hashing:
+``add_entity``, ``update_record``, ``update_vertex``, ``restore_entity``,
+``add_edge``, ``remove_edges``, ``set_edges``, ``add_zone``,
+``add_priors``, ``update_occupancy`` and ``next_uid``. Records, vertices
+and edges are never mutated in place: a field is replaced through
+``update_record``/``update_vertex``, and edges are frozen.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-import pickle
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -44,6 +48,7 @@ from .serialization import (
     Encoded,
     canonical_dumps,
     encoded,
+    encoded_array,
     encoded_member,
     encoded_object,
     sha256_of,
@@ -197,6 +202,12 @@ def _indexed_zone(v: ObjectVertex | None) -> str:
     return v.zone_id
 
 
+def _index_keys(v: ObjectVertex | None) -> tuple[str, str]:
+    """What a vertex is indexed under: its zone by the rule above, and the
+    record it is grounded on ("" for none)."""
+    return ("", "") if v is None else (_indexed_zone(v), v.grounding)
+
+
 class WorldStore:
     """The persistent store: single-writer, consistent snapshots."""
 
@@ -209,32 +220,61 @@ class WorldStore:
         self.background = BackgroundMap()
         self.tentative: dict[int, TentativeTrack] = {}
         self._uid_counters: dict[str, int] = {}
-        self._zone_index: dict[str, set[str]] = {}
-        self._clear_hash_cache()
-        self._init_robot()
-
-    def _init_robot(self):
         env = GaussianEnvelope(np.zeros(3), 1e-6 * np.eye(3))
         self.records[ROBOT_UID] = ObjectRecord(record_id=ROBOT_UID, envelope=env)
         self.vertices[ROBOT_UID] = ObjectVertex(
             uid=ROBOT_UID, label="robot", grounding=ROBOT_UID
         )
+        self._derive()
+
+    def _derive(self):
+        """Build everything derived from the document from scratch, and mark
+        the whole document for hashing."""
+        self._clear_hash_cache()
+        self._zone_index: dict[str, set[str]] = {}
+        self._grounded: dict[str, set[str]] = {}  # record id -> vertex uids
+        for uid, v in self.vertices.items():
+            zone, grounding = _index_keys(v)
+            if zone:
+                self._zone_index.setdefault(zone, set()).add(uid)
+            if grounding:
+                self._grounded.setdefault(grounding, set()).add(uid)
+        self._held = {rid for rid, r in self.records.items() if r.attached_to == "gripper"}
+        self._index_edges()
 
     # -- uid and indexing --------------------------------------------------
 
     def next_uid(self, label: str) -> str:
         n = self._uid_counters.get(label, 0) + 1
         self._uid_counters[label] = n
+        self._dirty_head.add("uid_counters")
         return f"{label}_{n}"
 
-    def _reindex(self, uid: str, was: str):
-        """The one writer of the zone index: move ``uid`` from ``was``, the
-        zone the rule gave it before a change, to the zone it gives now."""
-        now = _indexed_zone(self.vertices.get(uid))
-        if was and was != now:
-            self._zone_index[was].discard(uid)
-        if now:
-            self._zone_index.setdefault(now, set()).add(uid)
+    def _reindex(self, uid: str, was: tuple[str, str]):
+        """The one writer of the vertex indexes: move ``uid`` from ``was``,
+        what ``_index_keys`` gave before a change, to what it gives now;
+        and mark the vertex for hashing."""
+        zone, grounding = _index_keys(self.vertices.get(uid))
+        if was[0] and was[0] != zone:
+            self._zone_index[was[0]].discard(uid)
+        if zone:
+            self._zone_index.setdefault(zone, set()).add(uid)
+        if was[1] and was[1] != grounding:
+            self._grounded[was[1]].discard(uid)
+        if grounding:
+            self._grounded.setdefault(grounding, set()).add(uid)
+        self._dirty["vertices"].add(uid)
+        if uid == ROBOT_UID:
+            self._dirty_head.add("robot_zone")
+
+    def _record_written(self, rid: str):
+        """Keep the held set for a record just written, and mark it for hashing."""
+        rec = self.records.get(rid)
+        if rec is not None and rec.attached_to == "gripper":
+            self._held.add(rid)
+        else:
+            self._held.discard(rid)
+        self._dirty["records"].add(rid)
 
     @property
     def robot_zone(self) -> str:
@@ -249,6 +289,16 @@ class WorldStore:
 
     def add_zone(self, zone: ZoneNode):
         self.zones[zone.zone_id] = zone
+        self._dirty_head.add("zones")
+
+    def add_priors(self, priors: dict[str, ShapePrior]):
+        self.priors.update(priors)
+        self._dirty_head.add("priors")
+
+    def update_occupancy(self, measurements: list[OccupancyMeasurement]):
+        """``update_occupancy`` on the store's background map."""
+        update_occupancy(self.background, measurements)
+        self._dirty_head.add("background")
 
     def add_entity(
         self,
@@ -278,35 +328,34 @@ class WorldStore:
             grounding=uid,
             zone_id=zone_id,
         )
-        self._reindex(uid, "")
+        self._record_written(uid)
+        self._reindex(uid, ("", ""))
         self.check_integrity([uid])
         return uid
 
     def update_record(self, record_id: str, **fields):
-        """Set fields of a record in place and drop its cached text."""
+        """Replace fields of a record and mark it for hashing."""
         _assign(self.records[record_id], fields)
-        self._fragments["records"].pop(record_id, None)
+        self._record_written(record_id)
 
     def update_vertex(self, uid: str, **fields):
-        """Set fields of a vertex in place, drop its cached text, and move
-        it in the zone index if its zone or lifecycle changed."""
-        was = _indexed_zone(self.vertices[uid])
+        """Replace fields of a vertex, mark it for hashing, and move it in
+        the indexes if its zone, lifecycle or grounding changed."""
+        was = _index_keys(self.vertices[uid])
         _assign(self.vertices[uid], fields)
-        self._fragments["vertices"].pop(uid, None)
         self._reindex(uid, was)
 
     def restore_entity(self, uid: str, record: ObjectRecord | None,
                        vertex: ObjectVertex | None):
         """Put back an entity's record and vertex as captured earlier;
         None means the entity did not exist then."""
-        was = _indexed_zone(self.vertices.get(uid))
+        was = _index_keys(self.vertices.get(uid))
         for table, value in ((self.records, record), (self.vertices, vertex)):
             if value is None:
                 table.pop(uid, None)
             else:
                 table[uid] = value
-        for cache in self._fragments.values():
-            cache.pop(uid, None)
+        self._record_written(uid)
         self._reindex(uid, was)
 
     def add_edge(
@@ -318,19 +367,52 @@ class WorldStore:
                 raise IntegrityError(f"edge endpoint {endpoint} does not exist")
         edge = RelationEdge(predicate, subject, obj, status)
         self.edges.append(edge)
+        self._index_edge(edge)
+        self._edges_dirty = True
         return edge
 
     def remove_edges(self, predicate: str | None = None,
                      subject: str | None = None, obj: str | None = None) -> list[RelationEdge]:
         removed = self.find_edges(predicate, subject, obj)
-        gone = {id(e) for e in removed}
-        self.edges = [e for e in self.edges if id(e) not in gone]
+        if removed:
+            gone = {id(e) for e in removed}
+            self.edges = [e for e in self.edges if id(e) not in gone]
+            for index, keys in ((self._by_subject, {e.subject for e in removed}),
+                                (self._by_object, {e.obj for e in removed})):
+                for key in keys:
+                    index[key] = [e for e in index[key] if id(e) not in gone]
+            self._edges_dirty = True
         return removed
+
+    def set_edges(self, edges: list[RelationEdge]):
+        """Replace the whole edge list, as captured earlier."""
+        self.edges = list(edges)
+        self._index_edges()
+
+    def _index_edge(self, edge: RelationEdge):
+        self._by_subject.setdefault(edge.subject, []).append(edge)
+        self._by_object.setdefault(edge.obj, []).append(edge)
+
+    def _index_edges(self):
+        self._by_subject: dict[str, list[RelationEdge]] = {}
+        self._by_object: dict[str, list[RelationEdge]] = {}
+        for edge in self.edges:
+            self._index_edge(edge)
+        self._edges_dirty = True
 
     def find_edges(self, predicate: str | None = None,
                    subject: str | None = None, obj: str | None = None) -> list[RelationEdge]:
+        """Matching edges in edge-list order, read from the subject or
+        object index when either end is given."""
+        candidates = self.edges
+        if subject is not None:
+            candidates = self._by_subject.get(subject, ())
+        if obj is not None:
+            by_obj = self._by_object.get(obj, ())
+            if subject is None or len(by_obj) < len(candidates):
+                candidates = by_obj
         return [
-            e for e in self.edges
+            e for e in candidates
             if (predicate is None or e.predicate == predicate)
             and (subject is None or e.subject == subject)
             and (obj is None or e.obj == obj)
@@ -339,13 +421,10 @@ class WorldStore:
     def neighbors(self, uids) -> set[str]:
         """Endpoints of every edge that has one end in ``uids``: the 1-hop
         neighbors, whatever the edge's status."""
-        uids = set(uids)
         out = set()
-        for e in self.edges:
-            if e.subject in uids:
-                out.add(e.obj)
-            if e.obj in uids:
-                out.add(e.subject)
+        for uid in set(uids):
+            out.update(e.obj for e in self._by_subject.get(uid, ()))
+            out.update(e.subject for e in self._by_object.get(uid, ()))
         return out
 
     def is_clear(self, uid: str) -> bool:
@@ -354,6 +433,14 @@ class WorldStore:
             e.status != EdgeStatus.REFUTED
             for e in self.find_edges(predicate="On", obj=uid)
         )
+
+    def held_uids(self) -> list[str]:
+        """Vertices whose record is attached to the gripper, in the order
+        of the vertex table."""
+        held = {uid for rid in self._held for uid in self._grounded.get(rid, ())}
+        if len(held) > 1:
+            return [uid for uid in self.vertices if uid in held]
+        return list(held)
 
     def check_integrity(self, uids=None):
         """No live vertex's grounding link dangles; only ``uids`` are
@@ -381,45 +468,9 @@ class WorldStore:
 
     # -- persistence -------------------------------------------------------
 
-    def _head(self) -> dict:
-        """The document's sections other than records, vertices and edges."""
-        return {
-            "version": STORE_SCHEMA_VERSION,
-            "robot_zone": self.robot_zone,
-            "uid_counters": dict(self._uid_counters),
-            "zones": {
-                z.zone_id: {
-                    "name": z.name,
-                    "reachable": list(z.reachable),
-                    "extent": None if z.extent is None else {
-                        "center": z.extent.center.tolist(),
-                        "half_extents": z.extent.half_extents.tolist(),
-                        "rotation": z.extent.rotation.tolist(),
-                    },
-                }
-                for z in self.zones.values()
-            },
-            "priors": {
-                p.prior_id: {
-                    "points": p.canonical_cloud.points.tolist(),
-                    "functional_frame": _pose_doc(p.functional_frame),
-                    "grasp_annotations": p.grasp_annotations,
-                }
-                for p in self.priors.values()
-            },
-            "background": {
-                "cell_size": self.background.cell_size,
-                "bounds": self.background.bounds,
-                "voxels": [
-                    {"index": list(k), "log_odds": v[0], "classes": v[1]}
-                    for k, v in sorted(self.background.voxels.items())
-                ],
-            },
-        }
-
     def to_dict(self) -> dict:
         return {
-            **self._head(),
+            **{name: section(self) for name, section in _HEAD_SECTIONS.items()},
             "records": {uid: _record_doc(r) for uid, r in self.records.items()},
             "vertices": {uid: _vertex_doc(v) for uid, v in self.vertices.items()},
             "edges": [_edge_doc(e) for e in self.edges],
@@ -436,7 +487,6 @@ class WorldStore:
             )
 
         store = cls.__new__(cls)
-        store._clear_hash_cache()
         store._uid_counters = dict(data["uid_counters"])
         store.tentative = {}
         store.zones = {}
@@ -463,7 +513,6 @@ class WorldStore:
                 attached_to=r["attached_to"],
             )
         store.vertices = {}
-        store._zone_index = {}
         for uid, v in data["vertices"].items():
             store.vertices[uid] = ObjectVertex(
                 uid=uid, label=v["label"], state_tag=v["state_tag"],
@@ -471,7 +520,6 @@ class WorldStore:
                 lifecycle=Lifecycle(v["lifecycle"]), confidence=v["confidence"],
                 zone_id=v["zone_id"],
             )
-            store._reindex(uid, "")
         store.edges = [
             RelationEdge(e["predicate"], e["subject"], e["object"], EdgeStatus(e["status"]))
             for e in data["edges"]
@@ -491,6 +539,7 @@ class WorldStore:
         )
         for v in data["background"]["voxels"]:
             store.background.voxels[tuple(v["index"])] = [v["log_odds"], v["classes"]]
+        store._derive()
         return store
 
     def serialize(self) -> str:
@@ -499,48 +548,74 @@ class WorldStore:
     # -- hashing -----------------------------------------------------------
 
     def _clear_hash_cache(self):
-        # Per table: the '"uid":{...}' text of each entry, and the uids in
-        # sorted order (a dict, so its keys compare with the table's).
-        self._fragments: dict[str, dict[str, str]] = {"records": {}, "vertices": {}}
-        self._order: dict[str, dict[str, None]] = {"records": {}, "vertices": {}}
-        self._hashed_edges: list[RelationEdge] | None = None
-        self._head_key = b""
+        """Forget every cached text and mark the whole document dirty."""
+        # Per table: the '"uid":{...}' text of each entry in sorted uid
+        # order, each uid's place in that list, and the uids written since
+        # the last hash.
+        self._texts: dict[str, list[str]] = {"records": [], "vertices": []}
+        self._places: dict[str, dict[str, int]] = {"records": {}, "vertices": {}}
+        self._dirty: dict[str, set[str]] = {"records": set(self.records),
+                                            "vertices": set(self.vertices)}
+        # id(edge) -> (edge, its text); the edge is kept so its id stays its own.
+        self._edge_texts: dict[int, tuple[RelationEdge, str]] = {}
+        self._edges_dirty = True
+        self._dirty_head: set[str] = set(_HEAD_SECTIONS)
         self._sections: dict[str, Encoded] = {}  # top-level key -> its value's text
         self._digest = ""
 
     def state_hash(self) -> str:
         """``sha256(serialize())``, assembled from cached texts.
 
-        Only the records and vertices whose text a write dropped (or that
-        were never hashed) are encoded again; the edge list only when it
-        differs from the one hashed last; the head sections only when
-        their pickle differs, which is exact and, unlike encoding their
-        floats, cheap. When nothing differs, the last digest is returned.
+        Writes mark what they touch. Only the marked records and vertices
+        are encoded again and only a marked table is joined again; a marked
+        edge list encodes only the edges it has not encoded before; a marked
+        head section is encoded again. When nothing is marked, the last
+        digest is returned.
         """
         sections = self._sections
         changed = False
         for name, table, to_doc in (("records", self.records, _record_doc),
                                     ("vertices", self.vertices, _vertex_doc)):
-            cache = self._fragments[name]
-            if cache.keys() == table.keys() and name in sections:
+            dirty = self._dirty[name]
+            if not dirty:
                 continue
-            for uid in cache.keys() - table.keys():
-                del cache[uid]
-            for uid in table.keys() - cache.keys():
-                cache[uid] = encoded_member(uid, to_doc(table[uid]))
-            if self._order[name].keys() != table.keys():
-                self._order[name] = dict.fromkeys(sorted(table))
-            sections[name] = encoded_object([cache[uid] for uid in self._order[name]])
+            texts, places = self._texts[name], self._places[name]
+            moved = {}  # uid -> its text, or None, for entries that came or went
+            for uid in dirty:
+                value, place = table.get(uid), places.get(uid)
+                if value is not None:
+                    text = encoded_member(uid, to_doc(value))
+                    if place is None:
+                        moved[uid] = text
+                    else:
+                        texts[place] = text
+                elif place is not None:
+                    moved[uid] = None
+            dirty.clear()
+            if moved:  # place every entry again
+                live = dict(zip(places, texts))  # places is in sorted order
+                live.update(moved)
+                order = sorted(uid for uid, text in live.items() if text is not None)
+                self._texts[name] = texts = [live[uid] for uid in order]
+                self._places[name] = dict(zip(order, range(len(order))))
+            sections[name] = encoded_object(texts)
             changed = True
-        if self.edges != self._hashed_edges:
-            self._hashed_edges = list(self.edges)
-            sections["edges"] = encoded([_edge_doc(e) for e in self.edges])
+        if self._edges_dirty:
+            known, kept, texts = self._edge_texts, {}, []
+            for e in self.edges:
+                entry = known.get(id(e))
+                if entry is None or entry[0] is not e:
+                    entry = (e, encoded(_edge_doc(e)))
+                kept[id(e)] = entry
+                texts.append(entry[1])
+            self._edge_texts = kept
+            self._edges_dirty = False
+            sections["edges"] = encoded_array(texts)
             changed = True
-        head = self._head()
-        key = pickle.dumps(head, pickle.HIGHEST_PROTOCOL)
-        if key != self._head_key:
-            self._head_key = key
-            sections.update((name, encoded(value)) for name, value in head.items())
+        if self._dirty_head:
+            for name in self._dirty_head:
+                sections[name] = encoded(_HEAD_SECTIONS[name](self))
+            self._dirty_head.clear()
             changed = True
         if changed:
             self._digest = sha256_of(sections)
@@ -556,6 +631,56 @@ def _pose_doc(p: PoseSE3 | None):
     }
 
 
+def _zones_doc(store: WorldStore) -> dict:
+    return {
+        z.zone_id: {
+            "name": z.name,
+            "reachable": list(z.reachable),
+            "extent": None if z.extent is None else {
+                "center": z.extent.center.tolist(),
+                "half_extents": z.extent.half_extents.tolist(),
+                "rotation": z.extent.rotation.tolist(),
+            },
+        }
+        for z in store.zones.values()
+    }
+
+
+def _priors_doc(store: WorldStore) -> dict:
+    return {
+        p.prior_id: {
+            "points": p.canonical_cloud.points.tolist(),
+            "functional_frame": _pose_doc(p.functional_frame),
+            "grasp_annotations": p.grasp_annotations,
+        }
+        for p in store.priors.values()
+    }
+
+
+def _background_doc(store: WorldStore) -> dict:
+    bg = store.background
+    return {
+        "cell_size": bg.cell_size,
+        "bounds": bg.bounds,
+        "voxels": [
+            {"index": list(k), "log_odds": v[0], "classes": v[1]}
+            for k, v in sorted(bg.voxels.items())
+        ],
+    }
+
+
+# The document's sections other than records, vertices and edges, in
+# document order; each is encoded on its own for ``state_hash``.
+_HEAD_SECTIONS = {
+    "version": lambda store: STORE_SCHEMA_VERSION,
+    "robot_zone": lambda store: store.robot_zone,
+    "uid_counters": lambda store: dict(store._uid_counters),
+    "zones": _zones_doc,
+    "priors": _priors_doc,
+    "background": _background_doc,
+}
+
+
 def _record_doc(r: ObjectRecord) -> dict:
     return {
         "envelope": {
@@ -569,13 +694,18 @@ def _record_doc(r: ObjectRecord) -> dict:
     }
 
 
+# The documents below read an enum member's value as ``_value_``, the
+# attribute the ``value`` property returns, because they run once per entity
+# and edge on every full encode and the property costs two Python calls.
+
+
 def _vertex_doc(v: ObjectVertex) -> dict:
     return {
         "label": v.label,
         "state_tag": v.state_tag,
         "attributes": dict(v.attributes),
         "grounding": v.grounding,
-        "lifecycle": v.lifecycle.value,
+        "lifecycle": v.lifecycle._value_,
         "confidence": v.confidence,
         "zone_id": v.zone_id,
     }
@@ -583,7 +713,7 @@ def _vertex_doc(v: ObjectVertex) -> dict:
 
 def _edge_doc(e: RelationEdge) -> dict:
     return {"predicate": e.predicate, "subject": e.subject,
-            "object": e.obj, "status": e.status.value}
+            "object": e.obj, "status": e.status._value_}
 
 
 def geom_to_dict(g: GeomAbstraction | None):

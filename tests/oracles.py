@@ -99,6 +99,38 @@ def zone_members(store, zone_id: str) -> list[str]:
     )
 
 
+def find_edges_scan(store, predicate=None, subject=None, obj=None) -> list:
+    """The edges matching every given field, by a scan of the edge list."""
+    return [
+        e for e in store.edges
+        if predicate in (None, e.predicate) and subject in (None, e.subject)
+        and obj in (None, e.obj)
+    ]
+
+
+def neighbors_scan(store, uids) -> set:
+    """The other end of every edge with one end in ``uids``, by a scan."""
+    uids = set(uids)
+    return ({e.obj for e in store.edges if e.subject in uids}
+            | {e.subject for e in store.edges if e.obj in uids})
+
+
+def is_clear_scan(store, uid: str) -> bool:
+    """No On edge that is not refuted has ``uid`` as its object, by a scan."""
+    return not any(e.predicate == "On" and e.obj == uid and e.status.value != "Refuted"
+                   for e in store.edges)
+
+
+def held_uids_scan(store) -> list:
+    """Vertices whose grounding record is attached to the gripper, in the
+    order of a scan of the vertex table."""
+    return [
+        uid for uid, v in store.vertices.items()
+        if v.grounding in store.records
+        and store.records[v.grounding].attached_to == "gripper"
+    ]
+
+
 def store_digest(store) -> str:
     """The store hash computed from scratch: SHA-256 of the whole document,
     encoded by the reference path above rather than the package's."""

@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import workcell.executive as executive
 import workcell.harness as harness
 from workcell import cli, simulator
-from workcell.errors import ScenarioError, WorkcellError
+from workcell.errors import ReasonerFault, ScenarioError, WorkcellError
 from workcell.geometry import GaussianEnvelope
 from workcell.harness import (
     ScenarioSpec,
@@ -29,10 +30,17 @@ from workcell.harness import (
     sta_from_samples,
     validate_scenario,
 )
+from workcell.transactions import FTEvent, FTSignal
 from workcell.world_model import EdgeStatus, Lifecycle, WorldStore, ZoneNode
 
 from fixtures import task1_doc, task3_doc
-from oracles import store_digest
+from oracles import (
+    find_edges_scan,
+    held_uids_scan,
+    is_clear_scan,
+    neighbors_scan,
+    store_digest,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -224,6 +232,15 @@ def test_run_scenario_writes_artifacts(tmp_path):
     assert recomputed.to_dict() == json.loads((out / "metrics.json").read_text())
 
 
+def _faulted(log, kind):
+    """The trial failed on a reasoner fault of request kind ``kind``, and
+    recorded it as the last event of its trace."""
+    assert not log["success"]
+    event = log["trace"][-1]
+    assert event["event"] == "reasoner_fault" and event["kind"] == kind
+    return event
+
+
 @pytest.mark.parametrize("key,reply,kind", [
     ("similarity_default", 1.7, "SemanticSimilarity"),
     ("reliability_default", "Maybe", "ReliabilityJudgment"),
@@ -231,8 +248,12 @@ def test_run_scenario_writes_artifacts(tmp_path):
 def test_run_scenario_rejects_out_of_range_reasoner_replies(key, reply, kind):
     doc = task1_doc()
     doc[key] = reply
-    with pytest.raises(WorkcellError, match=kind):
-        run_scenario(ScenarioSpec(doc), trials=1)
+    report, logs = run_scenario(ScenarioSpec(doc), trials=2)
+    assert len(logs) == 2  # the fault ends one trial, not the run
+    for log in logs:
+        assert repr(reply) in _faulted(log, kind)["detail"]
+        assert log["log_chain_valid"]
+    assert report.tsr == 0.0
 
 
 @pytest.mark.parametrize("plan", [
@@ -247,8 +268,19 @@ def test_malformed_recovery_plan_is_a_workcell_error(plan):
     doc = task3_doc("Obstacle")
     entry = next(e for e in doc["script"] if e["kind"] == "RecoveryPlan")
     entry["responses"] = [plan]
-    with pytest.raises(WorkcellError, match="RecoveryPlan"):
-        run_scenario(ScenarioSpec(doc), trials=1)
+    _report, logs = run_scenario(ScenarioSpec(doc), trials=1)
+    detail = _faulted(logs[0], "RecoveryPlan")["detail"]
+    assert detail.startswith("RecoveryPlan reply is not a task graph")
+    assert issubclass(ReasonerFault, WorkcellError)
+
+
+def test_missing_recovery_plan_fails_the_trial():
+    doc = task3_doc("Obstacle")
+    doc["script"] = [e for e in doc["script"] if e["kind"] != "RecoveryPlan"]
+    _report, logs = run_scenario(ScenarioSpec(doc), trials=2)
+    for log in logs:
+        assert "no scripted response" in _faulted(log, "RecoveryPlan")["detail"]
+        assert [d["category"] for d in log["diagnostics"]][-1] == "MotionInterrupted"
 
 
 def test_validate_scenario_reports_a_malformed_task_graph():
@@ -282,6 +314,48 @@ def test_sense_does_not_rewrite_an_unmoved_held_object():
     runtime.sense()
     assert rid not in written
     assert store.records[rid].envelope is held
+
+
+def test_rollback_after_a_refused_commit(monkeypatch):
+    """A Pick the controller reports as done while the part stays on the
+    table: no adverse force-torque event, so the transition commits to the
+    log as applied; perception then refuses the commit and ``rollback()``
+    reverts it. After the revert the store's edge index and held set equal
+    a fresh scan, and the log's hash chain holds."""
+    def pick_on_air(world, args):
+        return simulator.SkillOutcome(True, ft_events=[
+            FTEvent(FTSignal.GRIPPER_FORCE, simulator._NOMINAL_GRIP, "N")])
+
+    def store_with_a_support(doc, world, priors=None):
+        store = build(doc, world, priors)
+        store.add_edge("On", "part_a", "zone_a", EdgeStatus.VERIFIED)
+        return store
+
+    reverted = []
+
+    def checked_rollback(log, store):
+        cs = rollback(log, store)
+        for uid in [*store.vertices, *store.zones]:
+            for predicate in (None, "On"):
+                for ends in ({"subject": uid}, {"obj": uid}):
+                    assert store.find_edges(predicate, **ends) == find_edges_scan(
+                        store, predicate, **ends)
+            assert store.neighbors([uid]) == neighbors_scan(store, [uid])
+            assert store.is_clear(uid) == is_clear_scan(store, uid)
+        assert store.held_uids() == held_uids_scan(store) == []
+        assert store.find_edges("On", "part_a", "zone_a")
+        reverted.append(log.entries[-1].action)
+        return cs
+
+    build, rollback = harness.build_store, executive.rollback
+    monkeypatch.setattr(simulator.SimWorld, "_do_pick", pick_on_air)
+    monkeypatch.setattr(harness, "build_store", store_with_a_support)
+    monkeypatch.setattr(executive, "rollback", checked_rollback)
+    log = run_trial(ScenarioSpec(task1_doc()), 0)
+    assert reverted == ["rollback(Pick)"]
+    assert log["log_chain_valid"]
+    aborted = [e for e in log["trace"] if e["event"] == "aborted"]
+    assert aborted and "does not track the gripper" in aborted[0]["hint"]
 
 
 def test_metrics_from_dir_empty_raises(tmp_path):

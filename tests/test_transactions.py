@@ -50,7 +50,7 @@ def make_store():
     store.robot_zone = "z1"
     store.add_entity("part", _env([0.4, 0, 0.02]), "z1", uid="part")
     store.add_entity("plate", _env([1.0, 0, 0.02]), "z2", uid="plate")
-    store.priors["p"] = ShapePrior("p", PointCloudData(np.eye(3)))
+    store.add_priors({"p": ShapePrior("p", PointCloudData(np.eye(3)))})
     return store
 
 

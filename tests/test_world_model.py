@@ -67,7 +67,15 @@ from workcell.world_model import (
 )
 
 from fixtures import task1_doc
-from oracles import store_digest, to_jsonable, zone_members
+from oracles import (
+    find_edges_scan,
+    held_uids_scan,
+    is_clear_scan,
+    neighbors_scan,
+    store_digest,
+    to_jsonable,
+    zone_members,
+)
 
 
 def _env(mean, sigma=0.01):
@@ -204,14 +212,13 @@ def _populated_store():
         geometry=PointsGeom(PointCloudData(np.arange(12.0).reshape(4, 3))),
         attributes={"color": "red"},
     )
-    prior = ShapePrior("gear_prior", PointCloudData(np.eye(3)))
-    store.priors["gear_prior"] = prior
+    store.add_priors({"gear_prior": ShapePrior("gear_prior", PointCloudData(np.eye(3)))})
     b = store.add_entity(
         "slot", _env([0.1, 0.2, 0.1]), "z1", shape_prior="gear_prior",
         pose=PoseSE3.identity(),
     )
     store.add_edge("On", a, b, EdgeStatus.VERIFIED)
-    update_occupancy(store.background, [OccupancyMeasurement((0, 1, 2), True)])
+    store.update_occupancy([OccupancyMeasurement((0, 1, 2), True)])
     return store
 
 
@@ -357,15 +364,15 @@ def test_verify_on_support_geometry():
 
 def test_verify_aligned_mating_frame():
     store = _store_with_zone()
-    store.priors["p"] = ShapePrior(
+    store.add_priors({"p": ShapePrior(
         "p", PointCloudData(np.eye(3)),
         functional_frame=PoseSE3(np.eye(3), [0, 0, 0.02]),
-    )
+    )})
     part = store.add_entity(
         "part", _env([0, 0, 0.02]), "z1", shape_prior="p",
         pose=PoseSE3(np.eye(3), [0, 0, 0.02]),
     )
-    store.priors["q"] = ShapePrior("q", PointCloudData(np.eye(3)))
+    store.add_priors({"q": ShapePrior("q", PointCloudData(np.eye(3)))})
     hole = store.add_entity(
         "hole", _env([0, 0, 0]), "z1", shape_prior="q", pose=PoseSE3.identity()
     )
@@ -387,7 +394,8 @@ def test_verify_clear_and_unknown_predicate():
     store.add_edge("On", b, a)
     assert verify_relation(RelationEdge("Clear", a, a), store) == EdgeStatus.REFUTED
     # A refuted support blocks nothing; edges are immutable, so replace it.
-    store.edges[-1] = RelationEdge("On", b, a, EdgeStatus.REFUTED)
+    store.remove_edges("On", b, a)
+    store.add_edge("On", b, a, EdgeStatus.REFUTED)
     assert store.is_clear(a)
     with pytest.raises(WorkcellError):
         verify_relation(RelationEdge("Levitates", a, b), store)
@@ -579,8 +587,9 @@ _label = st.sampled_from(["gear", "bolt"])
 
 class StoreHashMachine(RuleBasedStateMachine):
     """Random writes through the store's methods. After every step the
-    cached ``state_hash`` equals the digest computed from scratch, and a
-    reverted write restores ``state_bytes``."""
+    cached ``state_hash`` equals the digest computed from scratch, the
+    store's indexes answer as scans of its tables do, and the document
+    round-trips; a reverted write restores ``state_bytes``."""
 
     def __init__(self):
         super().__init__()
@@ -601,7 +610,7 @@ class StoreHashMachine(RuleBasedStateMachine):
         fields = data.draw(st.sampled_from([
             {"envelope": _env(mean)},
             {"attached_to": attached},
-            {"pose": PoseSE3(np.eye(3), mean) if posed else None},
+            {"pose": PoseSE3(np.eye(3), mean), "shape_prior": "p"} if posed else {"pose": None},
             {"geometry": PointsGeom(PointCloudData(np.array([mean]))) if scanned else None},
         ]))
         self.store.update_record(rid, **fields)
@@ -669,12 +678,50 @@ class StoreHashMachine(RuleBasedStateMachine):
 
     @rule(cell=st.integers(0, 3), hit=st.booleans())
     def observe_background(self, cell, hit):
-        # No store method sees this write; state_hash must notice the head changed.
-        update_occupancy(self.store.background, [OccupancyMeasurement((cell, 0, 0), hit)])
+        self.store.update_occupancy([OccupancyMeasurement((cell, 0, 0), hit)])
+
+    @rule(name=st.sampled_from(["p", "q"]), x=_coord)
+    def add_priors(self, name, x):
+        self.store.add_priors({name: ShapePrior(name, PointCloudData(np.array([[x, 0.0, 0.0]])))})
+
+    @rule(zone=st.sampled_from(["z2", "z3"]), reachable=st.booleans())
+    def add_zone(self, zone, reachable):
+        self.store.add_zone(ZoneNode(zone, zone, ["z1"] if reachable else []))
 
     @invariant()
     def hash_matches_scratch_digest(self):
         assert self.store.state_hash() == store_digest(self.store)
+
+    @invariant()
+    def indexes_match_scans(self):
+        store = self.store
+        for uid in [*store.vertices, *store.zones, "ghost"]:
+            for predicate in (None, "On", "Near"):
+                for ends in ({"subject": uid}, {"obj": uid}):
+                    assert _ids(store.find_edges(predicate, **ends)) == _ids(
+                        find_edges_scan(store, predicate, **ends))
+            assert store.neighbors([uid]) == neighbors_scan(store, [uid])
+            assert store.is_clear(uid) == is_clear_scan(store, uid)
+        for e in store.edges:
+            assert _ids(store.find_edges(e.predicate, e.subject, e.obj)) == _ids(
+                find_edges_scan(store, e.predicate, e.subject, e.obj))
+        assert _ids(store.find_edges()) == _ids(store.edges)
+        assert store.held_uids() == held_uids_scan(store)
+        for zone in store.zones:
+            members = zone_members(store, zone)
+            assert [v.uid for v in store.entities_in_zone(zone)] == members
+            assert store.zone_candidate_count(zone) == len(members)
+
+    @invariant()
+    def round_trip_keeps_document_and_digest(self):
+        clone = WorldStore.from_dict(self.store.to_dict())
+        assert clone.serialize() == self.store.serialize()
+        assert clone.state_hash() == self.store.state_hash()
+        assert clone.held_uids() == self.store.held_uids()
+
+
+def _ids(edges):
+    return [id(e) for e in edges]
 
 
 def test_hash_cache_matches_scratch_digest_under_random_writes():
@@ -710,13 +757,53 @@ def _attribute_writes(tree):
                     yield sub.lineno, sub.attr
 
 
+# The store's containers: whatever writes into them must keep the indexes
+# and mark what it touched, so only the store's own methods may.
+_STORE_CONTAINERS = {"edges", "records", "vertices", "priors", "zones", "background"}
+# The simulator keeps its own zone table.
+_CONTAINERS_ALLOWED = {"world_model.py": _STORE_CONTAINERS, "simulator.py": {"zones"}}
+_MUTATORS = {"append", "extend", "insert", "remove", "clear", "pop", "popitem",
+             "setdefault", "update", "sort", "reverse"}
+
+
+def _container_writes(tree):
+    """(line, name) of every write into an attribute named in
+    ``_STORE_CONTAINERS``: assigning or deleting it, assigning or deleting
+    anything reached from it by subscript or attribute, or calling a
+    mutating method on it."""
+    written = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            written += node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            written.append(node.target)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in _MUTATORS):
+            written.append(node.func.value)
+    while written:
+        expr = written.pop()
+        if isinstance(expr, (ast.Tuple, ast.List)):
+            written += expr.elts
+        elif isinstance(expr, ast.Starred):
+            written.append(expr.value)
+        elif isinstance(expr, (ast.Attribute, ast.Subscript)):
+            if isinstance(expr, ast.Attribute) and expr.attr in _STORE_CONTAINERS:
+                yield expr.lineno, expr.attr
+            written.append(expr.value)
+
+
 def test_store_fields_are_written_only_through_the_store():
     offenders = []
     for path in sorted(Path(workcell.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
         allowed = _ALLOWED.get(path.name, set())
-        for line, name in _attribute_writes(ast.parse(path.read_text())):
+        for line, name in _attribute_writes(tree):
             if name in _STORE_FIELDS - allowed:
                 offenders.append(f"{path.name}:{line} writes .{name}")
+        allowed = _CONTAINERS_ALLOWED.get(path.name, set())
+        for line, name in _container_writes(tree):
+            if name not in allowed:
+                offenders.append(f"{path.name}:{line} writes into .{name}")
     assert offenders == []
 
 
@@ -725,3 +812,10 @@ def test_store_field_lint_sees_every_form_of_write():
             "setattr(v, 'lifecycle', x)\nv.label = 'ok'\n")
     names = sorted(name for _, name in _attribute_writes(ast.parse(code)))
     assert names == ["confidence", "envelope", "label", "lifecycle", "pose", "zone_id"]
+    code = ("s.edges = []\ns.records[u] = r\ndel s.vertices[u]\ns.priors.update(p)\n"
+            "s.zones.pop(z)\ns.background.voxels[i] = v\nx, s.edges[-1] = 1, e\n"
+            "self.store.records.clear()\ns.tentative[k] = t\ns.edges.index(e)\n"
+            "x = s.records[u]\nlog.append(s.edges)\n")
+    names = sorted(name for _, name in _container_writes(ast.parse(code)))
+    assert names == ["background", "edges", "edges", "priors", "records", "records",
+                     "vertices", "zones"]
