@@ -28,9 +28,6 @@ _RECHECK_BAND = 1e-6
 # Finite stand-in used when feeding the assignment solver.
 _BIG_COST = 1e9
 
-# Per-cycle process noise applied to unobserved objects (m^2 per axis).
-DRIFT_PER_CYCLE = 0.001
-
 
 @dataclass
 class AssociationConfig:
@@ -191,13 +188,3 @@ def fuse(
     cov = 0.5 * (cov + cov.T)
     mean = cov @ (prior_info @ prior.mean + gamma * (obs_info @ obs.mean))
     return GaussianEnvelope(mean, cov)
-
-
-def inflate_drift(env: GaussianEnvelope, cycles: int) -> GaussianEnvelope:
-    """Add per-cycle positional process noise for unobserved objects."""
-    if cycles < 0:
-        raise ValueError("cycles must be non-negative")
-    if cycles == 0:
-        return env
-    cov = env.covariance + cycles * DRIFT_PER_CYCLE * np.eye(3)
-    return GaussianEnvelope(env.mean, cov)

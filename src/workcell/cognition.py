@@ -186,12 +186,11 @@ def validate_ert(doc, store: WorldStore) -> tuple[ERT | None, ValidationReport]:
             ValidationStage.SYNTACTIC, f"unknown action {ert.action!r}", stages
         )
 
-    known = set(store.vertices) | set(store.zones)
     referenced = [v for v in ert.args.values() if isinstance(v, str)]
     for _, s, o in ert.world_belief + ert.add_relations + ert.remove_relations:
         referenced.extend([s, o])
     for uid in referenced:
-        if uid not in known:
+        if uid not in store.vertices and uid not in store.zones:
             return None, _fail(
                 ValidationStage.SEMANTIC, f"unknown entity {uid!r}", stages
             )
@@ -225,13 +224,12 @@ def validate_ert(doc, store: WorldStore) -> tuple[ERT | None, ValidationReport]:
 # -- context subgraph --------------------------------------------------------
 
 
-@dataclass
-class SubgraphConfig:
-    w_direct: float = 1.0
-    w_hop: float = 0.5
-    w_keyword: float = 0.2
-    tau_rel: float = 0.3
-    synonyms: dict[str, list[str]] = field(default_factory=dict)
+# Relevance weights: direct argument, 1-hop neighbour, keyword match; a
+# candidate is kept when its score exceeds TAU_REL.
+W_DIRECT = 1.0
+W_HOP = 0.5
+W_KEYWORD = 0.2
+TAU_REL = 0.3
 
 
 def keyword_similarity(category: str, keywords: list[str], synonyms: dict) -> float:
@@ -254,14 +252,15 @@ def extract_subgraph(
     store: WorldStore,
     subtask: dict,
     cs,
-    cfg: SubgraphConfig | None = None,
+    synonyms: dict[str, list[str]] | None = None,
 ) -> ContextSubgraph:
     """Relevance-scored vertex subset plus induced edges.
 
     subtask carries "args" (entity uids), optional "zones" (goal zones),
-    and optional "keywords" (category words for soft matching).
+    and optional "keywords" (category words for soft matching); synonyms
+    maps a category to the words that also name it.
     """
-    cfg = cfg or SubgraphConfig()
+    synonyms = synonyms or {}
     args = [a for a in subtask.get("args", []) if isinstance(a, str)]
     zones = {store.robot_zone} | set(subtask.get("zones", []))
     zones |= {a for a in args if a in store.zones}
@@ -285,11 +284,11 @@ def extract_subgraph(
         if uid == ROBOT_UID:
             continue
         r = (
-            cfg.w_direct * (uid in arg_set)
-            + cfg.w_hop * (uid in hop)
-            + cfg.w_keyword * keyword_similarity(v.label, keywords, cfg.synonyms)
+            W_DIRECT * (uid in arg_set)
+            + W_HOP * (uid in hop)
+            + W_KEYWORD * keyword_similarity(v.label, keywords, synonyms)
         )
-        if r > cfg.tau_rel:
+        if r > TAU_REL:
             kept.append(uid)
 
     members = set(kept) | {ROBOT_UID}

@@ -14,10 +14,10 @@ import numpy as np
 
 from .cognition import (
     ERT,
+    N_MAX_DEFAULT,
     Reasoner,
     ReasonerRequest,
     RequestKind,
-    SubgraphConfig,
     extract_subgraph,
     get_valid_ert,
     serialize_context,
@@ -37,6 +37,7 @@ from .transactions import (
     check_commit,
     mark_committed,
     rollback,
+    touched_uids,
 )
 from .world_model import EdgeStatus, RelationEdge, WorldStore
 
@@ -210,23 +211,16 @@ class DiscrepancyReport:
         }
 
 
-def touched_objects(store: WorldStore, ert: ERT) -> set[str]:
-    """The action's arguments plus their 1-hop relation neighbors."""
-    direct = {v for v in ert.args.values() if isinstance(v, str) and v in store.vertices}
-    return direct | store.neighbors(direct)
-
-
 def compute_discrepancy(
     store: WorldStore,
     ert: ERT,
     pre_edges: set[tuple[str, str, str]],
     actual_cs: ConstraintState,
     actual_positions: dict[str, np.ndarray] | None = None,
-    drift_threshold: float = DRIFT_FLAG_METERS,
 ) -> DiscrepancyReport:
     """Pure set/compare diff between the observed post-state and the
     trace's causal assumption. No reasoner involvement."""
-    touched = touched_objects(store, ert)
+    touched = touched_uids(store, ert.args)
 
     def scoped(edges):
         return {e for e in edges if e[1] in touched or e[2] in touched}
@@ -256,7 +250,7 @@ def compute_discrepancy(
                 continue
             d = float(np.linalg.norm(np.asarray(pos, float) - np.asarray(expected_pos)))
             drift[uid] = d
-            if d > drift_threshold:
+            if d > DRIFT_FLAG_METERS:
                 flagged.append(uid)
 
     return DiscrepancyReport(delta_cs, actual - expected, expected - actual, drift, flagged)
@@ -351,15 +345,15 @@ class Executive:
         reasoner: Reasoner,
         execute_skill,  # (action, args) -> ExecutionFeedback
         sense,  # () -> SenseResult
-        n_max: int = 5,
-        subgraph_cfg: SubgraphConfig | None = None,
+        n_max: int = N_MAX_DEFAULT,
+        synonyms: dict[str, list[str]] | None = None,
     ):
         self.store = store
         self.reasoner = reasoner
         self.execute_skill = execute_skill
         self.sense = sense
         self.n_max = n_max
-        self.subgraph_cfg = subgraph_cfg or SubgraphConfig()
+        self.synonyms = synonyms
         self.cs = ConstraintState()
         self.log = TransactionLog()
         self.history = ActionHistory()
@@ -404,7 +398,7 @@ class Executive:
             "keywords": node.keywords,
             "zones": node.zones,
         }
-        sub = extract_subgraph(self.store, subtask, self.cs, self.subgraph_cfg)
+        sub = extract_subgraph(self.store, subtask, self.cs, self.synonyms)
         return serialize_context(sub, self.store, subtask, self.cs)
 
     # -- loop ---------------------------------------------------------------
@@ -466,7 +460,11 @@ class Executive:
             payload=self._context_payload(node),
         ))
         self._count_calls(before)
-        sequence = response.get("sequence", []) if isinstance(response, dict) else []
+        sequence = response.get("sequence") if isinstance(response, dict) else None
+        if not isinstance(sequence, list):
+            raise ReasonerFault(RequestKind.PROPOSE_MICRO_SEQUENCE.value,
+                                f"ProposeMicroSequence reply {response!r} has no "
+                                "list under 'sequence'")
         for doc in sequence:
             ert, report = validate_ert(doc, self.store)
             if ert is None:

@@ -24,10 +24,10 @@ from .association import (
     gamma_of,
 )
 from .cognition import (
+    N_MAX_DEFAULT,
     ReasonerRequest,
     RequestKind,
     ScriptedReasoner,
-    SubgraphConfig,
 )
 from .errors import ReasonerFault, ScenarioError
 from .executive import (
@@ -48,7 +48,6 @@ from .geometry import (
 from .perception import (
     CameraIntrinsics,
     Frame,
-    PerceptionConfig,
     PointsGeom,
     assemble_snapshot,
 )
@@ -335,9 +334,7 @@ class TrialRuntime:
                     rid, envelope=GaussianEnvelope(gripper_pos, _HELD_COVARIANCE),
                     geometry=None)
 
-        observations = assemble_snapshot(
-            self.frame(), camera.intrinsics, PerceptionConfig()
-        )
+        observations = assemble_snapshot(self.frame(), camera.intrinsics)
 
         memory_uids = [
             v.uid for v in self.store.entities_in_zone(self.world.robot_zone)
@@ -638,8 +635,8 @@ def run_trial(spec: ScenarioSpec, trial_index: int,
     synonyms = {k: list(v) for k, v in doc.get("synonyms", {}).items()}
     executive = Executive(
         store, reasoner, runtime.execute_skill, runtime.sense,
-        n_max=int(doc.get("n_max", 5)),
-        subgraph_cfg=SubgraphConfig(synonyms=synonyms),
+        n_max=int(doc.get("n_max", N_MAX_DEFAULT)),
+        synonyms=synonyms,
     )
     dag = TaskDAG.from_doc(doc["task"])
     try:

@@ -189,10 +189,10 @@ def state_bytes(store: WorldStore, cs: ConstraintState) -> str:
 # -- inverse deltas ----------------------------------------------------------
 
 
-def _touched_uids(store: WorldStore, args: dict) -> set[str]:
+def touched_uids(store: WorldStore, args: dict) -> set[str]:
+    """The action's arguments plus their 1-hop relation neighbors."""
     direct = {v for v in args.values() if isinstance(v, str) and v in store.vertices}
-    uids = {ROBOT_UID} | direct | store.neighbors(direct)
-    return {u for u in uids if u in store.vertices}
+    return direct | store.neighbors(direct)
 
 
 def capture_inverse(store: WorldStore, cs: ConstraintState, args: dict) -> dict:
@@ -204,7 +204,7 @@ def capture_inverse(store: WorldStore, cs: ConstraintState, args: dict) -> dict:
     frozen; so a shallow copy of each touched entity and a copy of the edge
     list are exact. The store's indexes are derived and are not kept.
     """
-    uids = _touched_uids(store, args)
+    uids = {u for u in touched_uids(store, args) | {ROBOT_UID} if u in store.vertices}
     # The held object is mutated by detach-style effects even when the
     # skill's arguments never name it (Place, OpenGripper).
     if cs.target is not None and cs.target in store.vertices:
@@ -469,7 +469,6 @@ def check_commit(
     post_positions: dict[str, np.ndarray] | None,
     ft_adverse: bool,
     gripper_position: np.ndarray | None = None,
-    eps_place: float = EPS_PLACE,
 ) -> CommitDecision:
     """Confirm a transition: controller success AND the expected geometric
     change visible in post-action perception."""
@@ -487,11 +486,11 @@ def check_commit(
             # Not visible on any support surface: consistent with in-gripper.
             return CommitDecision(True)
         if gripper_position is not None:
-            if float(np.linalg.norm(pos - gripper_position)) <= eps_place:
+            if float(np.linalg.norm(pos - gripper_position)) <= EPS_PLACE:
                 return CommitDecision(True)
             return CommitDecision(False, f"{obj} does not track the gripper")
         rec = store.records[store.vertices[obj].grounding]
-        if float(np.linalg.norm(pos - rec.envelope.mean)) <= eps_place:
+        if float(np.linalg.norm(pos - rec.envelope.mean)) <= EPS_PLACE:
             return CommitDecision(True)
         return CommitDecision(False, f"{obj} stationary away from gripper")
 
@@ -501,7 +500,7 @@ def check_commit(
         pos = post_positions.get(obj)
         if pos is None:
             return CommitDecision(False, f"{obj} not observed at destination")
-        if float(np.linalg.norm(pos - expected)) <= eps_place:
+        if float(np.linalg.norm(pos - expected)) <= EPS_PLACE:
             return CommitDecision(True)
         return CommitDecision(False, f"{obj} not stationary at destination")
 

@@ -32,7 +32,6 @@ from .association import (
     TrackFate,
     confirm_or_promote,
     fuse,
-    inflate_drift,
 )
 from .errors import IntegrityError, WorkcellError
 from .geometry import (
@@ -101,8 +100,6 @@ class BackgroundMap:
     # index -> [log_odds, {class: probability}]
     voxels: dict[tuple[int, int, int], list] = field(default_factory=dict)
     bounds: tuple[tuple[int, int, int], tuple[int, int, int]] | None = None
-    l_min: float = L_MIN
-    l_max: float = L_MAX
 
     def in_bounds(self, index: tuple[int, int, int]) -> bool:
         if self.bounds is None:
@@ -120,7 +117,7 @@ def update_occupancy(
         if not bg.in_bounds(idx):
             raise IntegrityError(f"voxel index {idx} out of bounds")
         log_odds, classes = bg.voxels.get(idx, [0.0, {}])
-        log_odds = min(max(log_odds + (L_OCC if m.hit else L_FREE), bg.l_min), bg.l_max)
+        log_odds = min(max(log_odds + (L_OCC if m.hit else L_FREE), L_MIN), L_MAX)
         if m.class_likelihood:
             if not classes:
                 classes = {c: 1.0 / len(m.class_likelihood) for c in m.class_likelihood}
@@ -976,13 +973,3 @@ def _tentative_key(store: WorldStore, obs: Observation, cfg: AssociationConfig) 
         if mahalanobis_between(track.observation.envelope, obs.envelope) < cfg.tau_geo:
             return key
     return max(store.tentative, default=-1) + 1
-
-
-def apply_drift_inflation(store: WorldStore, unobserved_uids: list[str], cycles: int = 1):
-    for uid in unobserved_uids:
-        v = store.vertices.get(uid)
-        if v is None or v.uid == ROBOT_UID:
-            continue
-        rec = store.records.get(v.grounding)
-        if rec is not None and rec.attached_to == "world":
-            store.update_record(v.grounding, envelope=inflate_drift(rec.envelope, cycles))

@@ -1,5 +1,5 @@
 """Association: gating, hybrid cost, assignment, confirmation window,
-reliability-weighted fusion, and drift inflation."""
+and reliability-weighted fusion."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from workcell.association import (
     AssociationConfig,
-    DRIFT_PER_CYCLE,
     GATED,
     MatchResult,
     ReliabilityJudgment,
@@ -20,7 +19,6 @@ from workcell.association import (
     fuse,
     gamma_of,
     hybrid_cost,
-    inflate_drift,
 )
 from workcell.errors import NumericError
 from workcell.geometry import GaussianEnvelope
@@ -337,16 +335,3 @@ def test_gate_with_no_observations_or_no_memory_consults_nothing():
         outcome = _gate(build_cost_matrix, observations, memory, cfg)
         assert outcome[1] == []
         assert outcome == _gate(build_cost_matrix_reference, observations, memory, cfg)
-
-
-# -- drift --------------------------------------------------------------------
-
-
-def test_inflate_drift_adds_isotropic_noise():
-    env = GaussianEnvelope([0, 0, 0], 0.01 * np.eye(3))
-    out = inflate_drift(env, cycles=3)
-    assert np.allclose(out.covariance,
-                       0.01 * np.eye(3) + 3 * DRIFT_PER_CYCLE * np.eye(3))
-    assert inflate_drift(env, 0) is env
-    with pytest.raises(ValueError):
-        inflate_drift(env, -1)

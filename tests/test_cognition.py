@@ -11,7 +11,6 @@ from workcell.cognition import (
     ReasonerRequest,
     RequestKind,
     ScriptedReasoner,
-    SubgraphConfig,
     ValidationStage,
     extract_subgraph,
     get_valid_ert,
@@ -191,9 +190,9 @@ def test_extract_subgraph_threshold_prunes_bystanders():
 def test_extract_subgraph_keyword_only_insufficient():
     store = make_store()
     store.add_entity("bolt", _env([0.3, 0.2, 0.02]), "z1", uid="bolt")
-    cfg = SubgraphConfig(synonyms={"fastener": ["bolt"]})
     sub = extract_subgraph(
-        store, {"args": [], "keywords": ["fastener"]}, ConstraintState(), cfg
+        store, {"args": [], "keywords": ["fastener"]}, ConstraintState(),
+        synonyms={"fastener": ["bolt"]},
     )
     # Keyword weight 0.2 alone does not clear tau_rel = 0.3.
     assert "bolt" not in sub.vertices

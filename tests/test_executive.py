@@ -18,12 +18,11 @@ from workcell.executive import (
     compute_discrepancy,
     diagnose,
     synthesize_replan,
-    touched_objects,
     update_cs,
     update_cs_from_events,
 )
 from workcell.geometry import GaussianEnvelope
-from workcell.transactions import ConstraintState, ControllerEvent, Phase
+from workcell.transactions import ConstraintState, ControllerEvent, Phase, touched_uids
 from workcell.world_model import EdgeStatus, WorldStore, ZoneNode
 
 
@@ -146,7 +145,7 @@ def test_touched_objects_one_hop():
     store = make_store()
     store.add_edge("On", "B", "A")
     ert = _ert("Pick", {"object": "A"}, {})
-    assert touched_objects(store, ert) == {"A", "B"}
+    assert touched_uids(store, ert.args) == {"A", "B"}
 
 
 def test_discrepancy_worked_example_misplaced_object():

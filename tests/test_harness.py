@@ -283,6 +283,18 @@ def test_missing_recovery_plan_fails_the_trial():
         assert [d["category"] for d in log["diagnostics"]][-1] == "MotionInterrupted"
 
 
+@pytest.mark.parametrize("reply", ["garbage", {"steps": []}],
+                         ids=["not_a_mapping", "no_sequence"])
+def test_micro_sequence_without_a_list_fails_the_trial(reply):
+    doc = task1_doc()
+    for rule in doc["script"]:
+        if rule.get("key") == "pick_a":
+            rule["responses"] = [reply]
+    _report, logs = run_scenario(ScenarioSpec(doc), trials=1)
+    _faulted(logs[0], "ProposeMicroSequence")
+    assert not any(e["event"] == "executed" and e["node"] == 1 for e in logs[0]["trace"])
+
+
 def test_validate_scenario_reports_a_malformed_task_graph():
     doc = task1_doc()
     doc["task"] = {"nodes": "garbage"}

@@ -1,4 +1,4 @@
-"""Frame lifting, geometric abstraction, and the frame fixture format."""
+"""Frame lifting, geometric abstraction, and snapshot assembly."""
 
 import numpy as np
 import pytest
@@ -9,15 +9,12 @@ from workcell.perception import (
     BillboardGeom,
     CameraIntrinsics,
     Frame,
-    PerceptionConfig,
     PointsGeom,
     VoxelsGeom,
     assemble_snapshot,
     back_project,
     lift_frame,
     quantize_by_distance,
-    read_frame_dir,
-    write_frame_dir,
 )
 
 K = CameraIntrinsics(fx=100.0, fy=100.0, cx=2.0, cy=2.0)
@@ -109,16 +106,14 @@ def test_quantize_bands():
 
 def test_quantize_voxels_dedupe():
     pts = np.array([[0.0, 0.0, 1.0], [0.001, 0.0, 1.0], [0.05, 0.0, 1.0]])
-    g = quantize_by_distance(pts, voxel_size=0.02)
+    g = quantize_by_distance(pts)
     assert isinstance(g, VoxelsGeom)
     assert len(g.cells) == 2  # first two share a cell
 
 
-def test_quantize_rejects_empty_and_bad_bands():
+def test_quantize_rejects_empty():
     with pytest.raises(ValueError):
         quantize_by_distance(np.zeros((0, 3)))
-    with pytest.raises(ValueError):
-        quantize_by_distance(np.ones((2, 3)), r_near=2.0, r_far=1.0)
 
 
 # -- snapshot assembly --------------------------------------------------------
@@ -135,33 +130,8 @@ def test_assemble_snapshot_one_observation_per_instance():
                        lift_frame(frame, K).points.mean(axis=0))
 
 
-def test_assemble_snapshot_category_filter():
-    frame = _flat_frame(label="scrap")
-    cfg = PerceptionConfig(target_categories=["widget"])
-    assert assemble_snapshot(frame, K, cfg) == []
-
-
 def test_assemble_snapshot_drops_starved_instances():
     frame = _flat_frame()
     frame.depth[1:4, 1:4] = 0.0
     frame.depth[2, 2] = 0.5  # single surviving point
     assert assemble_snapshot(frame, K) == []
-
-
-# -- fixture format -----------------------------------------------------------
-
-
-def test_frame_dir_roundtrip_bit_exact(tmp_path):
-    frame = _flat_frame()
-    frame.camera_pose = PoseSE3(np.eye(3), [0.25, -0.5, 1.0])
-    frame.valid = np.ones((5, 5), dtype=bool)
-    frame.valid[0, 0] = False
-    write_frame_dir(frame, tmp_path / "f0")
-    back = read_frame_dir(tmp_path / "f0")
-    assert np.array_equal(back.depth, frame.depth)
-    assert np.array_equal(back.mask, frame.mask)
-    assert back.labels == frame.labels
-    assert np.array_equal(back.valid, frame.valid)
-    assert np.array_equal(back.camera_pose.rotation, frame.camera_pose.rotation)
-    assert np.array_equal(back.camera_pose.translation,
-                          frame.camera_pose.translation)
