@@ -61,13 +61,11 @@ class MatchResult:
 class TentativeTrack:
     observation: object
     count: int = 0
-    created_at: int = 0
 
 
 class TrackFate(Enum):
     TENTATIVE = "tentative"
     PROMOTED = "promoted"
-    DISCARDED = "discarded"
 
 
 class ReliabilityJudgment(Enum):
@@ -161,12 +159,9 @@ def assign(cost: np.ndarray, tau_match: float) -> MatchResult:
     )
 
 
-def confirm_or_promote(
-    track: TentativeTrack, sighted: bool, cfg: AssociationConfig
-) -> TrackFate:
-    """Advance a tentative track by one sighting opportunity."""
-    if not sighted:
-        return TrackFate.DISCARDED
+def confirm_or_promote(track: TentativeTrack, cfg: AssociationConfig) -> TrackFate:
+    """Advance a tentative track by one sighting. A track not sighted in a
+    cycle is discarded by ``register_or_update``."""
     track.count += 1
     if track.count >= cfg.n_confirm:
         return TrackFate.PROMOTED

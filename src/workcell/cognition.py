@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import ScriptGapError
-from .transactions import SKILLS
+from .transactions import SKILLS, ConstraintState
 from .world_model import (
     EdgeStatus,
     Lifecycle,
@@ -251,7 +251,6 @@ class ContextSubgraph:
 def extract_subgraph(
     store: WorldStore,
     subtask: dict,
-    cs,
     synonyms: dict[str, list[str]] | None = None,
 ) -> ContextSubgraph:
     """Relevance-scored vertex subset plus induced edges.
@@ -297,7 +296,7 @@ def extract_subgraph(
 
 
 def serialize_context(
-    sub: ContextSubgraph, store: WorldStore, task_state: dict, cs
+    sub: ContextSubgraph, store: WorldStore, task_state: dict, cs: ConstraintState
 ) -> dict:
     """Deterministic structured payload for a reasoner request."""
     vertices = []
@@ -319,7 +318,7 @@ def serialize_context(
     )
     return {
         "briefing": BRIEFING,
-        "cs": cs.to_dict() if hasattr(cs, "to_dict") else cs,
+        "cs": cs.to_dict(),
         "task_state": task_state,
         "vertices": vertices,
         "edges": [list(e) for e in edges],

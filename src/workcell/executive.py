@@ -1,5 +1,5 @@
-"""Task memory, constraint-state machine, the main planning loop, and
-rule-based discrepancy diagnosis.
+"""Task memory, the main planning loop, and rule-based discrepancy
+diagnosis.
 
 The executive is the single orchestrator: it alone issues reasoner calls,
 applies transactions, and mutates task memory and the constraint state.
@@ -14,7 +14,6 @@ import numpy as np
 
 from .cognition import (
     ERT,
-    N_MAX_DEFAULT,
     Reasoner,
     ReasonerRequest,
     RequestKind,
@@ -27,7 +26,6 @@ from .errors import ReasonerFault, ScenarioError, StateMachineError
 from .transactions import (
     CommitDecision,
     ConstraintState,
-    ControllerEvent,
     FTEvent,
     Phase,
     TransactionEntry,
@@ -35,9 +33,11 @@ from .transactions import (
     TransitionStatus,
     apply_transition,
     check_commit,
+    cs_during_action,
     mark_committed,
     rollback,
     touched_uids,
+    update_cs_from_events,
 )
 from .world_model import EdgeStatus, RelationEdge, WorldStore
 
@@ -166,30 +166,6 @@ class ActionHistory:
         return len(self._entries)
 
 
-# -- constraint-state machine ------------------------------------------------
-
-
-def update_cs(cs: ConstraintState, event) -> ConstraintState:
-    """Event-driven transition on a mapped controller event. A skill that
-    succeeds moves the state through its transaction instead."""
-    if isinstance(event, ControllerEvent):
-        if event == ControllerEvent.GRASP_FAILURE:
-            return ConstraintState(Phase.IDLE)
-        if event in (ControllerEvent.COLLISION_DETECTED,
-                     ControllerEvent.JAMMING_DETECTED,
-                     ControllerEvent.OVER_SQUEEZE):
-            if cs.target is None:
-                raise StateMachineError("interruption with no last target")
-            return ConstraintState(Phase.INTERRUPTED, cs.target)
-        if event == ControllerEvent.CONTACT_CONFIRMED:
-            if cs.phase in (Phase.PLACING, Phase.HOLDING, Phase.TRANSPORTING):
-                return ConstraintState(Phase.IDLE)
-            raise StateMachineError(
-                f"contact confirmation outside a place ({cs.phase.value})"
-            )
-    raise StateMachineError(f"unhandled event {event!r}")
-
-
 # -- discrepancy -------------------------------------------------------------
 
 
@@ -316,7 +292,6 @@ class ExecutionFeedback:
     """What the controller reports back after physically running a skill."""
 
     ft_events: list[FTEvent] = field(default_factory=list)
-    elapsed_s: float = 1.0
 
 
 @dataclass
@@ -325,14 +300,12 @@ class SenseResult:
 
     positions: dict[str, np.ndarray] = field(default_factory=dict)
     gripper_position: np.ndarray | None = None
-    observed_uids: set[str] = field(default_factory=set)
 
 
 @dataclass
 class RunResult:
     completed: bool
     trace: list[dict]
-    history: ActionHistory
     diagnostics: list[dict]
     n_init: int
     n_replan: int
@@ -345,14 +318,12 @@ class Executive:
         reasoner: Reasoner,
         execute_skill,  # (action, args) -> ExecutionFeedback
         sense,  # () -> SenseResult
-        n_max: int = N_MAX_DEFAULT,
         synonyms: dict[str, list[str]] | None = None,
     ):
         self.store = store
         self.reasoner = reasoner
         self.execute_skill = execute_skill
         self.sense = sense
-        self.n_max = n_max
         self.synonyms = synonyms
         self.cs = ConstraintState()
         self.log = TransactionLog()
@@ -398,7 +369,7 @@ class Executive:
             "keywords": node.keywords,
             "zones": node.zones,
         }
-        sub = extract_subgraph(self.store, subtask, self.cs, self.synonyms)
+        sub = extract_subgraph(self.store, subtask, self.synonyms)
         return serialize_context(sub, self.store, subtask, self.cs)
 
     # -- loop ---------------------------------------------------------------
@@ -410,7 +381,6 @@ class Executive:
                 break
             node = ready[0]
             node.status = NodeStatus.EXECUTING
-            dag.check()
             self._record("subtask_start", node=node.node_id, function=node.function)
             ok = self._run_node(node)
             node.status = NodeStatus.COMPLETED if ok else NodeStatus.FAILED
@@ -427,7 +397,7 @@ class Executive:
 
     def _result(self, completed: bool) -> RunResult:
         return RunResult(
-            completed, self.trace, self.history, self.diagnostics,
+            completed, self.trace, self.diagnostics,
             self.n_init, self.n_replan,
         )
 
@@ -444,7 +414,7 @@ class Executive:
             payload=payload,
         )
         before = self.reasoner.call_count
-        outcome = get_valid_ert(self.reasoner, request, self.store, self.n_max)
+        outcome = get_valid_ert(self.reasoner, request, self.store)
         self._count_calls(before)
         if outcome.ert is None:
             self._record("ert_exhausted", node=node.node_id, attempts=outcome.attempts)
@@ -490,57 +460,44 @@ class Executive:
             events=[e.value for e in result.events],
         )
 
+        sensed: SenseResult | None = None
         if result.status == TransitionStatus.PRECONDITION_FAILED:
-            self.history.append(HistoryEntry(
-                node.node_id, ert.to_dict(), "precondition_failed", self._clock
-            ))
-            return self._recover(node, ert, pre_edges, cs_before,
-                                 failed_action=ert.action)
-
-        if result.status == TransitionStatus.ROLLED_BACK:
+            outcome = "precondition_failed"
+        elif result.status == TransitionStatus.ROLLED_BACK:
+            outcome = "rolled_back"
             self.cs = update_cs_from_events(
-                _cs_during_action(cs_before, ert), result.events
+                cs_during_action(cs_before, ert.action, ert.args), result.events
             )
-            self.history.append(HistoryEntry(
-                node.node_id, ert.to_dict(), "rolled_back", self._clock
-            ))
             self._record("rolled_back", node=node.node_id, reason=result.reason)
-            return self._recover(node, ert, pre_edges, cs_before,
-                                 failed_action=ert.action)
+        else:
+            # Applied; confirm against post-action perception.
+            self.cs = result.cs
+            sensed = self._sense_logged()
+            commit_args = dict(ert.args)
+            if ert.action == "Place" and "object" not in commit_args:
+                commit_args["object"] = cs_before.target
+            decision: CommitDecision = check_commit(
+                self.store, ert.action, commit_args, sensed.positions,
+                gripper_position=sensed.gripper_position,
+            )
+            if decision.commit:
+                outcome = "committed"
+                mark_committed(self.log)
+                self._record("committed", node=node.node_id, action=ert.action)
+            else:
+                outcome = "aborted"
+                self.cs = rollback(self.log, self.store)
+                if ert.action == "Pick":
+                    # Perception contradicted the pick: the gripper holds nothing.
+                    self.cs = ConstraintState(Phase.IDLE)
+                self._record("aborted", node=node.node_id, hint=decision.hint)
 
-        # Applied; confirm against post-action perception.
-        self.cs = result.cs
-        sensed: SenseResult = self._sense_logged()
-        commit_args = dict(ert.args)
-        if ert.action == "Place" and "object" not in commit_args:
-            commit_args["object"] = cs_before.target
-        decision: CommitDecision = check_commit(
-            self.store, ert.action, commit_args, sensed.positions,
-            ft_adverse=False, gripper_position=sensed.gripper_position,
-        )
-        if decision.commit:
-            mark_committed(self.log)
-            self.history.append(HistoryEntry(
-                node.node_id, ert.to_dict(), "committed", self._clock
-            ))
-            self._record("committed", node=node.node_id, action=ert.action)
-            return True
-
-        self.cs = rollback(self.log, self.store)
-        self.cs = self._settle_after_abort(ert, sensed)
         self.history.append(HistoryEntry(
-            node.node_id, ert.to_dict(), "aborted", self._clock
+            node.node_id, ert.to_dict(), outcome, self._clock
         ))
-        self._record("aborted", node=node.node_id, hint=decision.hint)
-        return self._recover(node, ert, pre_edges, cs_before,
-                             failed_action=ert.action, sensed=sensed)
-
-    def _settle_after_abort(self, ert: ERT, sensed: SenseResult) -> ConstraintState:
-        # Perception contradicted the expected change: the gripper did not
-        # end up holding anything it was supposed to.
-        if ert.action == "Pick":
-            return ConstraintState(Phase.IDLE)
-        return self.cs
+        if outcome == "committed":
+            return True
+        return self._recover(node, ert, pre_edges, cs_before, sensed)
 
     # -- recovery -----------------------------------------------------------
 
@@ -550,8 +507,7 @@ class Executive:
         ert: ERT,
         pre_edges: list[RelationEdge],
         cs_before: ConstraintState,
-        failed_action: str,
-        sensed: SenseResult | None = None,
+        sensed: SenseResult | None,
     ) -> bool:
         if self._in_recovery:
             return False  # one level of recovery; nested failures abort
@@ -560,35 +516,11 @@ class Executive:
             (e.predicate, e.subject, e.obj)
             for e in pre_edges if e.status != EdgeStatus.REFUTED
         }
-        actual_cs = self.cs
-        category = FailureCategory.UNKNOWN
-        report = None
-        rounds = 0
-        for rounds in range(1, self.n_max + 1):
-            report = compute_discrepancy(
-                self.store, ert, pre_live, actual_cs, sensed.positions
-            )
-            try:
-                category = diagnose(report)
-            except StateMachineError:
-                category = FailureCategory.UNKNOWN
-            self.diagnostics.append({
-                "round": rounds,
-                "category": category.value,
-                "failed_action": failed_action,
-                "drift_flagged": list(report.drift_flagged),
-                "node": node.node_id,
-            })
-            self._record("diagnosed", node=node.node_id, round=rounds,
-                         category=category.value)
-            if category != FailureCategory.UNKNOWN:
-                break
-            if actual_cs.phase == Phase.INTERRUPTED:
-                # The interruption has passed; re-read the settled state.
-                actual_cs = ConstraintState(Phase.IDLE)
-                self.cs = actual_cs
-                continue
-            break
+        report, category = self._diagnose(node, ert, pre_live, sensed, 1)
+        if category == FailureCategory.UNKNOWN and self.cs.phase == Phase.INTERRUPTED:
+            # The interruption has passed; re-read the settled state.
+            self.cs = ConstraintState(Phase.IDLE)
+            report, category = self._diagnose(node, ert, pre_live, sensed, 2)
         if category == FailureCategory.UNKNOWN:
             return False
 
@@ -616,30 +548,25 @@ class Executive:
         self._record("recovery_done", node=node.node_id, ok=result.completed)
         return result.completed
 
-
-def _cs_during_action(cs: ConstraintState, ert: ERT) -> ConstraintState:
-    """The phase the robot is in while the skill physically runs; this is
-    what a controller event interrupts."""
-    if ert.action == "Move":
-        if cs.phase == Phase.HOLDING:
-            return ConstraintState(Phase.TRANSPORTING, cs.target)
-        target = ert.args.get("target")
-        if target:
-            return ConstraintState(Phase.APPROACHING, target)
-        return cs
-    if ert.action == "Place" and cs.target is not None:
-        return ConstraintState(Phase.PLACING, cs.target)
-    if ert.action == "Insert":
-        part = ert.args.get("part") or cs.target
-        if part is not None:
-            return ConstraintState(Phase.INSERTING, part)
-    return cs
-
-
-def update_cs_from_events(
-    cs: ConstraintState, events: list[ControllerEvent]
-) -> ConstraintState:
-    out = cs
-    for ev in events:
-        out = update_cs(out, ev)
-    return out
+    def _diagnose(
+        self, node: TaskNode, ert: ERT, pre_live: set[tuple[str, str, str]],
+        sensed: SenseResult, round_no: int,
+    ) -> tuple[DiscrepancyReport, FailureCategory]:
+        """One diagnosis round against the current constraint state."""
+        report = compute_discrepancy(
+            self.store, ert, pre_live, self.cs, sensed.positions
+        )
+        try:
+            category = diagnose(report)
+        except StateMachineError:
+            category = FailureCategory.UNKNOWN
+        self.diagnostics.append({
+            "round": round_no,
+            "category": category.value,
+            "failed_action": ert.action,
+            "drift_flagged": list(report.drift_flagged),
+            "node": node.node_id,
+        })
+        self._record("diagnosed", node=node.node_id, round=round_no,
+                     category=category.value)
+        return report, category

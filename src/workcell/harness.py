@@ -24,7 +24,6 @@ from .association import (
     gamma_of,
 )
 from .cognition import (
-    N_MAX_DEFAULT,
     ReasonerRequest,
     RequestKind,
     ScriptedReasoner,
@@ -256,14 +255,8 @@ def build_reasoner(doc: dict) -> ScriptedReasoner:
         key = rule.get("key", "")
         responses = rule["responses"]
         script[(kind, key)] = list(responses)
-    script.setdefault(
-        (RequestKind.SEMANTIC_SIMILARITY.value, ""),
-        [float(doc.get("similarity_default", 1.0))],
-    )
-    script.setdefault(
-        (RequestKind.RELIABILITY_JUDGMENT.value, ""),
-        [str(doc.get("reliability_default", "High"))],
-    )
+    script.setdefault((RequestKind.SEMANTIC_SIMILARITY.value, ""), [1.0])
+    script.setdefault((RequestKind.RELIABILITY_JUDGMENT.value, ""), ["High"])
     return ScriptedReasoner(script)
 
 
@@ -312,9 +305,7 @@ class TrialRuntime:
         self._held = None
         self.world.step()
         outcome = self.world.execute_skill(action, args)
-        return ExecutionFeedback(
-            ft_events=outcome.ft_events, elapsed_s=outcome.elapsed_s
-        )
+        return ExecutionFeedback(ft_events=outcome.ft_events)
 
     def sense(self) -> SenseResult:
         camera = self.active_camera()
@@ -408,8 +399,7 @@ class TrialRuntime:
         final = MatchResult(matched, unmatched_obs, unmatched_mem)
         delta = register_or_update(
             self.store, observations, final, memory_uids, gammas,
-            zone_id=self.world.robot_zone, step=self.world.step_count,
-            cfg=self.assoc_cfg,
+            zone_id=self.world.robot_zone, cfg=self.assoc_cfg,
         )
 
         observed = {memory_uids[i] for _k, i, _c in matched}
@@ -420,11 +410,7 @@ class TrialRuntime:
             memory_uids[i]: observations[k].envelope.mean.copy()
             for k, i, _c in matched
         }
-        return SenseResult(
-            positions=positions,
-            gripper_position=gripper_pos,
-            observed_uids=observed,
-        )
+        return SenseResult(positions=positions, gripper_position=gripper_pos)
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -590,11 +576,19 @@ def compute_metrics(trial_logs: list[dict]) -> MetricsReport:
                 if t.get("question_results"))
     ie = 100.0 * info_correct / items if items else None
 
+    # One diagnosis per failure episode: a later round replaces the round
+    # before it, so only each episode's final diagnosis counts.
     attempts = 0
     matches = 0
     for t in trial_logs:
         expected = t.get("expected_root_cause")
+        finals: list[dict] = []
         for d in t.get("diagnostics", []):
+            if d["round"] > 1:
+                finals[-1] = d
+            else:
+                finals.append(d)
+        for d in finals:
             attempts += 1
             cause = classify_root_cause(
                 d["category"], d["failed_action"], bool(d["drift_flagged"])
@@ -634,9 +628,7 @@ def run_trial(spec: ScenarioSpec, trial_index: int,
 
     synonyms = {k: list(v) for k, v in doc.get("synonyms", {}).items()}
     executive = Executive(
-        store, reasoner, runtime.execute_skill, runtime.sense,
-        n_max=int(doc.get("n_max", N_MAX_DEFAULT)),
-        synonyms=synonyms,
+        store, reasoner, runtime.execute_skill, runtime.sense, synonyms=synonyms,
     )
     dag = TaskDAG.from_doc(doc["task"])
     try:

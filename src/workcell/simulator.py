@@ -329,7 +329,7 @@ class SimWorld:
         obj.pose = PoseSE3(rot, obj.pose.translation)
         return SkillOutcome(True)
 
-    def _do_open(self, args: dict) -> SkillOutcome:
+    def _do_open(self, _args: dict) -> SkillOutcome:
         if self.gripper is not None:
             obj = self.objects[self.gripper]
             obj.pose = PoseSE3(
@@ -341,7 +341,7 @@ class SimWorld:
             self.gripper = None
         return SkillOutcome(True)
 
-    def _do_close(self, args: dict) -> SkillOutcome:
+    def _do_close(self, _args: dict) -> SkillOutcome:
         return SkillOutcome(
             True, ft_events=[FTEvent(FTSignal.GRIPPER_FORCE, _NOMINAL_GRIP, "N")]
         )

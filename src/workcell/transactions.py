@@ -3,7 +3,9 @@
 Each primitive skill checks its preconditions against the semantic graph
 and the constraint state, records an inverse delta before applying any
 effect, and either commits the whole delta or reverts byte-identically.
-A hash-chained log makes every transition auditable.
+A hash-chained log makes every transition auditable. The constraint-state
+machine lives here too: the phase each skill runs in and ends in, and the
+transitions that controller events force.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import TransactionError
+from .errors import StateMachineError, TransactionError
 from .geometry import GaussianEnvelope, PoseSE3
 from .serialization import canonical_dumps, json_line
 from .world_model import (
@@ -136,6 +138,59 @@ _FT_CONTEXT = {
 }
 
 
+# -- constraint-state machine ------------------------------------------------
+
+
+def cs_during_action(cs: ConstraintState, action: str, args: dict) -> ConstraintState:
+    """The phase the robot is in while the skill physically runs; this is
+    what a controller event interrupts. A committed Move also ends in this
+    phase. When the skill leaves the phase alone, ``cs`` itself comes back."""
+    if action == "Move":
+        if cs.phase == Phase.HOLDING:
+            return ConstraintState(Phase.TRANSPORTING, cs.target)
+        target = args.get("target")
+        if target is not None:
+            return ConstraintState(Phase.APPROACHING, target)
+        return cs
+    if action == "Place" and cs.target is not None:
+        return ConstraintState(Phase.PLACING, cs.target)
+    if action == "Insert":
+        part = args.get("part") or cs.target
+        if part is not None:
+            return ConstraintState(Phase.INSERTING, part)
+    return cs
+
+
+def update_cs(cs: ConstraintState, event) -> ConstraintState:
+    """Event-driven transition on a mapped controller event. A skill that
+    succeeds moves the state through its transaction instead."""
+    if isinstance(event, ControllerEvent):
+        if event == ControllerEvent.GRASP_FAILURE:
+            return ConstraintState(Phase.IDLE)
+        if event in (ControllerEvent.COLLISION_DETECTED,
+                     ControllerEvent.JAMMING_DETECTED,
+                     ControllerEvent.OVER_SQUEEZE):
+            if cs.target is None:
+                raise StateMachineError("interruption with no last target")
+            return ConstraintState(Phase.INTERRUPTED, cs.target)
+        if event == ControllerEvent.CONTACT_CONFIRMED:
+            if cs.phase in (Phase.PLACING, Phase.HOLDING, Phase.TRANSPORTING):
+                return ConstraintState(Phase.IDLE)
+            raise StateMachineError(
+                f"contact confirmation outside a place ({cs.phase.value})"
+            )
+    raise StateMachineError(f"unhandled event {event!r}")
+
+
+def update_cs_from_events(
+    cs: ConstraintState, events: list[ControllerEvent]
+) -> ConstraintState:
+    out = cs
+    for ev in events:
+        out = update_cs(out, ev)
+    return out
+
+
 # -- transaction log ---------------------------------------------------------
 
 
@@ -237,7 +292,6 @@ class TransitionStatus(Enum):
 class TransitionResult:
     status: TransitionStatus
     cs: ConstraintState
-    delta: list[str] = field(default_factory=list)
     reason: str = ""
     failed_predicate: str = ""
     events: list[ControllerEvent] = field(default_factory=list)
@@ -332,13 +386,10 @@ def _apply_effects(
             store.update_record(ROBOT_UID, envelope=GaussianEnvelope(
                 pos, store.records[ROBOT_UID].envelope.covariance))
             delta.append(f"robot_pos={pos.tolist()}")
-        target = args.get("target")
-        if cs.phase == Phase.HOLDING:
-            cs = ConstraintState(Phase.TRANSPORTING, cs.target)
-            delta.append(f"CS=Transporting({cs.target})")
-        elif target is not None:
-            cs = ConstraintState(Phase.APPROACHING, target)
-            delta.append(f"CS=Approaching({target})")
+        moving = cs_during_action(cs, action, args)
+        if moving is not cs:
+            cs = moving
+            delta.append(f"CS={cs.phase.value}({cs.target})")
     elif action == "Rotate":
         obj = args["object"]
         rid = store.vertices[obj].grounding
@@ -403,7 +454,7 @@ def apply_transition(
         ))
         return TransitionResult(
             TransitionStatus.ROLLED_BACK, new_cs,
-            delta=delta, reason=adverse[0].value, events=mapped,
+            reason=adverse[0].value, events=mapped,
         )
 
     post_hash = store.state_hash()
@@ -411,9 +462,7 @@ def apply_transition(
         pre_hash, post_hash, action, args, delta,
         outcome="applied", inverse=inverse,
     ))
-    return TransitionResult(
-        TransitionStatus.COMMITTED, new_cs, delta=delta, events=mapped
-    )
+    return TransitionResult(TransitionStatus.COMMITTED, new_cs, events=mapped)
 
 
 def mark_committed(log: TransactionLog) -> None:
@@ -467,13 +516,10 @@ def check_commit(
     action: str,
     args: dict,
     post_positions: dict[str, np.ndarray] | None,
-    ft_adverse: bool,
     gripper_position: np.ndarray | None = None,
 ) -> CommitDecision:
-    """Confirm a transition: controller success AND the expected geometric
-    change visible in post-action perception."""
-    if ft_adverse:
-        return CommitDecision(False, "adverse controller event")
+    """Confirm an applied transition: the expected geometric change is
+    visible in post-action perception."""
     if action in ("Move", "Rotate", "OpenGripper", "CloseGripper"):
         return CommitDecision(True)
     if post_positions is None:

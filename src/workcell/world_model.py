@@ -899,7 +899,6 @@ def register_or_update(
     memory_uids: list[str],
     gammas: dict[int, float],
     zone_id: str,
-    step: int = 0,
     cfg: AssociationConfig | None = None,
 ) -> StoreDelta:
     """Apply an association outcome: fuse matches, run the confirmation
@@ -937,11 +936,11 @@ def register_or_update(
         sighted_keys.add(key)
         track = store.tentative.get(key)
         if track is None:
-            track = TentativeTrack(observation=obs, count=0, created_at=step)
+            track = TentativeTrack(observation=obs)
             store.tentative[key] = track
         else:
             track.observation = obs
-        fate = confirm_or_promote(track, sighted=True, cfg=cfg)
+        fate = confirm_or_promote(track, cfg)
         if fate == TrackFate.PROMOTED:
             del store.tentative[key]
             uid = store.add_entity(

@@ -140,14 +140,8 @@ def test_match_result_rejects_duplicates():
 def test_confirmation_window_two_sightings():
     cfg = AssociationConfig()
     track = TentativeTrack(observation=None)
-    assert confirm_or_promote(track, True, cfg) == TrackFate.TENTATIVE
-    assert confirm_or_promote(track, True, cfg) == TrackFate.PROMOTED
-
-
-def test_confirmation_window_discards_on_miss():
-    cfg = AssociationConfig()
-    track = TentativeTrack(observation=None, count=1)
-    assert confirm_or_promote(track, False, cfg) == TrackFate.DISCARDED
+    assert confirm_or_promote(track, cfg) == TrackFate.TENTATIVE
+    assert confirm_or_promote(track, cfg) == TrackFate.PROMOTED
 
 
 # -- fusion -------------------------------------------------------------------

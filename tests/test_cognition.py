@@ -172,7 +172,7 @@ def test_extract_subgraph_direct_args_and_hops():
     store = make_store()
     store.add_entity("clamp", _env([0.45, 0, 0.02]), "z1", uid="clamp")
     store.add_edge("Near", "clamp", "part")
-    sub = extract_subgraph(store, {"args": ["part"]}, ConstraintState())
+    sub = extract_subgraph(store, {"args": ["part"]})
     # Direct argument (1.0) and its 1-hop neighbor (0.5) both clear 0.3.
     assert set(sub.vertices) == {"robot", "part", "clamp"}
     assert {(e.predicate, e.subject, e.obj) for e in sub.edges} == {
@@ -183,7 +183,7 @@ def test_extract_subgraph_direct_args_and_hops():
 def test_extract_subgraph_threshold_prunes_bystanders():
     store = make_store()
     store.add_entity("junk", _env([0.3, 0.2, 0.02]), "z1", uid="junk")
-    sub = extract_subgraph(store, {"args": ["part"]}, ConstraintState())
+    sub = extract_subgraph(store, {"args": ["part"]})
     assert "junk" not in sub.vertices  # relevance 0 for unrelated zone-mate
 
 
@@ -191,7 +191,7 @@ def test_extract_subgraph_keyword_only_insufficient():
     store = make_store()
     store.add_entity("bolt", _env([0.3, 0.2, 0.02]), "z1", uid="bolt")
     sub = extract_subgraph(
-        store, {"args": [], "keywords": ["fastener"]}, ConstraintState(),
+        store, {"args": [], "keywords": ["fastener"]},
         synonyms={"fastener": ["bolt"]},
     )
     # Keyword weight 0.2 alone does not clear tau_rel = 0.3.
@@ -202,15 +202,13 @@ def test_extract_subgraph_keyword_only_insufficient():
 
 def test_extract_subgraph_goal_zone_pulls_entities():
     store = make_store()
-    sub = extract_subgraph(
-        store, {"args": ["plate"], "zones": ["z2"]}, ConstraintState()
-    )
+    sub = extract_subgraph(store, {"args": ["plate"], "zones": ["z2"]})
     assert "plate" in sub.vertices
 
 
 def test_serialize_context_deterministic():
     store = make_store()
-    sub = extract_subgraph(store, {"args": ["part"]}, ConstraintState())
+    sub = extract_subgraph(store, {"args": ["part"]})
     payload_a = serialize_context(sub, store, {"id": 1}, ConstraintState())
     payload_b = serialize_context(sub, store, {"id": 1}, ConstraintState())
     assert canonical_dumps(payload_a) == canonical_dumps(payload_b)
@@ -221,7 +219,7 @@ def test_serialize_context_deterministic():
 
 def test_context_subgraph_always_includes_robot():
     store = make_store()
-    sub = extract_subgraph(store, {"args": []}, ConstraintState())
+    sub = extract_subgraph(store, {"args": []})
     assert sub.vertices == ["robot"]
     assert isinstance(sub, ContextSubgraph)
 

@@ -14,15 +14,20 @@ from workcell.executive import (
     NodeStatus,
     TaskDAG,
     TaskNode,
-    _cs_during_action,
     compute_discrepancy,
     diagnose,
     synthesize_replan,
+)
+from workcell.geometry import GaussianEnvelope
+from workcell.transactions import (
+    ConstraintState,
+    ControllerEvent,
+    Phase,
+    cs_during_action,
+    touched_uids,
     update_cs,
     update_cs_from_events,
 )
-from workcell.geometry import GaussianEnvelope
-from workcell.transactions import ConstraintState, ControllerEvent, Phase, touched_uids
 from workcell.world_model import EdgeStatus, WorldStore, ZoneNode
 
 
@@ -127,15 +132,16 @@ def test_update_cs_from_events_folds():
 def test_cs_during_action():
     idle = ConstraintState()
     holding = ConstraintState(Phase.HOLDING, "A")
-    move_t = _ert("Move", {"target": "B"}, {})
-    assert _cs_during_action(idle, move_t) == ConstraintState(Phase.APPROACHING, "B")
-    assert _cs_during_action(holding, move_t) == \
+    move_t = {"target": "B"}
+    assert cs_during_action(idle, "Move", move_t) == ConstraintState(Phase.APPROACHING, "B")
+    assert cs_during_action(holding, "Move", move_t) == \
         ConstraintState(Phase.TRANSPORTING, "A")
-    place = _ert("Place", {"destination": "B"}, {})
-    assert _cs_during_action(holding, place) == ConstraintState(Phase.PLACING, "A")
-    ins = _ert("Insert", {"part": "A", "receptacle": "B"}, {})
-    assert _cs_during_action(holding, ins) == ConstraintState(Phase.INSERTING, "A")
-    assert _cs_during_action(idle, _ert("Pick", {"object": "A"}, {})) == idle
+    assert cs_during_action(idle, "Move", {"zone": "z1"}) is idle
+    place = {"destination": "B"}
+    assert cs_during_action(holding, "Place", place) == ConstraintState(Phase.PLACING, "A")
+    ins = {"part": "A", "receptacle": "B"}
+    assert cs_during_action(holding, "Insert", ins) == ConstraintState(Phase.INSERTING, "A")
+    assert cs_during_action(idle, "Pick", {"object": "A"}) is idle
 
 
 # -- discrepancy --------------------------------------------------------------

@@ -180,8 +180,8 @@ def test_compute_metrics_reduction():
     logs = [
         {"trial": 0, "success": True, "n_init": 4, "n_replan": 1,
          "sta_samples": [{"step": 0, "oov_correct": {"a": True}}],
-         "diagnostics": [{"category": "GraspSlip", "failed_action": "Move",
-                          "drift_flagged": False}],
+         "diagnostics": [{"round": 1, "category": "GraspSlip",
+                          "failed_action": "Move", "drift_flagged": False}],
          "expected_root_cause": "PartSlip",
          "question_results": [{"correct": True}, {"correct": False}],
          "query_results": [{"correct": True}], "n_items": 2},
@@ -200,6 +200,18 @@ def test_compute_metrics_reduction():
     assert "TSR" in rep.table()
     with pytest.raises(ScenarioError):
         compute_metrics([])
+    # An Interrupted phase re-read: round 2 replaces its round 1, so the
+    # episode counts once, by its final diagnosis.
+    logs[1]["expected_root_cause"] = "Obstacle"
+    logs[1]["diagnostics"] = [
+        {"round": 1, "category": "Unknown", "failed_action": "Move",
+         "drift_flagged": False},
+        {"round": 2, "category": "MotionInterrupted", "failed_action": "Move",
+         "drift_flagged": False},
+    ]
+    assert compute_metrics(logs).cda == pytest.approx(100.0)
+    logs[1]["diagnostics"].pop()
+    assert compute_metrics(logs).cda == pytest.approx(50.0)
 
 
 # -- trial runner -------------------------------------------------------------
@@ -241,13 +253,14 @@ def _faulted(log, kind):
     return event
 
 
-@pytest.mark.parametrize("key,reply,kind", [
-    ("similarity_default", 1.7, "SemanticSimilarity"),
-    ("reliability_default", "Maybe", "ReliabilityJudgment"),
+@pytest.mark.parametrize("kind,reply", [
+    ("SemanticSimilarity", 1.7),
+    ("SemanticSimilarity", "high"),
+    ("ReliabilityJudgment", "Maybe"),
 ])
-def test_run_scenario_rejects_out_of_range_reasoner_replies(key, reply, kind):
+def test_run_scenario_rejects_out_of_range_reasoner_replies(kind, reply):
     doc = task1_doc()
-    doc[key] = reply
+    doc["script"].append({"kind": kind, "key": "", "responses": [reply]})
     report, logs = run_scenario(ScenarioSpec(doc), trials=2)
     assert len(logs) == 2  # the fault ends one trial, not the run
     for log in logs:

@@ -271,9 +271,9 @@ def test_rollback_across_perception_update_keeps_promoted_entity():
     pre = store.state_hash()
     obs = Observation(instance_id=0, label="gear", geometry=None,
                       envelope=_env([0.6, 0.2, 0.02]))
-    for step in (0, 1):  # two sightings promote the track
+    for _ in range(2):  # two sightings promote the track
         register_or_update(store, [obs], MatchResult(unmatched_observations=[0]),
-                           [], {}, "z1", step=step)
+                           [], {}, "z1")
     log.append(TransactionEntry(pre, store.state_hash(), "PerceptionUpdate",
                                 {}, [], outcome="committed"))
     rollback(log, store)
@@ -324,14 +324,12 @@ def test_export_ndjson(tmp_path):
 
 def test_check_commit_motion_actions_trivially_commit():
     store = make_store()
-    assert check_commit(store, "Move", {}, None, ft_adverse=False).commit
-    assert not check_commit(store, "Move", {}, None, ft_adverse=True).commit
+    assert check_commit(store, "Move", {}, None).commit
 
 
 def test_check_commit_requires_perception_for_manipulation():
     store = make_store()
-    assert not check_commit(store, "Pick", {"object": "part"}, None,
-                            ft_adverse=False).commit
+    assert not check_commit(store, "Pick", {"object": "part"}, None).commit
 
 
 def test_check_commit_pick_object_tracks_gripper():
@@ -339,12 +337,12 @@ def test_check_commit_pick_object_tracks_gripper():
     grip = np.array([0.4, 0.0, 0.1])
     near = {"part": grip + np.array([0.005, 0, 0])}
     far = {"part": np.array([0.6, 0.0, 0.02])}
-    assert check_commit(store, "Pick", {"object": "part"}, near, False,
+    assert check_commit(store, "Pick", {"object": "part"}, near,
                         gripper_position=grip).commit
-    assert not check_commit(store, "Pick", {"object": "part"}, far, False,
+    assert not check_commit(store, "Pick", {"object": "part"}, far,
                             gripper_position=grip).commit
     # Vanished from the support surfaces: consistent with being in-hand.
-    assert check_commit(store, "Pick", {"object": "part"}, {}, False,
+    assert check_commit(store, "Pick", {"object": "part"}, {},
                         gripper_position=grip).commit
 
 
@@ -353,6 +351,6 @@ def test_check_commit_place_within_tolerance():
     args = {"object": "part", "position": [1.0, 0.0, 0.055]}
     good = {"part": np.array([1.01, 0.0, 0.055])}
     bad = {"part": np.array([1.1, 0.0, 0.055])}
-    assert check_commit(store, "Place", args, good, False).commit
-    assert not check_commit(store, "Place", args, bad, False).commit
-    assert not check_commit(store, "Place", args, {}, False).commit
+    assert check_commit(store, "Place", args, good).commit
+    assert not check_commit(store, "Place", args, bad).commit
+    assert not check_commit(store, "Place", args, {}).commit

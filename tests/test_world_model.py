@@ -530,10 +530,10 @@ def test_new_track_needs_two_sightings():
     store = _store_with_zone()
     obs = _obs("gear", [0.5, 0, 0])
     match = MatchResult(unmatched_observations=[0])
-    d1 = register_or_update(store, [obs], match, [], {}, "z1", step=0)
+    d1 = register_or_update(store, [obs], match, [], {}, "z1")
     assert d1.promoted == [] and len(d1.tentative) == 1
     assert "gear_1" not in store.vertices
-    d2 = register_or_update(store, [obs], match, [], {}, "z1", step=1)
+    d2 = register_or_update(store, [obs], match, [], {}, "z1")
     assert d2.promoted == ["gear_1"]
     assert store.vertices["gear_1"].zone_id == "z1"
 
@@ -844,3 +844,44 @@ def test_unreferenced_def_lint_sees_every_form_of_reference():
             "def dead(): pass\nclass Dead: pass\n"
             "x = used() + mod.via_attr()\ny: Used\n")
     assert sorted(_unreferenced_defs([ast.parse(code)])) == ["Dead", "dead"]
+
+
+def _unread_parameters(tree):
+    """``name(param)`` for each parameter of each function in the tree that
+    its body never reads. ``self``, ``cls``, names that start with ``_``
+    and functions whose body only raises are exempt."""
+    unread = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+        if all(isinstance(stmt, ast.Raise) for stmt in body):
+            continue
+        a = fn.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+        params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+        read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{fn.name}({p})" for p in params
+                   if p not in ("self", "cls") and not p.startswith("_")
+                   and p not in read]
+    return unread
+
+
+def test_every_engine_parameter_is_read():
+    unread = []
+    for path in sorted(Path(workcell.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        unread += [f"{path.name}: {u}" for u in _unread_parameters(tree)]
+    assert unread == []
+
+
+def test_unread_parameter_lint_sees_every_form_of_parameter():
+    code = ("def f(a, b, /, c, *d, e, h=1, **g):\n    return a + c[e]\n"
+            "class K:\n    def m(self, x, _y):\n        def inner(z):\n"
+            "            return x\n        return inner\n"
+            "    @classmethod\n    def n(cls, w):\n        w = 1\n"
+            "    def iface(self, q):\n        \"\"\"Doc.\"\"\"\n"
+            "        raise NotImplementedError\n")
+    assert _unread_parameters(ast.parse(code)) == [
+        "f(b)", "f(h)", "f(d)", "f(g)", "n(w)", "inner(z)"]
