@@ -245,7 +245,6 @@ def keyword_similarity(category: str, keywords: list[str], synonyms: dict) -> fl
 class ContextSubgraph:
     vertices: list[str]  # uids, ascending, robot always present
     edges: list[RelationEdge]
-    robot: str = ROBOT_UID
 
 
 def extract_subgraph(

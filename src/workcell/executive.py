@@ -99,9 +99,6 @@ class TaskDAG:
                         queue.append(j)
         if seen != len(self.nodes):
             raise ScenarioError("task graph contains a cycle")
-        executing = [n for n in self.nodes.values() if n.status == NodeStatus.EXECUTING]
-        if len(executing) > 1:
-            raise ScenarioError("more than one node executing")
 
     def ready(self) -> list[TaskNode]:
         out = []
@@ -126,10 +123,13 @@ class TaskDAG:
                     and isinstance(nd.get("function"), str)
                     and isinstance(nd.get("args", {}), dict)
                     and isinstance(nd.get("deps", []), list)
-                    and all(_is_int(d) for d in nd.get("deps", []))):
+                    and all(_is_int(d) for d in nd.get("deps", []))
+                    and isinstance(nd.get("keywords", []), list)
+                    and isinstance(nd.get("zones", []), list)):
                 raise ScenarioError(
                     f"task node {nd!r} needs an integer id, a string function, "
-                    "an args object and a list of integer deps")
+                    "an args object, a list of integer deps, and lists of "
+                    "keywords and zones")
             nodes.append(TaskNode(
                 node_id=nd["id"],
                 function=nd["function"],
@@ -149,21 +149,6 @@ class HistoryEntry:
     ert: dict
     outcome: str
     timestamp: int
-
-
-class ActionHistory:
-    def __init__(self):
-        self._entries: list[HistoryEntry] = []
-
-    def append(self, entry: HistoryEntry):
-        self._entries.append(entry)
-
-    @property
-    def entries(self) -> tuple[HistoryEntry, ...]:
-        return tuple(self._entries)
-
-    def __len__(self):
-        return len(self._entries)
 
 
 # -- discrepancy -------------------------------------------------------------
@@ -288,13 +273,6 @@ def synthesize_replan(
 
 
 @dataclass
-class ExecutionFeedback:
-    """What the controller reports back after physically running a skill."""
-
-    ft_events: list[FTEvent] = field(default_factory=list)
-
-
-@dataclass
 class SenseResult:
     """Post-action perception summary the loop uses for commit checks."""
 
@@ -302,21 +280,12 @@ class SenseResult:
     gripper_position: np.ndarray | None = None
 
 
-@dataclass
-class RunResult:
-    completed: bool
-    trace: list[dict]
-    diagnostics: list[dict]
-    n_init: int
-    n_replan: int
-
-
 class Executive:
     def __init__(
         self,
         store: WorldStore,
         reasoner: Reasoner,
-        execute_skill,  # (action, args) -> ExecutionFeedback
+        execute_skill,  # (action, args) -> list[FTEvent]
         sense,  # () -> SenseResult
         synonyms: dict[str, list[str]] | None = None,
     ):
@@ -327,7 +296,7 @@ class Executive:
         self.synonyms = synonyms
         self.cs = ConstraintState()
         self.log = TransactionLog()
-        self.history = ActionHistory()
+        self.history: list[HistoryEntry] = []
         self.trace: list[dict] = []
         self.diagnostics: list[dict] = []
         self.n_init = 0
@@ -374,7 +343,9 @@ class Executive:
 
     # -- loop ---------------------------------------------------------------
 
-    def main_loop(self, dag: TaskDAG) -> RunResult:
+    def main_loop(self, dag: TaskDAG) -> bool:
+        """Run the graph's nodes in order until one fails; whether every
+        node completed."""
         while True:
             ready = dag.ready()
             if not ready:
@@ -387,19 +358,13 @@ class Executive:
             self._record("subtask_end", node=node.node_id, ok=ok)
             if not ok:
                 break
-        return self._result(dag.all_completed())
+        return dag.all_completed()
 
-    def abandon(self, fault: ReasonerFault) -> RunResult:
+    def abandon(self, fault: ReasonerFault) -> bool:
         """End the run on a reasoner fault: record it and report the run
         as not completed."""
         self._record("reasoner_fault", kind=fault.kind, detail=str(fault))
-        return self._result(False)
-
-    def _result(self, completed: bool) -> RunResult:
-        return RunResult(
-            completed, self.trace, self.diagnostics,
-            self.n_init, self.n_replan,
-        )
+        return False
 
     def _run_node(self, node: TaskNode) -> bool:
         if node.manipulation:
@@ -449,10 +414,9 @@ class Executive:
         self._clock += 1
         pre_edges = list(self.store.edges)
         cs_before = self.cs
-        feedback: ExecutionFeedback = self.execute_skill(ert.action, ert.args)
+        ft_events: list[FTEvent] = self.execute_skill(ert.action, ert.args)
         result = apply_transition(
-            self.store, self.cs, self.log, ert.action, ert.args,
-            ft_events=feedback.ft_events,
+            self.store, self.cs, self.log, ert.action, ert.args, ft_events=ft_events,
         )
         self._record(
             "executed", node=node.node_id, action=ert.action,
@@ -525,7 +489,7 @@ class Executive:
             return False
 
         request = synthesize_replan(
-            report, category, list(self.history.entries)[-3:],
+            report, category, self.history[-3:],
             self._context_payload(node), cs_before,
         )
         before = self.reasoner.call_count
@@ -542,11 +506,11 @@ class Executive:
             except ScenarioError as exc:
                 raise ReasonerFault(RequestKind.RECOVERY_PLAN.value,
                                     f"RecoveryPlan reply is not a task graph: {exc}") from None
-            result = self.main_loop(recovery_dag)
+            completed = self.main_loop(recovery_dag)
         finally:
             self._in_recovery = False
-        self._record("recovery_done", node=node.node_id, ok=result.completed)
-        return result.completed
+        self._record("recovery_done", node=node.node_id, ok=completed)
+        return completed
 
     def _diagnose(
         self, node: TaskNode, ert: ERT, pre_live: set[tuple[str, str, str]],

@@ -129,27 +129,15 @@ class OrientedBox:
         object.__setattr__(self, "half_extents", he)
         object.__setattr__(self, "rotation", _check_rotation(self.rotation))
 
-    @property
-    def volume(self) -> float:
-        return float(8.0 * np.prod(self.half_extents))
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """Boolean mask of points inside the box (boundary inclusive)."""
-        local = (np.atleast_2d(points) - self.center) @ self.rotation
-        return np.all(np.abs(local) <= self.half_extents + 1e-12, axis=1)
-
 
 @dataclass
 class PointCloudData:
-    """Ordered point set with optional per-point semantic labels."""
+    """Ordered point set."""
 
     points: np.ndarray
-    labels: list[str] | None = None
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
-        if self.labels is not None and len(self.labels) != len(self.points):
-            raise ValueError("label count must match point count")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -234,6 +222,13 @@ def envelope_from_points(pc: PointCloudData) -> GaussianEnvelope:
     centered = pc.points - mean
     cov = (centered.T @ centered) / (len(pc) - 1) + COV_EPSILON * np.eye(3)
     return GaussianEnvelope(mean, cov)
+
+
+def envelope_box(env: GaussianEnvelope) -> tuple[np.ndarray, np.ndarray]:
+    """The (lo, hi) corners of the axis-aligned box two standard deviations
+    either side of the envelope's mean."""
+    sigma = np.sqrt(np.diag(env.covariance))
+    return env.mean - 2 * sigma, env.mean + 2 * sigma
 
 
 def xy_iou(lo_a, hi_a, lo_b, hi_b) -> float:

@@ -30,7 +30,6 @@ from .cognition import (
 )
 from .errors import ReasonerFault, ScenarioError
 from .executive import (
-    ExecutionFeedback,
     Executive,
     FailureCategory,
     SenseResult,
@@ -42,6 +41,7 @@ from .geometry import (
     OrientedBox,
     PointCloudData,
     PoseSE3,
+    envelope_box,
     xy_iou,
 )
 from .perception import (
@@ -56,10 +56,10 @@ from .simulator import (
     SimCamera,
     SimObject,
     SimWorld,
-    SimZone,
     render_frame,
     visible_pixel_counts,
 )
+from .transactions import FTEvent
 from .world_model import (
     EdgeStatus,
     Lifecycle,
@@ -87,7 +87,6 @@ _PRIOR_SIGMA_FLOOR = 0.02
 @dataclass
 class ScenarioSpec:
     doc: dict
-    path: str = ""
 
     @property
     def trials(self) -> int:
@@ -104,51 +103,162 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
     errors = validate_scenario(doc)
     if errors:
         raise ScenarioError("; ".join(errors))
-    return ScenarioSpec(doc, str(path))
+    return ScenarioSpec(doc)
 
 
-def validate_scenario(doc: dict) -> list[str]:
-    """All structural problems, collected before any trial runs."""
+def _numbers(*shapes: tuple, positive: bool = False):
+    """A value test: finite real numbers in one of ``shapes``, all above
+    zero when ``positive``; and what it wants, in words."""
+    def test(value) -> bool:
+        try:
+            a = np.asarray(value)
+        except ValueError:  # a ragged list
+            return False
+        return (a.dtype.kind in "iuf" and a.shape in shapes and bool(np.isfinite(a).all())
+                and not (positive and (a <= 0).any()))
+    size = shapes[0][0] if shapes[0] else 1
+    return test, (f"{'a' if size == 1 else size} finite {'positive ' if positive else ''}"
+                  f"number{'s' * (size > 1)}")
+
+
+_SCALAR = _numbers(())
+_LENGTH = _numbers((), positive=True)
+_POINT = _numbers((3,))
+_ROTATION = _numbers((9,), (3, 3))
+_EXTENTS = _numbers((3,), positive=True)
+
+
+# The keys the builders and the runner read, each with a test of its value
+# and what the test wants. A key ending in "?" is read with a default and
+# may be left out.
+_STR = (lambda v: isinstance(v, str), "a string")
+_LIST = (lambda v: isinstance(v, list), "a list")
+_DICT = (lambda v: isinstance(v, dict), "an object")
+_INT = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+_ANY = (lambda v: True, "")
+_SCENARIO_KEYS = {
+    "zones": _LIST, "objects": _LIST, "robot": _ANY, "task": _ANY,
+    "trials?": (lambda v: _INT[0](v) and v >= 1, "an integer >= 1"), "seed?": _INT,
+    "cameras?": _DICT,
+    "synonyms?": (lambda v: isinstance(v, dict) and all(isinstance(w, list) for w in v.values()),
+                  "an object of lists"),
+    **{f"{key}?": _LIST for key in ("injections", "script", "shape_priors", "questions",
+                                     "queries")},
+}
+_ZONE_KEYS = {"id": _STR, "center": _POINT, "half_extents": _EXTENTS,
+              "reachable?": _LIST}
+_OBJECT_KEYS = {"id": _STR, "label": _STR, "zone": _STR, "position": _POINT,
+                "half_extents": _EXTENTS, "attributes?": _DICT}
+_ROBOT_KEYS = {"zone": _STR, "position": _POINT}
+_CAMERA_KEYS = {"fx": _LENGTH, "fy": _LENGTH, "cx": _SCALAR, "cy": _SCALAR,
+                "rotation": _ROTATION, "translation": _POINT, "width?": _INT, "height?": _INT}
+_INJECTION_KEYS = {"kind": (lambda v: v in ("PartSlip", "Obstacle", "TargetMoved"),
+                            "PartSlip, Obstacle or TargetMoved"), "params?": _DICT}
+_PARAM_KEYS = {"PartSlip": {"drop_offset?": _POINT}, "Obstacle": {},
+               "TargetMoved": {"target": _STR, "move_delta": _POINT}}
+_SCRIPT_KEYS = {"kind": _STR, "responses": _LIST, "key?": _STR}
+_PRIOR_KEYS = {"id": _STR, "points": _LIST, "functional_frame?": _DICT}
+_FRAME_KEYS = {"rotation": _ROTATION, "translation": _POINT}
+_QUESTION_KEYS = {
+    "position": {"uid": _STR, "expect": _POINT, "tol?": _SCALAR},
+    "relation": {"predicate": _STR, "subject": _STR, "object": _STR, "expect": _ANY},
+    "attribute": {"uid": _STR, "key": _STR, "expect": _ANY},
+    "zone_of": {"uid": _STR, "expect": _ANY},
+    "zone_count": {"zone": _STR, "expect": _INT},
+}
+
+
+def _key_errors(item, what: str, keys: dict) -> list[str]:
+    """What a builder would trip over in one mapping: the mapping itself,
+    a missing key that has no default, or a value that fails its test."""
+    if not isinstance(item, dict):
+        return [f"{what} is not an object"]
     errors = []
+    for key, (test, wants) in keys.items():
+        defaulted, key = key.endswith("?"), key.rstrip("?")
+        if key not in item:
+            if not defaulted:
+                errors.append(f"{what} has no {key!r}")
+        elif not test(item[key]):
+            errors.append(f"{what}: {key!r} must be {wants}")
+    return errors
+
+
+def validate_scenario(doc) -> list[str]:
+    """All problems that would stop a run, collected before any trial runs:
+    a key the builders or the runner read that is missing (where they give
+    it no default) or holds a value they cannot use, and a reference that
+    does not resolve. Never raises."""
+    if not isinstance(doc, dict):
+        return ["scenario is not a JSON object"]
+    errors = _key_errors(doc, "scenario", _SCENARIO_KEYS)
     if doc.get("version") != SCENARIO_VERSION:
         errors.append(f"unsupported scenario version {doc.get('version')!r}")
-    if int(doc.get("trials", 1)) < 1:
-        errors.append("trial count must be >= 1")
-    zone_ids = {z.get("id") for z in doc.get("zones", [])}
+
+    def entries(key: str, keys: dict) -> list[tuple[str, dict]]:
+        """(name, entry) for each entry of a list section that passes
+        ``keys``; the errors of the others are collected."""
+        valid = []
+        for i, entry in enumerate(doc[key] if isinstance(doc.get(key), list) else []):
+            errors.extend(found := _key_errors(entry, f"{key}[{i}]", keys))
+            if not found:
+                valid.append((f"{key}[{i}]", entry))
+        return valid
+
+    zone_ids = {z["id"] for _, z in entries("zones", _ZONE_KEYS)}
     if not zone_ids:
         errors.append("scenario defines no zones")
-    object_ids = set()
-    for obj in doc.get("objects", []):
-        oid = obj.get("id")
-        if oid in object_ids:
+    objects = [o for _, o in entries("objects", _OBJECT_KEYS)]
+    object_ids = {o["id"] for o in objects}
+    seen = set()
+    for o in objects:
+        oid = o["id"]
+        if oid in seen:
             errors.append(f"duplicate object id {oid!r}")
-        object_ids.add(oid)
-        if obj.get("zone") not in zone_ids:
-            errors.append(f"object {oid!r} references unknown zone {obj.get('zone')!r}")
-        sup = obj.get("support")
-        if sup is not None and sup not in {o.get("id") for o in doc.get("objects", [])}:
+        seen.add(oid)
+        if o["zone"] not in zone_ids:
+            errors.append(f"object {oid!r} references unknown zone {o['zone']!r}")
+        sup = o.get("support")
+        if sup is not None and not (isinstance(sup, str) and sup in object_ids):
             errors.append(f"object {oid!r} supported by unknown {sup!r}")
-    robot = doc.get("robot", {})
-    if robot.get("zone") not in zone_ids:
-        errors.append(f"robot zone {robot.get('zone')!r} unknown")
-    for zid in doc.get("cameras", {}):
+    if "robot" in doc:
+        errors += (found := _key_errors(doc["robot"], "robot", _ROBOT_KEYS))
+        if not found and doc["robot"]["zone"] not in zone_ids:
+            errors.append(f"robot zone {doc['robot']['zone']!r} unknown")
+    cameras = doc["cameras"] if isinstance(doc.get("cameras"), dict) else {}
+    if not cameras:
+        errors.append("scenario defines no cameras")  # sense reads the first as a fallback
+    for zid, c in cameras.items():
         if zid not in zone_ids:
             errors.append(f"camera for unknown zone {zid!r}")
-    task = doc.get("task", {})
+        errors += (found := _key_errors(c, f"camera {zid!r}", _CAMERA_KEYS))
+        if not found:
+            try:
+                PoseSE3(np.asarray(c["rotation"], dtype=float).reshape(3, 3), c["translation"])
+            except ValueError as exc:
+                errors.append(f"camera {zid!r}: {exc}")
     try:
-        TaskDAG.from_doc(task)
+        TaskDAG.from_doc(doc.get("task", {}))
     except ScenarioError as exc:
         errors.append(f"task graph: {exc}")
-    for inj in doc.get("injections", []):
-        if inj.get("kind") not in ("PartSlip", "Obstacle", "TargetMoved"):
-            errors.append(f"unknown injection kind {inj.get('kind')!r}")
-        if inj.get("kind") == "TargetMoved":
-            if inj.get("params", {}).get("target") not in object_ids:
-                errors.append("TargetMoved injection references unknown target")
-    for q in doc.get("questions", []) + doc.get("queries", []):
-        if q.get("kind") not in ("position", "relation", "attribute", "zone_of",
-                                 "zone_count"):
-            errors.append(f"unknown question kind {q.get('kind')!r}")
+    for name, inj in entries("injections", _INJECTION_KEYS):
+        params = inj.get("params", {})
+        errors += (found := _key_errors(params, f"{name} params", _PARAM_KEYS[inj["kind"]]))
+        if not found and inj["kind"] == "TargetMoved" and params["target"] not in object_ids:
+            errors.append("TargetMoved injection references unknown target")
+    entries("script", _SCRIPT_KEYS)
+    for name, prior in entries("shape_priors", _PRIOR_KEYS):
+        if "functional_frame" in prior:
+            errors += _key_errors(prior["functional_frame"], f"{name} functional_frame",
+                                  _FRAME_KEYS)
+    for name, q in entries("questions", {"kind": _ANY}) + entries("queries", {"kind": _ANY}):
+        keys = _QUESTION_KEYS.get(q["kind"]) if isinstance(q["kind"], str) else None
+        if keys is None:
+            errors.append(f"unknown question kind {q['kind']!r}")
+            continue
+        errors += (found := _key_errors(q, name, keys))
+        if not found and q["kind"] == "zone_count" and q["zone"] not in zone_ids:
+            errors.append(f"{name} counts unknown zone {q['zone']!r}")
     return errors
 
 
@@ -156,14 +266,6 @@ def validate_scenario(doc: dict) -> list[str]:
 
 
 def build_world(doc: dict, trial_seed: int) -> SimWorld:
-    zones = []
-    for z in doc["zones"]:
-        extent = OrientedBox(
-            np.asarray(z["center"], dtype=float),
-            np.asarray(z["half_extents"], dtype=float),
-        )
-        zones.append(SimZone(z["id"], z.get("name", z["id"]), extent,
-                             list(z.get("reachable", []))))
     objects = []
     for o in doc["objects"]:
         objects.append(SimObject(
@@ -187,7 +289,7 @@ def build_world(doc: dict, trial_seed: int) -> SimWorld:
     ]
     robot = doc["robot"]
     return SimWorld(
-        zones=zones,
+        zones=[z["id"] for z in doc["zones"]],
         objects=objects,
         robot_zone=robot["zone"],
         robot_position=np.asarray(robot["position"], dtype=float),
@@ -298,14 +400,13 @@ class TrialRuntime:
 
     # -- executive hooks ----------------------------------------------------
 
-    def execute_skill(self, action: str, args: dict) -> ExecutionFeedback:
+    def execute_skill(self, action: str, args: dict) -> list[FTEvent]:
         self.record_sta_sample()
         # The only world writes of a trial follow; nothing renders until
         # both have returned.
         self._held = None
         self.world.step()
-        outcome = self.world.execute_skill(action, args)
-        return ExecutionFeedback(ft_events=outcome.ft_events)
+        return self.world.execute_skill(action, args)
 
     def sense(self) -> SenseResult:
         camera = self.active_camera()
@@ -342,9 +443,7 @@ class TrialRuntime:
 
         def iou_fn(k, i):
             if k not in obs_boxes:
-                env = observations[k].envelope
-                obs_boxes[k] = (env.mean - 2 * np.sqrt(np.diag(env.covariance)),
-                                env.mean + 2 * np.sqrt(np.diag(env.covariance)))
+                obs_boxes[k] = envelope_box(observations[k].envelope)
             if i not in memory_boxes:
                 memory_boxes[i] = record_bounds(memory[i])
             return xy_iou(*obs_boxes[k], *memory_boxes[i])
@@ -632,9 +731,9 @@ def run_trial(spec: ScenarioSpec, trial_index: int,
     )
     dag = TaskDAG.from_doc(doc["task"])
     try:
-        result = executive.main_loop(dag)
+        completed = executive.main_loop(dag)
     except ReasonerFault as fault:
-        result = executive.abandon(fault)
+        completed = executive.abandon(fault)
     runtime.record_sta_sample()
 
     question_results = []
@@ -652,17 +751,17 @@ def run_trial(spec: ScenarioSpec, trial_index: int,
     )
     return {
         "trial": trial_index,
-        "success": result.completed,
-        "n_init": result.n_init,
-        "n_replan": result.n_replan,
+        "success": completed,
+        "n_init": executive.n_init,
+        "n_replan": executive.n_replan,
         "sta_samples": runtime.sta_samples,
-        "diagnostics": result.diagnostics,
+        "diagnostics": executive.diagnostics,
         "expected_root_cause": doc.get("root_cause"),
         "question_results": question_results,
         "query_results": query_results,
         "n_items": n_items,
         "sim_time": world.sim_time,
-        "trace": result.trace,
+        "trace": executive.trace,
         "store_hash": store.state_hash(),
         "log_chain_valid": executive.log.validate_chain(),
     }

@@ -98,11 +98,9 @@ GeomAbstraction = PointsGeom | VoxelsGeom | BillboardGeom
 
 @dataclass
 class Observation:
-    instance_id: int
     label: str
     geometry: GeomAbstraction
     envelope: GaussianEnvelope
-    description: str = ""
     confidence: float = 1.0
 
 
@@ -123,7 +121,6 @@ class LiftedPoints:
 
     points: np.ndarray
     instance_ids: np.ndarray
-    pixels: np.ndarray  # (N, 2) source (u, v), kept for mask fallbacks
 
     def for_instance(self, instance_id: int) -> np.ndarray:
         return self.points[self.instance_ids == instance_id]
@@ -137,9 +134,7 @@ def lift_frame(frame: Frame, k: CameraIntrinsics) -> LiftedPoints:
     """
     vv, uu = np.nonzero((frame.mask >= 0) & frame.validity())
     if len(uu) == 0:
-        return LiftedPoints(
-            np.zeros((0, 3)), np.zeros(0, dtype=np.int32), np.zeros((0, 2), dtype=np.int32)
-        )
+        return LiftedPoints(np.zeros((0, 3)), np.zeros(0, dtype=np.int32))
     d = frame.depth[vv, uu].astype(float)
     rays_c = np.stack(
         [(uu - k.cx) / k.fx, (vv - k.cy) / k.fy, np.ones_like(d)], axis=1
@@ -157,7 +152,7 @@ def lift_frame(frame: Frame, k: CameraIntrinsics) -> LiftedPoints:
     ids = frame.mask[vv, uu].astype(np.int32)
     ids[perp >= DEFAULT_RAY_EPSILON] = -1
 
-    return LiftedPoints(pts_b, ids, np.stack([uu, vv], axis=1).astype(np.int32))
+    return LiftedPoints(pts_b, ids)
 
 
 def quantize_by_distance(points: np.ndarray, image_ref: str = "") -> GeomAbstraction:
@@ -189,7 +184,6 @@ def assemble_snapshot(frame: Frame, k: CameraIntrinsics) -> list[Observation]:
         envelope = envelope_from_points(PointCloudData(pts))
         observations.append(
             Observation(
-                instance_id=instance_id,
                 label=label,
                 geometry=geometry,
                 envelope=envelope,

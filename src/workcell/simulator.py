@@ -1,9 +1,11 @@
 """Deterministic multi-zone workcell simulator.
 
 Ground-truth object states live here, never in the engine's store. Skills
-execute abstractly (no dynamics), frames render from oriented-box proxies
-with perfect masks, and failure injections synthesize exactly the
-force-torque signatures the transaction layer watches for.
+execute abstractly (no dynamics) and report back only the force-torque
+events a controller senses, so whether a skill worked is for the engine to
+find out; frames render from oriented-box proxies with perfect masks, and
+failure injections synthesize exactly the force-torque signatures the
+transaction layer watches for.
 
 Rendering ray-casts each object's box against the camera's pixel rays, which
 the frozen ``SimCamera`` computes once. Each box is tested only against the
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ScenarioError, WorkcellError
-from .geometry import CORNER_SIGNS, OrientedBox, PoseSE3
+from .geometry import CORNER_SIGNS, PoseSE3
 from .perception import CameraIntrinsics, Frame
 from .transactions import FTEvent, FTSignal
 from .world_model import D_NEAR, EPS_CONTACT
@@ -63,14 +65,6 @@ class SimObject:
 
 
 @dataclass
-class SimZone:
-    zone_id: str
-    name: str
-    extent: OrientedBox
-    reachable: list[str] = field(default_factory=list)
-
-
-@dataclass
 class FailureInjection:
     kind: str  # PartSlip | Obstacle | TargetMoved
     trigger_phase: str | None = None  # action name
@@ -81,14 +75,6 @@ class FailureInjection:
     def __post_init__(self):
         if self.kind not in ("PartSlip", "Obstacle", "TargetMoved"):
             raise ScenarioError(f"unknown injection kind {self.kind!r}")
-
-
-@dataclass
-class SkillOutcome:
-    success: bool
-    ft_events: list[FTEvent] = field(default_factory=list)
-    elapsed_s: float = PRIMITIVE_SECONDS
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -118,14 +104,14 @@ class SimCamera:
 class SimWorld:
     def __init__(
         self,
-        zones: list[SimZone],
+        zones: list[str],
         objects: list[SimObject],
         robot_zone: str,
         robot_position: np.ndarray,
         injections: list[FailureInjection] | None = None,
         seed: int = 0,
     ):
-        self.zones = {z.zone_id: z for z in zones}
+        self.zones = set(zones)
         self.objects = {o.object_id: o for o in objects}
         self.robot_zone = robot_zone
         self.robot_position = np.asarray(robot_position, dtype=float).reshape(3)
@@ -188,7 +174,9 @@ class SimWorld:
 
     # -- skills -------------------------------------------------------------
 
-    def execute_skill(self, action: str, args: dict) -> SkillOutcome:
+    def execute_skill(self, action: str, args: dict) -> list[FTEvent]:
+        """Run one skill for ``PRIMITIVE_SECONDS``; what the controller
+        reports back is the force-torque events it sensed."""
         args = dict(args or {})
         handler = {
             "Pick": self._do_pick,
@@ -205,10 +193,10 @@ class SimWorld:
         inj = self._pending_injection("TargetMoved", action)
         if inj is not None:
             self._apply_target_moved(inj)
-        outcome = handler(args)
-        self.sim_time += outcome.elapsed_s
+        events = handler(args)
+        self.sim_time += PRIMITIVE_SECONDS
         self.validate_supports()
-        return outcome
+        return events
 
     def _resolve(self, object_id: str) -> SimObject:
         obj = self.objects.get(object_id)
@@ -216,37 +204,26 @@ class SimWorld:
             raise WorkcellError(f"unresolvable object {object_id!r}")
         return obj
 
-    def _do_pick(self, args: dict) -> SkillOutcome:
+    def _do_pick(self, args: dict) -> list[FTEvent]:
         obj = self._resolve(args["object"])
         grasp_at = np.asarray(
             args.get("position", obj.pose.translation), dtype=float
         ).reshape(3)
         if self.gripper is not None:
-            return SkillOutcome(False, note="gripper occupied")
-        miss = float(np.linalg.norm(obj.pose.translation - grasp_at))
-        if miss > GRASP_TOLERANCE:
+            return []  # the gripper is occupied
+        if float(np.linalg.norm(obj.pose.translation - grasp_at)) > GRASP_TOLERANCE:
             # Fingers close on air: grip force never builds up.
-            return SkillOutcome(
-                False,
-                ft_events=[FTEvent(FTSignal.GRIPPER_FORCE, _SLIP_GRIP, "N")],
-                note=f"grasp missed by {miss:.3f} m",
-            )
+            return [FTEvent(FTSignal.GRIPPER_FORCE, _SLIP_GRIP, "N")]
         self.gripper = obj.object_id
         obj.support = None
         obj.pose = PoseSE3(obj.pose.rotation, self.robot_position.copy())
-        return SkillOutcome(
-            True, ft_events=[FTEvent(FTSignal.GRIPPER_FORCE, _NOMINAL_GRIP, "N")]
-        )
+        return [FTEvent(FTSignal.GRIPPER_FORCE, _NOMINAL_GRIP, "N")]
 
-    def _do_move(self, args: dict) -> SkillOutcome:
+    def _do_move(self, args: dict) -> list[FTEvent]:
         inj = self._pending_injection("Obstacle", "Move")
         if inj is not None:
-            inj.consumed = True
-            return SkillOutcome(
-                False,
-                ft_events=[FTEvent(FTSignal.EXTERNAL_FORCE, _COLLISION_FORCE, "N")],
-                note="collision with injected obstacle",
-            )
+            inj.consumed = True  # collision with the injected obstacle
+            return [FTEvent(FTSignal.EXTERNAL_FORCE, _COLLISION_FORCE, "N")]
         if self.gripper is not None:
             slip = self._pending_injection("PartSlip", "Move")
             if slip is not None:
@@ -263,12 +240,8 @@ class SimWorld:
                 )
                 dropped.support = None
                 dropped.zone = self.robot_zone
-                self.gripper = None
-                return SkillOutcome(
-                    False,
-                    ft_events=[FTEvent(FTSignal.GRIPPER_FORCE, _SLIP_GRIP, "N")],
-                    note="part slipped during transport",
-                )
+                self.gripper = None  # the part slipped during transport
+                return [FTEvent(FTSignal.GRIPPER_FORCE, _SLIP_GRIP, "N")]
         if "position" in args:
             self.robot_position = np.asarray(args["position"], dtype=float).reshape(3)
         if "zone" in args:
@@ -279,11 +252,11 @@ class SimWorld:
             held = self.objects[self.gripper]
             held.pose = PoseSE3(held.pose.rotation, self.robot_position.copy())
             held.zone = self.robot_zone
-        return SkillOutcome(True)
+        return []
 
-    def _do_place(self, args: dict) -> SkillOutcome:
+    def _do_place(self, args: dict) -> list[FTEvent]:
         if self.gripper is None:
-            return SkillOutcome(False, note="nothing in gripper")
+            return []  # nothing in the gripper
         obj = self.objects[self.gripper]
         pos = np.asarray(
             args.get("position", self.robot_position), dtype=float
@@ -298,16 +271,11 @@ class SimWorld:
         obj.support = support
         obj.zone = args.get("zone", self.robot_zone)
         self.gripper = None
-        return SkillOutcome(
-            True,
-            ft_events=[FTEvent(
-                FTSignal.VERTICAL_FORCE, _CONTACT_FORCE, "N", _CONTACT_SUSTAIN
-            )],
-        )
+        return [FTEvent(FTSignal.VERTICAL_FORCE, _CONTACT_FORCE, "N", _CONTACT_SUSTAIN)]
 
-    def _do_insert(self, args: dict) -> SkillOutcome:
+    def _do_insert(self, args: dict) -> list[FTEvent]:
         if self.gripper is None or self.gripper != args["part"]:
-            return SkillOutcome(False, note="part not in gripper")
+            return []  # the part is not in the gripper
         part = self.objects[args["part"]]
         receptacle = self._resolve(args["receptacle"])
         mating = args.get("mating_offset", [0.0, 0.0, 0.0])
@@ -318,18 +286,15 @@ class SimWorld:
         part.support = receptacle.object_id
         part.zone = receptacle.zone
         self.gripper = None
-        return SkillOutcome(
-            True,
-            ft_events=[FTEvent(FTSignal.EXTERNAL_TORQUE, _NOMINAL_TORQUE, "Nm")],
-        )
+        return [FTEvent(FTSignal.EXTERNAL_TORQUE, _NOMINAL_TORQUE, "Nm")]
 
-    def _do_rotate(self, args: dict) -> SkillOutcome:
+    def _do_rotate(self, args: dict) -> list[FTEvent]:
         obj = self._resolve(args["object"])
         rot = np.asarray(args["rotation"], dtype=float).reshape(3, 3)
         obj.pose = PoseSE3(rot, obj.pose.translation)
-        return SkillOutcome(True)
+        return []
 
-    def _do_open(self, _args: dict) -> SkillOutcome:
+    def _do_open(self, _args: dict) -> list[FTEvent]:
         if self.gripper is not None:
             obj = self.objects[self.gripper]
             obj.pose = PoseSE3(
@@ -339,12 +304,10 @@ class SimWorld:
             )
             obj.support = None
             self.gripper = None
-        return SkillOutcome(True)
+        return []
 
-    def _do_close(self, _args: dict) -> SkillOutcome:
-        return SkillOutcome(
-            True, ft_events=[FTEvent(FTSignal.GRIPPER_FORCE, _NOMINAL_GRIP, "N")]
-        )
+    def _do_close(self, _args: dict) -> list[FTEvent]:
+        return [FTEvent(FTSignal.GRIPPER_FORCE, _NOMINAL_GRIP, "N")]
 
     # -- ground truth -------------------------------------------------------
 

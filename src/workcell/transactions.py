@@ -13,13 +13,12 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
 from .errors import StateMachineError, TransactionError
 from .geometry import GaussianEnvelope, PoseSE3
-from .serialization import canonical_dumps, json_line
+from .serialization import canonical_dumps
 from .world_model import (
     EdgeStatus,
     ROBOT_UID,
@@ -58,10 +57,6 @@ class ConstraintState:
 
     def to_dict(self) -> dict:
         return {"phase": self.phase.value, "target": self.target}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ConstraintState":
-        return cls(Phase(d["phase"]), d["target"])
 
 
 # -- force-torque events -----------------------------------------------------
@@ -204,16 +199,6 @@ class TransactionEntry:
     outcome: str  # applied | committed | rolled_back | rollback
     inverse: dict | None = field(default=None, repr=False)
 
-    def to_record(self) -> dict:
-        return {
-            "pre_hash": self.pre_hash,
-            "post_hash": self.post_hash,
-            "action": self.action,
-            "args": dict(self.args),
-            "delta": list(self.delta),
-            "outcome": self.outcome,
-        }
-
 
 @dataclass
 class TransactionLog:
@@ -230,11 +215,6 @@ class TransactionLog:
 
     def pending(self) -> list[TransactionEntry]:
         return [e for e in self.entries if e.outcome == "applied"]
-
-    def export_ndjson(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            for e in self.entries:
-                fh.write(json_line(e.to_record()) + "\n")
 
 
 def state_bytes(store: WorldStore, cs: ConstraintState) -> str:

