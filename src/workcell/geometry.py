@@ -113,6 +113,65 @@ class GaussianEnvelope:
         object.__setattr__(self, "covariance", cov)
 
 
+# Bound on the gap between the smallest eigenvalue np.linalg.eigvalsh gives
+# for a symmetric 3x3 matrix and the one the constructor's dsyevd gives,
+# relative to the matrix's largest absolute eigenvalue. Both routines are
+# backward stable, so each lies within a few ulps of that scale from the
+# exact value; 1e-12 allows thousands of ulps.
+_EIGVALSH_REL_GAP = 1e-12
+
+
+def envelope_stack(means, covariances) -> list[GaussianEnvelope]:
+    """``[GaussianEnvelope(m, c) for m, c in zip(means, covariances)]``,
+    the same envelopes to the bit, with the same exception for the first
+    row the constructor refuses, but with every row checked in one pass.
+
+    Means that form an (n, 3) stack and covariances that form an (n, 3, 3)
+    stack get the constructor's rule row by row: finite entries,
+    ``|c - c.T| <= 1e-9 + 1e-5 * |c.T|`` entrywise, the symmetrized
+    ``0.5 * (c + c.T)`` stored, and a smallest eigenvalue of at least
+    ``MIN_EIGENVALUE * (1 - 1e-9)``, read from one batched ``eigvalsh``. A
+    row that passes is stored without running ``__post_init__``. A row
+    that fails, or whose smallest eigenvalue lies within
+    ``_EIGVALSH_REL_GAP`` times its largest absolute eigenvalue of the
+    floor, goes to the constructor, whose own ``dsyevd`` then decides it,
+    in row order. Inputs that do not form
+    the two stacks all go to the constructor.
+    """
+    n = len(means)
+    try:
+        m = np.array(means, dtype=float)
+        c = np.array(covariances, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        m = c = None
+    if m is None or m.shape != (n, 3) or c.shape != (n, 3, 3):
+        return [GaussianEnvelope(a, b) for a, b in zip(means, covariances)]
+    ct = c.transpose(0, 2, 1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        sym = 0.5 * (c + ct)
+        # A finite sym means a finite c whose symmetrization did not overflow.
+        ok = (np.isfinite(m).all(axis=1) & np.isfinite(sym).all(axis=(1, 2))
+              & (np.abs(c - ct) <= 1e-9 + 1e-5 * np.abs(ct)).all(axis=(1, 2)))
+    if ok.any():
+        try:
+            eig = np.linalg.eigvalsh(sym[ok])
+        except np.linalg.LinAlgError:  # the constructor reports which row
+            ok[:] = False
+        else:
+            floor = MIN_EIGENVALUE * (1 - 1e-9)
+            ok[ok] = eig[:, 0] - floor > _EIGVALSH_REL_GAP * np.abs(eig).max(axis=1)
+    out = []
+    for i, (mean, cov, vouched) in enumerate(zip(m, sym, ok.tolist())):
+        if vouched:
+            env = object.__new__(GaussianEnvelope)
+            object.__setattr__(env, "mean", mean)
+            object.__setattr__(env, "covariance", cov)
+        else:
+            env = GaussianEnvelope(means[i], covariances[i])
+        out.append(env)
+    return out
+
+
 @dataclass(frozen=True)
 class OrientedBox:
     """Box with center, positive half-extents, and an orientation."""

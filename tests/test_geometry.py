@@ -20,6 +20,7 @@ from workcell.geometry import (
     cholesky_solve,
     envelope_box,
     envelope_from_points,
+    envelope_stack,
     mahalanobis_between,
     mahalanobis_pairs,
     spd_inverse,
@@ -239,6 +240,92 @@ def test_envelope_check_decides_and_stores_as_reference(seed, floor_factor, spre
         return env.mean, env.covariance
 
     assert _outcome(package, mean, cov) == _outcome(envelope_reference, mean, cov)
+
+
+def _built(build, means, covs):
+    """What building envelopes from the rows gives: the dtype, shape and
+    bytes of every stored array, or the type and message of the error."""
+    try:
+        envs = build(means, covs)
+    except (ValueError, TypeError) as exc:
+        return type(exc).__name__, str(exc)
+    return [(a.dtype, a.shape, a.tobytes()) for e in envs for a in (e.mean, e.covariance)]
+
+
+def _one_by_one(means, covs):
+    return [GaussianEnvelope(m, c) for m, c in zip(means, covs)]
+
+
+def _stack_matches_constructor(means, covs):
+    assert _built(envelope_stack, means, covs) == _built(_one_by_one, means, covs)
+
+
+_FAULTS = [None, None, None, "nan_mean", "inf_cov", "nan_cov", "negative"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 2**32 - 1), st.sampled_from(_FLOOR_FACTORS),
+                          st.floats(0, 9),
+                          st.sampled_from([0.0, 0.0, 1 - 1e-9, 1.0, 1 + 1e-9, 2.0]),
+                          st.sampled_from(_FAULTS)), max_size=6))
+def test_envelope_stack_decides_and_stores_as_constructor(rows):
+    means, covs = [], []
+    for seed, floor_factor, spread, nudge, fault in rows:
+        cov = _asymmetric(_covariance(seed, floor_factor, spread), nudge)
+        mean = np.random.default_rng(seed).normal(size=3)
+        if fault == "nan_mean":
+            mean[1] = np.nan
+        elif fault == "inf_cov":
+            cov[2, 2] = np.inf
+        elif fault == "nan_cov":
+            cov[0, 2] = cov[2, 0] = np.nan
+        elif fault == "negative":
+            cov = -cov
+        means.append(mean)
+        covs.append(cov)
+    _stack_matches_constructor(means, covs)
+    _stack_matches_constructor([m.tolist() for m in means], [c.tolist() for c in covs])
+
+
+def test_envelope_stack_edge_cases_match_constructor():
+    floor = MIN_EIGENVALUE * (1 - 1e-9)
+    ok = [0.1, 0.2, 0.3], np.eye(3).tolist()
+    assert envelope_stack([], []) == []
+    # A smallest eigenvalue one part in 1e12 either side of the floor; the
+    # diagonal makes it exact, the rotation only rounds it.
+    for factor in (1 + 1e-12, 1 - 1e-12):
+        for q in (np.eye(3), random_rotation(5)):
+            cov = q @ np.diag([floor * factor, 1e-3, 2.0]) @ q.T
+            _stack_matches_constructor([ok[0], [0, 0, 0]], [ok[1], cov])
+    assert len(envelope_stack([[0, 0, 0]], [np.diag([floor * (1 + 1e-12), 1, 1])])) == 1
+    with pytest.raises(ValueError, match="below floor"):
+        envelope_stack([[0, 0, 0]], [np.diag([floor * (1 - 1e-12), 1, 1])])
+    # Asymmetry a few ulps either side of the tolerance.
+    for ulps in range(-3, 4):
+        cov = np.eye(3) + 0.25
+        tol = 1e-9 + 1e-5 * cov[1, 0]
+        cov[0, 1] = cov[1, 0] + tol * (1 + ulps * np.finfo(float).eps)
+        _stack_matches_constructor([ok[0]] * 2, [ok[1], cov])
+    # NaN and inf in a mean and in a covariance; the first bad row decides.
+    for bad in (np.nan, np.inf, -np.inf):
+        _stack_matches_constructor([ok[0], [0, bad, 0]], [ok[1], ok[1]])
+        _stack_matches_constructor([ok[0], ok[0]], [ok[1], np.diag([1, bad, 1])])
+        _stack_matches_constructor([[0, 0, bad], ok[0]], [ok[1], np.diag([bad, 1, 1])])
+    # Ragged or wrongly shaped rows: the constructor's reshape decides.
+    flat = np.eye(3).ravel().tolist()
+    for means, covs in (([[0, 0, 0], [0, 0]], [ok[1], ok[1]]),
+                        ([[[0, 0, 0]], ok[0]], [ok[1], ok[1]]),
+                        ([ok[0]] * 2, [flat, ok[1]]),
+                        ([ok[0]] * 2, [flat, flat]),
+                        ([[0, 0, 0, 0]], [ok[1]]),
+                        ([ok[0]], [[[1, 0], [0, 1]]]),
+                        ([ok[0]] * 2, [ok[1]]),
+                        ([[0, "x", 0]], [ok[1]])):
+        _stack_matches_constructor(means, covs)
+    # Integer-valued lists become the same float64 arrays.
+    _stack_matches_constructor([[1, 2, 3], [0, 0, 0]], [[[2, 1, 0], [1, 2, 0], [0, 0, 1]]] * 2)
+    env, = envelope_stack([[1, 2, 3]], [[[2, 1, 0], [1, 2, 0], [0, 0, 1]]])
+    assert env.mean.dtype == env.covariance.dtype == np.float64
 
 
 # Axis stretch of a rotation at which r^T r stops passing allclose with

@@ -153,9 +153,19 @@ def test_add_entity_and_grounding_invariant():
         store.add_entity("bolt", _env([0, 0, 0]), "z1", uid="bolt_1")
 
 
-def test_posed_record_requires_shape_prior():
-    with pytest.raises(IntegrityError):
-        ObjectRecord(_env([0, 0, 0]), pose=PoseSE3.identity())
+def test_posed_record_without_a_prior_round_trips():
+    # update_record(pose=) reaches this state; the store must load it back.
+    store = _store_with_zone()
+    a = store.add_entity("bolt", _env([0, 0, 0]), "z1")
+    b = store.add_entity("plate", _env([0, 0, 0.1]), "z1")
+    for uid in (a, b):
+        store.update_record(uid, pose=PoseSE3(np.eye(3), [0.1, 0.2, 0.3]))
+    clone = WorldStore.from_dict(store.to_dict())
+    assert clone.records[a].shape_prior is None
+    assert clone.records[a].pose.translation.tolist() == [0.1, 0.2, 0.3]
+    assert clone.serialize() == store.serialize()
+    # Mating has no functional frame to compare against, so it is refuted.
+    assert verify_relation(RelationEdge("Aligned", a, b), clone) == EdgeStatus.REFUTED
 
 
 def test_edges_require_existing_endpoints():
@@ -239,6 +249,79 @@ def test_serialization_roundtrip_lossless():
         uids = [v.uid for v in clone.entities_in_zone(zone_id)]
         assert uids == [v.uid for v in briefed.entities_in_zone(zone_id)]
         assert uids == zone_members(briefed, zone_id)
+
+
+def _stock_doc(n=500):
+    """A store document with n remembered entities and n/2 On edges."""
+    store = _store_with_zone()
+    rng = np.random.default_rng(11)
+    for i in range(n):
+        a = rng.normal(size=(3, 3))
+        env = GaussianEnvelope(rng.normal(size=3), 1e-3 * a @ a.T + 1e-4 * np.eye(3))
+        store.add_entity("gear", env, "z1", uid=f"stock_{i:03d}")
+    for k in range(n // 2):
+        store.add_edge("On", f"stock_{2 * k:03d}", f"stock_{2 * k + 1:03d}", EdgeStatus.VERIFIED)
+    return store.to_dict()
+
+
+def test_from_dict_checks_envelopes_without_the_constructor(monkeypatch):
+    doc = _stock_doc()
+    text = json.dumps(doc, sort_keys=True)
+    calls = []
+    post_init = GaussianEnvelope.__post_init__
+    monkeypatch.setattr(GaussianEnvelope, "__post_init__",
+                        lambda env: calls.append(1) or post_init(env))
+    store = WorldStore.from_dict(doc)
+    assert calls == []
+    monkeypatch.undo()
+    # The same bits as record by record, and the input left as it was.
+    for rid, r in doc["records"].items():
+        built = GaussianEnvelope(r["envelope"]["mean"], r["envelope"]["covariance"])
+        env = store.records[rid].envelope
+        assert env.mean.tobytes() == built.mean.tobytes()
+        assert env.covariance.tobytes() == built.covariance.tobytes()
+    assert store.serialize() == canonical_dumps(doc)
+    assert json.dumps(doc, sort_keys=True) == text
+
+
+def _refusal(fn, *args):
+    try:
+        fn(*args)
+    except (ValueError, TypeError, KeyError, WorkcellError) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def test_from_dict_refuses_as_record_by_record():
+    doc = _stock_doc(20)
+    faults = {  # covariance of stock_007 -> what the constructor says of it
+        "asymmetric": [[1e-2, 1e-3, 0], [0, 1e-2, 0], [0, 0, 1e-2]],
+        "below floor": np.diag([1e-12, 1.0, 1.0]).tolist(),
+        "non-finite": [[float("nan"), 0, 0], [0, 1, 0], [0, 0, 1]],
+        "ragged": [[1, 0, 0], [0, 1], [0, 0, 1]],
+        "flat": np.eye(3).ravel().tolist(),
+    }
+    for name, cov in faults.items():
+        bad = copy.deepcopy(doc)
+        bad["records"]["stock_007"]["envelope"]["covariance"] = cov
+        mean = bad["records"]["stock_007"]["envelope"]["mean"]
+        expected = _refusal(GaussianEnvelope, mean, cov)
+        assert _refusal(WorldStore.from_dict, bad) == expected, name
+        if expected is not None:
+            # A fault in an earlier record is the one raised.
+            bad["records"]["stock_003"]["pose"] = {"rotation": (2 * np.eye(3)).tolist(),
+                                                   "translation": [0, 0, 0]}
+            assert _refusal(WorldStore.from_dict, bad) == (
+                "ValueError", "rotation matrix is not orthonormal"), name
+    # An unknown lifecycle or edge status is refused as the enum refuses it.
+    for section, key, value, enum in (("vertices", "lifecycle", "Gone", Lifecycle),
+                                      ("vertices", "lifecycle", ["Active"], Lifecycle),
+                                      ("edges", "status", "Maybe", EdgeStatus)):
+        bad = copy.deepcopy(doc)
+        entry = bad[section]["stock_001"] if section == "vertices" else bad[section][0]
+        entry[key] = value
+        assert _refusal(WorldStore.from_dict, bad) == _refusal(enum, value)
+        assert _refusal(enum, value)[0] == "ValueError"
 
 
 _json_scalars = st.one_of(
@@ -594,7 +677,7 @@ class StoreHashMachine(RuleBasedStateMachine):
         fields = data.draw(st.sampled_from([
             {"envelope": _env(mean)},
             {"attached_to": attached},
-            {"pose": PoseSE3(np.eye(3), mean), "shape_prior": "p"} if posed else {"pose": None},
+            {"pose": PoseSE3(np.eye(3), mean) if posed else None},
             {"geometry": PointsGeom(PointCloudData(np.array([mean]))) if scanned else None},
         ]))
         self.store.update_record(rid, **fields)
@@ -746,7 +829,7 @@ _STORE_CONTAINERS = {"edges", "records", "vertices", "priors", "zones", "backgro
 # The simulator keeps its own zone table.
 _CONTAINERS_ALLOWED = {"world_model.py": _STORE_CONTAINERS, "simulator.py": {"zones"}}
 _MUTATORS = {"append", "extend", "insert", "remove", "clear", "pop", "popitem",
-             "setdefault", "update", "sort", "reverse"}
+             "setdefault", "update", "sort", "reverse", "add", "discard"}
 
 
 def _container_writes(tree):
@@ -850,14 +933,17 @@ _UNREAD_MEMBERS_ALLOWED = {
     # c09 checks that the retry budget ran out.
     "GetErtOutcome.exhausted",
     # Kept for recording the report of each retry and the failing
-    # precondition (ROADMAP item 6).
+    # precondition (ROADMAP item 5).
     "GetErtOutcome.reports",
     "TransitionResult.failed_predicate",
+    # Appended only; ROADMAP item 5's recorder will read it.
+    "StoreDelta.discarded",
     # The benchmark resumes trials from a persisted store and fingerprints it.
     "WorldStore.from_dict",
     "WorldStore.serialize",
-    # Occupancy and ICP are library code (ROADMAP item 7).
+    # Occupancy is library code until ROADMAP item 2 deletes it.
     "WorldStore.update_occupancy",
+    # ICP stays library code because c03 relies on it.
     "RegistrationResult.residual",
     "RegistrationResult.iterations",
 }
@@ -865,12 +951,18 @@ _UNREAD_MEMBERS_ALLOWED = {
 
 def _unread_members(trees):
     """``Class.member`` for each method, property and annotated field of a
-    class in the trees whose name no tree reads as an attribute. Dunder
-    methods are exempt: Python calls them."""
+    class in the trees whose name no tree reads as an attribute. Calling a
+    mutating method on ``x.member``, as in ``x.member.append(v)``, writes
+    it and does not count as a read. Dunder methods are exempt: Python
+    calls them."""
     members, read = [], set()
     for tree in trees:
+        mutated = {id(node.func.value) for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr in _MUTATORS}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and id(node) not in mutated):
                 read.add(node.attr)
             if not isinstance(node, ast.ClassDef):
                 continue
@@ -900,8 +992,10 @@ def test_unread_member_lint_sees_every_form_of_member():
             "    def used(self): pass\n    def dead(self): pass\n"
             "    @property\n    def prop(self): pass\n"
             "    @classmethod\n    def make(cls): pass\n"
-            "def f(k):\n    k.attr = k.other\n    return k.used(), K.make, k.field\n")
-    assert _unread_members([ast.parse(code)]) == ["K.dead", "K.prop"]
+            "    log: list\n    seen: set\n"
+            "def f(k):\n    k.attr = k.other\n    k.log.append(1)\n    k.seen.add(2)\n"
+            "    return k.used(), K.make, k.field\n")
+    assert _unread_members([ast.parse(code)]) == ["K.dead", "K.log", "K.prop", "K.seen"]
 
 
 def _unused_imports(tree):
