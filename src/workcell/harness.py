@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +59,7 @@ from .simulator import (
     render_frame,
     visible_pixel_counts,
 )
-from .transactions import FTEvent
+from .transactions import SKILLS, FTEvent
 from .world_model import (
     EdgeStatus,
     Lifecycle,
@@ -135,11 +135,13 @@ _STR = (lambda v: isinstance(v, str), "a string")
 _LIST = (lambda v: isinstance(v, list), "a list")
 _DICT = (lambda v: isinstance(v, dict), "an object")
 _INT = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+_COUNT = (lambda v: _INT[0](v) and v >= 1, "an integer >= 1")
+_CAUSE = (lambda v: v in ("PartSlip", "Obstacle", "TargetMoved"),
+          "PartSlip, Obstacle or TargetMoved")
 _ANY = (lambda v: True, "")
 _SCENARIO_KEYS = {
     "zones": _LIST, "objects": _LIST, "robot": _ANY, "task": _ANY,
-    "trials?": (lambda v: _INT[0](v) and v >= 1, "an integer >= 1"), "seed?": _INT,
-    "cameras?": _DICT,
+    "trials?": _COUNT, "seed?": _INT, "cameras?": _DICT, "root_cause?": _CAUSE,
     "synonyms?": (lambda v: isinstance(v, dict) and all(isinstance(w, list) for w in v.values()),
                   "an object of lists"),
     **{f"{key}?": _LIST for key in ("injections", "script", "shape_priors", "questions",
@@ -152,8 +154,9 @@ _OBJECT_KEYS = {"id": _STR, "label": _STR, "zone": _STR, "position": _POINT,
 _ROBOT_KEYS = {"zone": _STR, "position": _POINT}
 _CAMERA_KEYS = {"fx": _LENGTH, "fy": _LENGTH, "cx": _SCALAR, "cy": _SCALAR,
                 "rotation": _ROTATION, "translation": _POINT, "width?": _INT, "height?": _INT}
-_INJECTION_KEYS = {"kind": (lambda v: v in ("PartSlip", "Obstacle", "TargetMoved"),
-                            "PartSlip, Obstacle or TargetMoved"), "params?": _DICT}
+_INJECTION_KEYS = {"kind": _CAUSE, "params?": _DICT,
+                   "trigger_phase?": (lambda v: v in SKILLS, f"one of {', '.join(SKILLS)}"),
+                   "trigger_step?": _COUNT}
 _PARAM_KEYS = {"PartSlip": {"drop_offset?": _POINT}, "Obstacle": {},
                "TargetMoved": {"target": _STR, "move_delta": _POINT}}
 _SCRIPT_KEYS = {"kind": _STR, "responses": _LIST, "key?": _STR}
@@ -275,8 +278,6 @@ def build_world(doc: dict, trial_seed: int) -> SimWorld:
             pose=PoseSE3(np.eye(3), np.asarray(o["position"], dtype=float)),
             zone=o["zone"],
             support=o.get("support"),
-            attributes=dict(o.get("attributes", {})),
-            shape_prior=o.get("shape_prior"),
         ))
     injections = [
         FailureInjection(
@@ -376,7 +377,6 @@ class TrialRuntime:
 
     def __init__(self, doc: dict, world: SimWorld, store: WorldStore,
                  reasoner: ScriptedReasoner):
-        self.doc = doc
         self.world = world
         self.store = store
         self.reasoner = reasoner
@@ -578,17 +578,23 @@ def answer_question(store: WorldStore, q: dict) -> tuple[object, bool]:
     raise ScenarioError(f"unknown question kind {kind!r}")
 
 
+def _answer_all(store: WorldStore, questions: list[dict]) -> list[dict]:
+    """Each question with the store's answer and whether it is correct."""
+    results = []
+    for q in questions:
+        answer, correct = answer_question(store, q)
+        results.append({"question": q, "answer": answer, "correct": correct})
+    return results
+
+
 def classify_root_cause(category: str, failed_action: str,
                         drift_flagged: bool) -> str:
     """Map a diagnosed failure category back to an injectable root cause."""
     if category == FailureCategory.MOTION_INTERRUPTED.value:
         return "Obstacle"
     if category == FailureCategory.GRASP_SLIP.value:
-        if failed_action == "Pick" and drift_flagged:
-            return "TargetMoved"
-        if failed_action in ("Move", "Place"):
-            return "PartSlip"
-        return "PartSlip" if not drift_flagged else "TargetMoved"
+        return ("TargetMoved" if drift_flagged and failed_action not in ("Move", "Place")
+                else "PartSlip")
     return "Unknown"
 
 
@@ -608,17 +614,7 @@ class MetricsReport:
     per_trial: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "tsr": self.tsr,
-            "sta": self.sta,
-            "pe": self.pe,
-            "n_init": self.n_init,
-            "n_replan": self.n_replan,
-            "ie": self.ie,
-            "cda": self.cda,
-            "qsr": self.qsr,
-            "per_trial": self.per_trial,
-        }
+        return asdict(self)
 
     def table(self) -> str:
         def fmt(v):
@@ -736,14 +732,8 @@ def run_trial(spec: ScenarioSpec, trial_index: int,
         completed = executive.abandon(fault)
     runtime.record_sta_sample()
 
-    question_results = []
-    for q in doc.get("questions", []):
-        answer, correct = answer_question(store, q)
-        question_results.append({"question": q, "answer": answer, "correct": correct})
-    query_results = []
-    for q in doc.get("queries", []):
-        answer, correct = answer_question(store, q)
-        query_results.append({"question": q, "answer": answer, "correct": correct})
+    question_results = _answer_all(store, doc.get("questions", []))
+    query_results = _answer_all(store, doc.get("queries", []))
 
     n_items = sum(
         1 for v in store.vertices.values()

@@ -46,25 +46,14 @@ class Frame:
 
     depth: np.ndarray
     mask: np.ndarray
-    labels: dict[int, tuple[str, float]]
+    labels: dict[int, str]
     camera_pose: PoseSE3
-    valid: np.ndarray | None = None
 
     def __post_init__(self):
         self.depth = np.asarray(self.depth, dtype=np.float32)
         self.mask = np.asarray(self.mask, dtype=np.int32)
         if self.depth.shape != self.mask.shape:
             raise ValueError("depth and mask dimensions differ")
-        if self.valid is not None:
-            self.valid = np.asarray(self.valid, dtype=bool)
-            if self.valid.shape != self.depth.shape:
-                raise ValueError("validity channel dimensions differ")
-
-    def validity(self) -> np.ndarray:
-        base = self.depth > 0
-        if self.valid is not None:
-            base = base & self.valid
-        return base
 
 
 @dataclass
@@ -101,7 +90,6 @@ class Observation:
     label: str
     geometry: GeomAbstraction
     envelope: GaussianEnvelope
-    confidence: float = 1.0
 
 
 def back_project(u: float, v: float, d: float, k: CameraIntrinsics) -> np.ndarray:
@@ -127,12 +115,12 @@ class LiftedPoints:
 
 
 def lift_frame(frame: Frame, k: CameraIntrinsics) -> LiftedPoints:
-    """Lift every masked pixel with valid depth into the base frame.
+    """Lift every masked pixel with positive depth into the base frame.
 
     A point keeps its pixel's instance label only if it lies within
     DEFAULT_RAY_EPSILON of the pixel's viewing ray.
     """
-    vv, uu = np.nonzero((frame.mask >= 0) & frame.validity())
+    vv, uu = np.nonzero((frame.mask >= 0) & (frame.depth > 0))
     if len(uu) == 0:
         return LiftedPoints(np.zeros((0, 3)), np.zeros(0, dtype=np.int32))
     d = frame.depth[vv, uu].astype(float)
@@ -176,18 +164,12 @@ def assemble_snapshot(frame: Frame, k: CameraIntrinsics) -> list[Observation]:
     lifted = lift_frame(frame, k)
     observations = []
     for instance_id in sorted(frame.labels):
-        label, confidence = frame.labels[instance_id]
         pts = lifted.for_instance(instance_id)
         if len(pts) < 2:
             continue  # entirely invalid depth, or a single stray point
         geometry = quantize_by_distance(pts, image_ref=f"frame/crop/{instance_id}")
         envelope = envelope_from_points(PointCloudData(pts))
         observations.append(
-            Observation(
-                label=label,
-                geometry=geometry,
-                envelope=envelope,
-                confidence=float(confidence),
-            )
+            Observation(label=frame.labels[instance_id], geometry=geometry, envelope=envelope)
         )
     return observations

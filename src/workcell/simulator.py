@@ -47,8 +47,6 @@ class SimObject:
     pose: PoseSE3
     zone: str
     support: str | None = None  # object id, or None for the work surface
-    attributes: dict[str, str] = field(default_factory=dict)
-    shape_prior: str | None = None
 
     def __post_init__(self):
         self.half_extents = np.asarray(self.half_extents, dtype=float).reshape(3)
@@ -452,7 +450,7 @@ def render_frame(world: SimWorld, camera: SimCamera) -> Frame:
     depth = np.where(np.isfinite(best_depth), best_depth, 0.0)
     visible = set(np.unique(best_id)) - {-1}
     labels = {
-        world.instance_ids[oid]: (world.objects[oid].label, 1.0)
+        world.instance_ids[oid]: world.objects[oid].label
         for oid in ids
         if world.instance_ids[oid] in visible
     }

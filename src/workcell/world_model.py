@@ -1,5 +1,5 @@
-"""Persistent world store: occupancy background, object registry,
-semantic graph with grounding links, relation verification, and
+"""Persistent world store: zone layout, object registry with shape
+priors, semantic graph with grounding links, relation verification, and
 lifecycle curation.
 
 The store document (``to_dict``) is the whole state. Everything else the
@@ -11,9 +11,9 @@ for ``state_hash``. So every write goes through a ``WorldStore`` method
 that keeps all of these and marks what it touched for hashing:
 ``add_entity``, ``update_record``, ``update_vertex``, ``restore_entity``,
 ``add_edge``, ``remove_edges``, ``set_edges``, ``add_zone``,
-``add_priors``, ``update_occupancy`` and ``next_uid``. Records, vertices
-and edges are never mutated in place: a field is replaced through
-``update_record``/``update_vertex``, and edges are frozen.
+``add_priors`` and ``next_uid``. Records, vertices and edges are never
+mutated in place: a field is replaced through ``update_record``/
+``update_vertex``, and edges are frozen.
 
 ``from_dict`` resumes a store from its document in one stacked pass: it
 checks every record's envelope at once with ``envelope_stack``, which
@@ -21,7 +21,8 @@ applies ``GaussianEnvelope``'s rule to the whole stack of covariances and
 stores the same bits, and reads enum members from their value tables. A
 document the constructors refuse is refused with the constructor's
 exception, for the first fault in document order. The input document is
-never written to.
+never written to, and sections it does not read, such as the occupancy
+``background`` of older documents, are ignored.
 """
 
 from __future__ import annotations
@@ -62,12 +63,6 @@ from .serialization import (
     sha256_of,
 )
 
-# Occupancy log-odds increments and clamp bounds.
-L_OCC = 0.85
-L_FREE = -0.4
-L_MIN = -2.0
-L_MAX = 3.5
-
 # Relation verification tolerances.
 CHI2_THRESH_3DOF = 7.815
 EPS_CONTACT = 0.01
@@ -104,50 +99,6 @@ def _member(enum: type[Enum], value):
         return enum._value2member_map_[value]
     except (KeyError, TypeError):
         return enum(value)
-
-
-@dataclass
-class OccupancyMeasurement:
-    index: tuple[int, int, int]
-    hit: bool
-    class_likelihood: dict[str, float] | None = None
-
-
-@dataclass
-class BackgroundMap:
-    cell_size: float = 0.05
-    # index -> [log_odds, {class: probability}]
-    voxels: dict[tuple[int, int, int], list] = field(default_factory=dict)
-    bounds: tuple[tuple[int, int, int], tuple[int, int, int]] | None = None
-
-    def in_bounds(self, index: tuple[int, int, int]) -> bool:
-        if self.bounds is None:
-            return True
-        lo, hi = self.bounds
-        return all(lo[i] <= index[i] <= hi[i] for i in range(3))
-
-
-def update_occupancy(
-    bg: BackgroundMap, measurements: list[OccupancyMeasurement]
-) -> BackgroundMap:
-    """Additive log-odds update with clamping, plus recursive Bayes on classes."""
-    for m in measurements:
-        idx = tuple(int(v) for v in m.index)
-        if not bg.in_bounds(idx):
-            raise IntegrityError(f"voxel index {idx} out of bounds")
-        log_odds, classes = bg.voxels.get(idx, [0.0, {}])
-        log_odds = min(max(log_odds + (L_OCC if m.hit else L_FREE), L_MIN), L_MAX)
-        if m.class_likelihood:
-            if not classes:
-                classes = {c: 1.0 / len(m.class_likelihood) for c in m.class_likelihood}
-            post = {}
-            for c in set(classes) | set(m.class_likelihood):
-                post[c] = m.class_likelihood.get(c, 0.0) * classes.get(c, 0.0)
-            norm = sum(post.values())
-            if norm > 0:
-                classes = {c: p / norm for c, p in post.items()}
-        bg.voxels[idx] = [log_odds, classes]
-    return bg
 
 
 @dataclass
@@ -228,7 +179,6 @@ class WorldStore:
         self.vertices: dict[str, ObjectVertex] = {}
         self.edges: list[RelationEdge] = []
         self.priors: dict[str, ShapePrior] = {}
-        self.background = BackgroundMap()
         self.tentative: dict[int, TentativeTrack] = {}
         self._uid_counters: dict[str, int] = {}
         env = GaussianEnvelope(np.zeros(3), 1e-6 * np.eye(3))
@@ -305,11 +255,6 @@ class WorldStore:
     def add_priors(self, priors: dict[str, ShapePrior]):
         self.priors.update(priors)
         self._dirty_head.add("priors")
-
-    def update_occupancy(self, measurements: list[OccupancyMeasurement]):
-        """``update_occupancy`` on the store's background map."""
-        update_occupancy(self.background, measurements)
-        self._dirty_head.add("background")
 
     def add_entity(
         self,
@@ -543,13 +488,6 @@ class WorldStore:
             )
             for pid, p in data["priors"].items()
         }
-        bounds = data["background"]["bounds"]
-        store.background = BackgroundMap(
-            cell_size=data["background"]["cell_size"],
-            bounds=None if bounds is None else (tuple(bounds[0]), tuple(bounds[1])),
-        )
-        for v in data["background"]["voxels"]:
-            store.background.voxels[tuple(v["index"])] = [v["log_odds"], v["classes"]]
         store._derive()
         return store
 
@@ -665,18 +603,6 @@ def _priors_doc(store: WorldStore) -> dict:
     }
 
 
-def _background_doc(store: WorldStore) -> dict:
-    bg = store.background
-    return {
-        "cell_size": bg.cell_size,
-        "bounds": bg.bounds,
-        "voxels": [
-            {"index": list(k), "log_odds": v[0], "classes": v[1]}
-            for k, v in sorted(bg.voxels.items())
-        ],
-    }
-
-
 # The document's sections other than records, vertices and edges, in
 # document order; each is encoded on its own for ``state_hash``.
 _HEAD_SECTIONS = {
@@ -685,7 +611,6 @@ _HEAD_SECTIONS = {
     "uid_counters": lambda store: dict(store._uid_counters),
     "zones": _zones_doc,
     "priors": _priors_doc,
-    "background": _background_doc,
 }
 
 
@@ -898,8 +823,6 @@ class StoreDelta:
     fused: list[str] = field(default_factory=list)
     promoted: list[str] = field(default_factory=list)
     restored: list[str] = field(default_factory=list)
-    tentative: list[int] = field(default_factory=list)
-    discarded: list[int] = field(default_factory=list)
 
 
 def register_or_update(
@@ -960,14 +883,11 @@ def register_or_update(
                 geometry=obs.geometry,
             )
             delta.promoted.append(uid)
-        else:
-            delta.tentative.append(key)
 
     # Tracks not sighted this cycle fall out of the window.
     for key in list(store.tentative):
         if key not in sighted_keys:
             del store.tentative[key]
-            delta.discarded.append(key)
 
     store.check_integrity(delta.fused + delta.restored + delta.promoted)
     return delta

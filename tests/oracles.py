@@ -200,7 +200,7 @@ def render_frame_reference(world, camera):
     mask = best_id.reshape(h, w)
     visible = set(np.unique(mask)) - {-1}
     labels = {
-        world.instance_ids[oid]: (world.objects[oid].label, 1.0)
+        world.instance_ids[oid]: world.objects[oid].label
         for oid in sorted(world.objects)
         if world.instance_ids[oid] in visible
     }

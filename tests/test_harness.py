@@ -114,6 +114,13 @@ _BROKEN_SCENARIOS = {
     "task_keywords_not_a_list": ("assembly", _set(["task", "nodes", 0, "keywords"], 5)),
     "targetmoved_params_a_list": ("transfer_targetmoved", _set(["injections", 0, "params"], [])),
     "targetmoved_without_move_delta": ("transfer_targetmoved", _without_move_delta),
+    # These crash nothing: the injection never fires, or CDA is scored
+    # against a cause that no diagnosis maps to.
+    "trigger_step_a_string": ("transfer_obstacle", _set(["injections", 0, "trigger_step"], "1")),
+    "trigger_step_zero": ("transfer_obstacle", _set(["injections", 0, "trigger_step"], 0)),
+    "trigger_phase_not_a_skill": ("transfer_obstacle",
+                                  _set(["injections", 0, "trigger_phase"], "move")),
+    "root_cause_unknown": ("transfer_obstacle", _set(["root_cause"], "Gremlin")),
 }
 
 

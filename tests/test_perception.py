@@ -26,7 +26,7 @@ def _flat_frame(depth_value=0.5, label="widget"):
     mask = np.full((5, 5), -1, dtype=np.int32)
     depth[1:4, 1:4] = depth_value
     mask[1:4, 1:4] = 0
-    return Frame(depth=depth, mask=mask, labels={0: (label, 0.9)},
+    return Frame(depth=depth, mask=mask, labels={0: label},
                  camera_pose=PoseSE3.identity())
 
 
@@ -70,10 +70,6 @@ def test_lift_frame_skips_invalid_depth():
     frame = _flat_frame()
     frame.depth[2, 2] = 0.0
     assert len(lift_frame(frame, K).points) == 8
-    frame2 = _flat_frame()
-    frame2.valid = np.ones((5, 5), dtype=bool)
-    frame2.valid[1, 1] = False
-    assert len(lift_frame(frame2, K).points) == 8
 
 
 def test_lift_frame_empty():
@@ -125,7 +121,6 @@ def test_assemble_snapshot_one_observation_per_instance():
     obs = assemble_snapshot(frame, K)
     assert len(obs) == 1
     assert obs[0].label == "widget"
-    assert obs[0].confidence == pytest.approx(0.9)
     assert isinstance(obs[0].geometry, PointsGeom)
     assert np.allclose(obs[0].envelope.mean,
                        lift_frame(frame, K).points.mean(axis=0))

@@ -89,7 +89,7 @@ def test_render_depth_oracle_center_pixel():
     u, v = int(cam.intrinsics.cx), int(cam.intrinsics.cy)
     assert frame.depth[v, u] == pytest.approx(0.97, abs=1e-6)
     iid = frame.mask[v, u]
-    assert frame.labels[iid] == ("part", 1.0)
+    assert frame.labels[iid] == "part"
 
 
 def test_render_occlusion_nearest_wins():
@@ -102,7 +102,7 @@ def test_render_occlusion_nearest_wins():
     frame = render_frame(world, _camera(0.5, 0.0))
     u, v = 32, 24
     assert frame.depth[v, u] == pytest.approx(1.0 - 0.09, abs=1e-6)
-    assert frame.labels[frame.mask[v, u]][0] == "high"
+    assert frame.labels[frame.mask[v, u]] == "high"
 
 
 def test_visible_pixel_counts_and_oov():
@@ -111,7 +111,7 @@ def test_visible_pixel_counts_and_oov():
     assert counts["part"] > 0
     assert counts["plate"] == 0  # other zone: out of view
     labels = render_frame(world, _camera(0.5, 0.0)).labels
-    assert all(name != "plate" for name, _c in labels.values())
+    assert "plate" not in labels.values()
 
 
 def _rotation(rnd, family) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Persistent store: occupancy, graph, relation verification, lifecycle
-curation, and the register/update pipeline."""
+"""Persistent store: graph, persistence and hashing, relation
+verification, lifecycle curation, and the register/update pipeline."""
 
 import ast
 import copy
@@ -41,16 +41,10 @@ from workcell.transactions import (
     state_bytes,
 )
 from workcell.world_model import (
-    BackgroundMap,
     EdgeStatus,
-    L_FREE,
-    L_MAX,
-    L_MIN,
-    L_OCC,
     LAMBDA_DECAY,
     Lifecycle,
     ObjectRecord,
-    OccupancyMeasurement,
     RelationEdge,
     ROBOT_UID,
     ShapePrior,
@@ -62,7 +56,6 @@ from workcell.world_model import (
     record_bounds,
     register_or_update,
     restore_candidates,
-    update_occupancy,
     verify_relation,
 )
 
@@ -91,51 +84,6 @@ def _store_with_zone(zone="z1"):
 
 def _obs(label, mean, sigma=0.01, geometry=None):
     return Observation(label=label, geometry=geometry, envelope=_env(mean, sigma))
-
-
-# -- occupancy ----------------------------------------------------------------
-
-
-def test_occupancy_hit_and_miss_increments():
-    bg = BackgroundMap()
-    update_occupancy(bg, [OccupancyMeasurement((0, 0, 0), True)])
-    assert bg.voxels[(0, 0, 0)][0] == pytest.approx(L_OCC)
-    update_occupancy(bg, [OccupancyMeasurement((0, 0, 0), False)])
-    assert bg.voxels[(0, 0, 0)][0] == pytest.approx(L_OCC + L_FREE)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.booleans(), min_size=1, max_size=300))
-def test_occupancy_log_odds_always_clamped(hits):
-    bg = BackgroundMap()
-    update_occupancy(
-        bg, [OccupancyMeasurement((1, 2, 3), h) for h in hits]
-    )
-    lo = bg.voxels[(1, 2, 3)][0]
-    assert L_MIN <= lo <= L_MAX
-    # Sequential clamping oracle.
-    ref = 0.0
-    for h in hits:
-        ref = min(max(ref + (L_OCC if h else L_FREE), L_MIN), L_MAX)
-    assert lo == pytest.approx(ref)
-
-
-def test_occupancy_class_posterior_recursive_bayes():
-    bg = BackgroundMap()
-    like = {"table": 0.8, "shelf": 0.2}
-    update_occupancy(bg, [OccupancyMeasurement((0, 0, 0), True, like)])
-    classes = bg.voxels[(0, 0, 0)][1]
-    assert classes["table"] == pytest.approx(0.8)
-    update_occupancy(bg, [OccupancyMeasurement((0, 0, 0), True, like)])
-    classes = bg.voxels[(0, 0, 0)][1]
-    # Posterior proportional to 0.8^2 : 0.2^2.
-    assert classes["table"] == pytest.approx(0.64 / (0.64 + 0.04))
-
-
-def test_occupancy_bounds_enforced():
-    bg = BackgroundMap(bounds=((0, 0, 0), (1, 1, 1)))
-    with pytest.raises(IntegrityError):
-        update_occupancy(bg, [OccupancyMeasurement((5, 0, 0), True)])
 
 
 # -- graph mutation and queries ----------------------------------------------
@@ -226,7 +174,6 @@ def _populated_store():
         pose=PoseSE3.identity(),
     )
     store.add_edge("On", a, b, EdgeStatus.VERIFIED)
-    store.update_occupancy([OccupancyMeasurement((0, 1, 2), True)])
     return store
 
 
@@ -249,6 +196,15 @@ def test_serialization_roundtrip_lossless():
         uids = [v.uid for v in clone.entities_in_zone(zone_id)]
         assert uids == [v.uid for v in briefed.entities_in_zone(zone_id)]
         assert uids == zone_members(briefed, zone_id)
+
+
+def test_document_with_the_old_occupancy_section_resumes():
+    # Stores persisted before the occupancy map was deleted carry a
+    # "background" section; resuming ignores it.
+    doc = _populated_store().to_dict()
+    old = {**doc, "background": {"cell_size": 0.05, "bounds": None, "voxels": [
+        {"index": [0, 1, 2], "log_odds": 0.85, "classes": {}}]}}
+    assert WorldStore.from_dict(old).serialize() == WorldStore.from_dict(doc).serialize()
 
 
 def _stock_doc(n=500):
@@ -612,7 +568,7 @@ def test_new_track_needs_two_sightings():
     obs = _obs("gear", [0.5, 0, 0])
     match = MatchResult(unmatched_observations=[0])
     d1 = register_or_update(store, [obs], match, [], {}, "z1")
-    assert d1.promoted == [] and len(d1.tentative) == 1
+    assert d1.promoted == [] and len(store.tentative) == 1
     assert "gear_1" not in store.vertices
     d2 = register_or_update(store, [obs], match, [], {}, "z1")
     assert d2.promoted == ["gear_1"]
@@ -626,8 +582,8 @@ def test_unsighted_track_is_discarded():
         store, [obs], MatchResult(unmatched_observations=[0]), [], {}, "z1"
     )
     assert len(store.tentative) == 1
-    d = register_or_update(store, [], MatchResult(), [], {}, "z1")
-    assert store.tentative == {} and len(d.discarded) == 1
+    register_or_update(store, [], MatchResult(), [], {}, "z1")
+    assert store.tentative == {}
 
 
 def test_register_restores_archived_before_opening_track():
@@ -743,10 +699,6 @@ class StoreHashMachine(RuleBasedStateMachine):
                                           max_size=2)))
         curate_zone(self.store, zone, observed)
 
-    @rule(cell=st.integers(0, 3), hit=st.booleans())
-    def observe_background(self, cell, hit):
-        self.store.update_occupancy([OccupancyMeasurement((cell, 0, 0), hit)])
-
     @rule(name=st.sampled_from(["p", "q"]), x=_coord)
     def add_priors(self, name, x):
         self.store.add_priors({name: ShapePrior(name, PointCloudData(np.array([[x, 0.0, 0.0]])))})
@@ -825,7 +777,7 @@ def _attribute_writes(tree):
 
 # The store's containers: whatever writes into them must keep the indexes
 # and mark what it touched, so only the store's own methods may.
-_STORE_CONTAINERS = {"edges", "records", "vertices", "priors", "zones", "background"}
+_STORE_CONTAINERS = {"edges", "records", "vertices", "priors", "zones"}
 # The simulator keeps its own zone table.
 _CONTAINERS_ALLOWED = {"world_model.py": _STORE_CONTAINERS, "simulator.py": {"zones"}}
 _MUTATORS = {"append", "extend", "insert", "remove", "clear", "pop", "popitem",
@@ -879,12 +831,11 @@ def test_store_field_lint_sees_every_form_of_write():
     names = sorted(name for _, name in _attribute_writes(ast.parse(code)))
     assert names == ["confidence", "envelope", "label", "lifecycle", "pose", "zone_id"]
     code = ("s.edges = []\ns.records[u] = r\ndel s.vertices[u]\ns.priors.update(p)\n"
-            "s.zones.pop(z)\ns.background.voxels[i] = v\nx, s.edges[-1] = 1, e\n"
+            "s.zones.pop(z)\nx, s.edges[-1] = 1, e\n"
             "self.store.records.clear()\ns.tentative[k] = t\ns.edges.index(e)\n"
             "x = s.records[u]\nlog.append(s.edges)\n")
     names = sorted(name for _, name in _container_writes(ast.parse(code)))
-    assert names == ["background", "edges", "edges", "priors", "records", "records",
-                     "vertices", "zones"]
+    assert names == ["edges", "edges", "priors", "records", "records", "vertices", "zones"]
 
 
 # Top-level definitions no engine module refers to, each with its reason.
@@ -936,13 +887,12 @@ _UNREAD_MEMBERS_ALLOWED = {
     # precondition (ROADMAP item 5).
     "GetErtOutcome.reports",
     "TransitionResult.failed_predicate",
-    # Appended only; ROADMAP item 5's recorder will read it.
-    "StoreDelta.discarded",
+    # Written to metrics.json by MetricsReport.to_dict through
+    # dataclasses.asdict, a read this guard does not see.
+    "MetricsReport.per_trial",
     # The benchmark resumes trials from a persisted store and fingerprints it.
     "WorldStore.from_dict",
     "WorldStore.serialize",
-    # Occupancy is library code until ROADMAP item 2 deletes it.
-    "WorldStore.update_occupancy",
     # ICP stays library code because c03 relies on it.
     "RegistrationResult.residual",
     "RegistrationResult.iterations",
