@@ -8,6 +8,7 @@ be exercised deterministically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -109,6 +110,23 @@ def _fail(stage: ValidationStage, detail: str, stages: dict) -> ValidationReport
     return ValidationReport(False, stages, stage, detail)
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _point3(value) -> list[float] | None:
+    """``value`` as 3 floats, or None unless it is a list of 3 finite
+    numbers."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 3
+            and all(_is_number(x) for x in value)):
+        return None
+    try:
+        point = [float(x) for x in value]
+    except OverflowError:  # an integer too large for a float
+        return None
+    return point if all(math.isfinite(x) for x in point) else None
+
+
 def parse_ert(doc) -> tuple[ERT | None, str]:
     """Wire-format document to ERT; any malformation is a parse error."""
     if not isinstance(doc, dict):
@@ -132,11 +150,22 @@ def parse_ert(doc) -> tuple[ERT | None, str]:
     ca = doc["causal_assump"]
     if not isinstance(ca, dict) or "expected_cs" not in ca:
         return None, "causal_assump must carry expected_cs"
+    if not isinstance(ca["expected_cs"], dict):
+        return None, "expected_cs must be a mapping"
     conf = doc["confidence"]
-    if not isinstance(conf, (int, float)) or isinstance(conf, bool):
+    if not _is_number(conf):
         return None, "confidence must be numeric"
-    if not 0.0 <= float(conf) <= 1.0:
+    if not 0.0 <= conf <= 1.0:
         return None, f"confidence {conf} outside [0, 1]"
+    positions = ca.get("expected_positions", {})
+    if not isinstance(positions, dict):
+        return None, "expected_positions must be a mapping"
+    expected_positions = {}
+    for uid, pos in positions.items():
+        point = _point3(pos)
+        if point is None:
+            return None, f"expected position of {uid!r} must be 3 finite numbers"
+        expected_positions[str(uid)] = point
 
     def _rels(key):
         out = []
@@ -163,10 +192,7 @@ def parse_ert(doc) -> tuple[ERT | None, str]:
         remove_relations=rem_rel,
         confidence=float(conf),
         fallback=fallback,
-        expected_positions={
-            str(k): [float(x) for x in v]
-            for k, v in ca.get("expected_positions", {}).items()
-        },
+        expected_positions=expected_positions,
     ), ""
 
 

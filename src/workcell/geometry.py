@@ -75,17 +75,6 @@ class PoseSE3:
         out = pts @ self.rotation.T + self.translation
         return out[0] if np.asarray(points).ndim == 1 else out
 
-    def compose(self, other: "PoseSE3") -> "PoseSE3":
-        """self after other: (self * other)(x) = self(other(x))."""
-        return PoseSE3(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
-
-    def inverse(self) -> "PoseSE3":
-        rt = self.rotation.T
-        return PoseSE3(rt, -rt @ self.translation)
-
 
 @dataclass(frozen=True)
 class GaussianEnvelope:

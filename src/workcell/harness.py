@@ -8,7 +8,6 @@ fresh store and a fresh world; only the shape library is shared.
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -64,7 +63,6 @@ from .world_model import (
     EdgeStatus,
     Lifecycle,
     ROBOT_UID,
-    ShapePrior,
     WorldStore,
     ZoneNode,
     curate_zone,
@@ -144,8 +142,7 @@ _SCENARIO_KEYS = {
     "trials?": _COUNT, "seed?": _INT, "cameras?": _DICT, "root_cause?": _CAUSE,
     "synonyms?": (lambda v: isinstance(v, dict) and all(isinstance(w, list) for w in v.values()),
                   "an object of lists"),
-    **{f"{key}?": _LIST for key in ("injections", "script", "shape_priors", "questions",
-                                     "queries")},
+    **{f"{key}?": _LIST for key in ("injections", "script", "questions", "queries")},
 }
 _ZONE_KEYS = {"id": _STR, "center": _POINT, "half_extents": _EXTENTS,
               "reachable?": _LIST}
@@ -160,8 +157,6 @@ _INJECTION_KEYS = {"kind": _CAUSE, "params?": _DICT,
 _PARAM_KEYS = {"PartSlip": {"drop_offset?": _POINT}, "Obstacle": {},
                "TargetMoved": {"target": _STR, "move_delta": _POINT}}
 _SCRIPT_KEYS = {"kind": _STR, "responses": _LIST, "key?": _STR}
-_PRIOR_KEYS = {"id": _STR, "points": _LIST, "functional_frame?": _DICT}
-_FRAME_KEYS = {"rotation": _ROTATION, "translation": _POINT}
 _QUESTION_KEYS = {
     "position": {"uid": _STR, "expect": _POINT, "tol?": _SCALAR},
     "relation": {"predicate": _STR, "subject": _STR, "object": _STR, "expect": _ANY},
@@ -250,10 +245,6 @@ def validate_scenario(doc) -> list[str]:
         if not found and inj["kind"] == "TargetMoved" and params["target"] not in object_ids:
             errors.append("TargetMoved injection references unknown target")
     entries("script", _SCRIPT_KEYS)
-    for name, prior in entries("shape_priors", _PRIOR_KEYS):
-        if "functional_frame" in prior:
-            errors += _key_errors(prior["functional_frame"], f"{name} functional_frame",
-                                  _FRAME_KEYS)
     for name, q in entries("questions", {"kind": _ANY}) + entries("queries", {"kind": _ANY}):
         keys = _QUESTION_KEYS.get(q["kind"]) if isinstance(q["kind"], str) else None
         if keys is None:
@@ -299,10 +290,11 @@ def build_world(doc: dict, trial_seed: int) -> SimWorld:
     )
 
 
-def build_store(doc: dict, world: SimWorld,
-                priors: dict[str, ShapePrior] | None = None) -> WorldStore:
+def build_store(doc: dict, world: SimWorld, *_ignored) -> WorldStore:
     """Fresh per-trial store seeded with the briefing map: zone layout and
     the initially surveyed object beliefs."""
+    # ``_ignored`` takes the shape-prior table that ``bench/run.py`` still
+    # passes positionally; the benchmark change of ROADMAP item 1 drops it.
     store = WorldStore()
     for z in doc["zones"]:
         store.add_zone(ZoneNode(
@@ -331,8 +323,6 @@ def build_store(doc: dict, world: SimWorld,
     for pred, subj, obj in sorted(world.ground_truth_relations()):
         if pred == "On":
             store.add_edge("On", subj, obj, EdgeStatus.VERIFIED)
-    if priors:
-        store.add_priors(copy.deepcopy(priors))
     return store
 
 
@@ -713,11 +703,10 @@ def compute_metrics(trial_logs: list[dict]) -> MetricsReport:
 # -- trial / scenario runner -------------------------------------------------
 
 
-def run_trial(spec: ScenarioSpec, trial_index: int,
-              priors: dict[str, ShapePrior] | None = None) -> dict:
+def run_trial(spec: ScenarioSpec, trial_index: int) -> dict:
     doc = spec.doc
     world = build_world(doc, trial_seed=spec.seed + trial_index)
-    store = build_store(doc, world, priors)
+    store = build_store(doc, world)
     reasoner = build_reasoner(doc)
     runtime = TrialRuntime(doc, world, store, reasoner)
 
@@ -762,18 +751,7 @@ def run_scenario(
     trials: int | None = None,
 ) -> tuple[MetricsReport, list[dict]]:
     n = trials if trials is not None else spec.trials
-    priors = {
-        p["id"]: ShapePrior(
-            p["id"],
-            PointCloudData(np.asarray(p["points"], dtype=float)),
-            PoseSE3(
-                np.asarray(p["functional_frame"]["rotation"], dtype=float).reshape(3, 3),
-                np.asarray(p["functional_frame"]["translation"], dtype=float),
-            ) if "functional_frame" in p else PoseSE3.identity(),
-        )
-        for p in spec.doc.get("shape_priors", [])
-    }
-    logs = [run_trial(spec, i, priors) for i in range(n)]
+    logs = [run_trial(spec, i) for i in range(n)]
     report = compute_metrics(logs)
     if out_dir is not None:
         out = Path(out_dir)

@@ -1,6 +1,6 @@
 """Scale-aware robust point-set registration.
 
-Aligns a canonical prior cloud to an observed cloud under a similarity
+Aligns a source cloud to an observed cloud under a similarity
 transform q ~ s * (R p + t). Correspondences are nearest neighbors,
 reweighted each iteration with Huber weights whose knee tracks the
 residual median, with closed-form rotation (SVD) and scale updates.

@@ -23,7 +23,6 @@ from .world_model import (
     EdgeStatus,
     ROBOT_UID,
     WorldStore,
-    _check_mating,
 )
 
 EPS_PLACE = 0.02
@@ -521,7 +520,7 @@ def check_commit(
         return CommitDecision(False, f"{obj} stationary away from gripper")
 
     if action == "Place":
-        obj = args.get("object") or args.get("part")
+        obj = args["object"]
         expected = np.asarray(args["position"], dtype=float)
         pos = post_positions.get(obj)
         if pos is None:
@@ -529,13 +528,5 @@ def check_commit(
         if float(np.linalg.norm(pos - expected)) <= EPS_PLACE:
             return CommitDecision(True)
         return CommitDecision(False, f"{obj} not stationary at destination")
-
-    if action == "Insert":
-        part, receptacle = args["part"], args["receptacle"]
-        rec_a = store.records[store.vertices[part].grounding]
-        rec_b = store.records[store.vertices[receptacle].grounding]
-        if _check_mating(store, rec_a, rec_b):
-            return CommitDecision(True)
-        return CommitDecision(False, "mating geometry not confirmed")
 
     return CommitDecision(False, f"no commit rule for {action}")

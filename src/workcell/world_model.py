@@ -1,6 +1,5 @@
-"""Persistent world store: zone layout, object registry with shape
-priors, semantic graph with grounding links, relation verification, and
-lifecycle curation.
+"""Persistent world store: zone layout, object registry, semantic graph
+with grounding links, relation verification, and lifecycle curation.
 
 The store document (``to_dict``) is the whole state. Everything else the
 store keeps is derived from it: the zone index, by one rule
@@ -10,10 +9,10 @@ canonical-JSON text of each record, vertex, edge and head section, cached
 for ``state_hash``. So every write goes through a ``WorldStore`` method
 that keeps all of these and marks what it touched for hashing:
 ``add_entity``, ``update_record``, ``update_vertex``, ``restore_entity``,
-``add_edge``, ``remove_edges``, ``set_edges``, ``add_zone``,
-``add_priors`` and ``next_uid``. Records, vertices and edges are never
-mutated in place: a field is replaced through ``update_record``/
-``update_vertex``, and edges are frozen.
+``add_edge``, ``remove_edges``, ``set_edges``, ``add_zone`` and
+``next_uid``. Records, vertices and edges are never mutated in place: a
+field is replaced through ``update_record``/``update_vertex``, and edges
+are frozen.
 
 ``from_dict`` resumes a store from its document in one stacked pass: it
 checks every record's envelope at once with ``envelope_stack``, which
@@ -21,13 +20,13 @@ applies ``GaussianEnvelope``'s rule to the whole stack of covariances and
 stores the same bits, and reads enum members from their value tables. A
 document the constructors refuse is refused with the constructor's
 exception, for the first fault in document order. The input document is
-never written to, and sections it does not read, such as the occupancy
-``background`` of older documents, are ignored.
+never written to, and keys it does not read are ignored: older documents
+carry an occupancy ``background``, a ``priors`` table and a prior link in
+each record.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -68,8 +67,6 @@ CHI2_THRESH_3DOF = 7.815
 EPS_CONTACT = 0.01
 DELTA_SUPP = 0.005
 D_NEAR = 0.3
-ALIGN_POS_TOL = 0.005
-ALIGN_ANG_TOL_DEG = 2.0
 
 # Lifecycle curation parameters.
 LAMBDA_DECAY = 0.95
@@ -110,18 +107,9 @@ class ZoneNode:
 
 
 @dataclass
-class ShapePrior:
-    prior_id: str
-    canonical_cloud: PointCloudData
-    functional_frame: PoseSE3 = field(default_factory=PoseSE3.identity)
-    grasp_annotations: list[dict] = field(default_factory=list)
-
-
-@dataclass
 class ObjectRecord:
     envelope: GaussianEnvelope
     geometry: GeomAbstraction | None = None
-    shape_prior: str | None = None
     pose: PoseSE3 | None = None
     attached_to: str = "world"  # "world" or "gripper"
 
@@ -178,7 +166,6 @@ class WorldStore:
         self.records: dict[str, ObjectRecord] = {}
         self.vertices: dict[str, ObjectVertex] = {}
         self.edges: list[RelationEdge] = []
-        self.priors: dict[str, ShapePrior] = {}
         self.tentative: dict[int, TentativeTrack] = {}
         self._uid_counters: dict[str, int] = {}
         env = GaussianEnvelope(np.zeros(3), 1e-6 * np.eye(3))
@@ -252,10 +239,6 @@ class WorldStore:
         self.zones[zone.zone_id] = zone
         self._dirty_head.add("zones")
 
-    def add_priors(self, priors: dict[str, ShapePrior]):
-        self.priors.update(priors)
-        self._dirty_head.add("priors")
-
     def add_entity(
         self,
         label: str,
@@ -263,7 +246,6 @@ class WorldStore:
         zone_id: str,
         geometry: GeomAbstraction | None = None,
         attributes: dict[str, str] | None = None,
-        shape_prior: str | None = None,
         pose: PoseSE3 | None = None,
         uid: str | None = None,
     ) -> str:
@@ -273,7 +255,6 @@ class WorldStore:
         self.records[uid] = ObjectRecord(
             envelope=envelope,
             geometry=geometry,
-            shape_prior=shape_prior,
             pose=pose,
         )
         self.vertices[uid] = ObjectVertex(
@@ -463,7 +444,6 @@ class WorldStore:
                 envelope=GaussianEnvelope(r["envelope"]["mean"], r["envelope"]["covariance"])
                 if envelopes is None else next(envelopes),
                 geometry=geom_from_dict(r["geometry"]),
-                shape_prior=r["shape_prior"],
                 pose=pose_f(r["pose"]),
                 attached_to=r["attached_to"],
             )
@@ -480,14 +460,6 @@ class WorldStore:
                          _member(EdgeStatus, e["status"]))
             for e in data["edges"]
         ]
-        store.priors = {
-            pid: ShapePrior(
-                pid, PointCloudData(np.array(p["points"])),
-                pose_f(p["functional_frame"]) or PoseSE3.identity(),
-                p["grasp_annotations"],
-            )
-            for pid, p in data["priors"].items()
-        }
         store._derive()
         return store
 
@@ -592,17 +564,6 @@ def _zones_doc(store: WorldStore) -> dict:
     }
 
 
-def _priors_doc(store: WorldStore) -> dict:
-    return {
-        p.prior_id: {
-            "points": p.canonical_cloud.points.tolist(),
-            "functional_frame": _pose_doc(p.functional_frame),
-            "grasp_annotations": p.grasp_annotations,
-        }
-        for p in store.priors.values()
-    }
-
-
 # The document's sections other than records, vertices and edges, in
 # document order; each is encoded on its own for ``state_hash``.
 _HEAD_SECTIONS = {
@@ -610,7 +571,6 @@ _HEAD_SECTIONS = {
     "robot_zone": lambda store: store.robot_zone,
     "uid_counters": lambda store: dict(store._uid_counters),
     "zones": _zones_doc,
-    "priors": _priors_doc,
 }
 
 
@@ -621,7 +581,6 @@ def _record_doc(r: ObjectRecord) -> dict:
             "covariance": r.envelope.covariance.tolist(),
         },
         "geometry": geom_to_dict(r.geometry),
-        "shape_prior": r.shape_prior,
         "pose": _pose_doc(r.pose),
         "attached_to": r.attached_to,
     }
@@ -703,11 +662,6 @@ def _mahal_sq(diff: np.ndarray, cov: np.ndarray) -> float:
     return float(diff @ cholesky_solve(cov, diff))
 
 
-def _rotation_angle_deg(r: np.ndarray) -> float:
-    c = (np.trace(r) - 1.0) / 2.0
-    return math.degrees(math.acos(min(1.0, max(-1.0, c))))
-
-
 def verify_relation(edge: RelationEdge, store: WorldStore) -> EdgeStatus:
     """Geometric/statistical test for a hypothesized relation."""
     a = _grounded_record(store, edge.subject)
@@ -734,27 +688,12 @@ def verify_relation(edge: RelationEdge, store: WorldStore) -> EdgeStatus:
         )
         ok = in_xy and abs(lo_a[2] - hi_b[2]) < EPS_CONTACT
     elif pred in ("Aligned", "Inserted"):
-        ok = _check_mating(store, a, b)
+        ok = False  # the store holds no mating frame to check a pose against
     elif pred == "Clear":
         ok = store.is_clear(edge.subject)
     else:
         raise WorkcellError(f"no verification rule for predicate {pred}")
     return EdgeStatus.VERIFIED if ok else EdgeStatus.REFUTED
-
-
-def _check_mating(store: WorldStore, a: ObjectRecord, b: ObjectRecord) -> bool:
-    """Relative pose of a in b's frame matches a's mating frame within
-    assembly tolerance (5 mm, 2 deg)."""
-    if a.pose is None or b.pose is None or a.shape_prior is None:
-        return False
-    prior = store.priors.get(a.shape_prior)
-    if prior is None:
-        return False
-    actual = b.pose.inverse().compose(a.pose)
-    expected = prior.functional_frame
-    dpos = float(np.linalg.norm(actual.translation - expected.translation))
-    dang = _rotation_angle_deg(expected.rotation.T @ actual.rotation)
-    return dpos < ALIGN_POS_TOL and dang < ALIGN_ANG_TOL_DEG
 
 
 # -- lifecycle curation ------------------------------------------------------

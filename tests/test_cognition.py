@@ -69,12 +69,28 @@ def test_parse_roundtrip():
     lambda d: d.__setitem__("world_belief", "On(a,b)"),
     lambda d: d["causal_assump"].__setitem__("add_relations", [["On", "a"]]),
     lambda d: d.__setitem__("fallback", "retry"),
+    lambda d: d["causal_assump"].__setitem__("expected_cs", None),
+    lambda d: d["causal_assump"].__setitem__("expected_cs", "Holding"),
+    lambda d: d["causal_assump"].__setitem__("expected_positions", None),
+    lambda d: d["causal_assump"].__setitem__("expected_positions", [[0.4, 0.0, 0.1]]),
+    lambda d: d["causal_assump"].__setitem__("expected_positions", {"part": 0.4}),
+    lambda d: d["causal_assump"].__setitem__("expected_positions", {"part": [1.0]}),
+    lambda d: d["causal_assump"].__setitem__("expected_positions", {"part": ["a", "b", "c"]}),
+    lambda d: d["causal_assump"].__setitem__("expected_positions",
+                                             {"part": [0.4, 0.0, float("nan")]}),
+    lambda d: d["causal_assump"].__setitem__("expected_positions", {"part": [0.4, 0.0, 10**400]}),
+    lambda d: d["causal_assump"].__setitem__("expected_positions", {"part": [True, 0.0, 0.1]}),
+    lambda d: d.__setitem__("confidence", 10**400),
 ])
 def test_parse_rejects_malformed(mutate):
     doc = good_doc()
     mutate(doc)
     ert, err = parse_ert(doc)
     assert ert is None and err
+    # A document that does not parse fails the first stage, so it takes a
+    # retry from the verify-retry budget instead of ending the run.
+    _, report = validate_ert(doc, make_store())
+    assert report.failing_stage == ValidationStage.SYNTACTIC
 
 
 def test_parse_rejects_non_mapping():

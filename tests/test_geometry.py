@@ -48,25 +48,6 @@ def test_pose_identity_is_noop():
     assert np.allclose(PoseSE3.identity().apply(p), p)
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.integers(0, 10_000), st.integers(0, 10_000))
-def test_pose_compose_matches_sequential_application(seed_a, seed_b):
-    rng = np.random.default_rng(seed_a + 31 * seed_b)
-    a = PoseSE3(random_rotation(seed_a), rng.uniform(-1, 1, 3))
-    b = PoseSE3(random_rotation(seed_b), rng.uniform(-1, 1, 3))
-    pts = rng.uniform(-2, 2, (5, 3))
-    assert np.allclose(a.compose(b).apply(pts), a.apply(b.apply(pts)), atol=1e-12)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(0, 10_000))
-def test_pose_inverse_roundtrip(seed):
-    rng = np.random.default_rng(seed)
-    pose = PoseSE3(random_rotation(seed), rng.uniform(-1, 1, 3))
-    pts = rng.uniform(-2, 2, (7, 3))
-    assert np.allclose(pose.inverse().apply(pose.apply(pts)), pts, atol=1e-10)
-
-
 def test_pose_rejects_non_rotation():
     with pytest.raises(ValueError):
         PoseSE3(2 * np.eye(3), np.zeros(3))

@@ -410,8 +410,8 @@ def test_rollback_after_a_refused_commit(monkeypatch):
     def pick_on_air(world, args):
         return [FTEvent(FTSignal.GRIPPER_FORCE, simulator._NOMINAL_GRIP, "N")]
 
-    def store_with_a_support(doc, world, priors=None):
-        store = build(doc, world, priors)
+    def store_with_a_support(doc, world):
+        store = build(doc, world)
         store.add_edge("On", "part_a", "zone_a", EdgeStatus.VERIFIED)
         return store
 
@@ -493,7 +493,7 @@ def test_hash_cache_matches_scratch_digest_on_resumed_store(checked_hashes, monk
                        EdgeStatus.VERIFIED)
     saved = store.to_dict()
     monkeypatch.setattr(harness, "build_store",
-                        lambda doc, world, priors=None: WorldStore.from_dict(saved))
+                        lambda doc, world: WorldStore.from_dict(saved))
     log = run_trial(ScenarioSpec(doc), 0)
     assert log["success"] and log["log_chain_valid"]
     assert log["store_hash"] == checked_hashes[-1]
@@ -533,9 +533,9 @@ def test_each_world_state_is_rendered_once(name, monkeypatch):
         del self.sta_samples[kept:]
         calls["samples"] += kept - before
 
-    def checked_trial(spec, trial_index, priors=None):
+    def checked_trial(spec, trial_index):
         calls.update(render=0, dispatch=0)
-        log = trial(spec, trial_index, priors)
+        log = trial(spec, trial_index)
         assert 0 < calls["render"] <= calls["dispatch"] + 1
         return log
 

@@ -8,7 +8,7 @@ import pytest
 
 from workcell.association import MatchResult
 from workcell.errors import TransactionError
-from workcell.geometry import GaussianEnvelope, PointCloudData, PoseSE3
+from workcell.geometry import GaussianEnvelope
 from workcell.perception import Observation
 from workcell.transactions import (
     ConstraintState,
@@ -32,7 +32,6 @@ from workcell.world_model import (
     EdgeStatus,
     Lifecycle,
     ROBOT_UID,
-    ShapePrior,
     WorldStore,
     ZoneNode,
     register_or_update,
@@ -52,7 +51,6 @@ def make_store():
     store.robot_zone = "z1"
     store.add_entity("part", _env([0.4, 0, 0.02]), "z1", uid="part")
     store.add_entity("plate", _env([1.0, 0, 0.02]), "z2", uid="plate")
-    store.add_priors({"p": ShapePrior("p", PointCloudData(np.eye(3)))})
     return store
 
 

@@ -19,6 +19,7 @@ from hypothesis.stateful import (
 
 import workcell
 from workcell.association import AssociationConfig, MatchResult
+from workcell.cognition import ValidationStage, validate_ert
 from workcell.errors import IntegrityError, WorkcellError
 from workcell.geometry import GaussianEnvelope, PointCloudData, PoseSE3
 from workcell.harness import build_store, build_world
@@ -38,6 +39,7 @@ from workcell.transactions import (
     apply_inverse,
     apply_transition,
     capture_inverse,
+    check_commit,
     state_bytes,
 )
 from workcell.world_model import (
@@ -47,7 +49,6 @@ from workcell.world_model import (
     ObjectRecord,
     RelationEdge,
     ROBOT_UID,
-    ShapePrior,
     TAU_ARCHIVE,
     TAU_UNCERTAIN,
     WorldStore,
@@ -59,7 +60,7 @@ from workcell.world_model import (
     verify_relation,
 )
 
-from fixtures import task1_doc
+from fixtures import ert_doc, task1_doc
 from oracles import (
     find_edges_scan,
     held_uids_scan,
@@ -109,10 +110,9 @@ def test_posed_record_without_a_prior_round_trips():
     for uid in (a, b):
         store.update_record(uid, pose=PoseSE3(np.eye(3), [0.1, 0.2, 0.3]))
     clone = WorldStore.from_dict(store.to_dict())
-    assert clone.records[a].shape_prior is None
     assert clone.records[a].pose.translation.tolist() == [0.1, 0.2, 0.3]
     assert clone.serialize() == store.serialize()
-    # Mating has no functional frame to compare against, so it is refuted.
+    # The store holds no mating frame to compare the poses against.
     assert verify_relation(RelationEdge("Aligned", a, b), clone) == EdgeStatus.REFUTED
 
 
@@ -168,11 +168,7 @@ def _populated_store():
         geometry=PointsGeom(PointCloudData(np.arange(12.0).reshape(4, 3))),
         attributes={"color": "red"},
     )
-    store.add_priors({"gear_prior": ShapePrior("gear_prior", PointCloudData(np.eye(3)))})
-    b = store.add_entity(
-        "slot", _env([0.1, 0.2, 0.1]), "z1", shape_prior="gear_prior",
-        pose=PoseSE3.identity(),
-    )
+    b = store.add_entity("slot", _env([0.1, 0.2, 0.1]), "z1", pose=PoseSE3.identity())
     store.add_edge("On", a, b, EdgeStatus.VERIFIED)
     return store
 
@@ -204,6 +200,16 @@ def test_document_with_the_old_occupancy_section_resumes():
     doc = _populated_store().to_dict()
     old = {**doc, "background": {"cell_size": 0.05, "bounds": None, "voxels": [
         {"index": [0, 1, 2], "log_odds": 0.85, "classes": {}}]}}
+    assert WorldStore.from_dict(old).serialize() == WorldStore.from_dict(doc).serialize()
+    # Stores persisted before the shape priors were deleted carry a
+    # "priors" table and a "shape_prior" link in every record; resuming
+    # ignores both.
+    old = copy.deepcopy(doc)
+    old["priors"] = {"gear_prior": {
+        "points": np.eye(3).tolist(), "grasp_annotations": [],
+        "functional_frame": {"rotation": np.eye(3).tolist(), "translation": [0, 0, 0.02]}}}
+    for rid, r in old["records"].items():
+        r["shape_prior"] = "gear_prior" if rid == "slot_1" else None
     assert WorldStore.from_dict(old).serialize() == WorldStore.from_dict(doc).serialize()
 
 
@@ -398,30 +404,23 @@ def test_verify_on_support_geometry():
     assert verify_relation(RelationEdge("On", off, table), store) == EdgeStatus.REFUTED
 
 
-def test_verify_aligned_mating_frame():
+def test_mating_relations_are_refuted_without_a_mating_frame():
+    # Even two records at the very same pose: the store holds no mating
+    # frame, so neither relation can be verified.
     store = _store_with_zone()
-    store.add_priors({"p": ShapePrior(
-        "p", PointCloudData(np.eye(3)),
-        functional_frame=PoseSE3(np.eye(3), [0, 0, 0.02]),
-    )})
-    part = store.add_entity(
-        "part", _env([0, 0, 0.02]), "z1", shape_prior="p",
-        pose=PoseSE3(np.eye(3), [0, 0, 0.02]),
-    )
-    store.add_priors({"q": ShapePrior("q", PointCloudData(np.eye(3)))})
-    hole = store.add_entity(
-        "hole", _env([0, 0, 0]), "z1", shape_prior="q", pose=PoseSE3.identity()
-    )
-    assert verify_relation(RelationEdge("Aligned", part, hole), store) == EdgeStatus.VERIFIED
-    # 1 cm positional error: outside the 5 mm band.
-    store.update_record(part, pose=PoseSE3(np.eye(3), [0.01, 0, 0.02]))
-    assert verify_relation(RelationEdge("Aligned", part, hole), store) == EdgeStatus.REFUTED
-    # 3 deg twist at the right position: outside the 2 deg band.
-    c, s = np.cos(np.radians(3)), np.sin(np.radians(3))
-    store.update_record(part, pose=PoseSE3(
-        np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]]), [0, 0, 0.02]
-    ))
-    assert verify_relation(RelationEdge("Aligned", part, hole), store) == EdgeStatus.REFUTED
+    pose = PoseSE3(np.eye(3), [0.1, 0.2, 0.3])
+    part = store.add_entity("part", _env([0.1, 0.2, 0.3]), "z1", pose=pose)
+    hole = store.add_entity("hole", _env([0.1, 0.2, 0.3]), "z1", pose=pose)
+    for pred in ("Aligned", "Inserted"):
+        assert verify_relation(RelationEdge(pred, part, hole), store) == EdgeStatus.REFUTED
+    # The firewall still checks the belief, and rejects it as physics.
+    doc = ert_doc("Insert", {"part": part, "receptacle": hole},
+                  {"phase": "Idle", "target": None}, beliefs=[["Aligned", part, hole]])
+    ert, report = validate_ert(doc, store)
+    assert ert is None and report.failing_stage == ValidationStage.PHYSICAL
+    # And no commit rule confirms an Insert.
+    seen = {part: np.array([0.1, 0.2, 0.3])}
+    assert not check_commit(store, "Insert", {"part": part, "receptacle": hole}, seen).commit
 
 
 def test_verify_clear_and_unknown_predicate():
@@ -699,10 +698,6 @@ class StoreHashMachine(RuleBasedStateMachine):
                                           max_size=2)))
         curate_zone(self.store, zone, observed)
 
-    @rule(name=st.sampled_from(["p", "q"]), x=_coord)
-    def add_priors(self, name, x):
-        self.store.add_priors({name: ShapePrior(name, PointCloudData(np.array([[x, 0.0, 0.0]])))})
-
     @rule(zone=st.sampled_from(["z2", "z3"]), reachable=st.booleans())
     def add_zone(self, zone, reachable):
         self.store.add_zone(ZoneNode(zone, zone, ["z1"] if reachable else []))
@@ -777,7 +772,7 @@ def _attribute_writes(tree):
 
 # The store's containers: whatever writes into them must keep the indexes
 # and mark what it touched, so only the store's own methods may.
-_STORE_CONTAINERS = {"edges", "records", "vertices", "priors", "zones"}
+_STORE_CONTAINERS = {"edges", "records", "vertices", "zones"}
 # The simulator keeps its own zone table.
 _CONTAINERS_ALLOWED = {"world_model.py": _STORE_CONTAINERS, "simulator.py": {"zones"}}
 _MUTATORS = {"append", "extend", "insert", "remove", "clear", "pop", "popitem",
@@ -830,12 +825,12 @@ def test_store_field_lint_sees_every_form_of_write():
             "setattr(v, 'lifecycle', x)\nv.label = 'ok'\n")
     names = sorted(name for _, name in _attribute_writes(ast.parse(code)))
     assert names == ["confidence", "envelope", "label", "lifecycle", "pose", "zone_id"]
-    code = ("s.edges = []\ns.records[u] = r\ndel s.vertices[u]\ns.priors.update(p)\n"
+    code = ("s.edges = []\ns.records[u] = r\ndel s.vertices[u]\ns.records.update(p)\n"
             "s.zones.pop(z)\nx, s.edges[-1] = 1, e\n"
             "self.store.records.clear()\ns.tentative[k] = t\ns.edges.index(e)\n"
             "x = s.records[u]\nlog.append(s.edges)\n")
     names = sorted(name for _, name in _container_writes(ast.parse(code)))
-    assert names == ["edges", "edges", "priors", "records", "records", "vertices", "zones"]
+    assert names == ["edges", "edges", "records", "records", "records", "vertices", "zones"]
 
 
 # Top-level definitions no engine module refers to, each with its reason.
