@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import ScriptGapError
+from .geometry import PoseSE3
 from .transactions import SKILLS, ConstraintState
 from .world_model import (
     EdgeStatus,
@@ -127,6 +128,49 @@ def _point3(value) -> list[float] | None:
     return point if all(math.isfinite(x) for x in point) else None
 
 
+# What the skills read of an action's args (``transactions`` and
+# ``simulator``): the keys each one requires, and the form of every key any
+# of them reads. Place needs a position because its commit check reads one.
+_REQUIRED_ARGS = {
+    "Pick": ("object",),
+    "Place": ("destination", "position"),
+    "Insert": ("part", "receptacle"),
+    "Rotate": ("object", "rotation"),
+}
+_UID_ARGS = ("object", "destination", "part", "receptacle", "zone", "target")
+_POINT_ARGS = ("position", "mating_offset")
+
+
+def _rotation(value) -> bool:
+    """A 3x3 matrix of finite numbers that ``PoseSE3`` accepts."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 3):
+        return False
+    rows = [_point3(row) for row in value]
+    if None in rows:
+        return False
+    try:
+        PoseSE3(rows, (0.0, 0.0, 0.0))
+    except ValueError:
+        return False
+    return True
+
+
+def _args_error(action: str, args: dict) -> str:
+    """Why ``args`` cannot be run by ``action``'s skill, or ""."""
+    for key in _REQUIRED_ARGS.get(action, ()):
+        if key not in args:
+            return f"{action} needs arg {key!r}"
+    for key in _UID_ARGS:
+        if key in args and not isinstance(args[key], str):
+            return f"{action} arg {key!r} must be a string"
+    for key in _POINT_ARGS:
+        if key in args and _point3(args[key]) is None:
+            return f"{action} arg {key!r} must be 3 finite numbers"
+    if "rotation" in args and not _rotation(args["rotation"]):
+        return f"{action} arg 'rotation' must be a finite 3x3 rotation matrix"
+    return ""
+
+
 def parse_ert(doc) -> tuple[ERT | None, str]:
     """Wire-format document to ERT; any malformation is a parse error."""
     if not isinstance(doc, dict):
@@ -199,8 +243,9 @@ def parse_ert(doc) -> tuple[ERT | None, str]:
 def validate_ert(doc, store: WorldStore) -> tuple[ERT | None, ValidationReport]:
     """Three-stage check, short-circuiting at the first failure.
 
-    Syntactic: schema shape and ranges. Semantic: every referenced id
-    exists. Physical: each stated belief holds geometrically right now.
+    Syntactic: schema shape and ranges, and args the action's skill can
+    run. Semantic: every referenced id exists. Physical: each stated belief
+    holds geometrically right now.
     """
     stages = {s.value: "passed" for s in ValidationStage}
 
@@ -211,6 +256,9 @@ def validate_ert(doc, store: WorldStore) -> tuple[ERT | None, ValidationReport]:
         return None, _fail(
             ValidationStage.SYNTACTIC, f"unknown action {ert.action!r}", stages
         )
+    err = _args_error(ert.action, ert.args)
+    if err:
+        return None, _fail(ValidationStage.SYNTACTIC, err, stages)
 
     referenced = [v for v in ert.args.values() if isinstance(v, str)]
     for _, s, o in ert.world_belief + ert.add_relations + ert.remove_relations:

@@ -5,6 +5,7 @@ Everything here is a pure value or a pure function; no shared state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,17 +32,22 @@ _EYE3.flags.writeable = False
 def as_point3(p) -> np.ndarray:
     """Coerce to a finite 3-vector of floats."""
     a = np.asarray(p, dtype=float).reshape(3)
-    if not np.isfinite(a).all():
+    if not all(map(math.isfinite, a.tolist())):
         raise ValueError(f"point has non-finite components: {a}")
     return a
 
 
+def _close(x: float, y: float, atol: float) -> bool:
+    """``np.allclose``'s rule for one entry of ``a`` against finite ``b``,
+    ``|a - b| <= atol + 1e-5 * |b|``, in the same double arithmetic."""
+    return abs(x - y) <= atol + 1e-5 * abs(y)
+
+
 def _allclose(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
-    """``np.allclose(a, b, atol=atol)`` for finite ``b``: the same rule,
-    ``|a - b| <= atol + 1e-5 * |b|`` for every entry, in the same double
-    arithmetic, without numpy's per-call overhead on nine entries."""
+    """``np.allclose(a, b, atol=atol)`` for finite ``b``, entry by entry,
+    without numpy's per-call overhead on nine entries."""
     for x, y in zip(a.ravel().tolist(), b.ravel().tolist()):
-        if not abs(x - y) <= atol + 1e-5 * abs(y):
+        if not _close(x, y, atol):
             return False
     return True
 
@@ -85,12 +91,21 @@ class GaussianEnvelope:
 
     def __post_init__(self):
         object.__setattr__(self, "mean", as_point3(self.mean))
-        cov = np.asarray(self.covariance, dtype=float).reshape(3, 3)
-        if not np.isfinite(cov).all():
-            raise ValueError(f"covariance has non-finite entries: {cov.tolist()}")
-        if not _allclose(cov, cov.T, atol=1e-9):
+        # The rule is checked on Python floats, which are the same IEEE
+        # doubles numpy would compute with, at a fraction of its per-call
+        # cost on nine entries.
+        rows = np.asarray(self.covariance, dtype=float).reshape(3, 3).tolist()
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = rows
+        if not all(map(math.isfinite, (a00, a01, a02, a10, a11, a12, a20, a21, a22))):
+            raise ValueError(f"covariance has non-finite entries: {rows}")
+        if not all(_close(x, y, 1e-9) and _close(y, x, 1e-9)
+                   for x, y in ((a01, a10), (a02, a20), (a12, a21))):
             raise ValueError("covariance must be symmetric")
-        cov = 0.5 * (cov + cov.T)
+        # 0.5 * (cov + cov.T), entry by entry; a diagonal sum can overflow.
+        s01, s02, s12 = 0.5 * (a01 + a10), 0.5 * (a02 + a20), 0.5 * (a12 + a21)
+        cov = np.array([[0.5 * (a00 + a00), s01, s02],
+                        [s01, 0.5 * (a11 + a11), s12],
+                        [s02, s12, 0.5 * (a22 + a22)]])
         # Ascending eigenvalues from the routine np.linalg.eigvalsh runs.
         eigvals, _, info = lapack.dsyevd(cov, compute_v=0, lower=1)
         if info != 0:

@@ -143,12 +143,14 @@ def lift_frame(frame: Frame, k: CameraIntrinsics) -> LiftedPoints:
     return LiftedPoints(pts_b, ids)
 
 
-def quantize_by_distance(points: np.ndarray, image_ref: str = "") -> GeomAbstraction:
-    """Pick a geometric abstraction from the centroid's base-frame distance."""
+def quantize_by_distance(
+    points: np.ndarray, centroid: np.ndarray, image_ref: str = ""
+) -> GeomAbstraction:
+    """Pick a geometric abstraction from the base-frame distance of
+    ``centroid``, the mean of ``points``, which the caller has computed."""
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(pts) == 0:
         raise ValueError("cannot quantize an empty point set")
-    centroid = pts.mean(axis=0)
     dist = float(np.linalg.norm(centroid))
     if dist < DEFAULT_R_NEAR:
         return PointsGeom(PointCloudData(pts))
@@ -167,8 +169,9 @@ def assemble_snapshot(frame: Frame, k: CameraIntrinsics) -> list[Observation]:
         pts = lifted.for_instance(instance_id)
         if len(pts) < 2:
             continue  # entirely invalid depth, or a single stray point
-        geometry = quantize_by_distance(pts, image_ref=f"frame/crop/{instance_id}")
         envelope = envelope_from_points(PointCloudData(pts))
+        geometry = quantize_by_distance(pts, envelope.mean,
+                                        image_ref=f"frame/crop/{instance_id}")
         observations.append(
             Observation(label=frame.labels[instance_id], geometry=geometry, envelope=envelope)
         )

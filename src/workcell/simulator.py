@@ -384,10 +384,11 @@ def _screen_windows(camera: SimCamera, objects: list[SimObject]) -> list:
     ray the slab test hits outside it, and clipped to the image. A box
     reaching the near-plane band gets the whole image.
     """
-    corners = np.array([
-        o.pose.translation + (CORNER_SIGNS * o.half_extents) @ o.pose.rotation.T
-        for o in objects
-    ]).reshape(-1, 8, 3)
+    rotations = np.array([o.pose.rotation for o in objects]).reshape(-1, 3, 3)
+    extents = np.array([o.half_extents for o in objects]).reshape(-1, 3)
+    centres = np.array([o.pose.translation for o in objects]).reshape(-1, 3)
+    corners = (centres[:, None]
+               + (CORNER_SIGNS * extents[:, None]) @ rotations.transpose(0, 2, 1))
     cam = (corners - camera.pose.translation) @ camera.pose.rotation
     z = cam[..., 2]
     k = camera.intrinsics
@@ -398,17 +399,17 @@ def _screen_windows(camera: SimCamera, objects: list[SimObject]) -> list:
         u1 = np.minimum(np.floor(u.max(axis=1)) + 1, camera.width - 1)
         v0 = np.maximum(np.ceil(v.min(axis=1)) - 1, 0)
         v1 = np.minimum(np.floor(v.max(axis=1)) + 1, camera.height - 1)
+    near = (z <= _NEAR_PLANE).any(axis=1)
+    skip = (z < -_NEAR_PLANE).all(axis=1) | (~near & ((u0 > u1) | (v0 > v1)))
     windows = []
-    for i, z_i in enumerate(z):
-        if np.all(z_i < -_NEAR_PLANE):
+    for skip_i, near_i, (r0, r1, c0, c1) in zip(
+            skip.tolist(), near.tolist(), np.stack([v0, v1, u0, u1], axis=1).tolist()):
+        if skip_i:
             windows.append(None)
-        elif np.any(z_i <= _NEAR_PLANE):
+        elif near_i:
             windows.append((slice(None), slice(None)))
-        elif u0[i] > u1[i] or v0[i] > v1[i]:
-            windows.append(None)
         else:
-            windows.append((slice(int(v0[i]), int(v1[i]) + 1),
-                            slice(int(u0[i]), int(u1[i]) + 1)))
+            windows.append((slice(int(r0), int(r1) + 1), slice(int(c0), int(c1) + 1)))
     return windows
 
 
@@ -416,47 +417,59 @@ def render_frame(world: SimWorld, camera: SimCamera) -> Frame:
     """Depth + exact instance mask from oriented-box proxies.
 
     The rays of every box's window, each in its box's frame, go through one
-    slab test. Boxes are then drawn in id order, and a pixel changes owner
-    only on a strictly nearer hit, so depth ties go to the earlier id.
+    slab test; the rays are turned into each distinct box rotation once.
+    Each pixel then keeps its nearest hit, a depth tie going to the earlier
+    id: the frame that drawing the boxes in id order, with a pixel changing
+    owner only on a strictly nearer hit, would leave.
     """
     h, w = camera.height, camera.width
     ids = sorted(world.objects)
     objects = [world.objects[oid] for oid in ids]
-    drawn = [(oid, obj, window) for oid, obj, window
+    drawn = [(world.instance_ids[oid], obj, window) for oid, obj, window
              in zip(ids, objects, _screen_windows(camera, objects)) if window is not None]
 
-    best_depth = np.full((h, w), np.inf)
-    best_id = np.full((h, w), -1, dtype=np.int32)
+    depth = np.zeros(h * w)
+    mask = np.full(h * w, -1, dtype=np.int32)
     if drawn:
-        d_local, o_local, extents = [], [], []
-        for _oid, obj, window in drawn:
+        pixel_index = np.arange(h * w).reshape(h, w)
+        local_rays: dict[bytes, np.ndarray] = {}
+        d_local, o_local, extents, pixels, owners = [], [], [], [], []
+        for instance, obj, window in drawn:
             rotation = obj.pose.rotation
-            # Row-wise R^T @ d over every ray, then the window's rows: the
-            # floats a full-frame slab test would use.
-            d = (camera.rays @ rotation).reshape(h, w, 3)[window].reshape(-1, 3)
-            d_local.append(d)
+            key = rotation.tobytes()
+            if key not in local_rays:
+                # Row-wise R^T @ d over every ray: the floats a full-frame
+                # slab test would use.
+                local_rays[key] = (camera.rays @ rotation).reshape(h, w, 3)
+            rays = local_rays[key]
+            d_local.append(rays[window].reshape(-1, 3))
+            pixels.append(pixel_index[window].ravel())
             o_local.append(rotation.T @ (camera.pose.translation - obj.pose.translation))
             extents.append(obj.half_extents)
-        sizes = [len(d) for d in d_local]
-        t_all = _ray_box_depth(np.concatenate(d_local), np.repeat(o_local, sizes, axis=0),
-                               np.repeat(extents, sizes, axis=0))
-        for (oid, _obj, window), t in zip(drawn, np.split(t_all, np.cumsum(sizes)[:-1])):
-            depth_win, id_win = best_depth[window], best_id[window]
-            t = t.reshape(depth_win.shape)
-            closer = t < depth_win
-            depth_win[closer] = t[closer]
-            id_win[closer] = world.instance_ids[oid]
+            owners.append(instance)
+        sizes = [len(p) for p in pixels]
+        t = _ray_box_depth(np.concatenate(d_local), np.repeat(o_local, sizes, axis=0),
+                           np.repeat(extents, sizes, axis=0))
+        pixel = np.concatenate(pixels)
+        owner = np.repeat(np.array(owners, dtype=np.int32), sizes)
+        hit = np.isfinite(t)
+        t, pixel, owner = t[hit], pixel[hit], owner[hit]
+        order = np.lexsort((owner, t, pixel))
+        pixel, t, owner = pixel[order], t[order], owner[order]
+        first = np.ones(len(pixel), dtype=bool)
+        first[1:] = pixel[1:] != pixel[:-1]
+        depth[pixel[first]] = t[first]
+        mask[pixel[first]] = owner[first]
 
-    depth = np.where(np.isfinite(best_depth), best_depth, 0.0)
-    visible = set(np.unique(best_id)) - {-1}
+    in_view = np.bincount(mask + 1, minlength=len(ids) + 1).tolist()
     labels = {
         world.instance_ids[oid]: world.objects[oid].label
         for oid in ids
-        if world.instance_ids[oid] in visible
+        if in_view[world.instance_ids[oid] + 1]
     }
     return Frame(
-        depth=depth.astype(np.float32),
-        mask=best_id,
+        depth=depth.reshape(h, w).astype(np.float32),
+        mask=mask.reshape(h, w),
         labels=labels,
         camera_pose=camera.pose,
     )
@@ -465,7 +478,6 @@ def render_frame(world: SimWorld, camera: SimCamera) -> Frame:
 def visible_pixel_counts(world: SimWorld, frame: Frame) -> dict[str, int]:
     """Pixel count per object id in a frame rendered from ``world``; zero
     means out of view."""
-    ids, tallies = np.unique(frame.mask, return_counts=True)
-    by_instance = dict(zip(ids.tolist(), tallies.tolist()))
-    return {oid: int(by_instance.get(world.instance_ids[oid], 0))
-            for oid in world.objects}
+    tallies = np.bincount(frame.mask.ravel() + 1,
+                          minlength=len(world.instance_ids) + 1).tolist()
+    return {oid: tallies[world.instance_ids[oid] + 1] for oid in world.objects}

@@ -246,17 +246,12 @@ class WorldStore:
         zone_id: str,
         geometry: GeomAbstraction | None = None,
         attributes: dict[str, str] | None = None,
-        pose: PoseSE3 | None = None,
         uid: str | None = None,
     ) -> str:
         uid = uid or self.next_uid(label)
         if uid in self.vertices:
             raise IntegrityError(f"uid {uid} already exists")
-        self.records[uid] = ObjectRecord(
-            envelope=envelope,
-            geometry=geometry,
-            pose=pose,
-        )
+        self.records[uid] = ObjectRecord(envelope=envelope, geometry=geometry)
         self.vertices[uid] = ObjectVertex(
             uid=uid,
             label=label,

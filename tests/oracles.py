@@ -207,6 +207,49 @@ def render_frame_reference(world, camera):
     return depth.astype(np.float32), mask, labels
 
 
+def visible_pixel_counts_reference(world, frame):
+    """Pixel count per object id, tallied by ``np.unique``."""
+    ids, tallies = np.unique(frame.mask, return_counts=True)
+    by_instance = dict(zip(ids.tolist(), tallies.tolist()))
+    return {oid: by_instance.get(world.instance_ids[oid], 0) for oid in world.objects}
+
+
+def assemble_snapshot_reference(frame, k):
+    """The snapshot before the centroid was shared: a boolean mask per
+    instance, ``envelope_from_points``, and a quantization that computes
+    its own centroid. Returns what ``perception.assemble_snapshot`` does."""
+    from workcell.geometry import PointCloudData, envelope_from_points
+    from workcell.perception import (
+        DEFAULT_R_FAR,
+        DEFAULT_R_NEAR,
+        VOXEL_CELL_SIZE,
+        BillboardGeom,
+        Observation,
+        PointsGeom,
+        VoxelsGeom,
+        lift_frame,
+    )
+
+    lifted = lift_frame(frame, k)
+    observations = []
+    for instance_id in sorted(frame.labels):
+        pts = lifted.points[lifted.instance_ids == instance_id]
+        if len(pts) < 2:
+            continue
+        centroid = pts.mean(axis=0)
+        dist = float(np.linalg.norm(centroid))
+        if dist < DEFAULT_R_NEAR:
+            geometry = PointsGeom(PointCloudData(pts))
+        elif dist < DEFAULT_R_FAR:
+            cells = np.unique(np.floor(pts / VOXEL_CELL_SIZE).astype(np.int64), axis=0)
+            geometry = VoxelsGeom(cells, VOXEL_CELL_SIZE)
+        else:
+            geometry = BillboardGeom(f"frame/crop/{instance_id}", centroid / dist, centroid)
+        envelope = envelope_from_points(PointCloudData(pts))
+        observations.append(Observation(frame.labels[instance_id], geometry, envelope))
+    return observations
+
+
 # -- SPD algebra and association before the direct-LAPACK rewrite ------------
 #
 # The package's solves, envelope checks and gate as they were written on top
@@ -235,20 +278,26 @@ def mahalanobis_reference(a, b):
 
 
 def envelope_reference(mean, covariance):
-    """The covariance check of ``GaussianEnvelope``: the stored covariance,
-    or ValueError. The mean is coerced as the package does."""
+    """The check of ``GaussianEnvelope`` on whole numpy arrays: the stored
+    mean and covariance, or the ValueError the constructor raises."""
     from workcell.geometry import MIN_EIGENVALUE
 
+    mean = np.asarray(mean, dtype=float).reshape(3)
+    if not np.isfinite(mean).all():
+        raise ValueError(f"point has non-finite components: {mean}")
     cov = np.asarray(covariance, dtype=float).reshape(3, 3)
+    if not np.isfinite(cov).all():
+        raise ValueError(f"covariance has non-finite entries: {cov.tolist()}")
     if not np.allclose(cov, cov.T, atol=1e-9):
         raise ValueError("covariance must be symmetric")
-    cov = 0.5 * (cov + cov.T)
+    with np.errstate(over="ignore"):  # finite entries can sum past the range
+        cov = 0.5 * (cov + cov.T)
     eigvals = np.linalg.eigvalsh(cov)
     if eigvals.min() < MIN_EIGENVALUE * (1 - 1e-9):
         raise ValueError(
             f"covariance smallest eigenvalue {eigvals.min():.3e} below floor"
         )
-    return np.asarray(mean, dtype=float).reshape(3), cov
+    return mean, cov
 
 
 def check_rotation_reference(r):

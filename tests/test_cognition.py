@@ -7,6 +7,7 @@ import pytest
 from workcell.association import AssociationConfig, hybrid_cost
 from workcell.cognition import (
     BRIEFING,
+    N_MAX_DEFAULT,
     ContextSubgraph,
     ReasonerRequest,
     RequestKind,
@@ -157,6 +158,54 @@ def test_validate_zone_scoped_beliefs_skip_geometry():
     doc = good_doc(beliefs=[["Inside", "part", "z1"]])
     ert, report = validate_ert(doc, make_store())
     assert ert is not None and report.ok
+
+
+_QUARTER_TURN = [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize("action, args", [
+    ("Pick", {"object": "part", "position": [0.4, 0.0, 0.02]}),
+    ("Place", {"destination": "plate", "position": [1.0, 0.0, 0.05], "zone": "z2"}),
+    ("Insert", {"part": "part", "receptacle": "plate", "mating_offset": [0, 0, 0.01]}),
+    ("Move", {"zone": "z2", "position": [1.0, 0.0, 0.1], "target": "plate"}),
+    ("Rotate", {"object": "part", "rotation": _QUARTER_TURN}),
+    ("OpenGripper", {}),
+])
+def test_validate_accepts_args_each_skill_can_run(action, args):
+    ert, report = validate_ert(ert_doc(action, args, {"phase": "Idle"}), make_store())
+    assert ert is not None and report.ok
+
+
+@pytest.mark.parametrize("action, args", [
+    ("Place", {"position": [1.0, 0.0, 0.05]}),
+    ("Place", {"destination": "plate"}),
+    ("Place", {"destination": ["plate"], "position": [1.0, 0.0, 0.05]}),
+    ("Pick", {}),
+    ("Pick", {"object": 7}),
+    ("Pick", {"object": "part", "position": [1, "a"]}),
+    ("Pick", {"object": "part", "position": [0.4, 0.0, float("inf")]}),
+    ("Move", {"zone": ["z2"]}),
+    ("Move", {"position": [1.0, 0.0, 10**400]}),
+    ("Move", {"target": None}),
+    ("Insert", {"part": "part"}),
+    ("Insert", {"part": "part", "receptacle": "plate", "mating_offset": [0.0]}),
+    ("Rotate", {"object": "part"}),
+    ("Rotate", {"object": "part", "rotation": [[1.0, 0.0], [0.0, 1.0]]}),
+    ("Rotate", {"object": "part", "rotation": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                               [0.0, 0.0, float("nan")]]}),
+    ("Rotate", {"object": "part", "rotation": [[2.0, 0.0, 0.0], [0.0, 2.0, 0.0],
+                                               [0.0, 0.0, 2.0]]}),
+])
+def test_validate_rejects_args_the_skill_cannot_run(action, args):
+    doc = ert_doc(action, args, {"phase": "Idle"})
+    ert, report = validate_ert(doc, make_store())
+    assert ert is None and report.failing_stage == ValidationStage.SYNTACTIC
+    # The reply takes retries from the same budget as any other rejection.
+    reasoner = ScriptedReasoner({("ProposeERT", ""): [doc]})
+    outcome = get_valid_ert(reasoner, ReasonerRequest(RequestKind.PROPOSE_ERT, "k"),
+                            make_store())
+    assert outcome.exhausted and outcome.attempts == N_MAX_DEFAULT
+    assert {r.failing_stage for r in outcome.reports} == {ValidationStage.SYNTACTIC}
 
 
 # -- subgraph extraction ------------------------------------------------------

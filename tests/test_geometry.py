@@ -223,6 +223,39 @@ def test_envelope_check_decides_and_stores_as_reference(seed, floor_factor, spre
     assert _outcome(package, mean, cov) == _outcome(envelope_reference, mean, cov)
 
 
+_BIG = 1.7e308  # finite, but twice it overflows to inf
+
+
+@pytest.mark.parametrize("mean, cov", [
+    ([-0.0, 0.0, -0.0], [[1.0, -0.0, 0.0], [0.0, 2.0, -0.0], [-0.0, -0.0, 3.0]]),
+    ([1, 2, 3], [[1, 0, 0], [0, 2, 0], [0, 0, 3]]),
+    (np.array([1, 2, 3]), np.eye(3, dtype=int)),
+    ([0.1, 0.2], np.eye(3)),
+    ([0.1, 0.2, 0.3], np.eye(3).ravel().tolist()),
+    ([0.1, 0.2, 0.3], [1.0] * 8),
+    ([0.1, 0.2, 0.3], np.diag([_BIG, 1.0, 1.0])),
+    ([0.1, 0.2, 0.3], [[1.0, _BIG, 0.0], [_BIG, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    ([0.1, 0.2, 0.3], np.diag([np.nan, 1.0, 1.0])),
+    ([0.1, np.inf, 0.3], np.eye(3)),
+    ([0.1, 0.2, 0.3], [[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    ([0.1, 0.2, 0.3], np.diag([1.0, 1.0, 1e-12])),
+    (["a", 0.2, 0.3], np.eye(3)),
+])
+def test_envelope_edge_cases_match_reference(mean, cov):
+    def stored(build):
+        try:
+            arrays = build(mean, cov)
+        except ValueError as exc:
+            return str(exc)
+        return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+    def package(m, c):
+        env = GaussianEnvelope(m, c)
+        return env.mean, env.covariance
+
+    assert stored(package) == stored(envelope_reference)
+
+
 def _built(build, means, covs):
     """What building envelopes from the rows gives: the dtype, shape and
     bytes of every stored array, or the type and message of the error."""

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from workcell.errors import InvalidDepthError
 from workcell.geometry import PoseSE3
@@ -16,6 +19,8 @@ from workcell.perception import (
     lift_frame,
     quantize_by_distance,
 )
+
+from oracles import assemble_snapshot_reference
 
 K = CameraIntrinsics(fx=100.0, fy=100.0, cx=2.0, cy=2.0)
 
@@ -90,12 +95,12 @@ def test_frame_rejects_shape_mismatch():
 
 def test_quantize_bands():
     near = np.array([[0.0, 0.0, 0.3], [0.01, 0.0, 0.3]])
-    assert isinstance(quantize_by_distance(near), PointsGeom)
+    assert isinstance(quantize_by_distance(near, near.mean(axis=0)), PointsGeom)
     mid = near + np.array([0.0, 0.0, 1.0])
-    g = quantize_by_distance(mid)
+    g = quantize_by_distance(mid, mid.mean(axis=0))
     assert isinstance(g, VoxelsGeom)
     far = near + np.array([0.0, 0.0, 5.0])
-    b = quantize_by_distance(far, image_ref="crop/0")
+    b = quantize_by_distance(far, far.mean(axis=0), image_ref="crop/0")
     assert isinstance(b, BillboardGeom)
     assert b.image_ref == "crop/0"
     assert np.linalg.norm(b.view_vector) == pytest.approx(1.0)
@@ -103,14 +108,14 @@ def test_quantize_bands():
 
 def test_quantize_voxels_dedupe():
     pts = np.array([[0.0, 0.0, 1.0], [0.001, 0.0, 1.0], [0.05, 0.0, 1.0]])
-    g = quantize_by_distance(pts)
+    g = quantize_by_distance(pts, pts.mean(axis=0))
     assert isinstance(g, VoxelsGeom)
     assert len(g.cells) == 2  # first two share a cell
 
 
 def test_quantize_rejects_empty():
     with pytest.raises(ValueError):
-        quantize_by_distance(np.zeros((0, 3)))
+        quantize_by_distance(np.zeros((0, 3)), np.zeros(3))
 
 
 # -- snapshot assembly --------------------------------------------------------
@@ -131,3 +136,90 @@ def test_assemble_snapshot_drops_starved_instances():
     frame.depth[1:4, 1:4] = 0.0
     frame.depth[2, 2] = 0.5  # single surviving point
     assert assemble_snapshot(frame, K) == []
+
+
+# Camera-frame depths whose lifted centroids fall in the near, voxel and
+# billboard bands when the camera is near the base origin.
+_BAND_DEPTHS = (0.3, 1.2, 4.0)
+
+
+def _snapshot_frame(seed):
+    """A frame of 4-8 by 4-8 pixels seen from a camera within 0.2 m of the
+    base origin or, in one frame of four, 1e15 m from it, where rounding
+    moves lifted points more than DEFAULT_RAY_EPSILON off their pixel rays.
+    Its label table always holds an id with no pixels and an id with one
+    pixel; each band depth gets one or two ids of two or more pixels, and a
+    tenth of the masked pixels read zero depth. The rest is unlabeled."""
+    rng = np.random.default_rng(seed)
+    h, w = (int(x) for x in rng.integers(4, 9, 2))
+    k = CameraIntrinsics(*rng.uniform(20.0, 120.0, 2), *rng.uniform(0.0, [w, h]))
+    offset = rng.uniform(-0.1, 0.1, 3)
+    if rng.random() < 0.25:
+        offset += 1e15 * Rotation.random(random_state=rng).as_matrix()[0]
+    pose = PoseSE3(Rotation.random(random_state=rng).as_matrix(), offset)
+    depth_of = [d for d in _BAND_DEPTHS for _ in range(rng.integers(1, 3))]
+    ids = rng.permutation(30)[:len(depth_of) + 2].tolist()
+    single, banded = ids[1], ids[2:]  # ids[0] gets no pixels
+    pixels = rng.permutation(h * w).tolist()
+    mask = np.full(h * w, -1, dtype=np.int32)
+    depth = np.zeros(h * w, dtype=np.float32)
+    mask[pixels.pop()] = single
+    depth[mask == single] = 0.5
+    share = len(pixels) // len(banded)
+    for instance, d in zip(banded, depth_of):
+        for _ in range(int(rng.integers(2, share + 1))):
+            p = pixels.pop()
+            mask[p] = instance
+            depth[p] = d * rng.uniform(0.95, 1.05)
+    depth[(mask >= 0) & (rng.random(h * w) < 0.1)] = 0.0
+    labels = {i: f"part{i % 4}" for i in ids}
+    return Frame(depth.reshape(h, w), mask.reshape(h, w), labels, pose), k
+
+
+def _snapshot_outcome(assemble, frame, k):
+    """Every stored byte of a snapshot: per observation, its label and
+    geometry kind, and the dtype, shape and bytes of each array or the value
+    of each other field; or the type and message of the error raised."""
+    try:
+        observations = assemble(frame, k)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+    def fields(g):
+        if isinstance(g, PointsGeom):
+            return [g.cloud.points]
+        if isinstance(g, VoxelsGeom):
+            return [g.cells, g.cell_size]
+        return [g.image_ref, g.view_vector, g.centroid]
+
+    return [
+        (o.label, type(o.geometry).__name__,
+         [(a.dtype, a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a
+          for a in [o.envelope.mean, o.envelope.covariance, *fields(o.geometry)]])
+        for o in observations
+    ]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_snapshot_matches_reference(seed):
+    frame, k = _snapshot_frame(seed)
+    assert (_snapshot_outcome(assemble_snapshot, frame, k)
+            == _snapshot_outcome(assemble_snapshot_reference, frame, k))
+
+
+def test_snapshot_frames_cover_the_edge_cases():
+    seen = set()
+    for seed in range(100):
+        frame, k = _snapshot_frame(seed)
+        lifted = lift_frame(frame, k)
+        counts = {i: int((lifted.instance_ids == i).sum()) for i in frame.labels}
+        seen.update(
+            {"no pixels"} if 0 in counts.values() else set(),
+            {"one point"} if 1 in counts.values() else set(),
+            {"off ray"} if (lifted.instance_ids == -1).any() else set(),
+            {"zero depth"} if ((frame.mask >= 0) & (frame.depth == 0)).any() else set(),
+            {type(o.geometry).__name__ for o in assemble_snapshot(frame, k)},
+        )
+    assert seen == {"no pixels", "one point", "off ray", "zero depth",
+                    "PointsGeom", "VoxelsGeom", "BillboardGeom"}

@@ -21,7 +21,7 @@ from workcell.simulator import (
 )
 from workcell.transactions import FTSignal
 
-from oracles import render_frame_reference
+from oracles import render_frame_reference, visible_pixel_counts_reference
 
 TOPDOWN = np.array([[1.0, 0, 0], [0, -1.0, 0], [0, 0, -1.0]])
 
@@ -188,6 +188,7 @@ def test_render_matches_full_frame_reference(scene):
     assert frame.depth.tobytes() == depth.tobytes()
     assert np.array_equal(frame.mask, mask)
     assert frame.labels == labels
+    assert visible_pixel_counts(world, frame) == visible_pixel_counts_reference(world, frame)
 
 
 def test_render_depth_tie_goes_to_earlier_id():

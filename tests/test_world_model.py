@@ -168,7 +168,8 @@ def _populated_store():
         geometry=PointsGeom(PointCloudData(np.arange(12.0).reshape(4, 3))),
         attributes={"color": "red"},
     )
-    b = store.add_entity("slot", _env([0.1, 0.2, 0.1]), "z1", pose=PoseSE3.identity())
+    b = store.add_entity("slot", _env([0.1, 0.2, 0.1]), "z1")
+    store.update_record(b, pose=PoseSE3.identity())
     store.add_edge("On", a, b, EdgeStatus.VERIFIED)
     return store
 
@@ -409,8 +410,10 @@ def test_mating_relations_are_refuted_without_a_mating_frame():
     # frame, so neither relation can be verified.
     store = _store_with_zone()
     pose = PoseSE3(np.eye(3), [0.1, 0.2, 0.3])
-    part = store.add_entity("part", _env([0.1, 0.2, 0.3]), "z1", pose=pose)
-    hole = store.add_entity("hole", _env([0.1, 0.2, 0.3]), "z1", pose=pose)
+    part = store.add_entity("part", _env([0.1, 0.2, 0.3]), "z1")
+    hole = store.add_entity("hole", _env([0.1, 0.2, 0.3]), "z1")
+    store.update_record(part, pose=pose)
+    store.update_record(hole, pose=pose)
     for pred in ("Aligned", "Inserted"):
         assert verify_relation(RelationEdge(pred, part, hole), store) == EdgeStatus.REFUTED
     # The firewall still checks the belief, and rejects it as physics.
