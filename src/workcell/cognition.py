@@ -8,12 +8,21 @@ be exercised deterministically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import ScriptGapError
-from .geometry import PoseSE3
+from .schema import (
+    DICT,
+    POINT,
+    ROTATION,
+    STR,
+    TRIPLES,
+    UNIT,
+    key_errors,
+    mapping_of,
+    or_null,
+)
 from .transactions import SKILLS, ConstraintState
 from .world_model import (
     EdgeStatus,
@@ -111,132 +120,72 @@ def _fail(stage: ValidationStage, detail: str, stages: dict) -> ValidationReport
     return ValidationReport(False, stages, stage, detail)
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _point3(value) -> list[float] | None:
-    """``value`` as 3 floats, or None unless it is a list of 3 finite
-    numbers."""
-    if not (isinstance(value, (list, tuple)) and len(value) == 3
-            and all(_is_number(x) for x in value)):
-        return None
-    try:
-        point = [float(x) for x in value]
-    except OverflowError:  # an integer too large for a float
-        return None
-    return point if all(math.isfinite(x) for x in point) else None
-
-
 # What the skills read of an action's args (``transactions`` and
-# ``simulator``): the keys each one requires, and the form of every key any
-# of them reads. Place needs a position because its commit check reads one.
+# ``simulator``): the shape of every key any of them reads, and the keys
+# each one requires. Place needs a position because its commit check reads
+# one.
+_ARG_KEYS = {
+    **{key: STR for key in ("object", "destination", "part", "receptacle", "zone", "target")},
+    "position": POINT, "mating_offset": POINT, "rotation": ROTATION,
+}
 _REQUIRED_ARGS = {
     "Pick": ("object",),
     "Place": ("destination", "position"),
     "Insert": ("part", "receptacle"),
     "Rotate": ("object", "rotation"),
 }
-_UID_ARGS = ("object", "destination", "part", "receptacle", "zone", "target")
-_POINT_ARGS = ("position", "mating_offset")
-
-
-def _rotation(value) -> bool:
-    """A 3x3 matrix of finite numbers that ``PoseSE3`` accepts."""
-    if not (isinstance(value, (list, tuple)) and len(value) == 3):
-        return False
-    rows = [_point3(row) for row in value]
-    if None in rows:
-        return False
-    try:
-        PoseSE3(rows, (0.0, 0.0, 0.0))
-    except ValueError:
-        return False
-    return True
 
 
 def _args_error(action: str, args: dict) -> str:
     """Why ``args`` cannot be run by ``action``'s skill, or ""."""
-    for key in _REQUIRED_ARGS.get(action, ()):
-        if key not in args:
-            return f"{action} needs arg {key!r}"
-    for key in _UID_ARGS:
-        if key in args and not isinstance(args[key], str):
-            return f"{action} arg {key!r} must be a string"
-    for key in _POINT_ARGS:
-        if key in args and _point3(args[key]) is None:
-            return f"{action} arg {key!r} must be 3 finite numbers"
-    if "rotation" in args and not _rotation(args["rotation"]):
-        return f"{action} arg 'rotation' must be a finite 3x3 rotation matrix"
-    return ""
+    required = _REQUIRED_ARGS.get(action, ())
+    keys = {key if key in required else f"{key}?": shape for key, shape in _ARG_KEYS.items()}
+    errors = key_errors(args, f"{action} args", keys)
+    return errors[0] if errors else ""
+
+
+# The wire format of an ERT, one table per mapping.
+_ERT_KEYS = {
+    "action_proposal": DICT, "world_belief": TRIPLES, "causal_assump": DICT,
+    "confidence": UNIT, "fallback?": or_null(DICT),
+}
+_PROPOSAL_KEYS = {"action": STR, "args": DICT}
+_ASSUMPTION_KEYS = {
+    "expected_cs": DICT, "add_relations?": TRIPLES, "remove_relations?": TRIPLES,
+    "expected_positions?": mapping_of(POINT),
+}
+# What diagnosis reads of the expected constraint state.
+_EXPECTED_CS_KEYS = {"phase?": or_null(STR), "target?": or_null(STR)}
+
+
+def _triples(items: list) -> list[tuple[str, str, str]]:
+    return [tuple(str(x) for x in item) for item in items]
 
 
 def parse_ert(doc) -> tuple[ERT | None, str]:
-    """Wire-format document to ERT; any malformation is a parse error."""
-    if not isinstance(doc, dict):
-        return None, "document is not a mapping"
-    for fld in ("action_proposal", "world_belief", "causal_assump", "confidence"):
-        if fld not in doc:
-            return None, f"missing field {fld!r}"
-    ap = doc["action_proposal"]
-    if not isinstance(ap, dict) or "action" not in ap or "args" not in ap:
-        return None, "action_proposal must carry action and args"
-    if not isinstance(ap["args"], dict):
-        return None, "action args must be a mapping"
-    wb = doc["world_belief"]
-    if not isinstance(wb, list):
-        return None, "world_belief must be a list"
-    beliefs = []
-    for item in wb:
-        if not (isinstance(item, (list, tuple)) and len(item) == 3):
-            return None, f"malformed belief {item!r}"
-        beliefs.append(tuple(str(x) for x in item))
-    ca = doc["causal_assump"]
-    if not isinstance(ca, dict) or "expected_cs" not in ca:
-        return None, "causal_assump must carry expected_cs"
-    if not isinstance(ca["expected_cs"], dict):
-        return None, "expected_cs must be a mapping"
-    conf = doc["confidence"]
-    if not _is_number(conf):
-        return None, "confidence must be numeric"
-    if not 0.0 <= conf <= 1.0:
-        return None, f"confidence {conf} outside [0, 1]"
-    positions = ca.get("expected_positions", {})
-    if not isinstance(positions, dict):
-        return None, "expected_positions must be a mapping"
-    expected_positions = {}
-    for uid, pos in positions.items():
-        point = _point3(pos)
-        if point is None:
-            return None, f"expected position of {uid!r} must be 3 finite numbers"
-        expected_positions[str(uid)] = point
-
-    def _rels(key):
-        out = []
-        for item in ca.get(key, []):
-            if not (isinstance(item, (list, tuple)) and len(item) == 3):
-                raise ValueError(f"malformed relation {item!r} in {key}")
-            out.append(tuple(str(x) for x in item))
-        return out
-
-    try:
-        add_rel = _rels("add_relations")
-        rem_rel = _rels("remove_relations")
-    except ValueError as exc:
-        return None, str(exc)
-    fallback = doc.get("fallback")
-    if fallback is not None and not isinstance(fallback, dict):
-        return None, "fallback must be a mapping or null"
+    """Wire-format document to ERT; the first malformation is the parse
+    error."""
+    errors = key_errors(doc, "ERT", _ERT_KEYS)
+    if not errors:
+        errors = (key_errors(doc["action_proposal"], "action_proposal", _PROPOSAL_KEYS)
+                  + key_errors(doc["causal_assump"], "causal_assump", _ASSUMPTION_KEYS))
+    if not errors:
+        errors = key_errors(doc["causal_assump"]["expected_cs"], "expected_cs",
+                            _EXPECTED_CS_KEYS)
+    if errors:
+        return None, errors[0]
+    ap, ca = doc["action_proposal"], doc["causal_assump"]
     return ERT(
-        action=str(ap["action"]),
+        action=ap["action"],
         args=dict(ap["args"]),
-        world_belief=beliefs,
+        world_belief=_triples(doc["world_belief"]),
         expected_cs=dict(ca["expected_cs"]),
-        add_relations=add_rel,
-        remove_relations=rem_rel,
-        confidence=float(conf),
-        fallback=fallback,
-        expected_positions=expected_positions,
+        add_relations=_triples(ca.get("add_relations", [])),
+        remove_relations=_triples(ca.get("remove_relations", [])),
+        confidence=float(doc["confidence"]),
+        fallback=doc.get("fallback"),
+        expected_positions={str(uid): [float(x) for x in pos]
+                            for uid, pos in ca.get("expected_positions", {}).items()},
     ), ""
 
 

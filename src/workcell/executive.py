@@ -7,6 +7,7 @@ applies transactions, and mutates task memory and the constraint state.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -23,6 +24,7 @@ from .cognition import (
     validate_ert,
 )
 from .errors import ReasonerFault, ScenarioError, StateMachineError
+from .schema import DICT, INT, LIST, STR, key_errors, list_of
 from .transactions import (
     CommitDecision,
     ConstraintState,
@@ -47,100 +49,69 @@ DRIFT_FLAG_METERS = 0.05
 # -- task memory -------------------------------------------------------------
 
 
-class NodeStatus(Enum):
-    PENDING = "Pending"
-    EXECUTING = "Executing"
-    COMPLETED = "Completed"
-    FAILED = "Failed"
-
-
 @dataclass
 class TaskNode:
     node_id: int
     function: str
     args: dict = field(default_factory=dict)
     deps: list[int] = field(default_factory=list)
-    status: NodeStatus = NodeStatus.PENDING
     manipulation: bool = False
     key: str = ""
     keywords: list[str] = field(default_factory=list)
     zones: list[str] = field(default_factory=list)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+# The keys ``from_doc`` reads of a task node, each with the shape of its
+# value; a key ending in "?" has a default.
+_NODE_KEYS = {"id": INT, "function": STR, "args?": DICT, "deps?": list_of(INT),
+              "keywords?": LIST, "zones?": LIST}
 
 
 class TaskDAG:
     def __init__(self, nodes: list[TaskNode]):
-        self.nodes: dict[int, TaskNode] = {}
+        by_id: dict[int, TaskNode] = {}
         for n in nodes:
-            if n.node_id in self.nodes:
+            if n.node_id in by_id:
                 raise ScenarioError(f"duplicate task node id {n.node_id}")
-            self.nodes[n.node_id] = n
-        self.check()
-
-    def check(self):
-        for n in self.nodes.values():
+            by_id[n.node_id] = n
+        for n in nodes:
             for d in n.deps:
-                if d not in self.nodes:
+                if d not in by_id:
                     raise ScenarioError(f"node {n.node_id} depends on missing {d}")
-        # Kahn's algorithm; leftovers mean a cycle.
-        indeg = {i: len(n.deps) for i, n in self.nodes.items()}
-        queue = [i for i, d in indeg.items() if d == 0]
-        seen = 0
-        while queue:
-            i = queue.pop()
-            seen += 1
-            for j, n in self.nodes.items():
+        # Kahn's algorithm, lowest ready id first; leftovers mean a cycle.
+        indeg = {i: len(set(n.deps)) for i, n in by_id.items()}
+        ready = [i for i, d in indeg.items() if d == 0]
+        heapq.heapify(ready)
+        self.order: list[TaskNode] = []
+        while ready:
+            i = heapq.heappop(ready)
+            self.order.append(by_id[i])
+            for j, n in by_id.items():
                 if i in n.deps:
                     indeg[j] -= 1
                     if indeg[j] == 0:
-                        queue.append(j)
-        if seen != len(self.nodes):
+                        heapq.heappush(ready, j)
+        if len(self.order) != len(by_id):
             raise ScenarioError("task graph contains a cycle")
-
-    def ready(self) -> list[TaskNode]:
-        out = []
-        for i in sorted(self.nodes):
-            n = self.nodes[i]
-            if n.status != NodeStatus.PENDING:
-                continue
-            if all(self.nodes[d].status == NodeStatus.COMPLETED for d in n.deps):
-                out.append(n)
-        return out
-
-    def all_completed(self) -> bool:
-        return all(n.status == NodeStatus.COMPLETED for n in self.nodes.values())
 
     @classmethod
     def from_doc(cls, doc: dict) -> "TaskDAG":
-        if not isinstance(doc, dict) or not isinstance(doc.get("nodes", []), list):
-            raise ScenarioError(f"task graph {doc!r} is not an object with a list of nodes")
-        nodes = []
-        for nd in doc.get("nodes", []):
-            if not (isinstance(nd, dict) and _is_int(nd.get("id"))
-                    and isinstance(nd.get("function"), str)
-                    and isinstance(nd.get("args", {}), dict)
-                    and isinstance(nd.get("deps", []), list)
-                    and all(_is_int(d) for d in nd.get("deps", []))
-                    and isinstance(nd.get("keywords", []), list)
-                    and isinstance(nd.get("zones", []), list)):
-                raise ScenarioError(
-                    f"task node {nd!r} needs an integer id, a string function, "
-                    "an args object, a list of integer deps, and lists of "
-                    "keywords and zones")
-            nodes.append(TaskNode(
-                node_id=nd["id"],
-                function=nd["function"],
-                args=dict(nd.get("args", {})),
-                deps=list(nd.get("deps", [])),
-                manipulation=bool(nd.get("manipulation", False)),
-                key=str(nd.get("key", "")),
-                keywords=list(nd.get("keywords", [])),
-                zones=list(nd.get("zones", [])),
-            ))
-        return cls(nodes)
+        errors = key_errors(doc, "task graph", {"nodes?": LIST})
+        if not errors:
+            for i, nd in enumerate(doc.get("nodes", [])):
+                errors += key_errors(nd, f"nodes[{i}]", _NODE_KEYS)
+        if errors:
+            raise ScenarioError("; ".join(errors))
+        return cls([TaskNode(
+            node_id=nd["id"],
+            function=nd["function"],
+            args=dict(nd.get("args", {})),
+            deps=list(nd.get("deps", [])),
+            manipulation=bool(nd.get("manipulation", False)),
+            key=str(nd.get("key", "")),
+            keywords=list(nd.get("keywords", [])),
+            zones=list(nd.get("zones", [])),
+        ) for nd in doc.get("nodes", [])])
 
 
 @dataclass
@@ -346,19 +317,13 @@ class Executive:
     def main_loop(self, dag: TaskDAG) -> bool:
         """Run the graph's nodes in order until one fails; whether every
         node completed."""
-        while True:
-            ready = dag.ready()
-            if not ready:
-                break
-            node = ready[0]
-            node.status = NodeStatus.EXECUTING
+        for node in dag.order:
             self._record("subtask_start", node=node.node_id, function=node.function)
             ok = self._run_node(node)
-            node.status = NodeStatus.COMPLETED if ok else NodeStatus.FAILED
             self._record("subtask_end", node=node.node_id, ok=ok)
             if not ok:
-                break
-        return dag.all_completed()
+                return False
+        return True
 
     def abandon(self, fault: ReasonerFault) -> bool:
         """End the run on a reasoner fault: record it and report the run
@@ -395,12 +360,10 @@ class Executive:
             payload=self._context_payload(node),
         ))
         self._count_calls(before)
-        sequence = response.get("sequence") if isinstance(response, dict) else None
-        if not isinstance(sequence, list):
-            raise ReasonerFault(RequestKind.PROPOSE_MICRO_SEQUENCE.value,
-                                f"ProposeMicroSequence reply {response!r} has no "
-                                "list under 'sequence'")
-        for doc in sequence:
+        errors = key_errors(response, "ProposeMicroSequence reply", {"sequence": LIST})
+        if errors:
+            raise ReasonerFault(RequestKind.PROPOSE_MICRO_SEQUENCE.value, errors[0])
+        for doc in response["sequence"]:
             ert, report = validate_ert(doc, self.store)
             if ert is None:
                 self._record("micro_invalid", node=node.node_id,

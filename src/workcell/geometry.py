@@ -101,11 +101,13 @@ class GaussianEnvelope:
         if not all(_close(x, y, 1e-9) and _close(y, x, 1e-9)
                    for x, y in ((a01, a10), (a02, a20), (a12, a21))):
             raise ValueError("covariance must be symmetric")
-        # 0.5 * (cov + cov.T), entry by entry; a diagonal sum can overflow.
+        # 0.5 * (cov + cov.T), entry by entry; a sum of finite entries can
+        # overflow, and an infinite covariance is refused.
+        s00, s11, s22 = 0.5 * (a00 + a00), 0.5 * (a11 + a11), 0.5 * (a22 + a22)
         s01, s02, s12 = 0.5 * (a01 + a10), 0.5 * (a02 + a20), 0.5 * (a12 + a21)
-        cov = np.array([[0.5 * (a00 + a00), s01, s02],
-                        [s01, 0.5 * (a11 + a11), s12],
-                        [s02, s12, 0.5 * (a22 + a22)]])
+        if not all(map(math.isfinite, (s00, s11, s22, s01, s02, s12))):
+            raise ValueError("covariance overflows when symmetrized")
+        cov = np.array([[s00, s01, s02], [s01, s11, s12], [s02, s12, s22]])
         # Ascending eigenvalues from the routine np.linalg.eigvalsh runs.
         eigvals, _, info = lapack.dsyevd(cov, compute_v=0, lower=1)
         if info != 0:
@@ -132,9 +134,9 @@ def envelope_stack(means, covariances) -> list[GaussianEnvelope]:
 
     Means that form an (n, 3) stack and covariances that form an (n, 3, 3)
     stack get the constructor's rule row by row: finite entries,
-    ``|c - c.T| <= 1e-9 + 1e-5 * |c.T|`` entrywise, the symmetrized
-    ``0.5 * (c + c.T)`` stored, and a smallest eigenvalue of at least
-    ``MIN_EIGENVALUE * (1 - 1e-9)``, read from one batched ``eigvalsh``. A
+    ``|c - c.T| <= 1e-9 + 1e-5 * |c.T|`` entrywise, a finite symmetrized
+    ``0.5 * (c + c.T)``, which is stored, and a smallest eigenvalue of at
+    least ``MIN_EIGENVALUE * (1 - 1e-9)``, read from one batched ``eigvalsh``. A
     row that passes is stored without running ``__post_init__``. A row
     that fails, or whose smallest eigenvalue lies within
     ``_EIGVALSH_REL_GAP`` times its largest absolute eigenvalue of the

@@ -49,6 +49,23 @@ from .perception import (
     PointsGeom,
     assemble_snapshot,
 )
+from .schema import (
+    ANY,
+    COUNT,
+    DICT,
+    EXTENTS,
+    INT,
+    LENGTH,
+    LIST,
+    NATURAL,
+    POINT,
+    ROTATION,
+    SCALAR,
+    STR,
+    UNIT,
+    key_errors,
+    mapping_of,
+)
 from .serialization import canonical_dumps, json_line
 from .simulator import (
     FailureInjection,
@@ -104,82 +121,36 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
     return ScenarioSpec(doc)
 
 
-def _numbers(*shapes: tuple, positive: bool = False):
-    """A value test: finite real numbers in one of ``shapes``, all above
-    zero when ``positive``; and what it wants, in words."""
-    def test(value) -> bool:
-        try:
-            a = np.asarray(value)
-        except ValueError:  # a ragged list
-            return False
-        return (a.dtype.kind in "iuf" and a.shape in shapes and bool(np.isfinite(a).all())
-                and not (positive and (a <= 0).any()))
-    size = shapes[0][0] if shapes[0] else 1
-    return test, (f"{'a' if size == 1 else size} finite {'positive ' if positive else ''}"
-                  f"number{'s' * (size > 1)}")
-
-
-_SCALAR = _numbers(())
-_LENGTH = _numbers((), positive=True)
-_POINT = _numbers((3,))
-_ROTATION = _numbers((9,), (3, 3))
-_EXTENTS = _numbers((3,), positive=True)
-
-
-# The keys the builders and the runner read, each with a test of its value
-# and what the test wants. A key ending in "?" is read with a default and
-# may be left out.
-_STR = (lambda v: isinstance(v, str), "a string")
-_LIST = (lambda v: isinstance(v, list), "a list")
-_DICT = (lambda v: isinstance(v, dict), "an object")
-_INT = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
-_COUNT = (lambda v: _INT[0](v) and v >= 1, "an integer >= 1")
+# The keys the builders and the runner read, each with the shape of its
+# value. A key ending in "?" is read with a default and may be left out.
 _CAUSE = (lambda v: v in ("PartSlip", "Obstacle", "TargetMoved"),
           "PartSlip, Obstacle or TargetMoved")
-_ANY = (lambda v: True, "")
 _SCENARIO_KEYS = {
-    "zones": _LIST, "objects": _LIST, "robot": _ANY, "task": _ANY,
-    "trials?": _COUNT, "seed?": _INT, "cameras?": _DICT, "root_cause?": _CAUSE,
-    "synonyms?": (lambda v: isinstance(v, dict) and all(isinstance(w, list) for w in v.values()),
-                  "an object of lists"),
-    **{f"{key}?": _LIST for key in ("injections", "script", "questions", "queries")},
+    "zones": LIST, "objects": LIST, "robot": ANY, "task": ANY,
+    "trials?": COUNT, "seed?": NATURAL, "cameras?": DICT, "root_cause?": _CAUSE,
+    "synonyms?": mapping_of(LIST),
+    **{f"{key}?": LIST for key in ("injections", "script", "questions", "queries")},
 }
-_ZONE_KEYS = {"id": _STR, "center": _POINT, "half_extents": _EXTENTS,
-              "reachable?": _LIST}
-_OBJECT_KEYS = {"id": _STR, "label": _STR, "zone": _STR, "position": _POINT,
-                "half_extents": _EXTENTS, "attributes?": _DICT}
-_ROBOT_KEYS = {"zone": _STR, "position": _POINT}
-_CAMERA_KEYS = {"fx": _LENGTH, "fy": _LENGTH, "cx": _SCALAR, "cy": _SCALAR,
-                "rotation": _ROTATION, "translation": _POINT, "width?": _INT, "height?": _INT}
-_INJECTION_KEYS = {"kind": _CAUSE, "params?": _DICT,
+_ZONE_KEYS = {"id": STR, "center": POINT, "half_extents": EXTENTS,
+              "reachable?": LIST}
+_OBJECT_KEYS = {"id": STR, "label": STR, "zone": STR, "position": POINT,
+                "half_extents": EXTENTS, "attributes?": DICT}
+_ROBOT_KEYS = {"zone": STR, "position": POINT}
+_CAMERA_KEYS = {"fx": LENGTH, "fy": LENGTH, "cx": SCALAR, "cy": SCALAR,
+                "rotation": ROTATION, "translation": POINT, "width?": COUNT, "height?": COUNT}
+_INJECTION_KEYS = {"kind": _CAUSE, "params?": DICT,
                    "trigger_phase?": (lambda v: v in SKILLS, f"one of {', '.join(SKILLS)}"),
-                   "trigger_step?": _COUNT}
-_PARAM_KEYS = {"PartSlip": {"drop_offset?": _POINT}, "Obstacle": {},
-               "TargetMoved": {"target": _STR, "move_delta": _POINT}}
-_SCRIPT_KEYS = {"kind": _STR, "responses": _LIST, "key?": _STR}
+                   "trigger_step?": COUNT}
+_PARAM_KEYS = {"PartSlip": {"drop_offset?": POINT}, "Obstacle": {},
+               "TargetMoved": {"target": STR, "move_delta": POINT}}
+_SCRIPT_KEYS = {"kind": STR, "responses": LIST, "key?": STR}
 _QUESTION_KEYS = {
-    "position": {"uid": _STR, "expect": _POINT, "tol?": _SCALAR},
-    "relation": {"predicate": _STR, "subject": _STR, "object": _STR, "expect": _ANY},
-    "attribute": {"uid": _STR, "key": _STR, "expect": _ANY},
-    "zone_of": {"uid": _STR, "expect": _ANY},
-    "zone_count": {"zone": _STR, "expect": _INT},
+    "position": {"uid": STR, "expect": POINT, "tol?": SCALAR},
+    "relation": {"predicate": STR, "subject": STR, "object": STR, "expect": ANY},
+    "attribute": {"uid": STR, "key": STR, "expect": ANY},
+    "zone_of": {"uid": STR, "expect": ANY},
+    "zone_count": {"zone": STR, "expect": INT},
 }
-
-
-def _key_errors(item, what: str, keys: dict) -> list[str]:
-    """What a builder would trip over in one mapping: the mapping itself,
-    a missing key that has no default, or a value that fails its test."""
-    if not isinstance(item, dict):
-        return [f"{what} is not an object"]
-    errors = []
-    for key, (test, wants) in keys.items():
-        defaulted, key = key.endswith("?"), key.rstrip("?")
-        if key not in item:
-            if not defaulted:
-                errors.append(f"{what} has no {key!r}")
-        elif not test(item[key]):
-            errors.append(f"{what}: {key!r} must be {wants}")
-    return errors
 
 
 def validate_scenario(doc) -> list[str]:
@@ -189,7 +160,7 @@ def validate_scenario(doc) -> list[str]:
     does not resolve. Never raises."""
     if not isinstance(doc, dict):
         return ["scenario is not a JSON object"]
-    errors = _key_errors(doc, "scenario", _SCENARIO_KEYS)
+    errors = key_errors(doc, "scenario", _SCENARIO_KEYS)
     if doc.get("version") != SCENARIO_VERSION:
         errors.append(f"unsupported scenario version {doc.get('version')!r}")
 
@@ -198,7 +169,7 @@ def validate_scenario(doc) -> list[str]:
         ``keys``; the errors of the others are collected."""
         valid = []
         for i, entry in enumerate(doc[key] if isinstance(doc.get(key), list) else []):
-            errors.extend(found := _key_errors(entry, f"{key}[{i}]", keys))
+            errors.extend(found := key_errors(entry, f"{key}[{i}]", keys))
             if not found:
                 valid.append((f"{key}[{i}]", entry))
         return valid
@@ -220,7 +191,7 @@ def validate_scenario(doc) -> list[str]:
         if sup is not None and not (isinstance(sup, str) and sup in object_ids):
             errors.append(f"object {oid!r} supported by unknown {sup!r}")
     if "robot" in doc:
-        errors += (found := _key_errors(doc["robot"], "robot", _ROBOT_KEYS))
+        errors += (found := key_errors(doc["robot"], "robot", _ROBOT_KEYS))
         if not found and doc["robot"]["zone"] not in zone_ids:
             errors.append(f"robot zone {doc['robot']['zone']!r} unknown")
     cameras = doc["cameras"] if isinstance(doc.get("cameras"), dict) else {}
@@ -229,28 +200,23 @@ def validate_scenario(doc) -> list[str]:
     for zid, c in cameras.items():
         if zid not in zone_ids:
             errors.append(f"camera for unknown zone {zid!r}")
-        errors += (found := _key_errors(c, f"camera {zid!r}", _CAMERA_KEYS))
-        if not found:
-            try:
-                PoseSE3(np.asarray(c["rotation"], dtype=float).reshape(3, 3), c["translation"])
-            except ValueError as exc:
-                errors.append(f"camera {zid!r}: {exc}")
+        errors += key_errors(c, f"camera {zid!r}", _CAMERA_KEYS)
     try:
         TaskDAG.from_doc(doc.get("task", {}))
     except ScenarioError as exc:
         errors.append(f"task graph: {exc}")
     for name, inj in entries("injections", _INJECTION_KEYS):
         params = inj.get("params", {})
-        errors += (found := _key_errors(params, f"{name} params", _PARAM_KEYS[inj["kind"]]))
+        errors += (found := key_errors(params, f"{name} params", _PARAM_KEYS[inj["kind"]]))
         if not found and inj["kind"] == "TargetMoved" and params["target"] not in object_ids:
             errors.append("TargetMoved injection references unknown target")
     entries("script", _SCRIPT_KEYS)
-    for name, q in entries("questions", {"kind": _ANY}) + entries("queries", {"kind": _ANY}):
+    for name, q in entries("questions", {"kind": ANY}) + entries("queries", {"kind": ANY}):
         keys = _QUESTION_KEYS.get(q["kind"]) if isinstance(q["kind"], str) else None
         if keys is None:
             errors.append(f"unknown question kind {q['kind']!r}")
             continue
-        errors += (found := _key_errors(q, name, keys))
+        errors += (found := key_errors(q, name, keys))
         if not found and q["kind"] == "zone_count" and q["zone"] not in zone_ids:
             errors.append(f"{name} counts unknown zone {q['zone']!r}")
     return errors
@@ -320,9 +286,8 @@ def build_store(doc: dict, world: SimWorld, *_ignored) -> WorldStore:
             attributes=dict(o.get("attributes", {})),
             uid=o["id"],
         )
-    for pred, subj, obj in sorted(world.ground_truth_relations()):
-        if pred == "On":
-            store.add_edge("On", subj, obj, EdgeStatus.VERIFIED)
+    for pred, subj, obj in sorted(world.on_relations()):
+        store.add_edge(pred, subj, obj, EdgeStatus.VERIFIED)
     return store
 
 
@@ -442,11 +407,11 @@ class TrialRuntime:
             key = f"{observations[k].label}|{self.store.vertices[memory_uids[i]].label}"
             resp = self.reasoner.query(
                 ReasonerRequest(RequestKind.SEMANTIC_SIMILARITY, key))
-            if isinstance(resp, bool) or not isinstance(resp, (int, float)) \
-                    or not 0.0 <= resp <= 1.0:
+            in_unit, wants = UNIT
+            if not in_unit(resp):
                 raise ReasonerFault(RequestKind.SEMANTIC_SIMILARITY.value,
                                     f"SemanticSimilarity reply {resp!r} for {key!r} "
-                                    "is not a number in [0, 1]")
+                                    f"is not {wants}")
             return float(resp)
 
         cost = build_cost_matrix(observations, memory, self.assoc_cfg, iou_fn, sim_fn)

@@ -25,7 +25,7 @@ from .errors import ScenarioError, WorkcellError
 from .geometry import CORNER_SIGNS, PoseSE3
 from .perception import CameraIntrinsics, Frame
 from .transactions import FTEvent, FTSignal
-from .world_model import D_NEAR, EPS_CONTACT
+from .world_model import EPS_CONTACT
 
 GRASP_TOLERANCE = 0.02
 PRIMITIVE_SECONDS = 1.0
@@ -313,25 +313,6 @@ class SimWorld:
         """("On", object, supporter) for each object resting on another."""
         return {("On", obj.object_id, obj.support)
                 for obj in self.objects.values() if obj.support is not None}
-
-    def ground_truth_relations(self) -> set[tuple[str, str, str]]:
-        """On/Near/Holding tuples under the verifier's own thresholds."""
-        rels = self.on_relations()
-        if self.gripper is not None:
-            rels.add(("Holding", "robot", self.gripper))
-        ids = sorted(self.objects)
-        for i, a in enumerate(ids):
-            for b in ids[i + 1:]:
-                if a == self.gripper or b == self.gripper:
-                    continue
-                d = float(np.linalg.norm(
-                    self.objects[a].pose.translation
-                    - self.objects[b].pose.translation
-                ))
-                if d < D_NEAR:
-                    rels.add(("Near", a, b))
-                    rels.add(("Near", b, a))
-        return rels
 
     def true_positions(self) -> dict[str, np.ndarray]:
         return {oid: o.pose.translation.copy() for oid, o in self.objects.items()}

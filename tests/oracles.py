@@ -292,6 +292,8 @@ def envelope_reference(mean, covariance):
         raise ValueError("covariance must be symmetric")
     with np.errstate(over="ignore"):  # finite entries can sum past the range
         cov = 0.5 * (cov + cov.T)
+    if not np.isfinite(cov).all():
+        raise ValueError("covariance overflows when symmetrized")
     eigvals = np.linalg.eigvalsh(cov)
     if eigvals.min() < MIN_EIGENVALUE * (1 - 1e-9):
         raise ValueError(

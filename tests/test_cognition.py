@@ -69,9 +69,13 @@ def test_parse_roundtrip():
     lambda d: d.__setitem__("confidence", True),
     lambda d: d.__setitem__("world_belief", "On(a,b)"),
     lambda d: d["causal_assump"].__setitem__("add_relations", [["On", "a"]]),
+    lambda d: d["causal_assump"].__setitem__("add_relations", None),
+    lambda d: d["causal_assump"].__setitem__("remove_relations", 5),
     lambda d: d.__setitem__("fallback", "retry"),
     lambda d: d["causal_assump"].__setitem__("expected_cs", None),
     lambda d: d["causal_assump"].__setitem__("expected_cs", "Holding"),
+    lambda d: d["causal_assump"]["expected_cs"].__setitem__("phase", ["Holding"]),
+    lambda d: d["causal_assump"]["expected_cs"].__setitem__("target", {}),
     lambda d: d["causal_assump"].__setitem__("expected_positions", None),
     lambda d: d["causal_assump"].__setitem__("expected_positions", [[0.4, 0.0, 0.1]]),
     lambda d: d["causal_assump"].__setitem__("expected_positions", {"part": 0.4}),

@@ -10,7 +10,6 @@ from workcell.executive import (
     DiscrepancyReport,
     FailureCategory,
     HistoryEntry,
-    NodeStatus,
     TaskDAG,
     TaskNode,
     compute_discrepancy,
@@ -58,14 +57,12 @@ def make_store():
 
 def test_dag_ready_order_and_deps():
     dag = TaskDAG([
-        TaskNode(2, "b", deps=[1]),
+        TaskNode(4, "d", deps=[1]),
+        TaskNode(2, "b", deps=[3]),
         TaskNode(1, "a"),
-        TaskNode(3, "c", deps=[1]),
+        TaskNode(3, "c", deps=[1, 1]),  # a repeated dep counts once
     ])
-    assert [n.node_id for n in dag.ready()] == [1]
-    dag.nodes[1].status = NodeStatus.COMPLETED
-    assert [n.node_id for n in dag.ready()] == [2, 3]
-    assert not dag.all_completed()
+    assert [n.node_id for n in dag.order] == [1, 3, 2, 4]
 
 
 def test_dag_rejects_cycles_duplicates_missing_deps():
@@ -83,7 +80,19 @@ def test_dag_from_doc():
          "manipulation": True, "key": "k1"},
         {"id": 2, "function": "Move", "deps": [1]},
     ]})
-    assert dag.nodes[1].manipulation and dag.nodes[2].deps == [1]
+    first, second = dag.order
+    assert first.manipulation and second.deps == [1]
+
+
+@pytest.mark.parametrize("node", [
+    {"id": True, "function": "Move"},
+    {"id": 2, "function": "Move", "deps": [1.5]},
+    {"id": 2, "function": "Move", "args": []},
+    "Move",
+])
+def test_dag_from_doc_rejects_malformed_nodes(node):
+    with pytest.raises(ScenarioError):
+        TaskDAG.from_doc({"nodes": [{"id": 1, "function": "Pick"}, node]})
 
 
 # -- constraint-state machine -------------------------------------------------

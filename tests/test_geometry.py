@@ -256,6 +256,18 @@ def test_envelope_edge_cases_match_reference(mean, cov):
     assert stored(package) == stored(envelope_reference)
 
 
+@pytest.mark.parametrize("cov", [
+    np.diag([_BIG, 1.0, 1.0]),
+    [[1.0, _BIG, 0.0], [_BIG, 1.0, 0.0], [0.0, 0.0, 1.0]],
+])
+def test_envelope_refuses_a_covariance_whose_symmetrization_overflows(cov):
+    for build in (GaussianEnvelope, envelope_reference):
+        with pytest.raises(ValueError, match="overflows when symmetrized"):
+            build([0.1, 0.2, 0.3], cov)
+    with pytest.raises(ValueError, match="overflows when symmetrized"):
+        envelope_stack([[0.1, 0.2, 0.3]], [cov])
+
+
 def _built(build, means, covs):
     """What building envelopes from the rows gives: the dtype, shape and
     bytes of every stored array, or the type and message of the error."""

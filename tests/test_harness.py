@@ -14,6 +14,7 @@ import pytest
 import workcell.executive as executive
 import workcell.harness as harness
 from workcell import cli, simulator
+from workcell.cognition import validate_ert
 from workcell.errors import ReasonerFault, ScenarioError, WorkcellError
 from workcell.geometry import GaussianEnvelope
 from workcell.harness import (
@@ -33,7 +34,7 @@ from workcell.harness import (
 from workcell.transactions import FTEvent, FTSignal
 from workcell.world_model import EdgeStatus, Lifecycle, WorldStore, ZoneNode
 
-from fixtures import task1_doc, task3_doc
+from fixtures import ert_doc, task1_doc, task3_doc
 from oracles import (
     find_edges_scan,
     held_uids_scan,
@@ -102,11 +103,13 @@ def _set(path, value):
 _BROKEN_SCENARIOS = {
     "object_without_position": ("assembly", _without_object_position),
     "trials_not_a_number": ("assembly", _set(["trials"], "many")),
+    "seed_negative": ("assembly", _set(["seed"], -1)),
     "zones_not_a_list": ("assembly", _set(["zones"], "z")),
     "object_not_a_mapping": ("assembly", _set(["objects", 0], "widget")),
     "robot_not_a_mapping": ("assembly", _set(["robot"], "arm")),
     "question_not_a_mapping": ("assembly", _set(["questions", 0], "where?")),
     "camera_without_rotation": ("assembly", lambda d: d["cameras"]["zone_a"].pop("rotation")),
+    "camera_height_negative": ("assembly", _set(["cameras", "zone_a", "height"], -1)),
     "task_missing": ("assembly", lambda d: d.pop("task")),
     "cameras_missing": ("assembly", lambda d: d.pop("cameras")),
     "zone_count_of_unknown_zone": ("assembly", lambda d: d["queries"].append(
@@ -138,6 +141,55 @@ def test_validation_reports_what_the_builders_would_crash_on(case, tmp_path, cap
         assert err and all(line.startswith("error: ") for line in err.splitlines())
 
 
+# -- one value rule for scenarios and reasoner replies -------------------------
+
+
+def _pick_store():
+    store = WorldStore()
+    store.add_zone(ZoneNode("z1", "z1"))
+    store.robot_zone = "z1"
+    store.add_entity("part", _env([0.4, 0.0, 0.02]), "z1", uid="part")
+    return store
+
+
+def _scenario_accepts(name, mutate):
+    doc = _scenario(name)
+    mutate(doc)
+    return validate_scenario(doc) == []
+
+
+def _ert_accepts(action, args, positions=None):
+    ert, _report = validate_ert(ert_doc(action, args, {"phase": "Idle"}, positions=positions),
+                                _pick_store())
+    return ert is not None
+
+
+@pytest.mark.parametrize("point, accepted", [
+    ([True, 0.0, 0.0], False),
+    ([2**70, 0.0, 0.0], True),
+    ([0, 0, 10**400], False),
+    ([0, float("nan"), 0], False),
+    ([0, 0], False),
+    (["0", 0, 0], False),
+])
+def test_a_point_gets_one_verdict_everywhere(point, accepted):
+    assert _scenario_accepts("assembly", _set(["objects", 0, "position"], point)) is accepted
+    assert _scenario_accepts("transfer_targetmoved",
+                             _set(["injections", 0, "params", "move_delta"], point)) is accepted
+    assert _ert_accepts("Pick", {"object": "part"}, positions={"part": point}) is accepted
+    assert _ert_accepts("Move", {"position": point}) is accepted
+
+
+def test_a_rotation_gets_one_verdict_everywhere():
+    flat = _scenario("assembly")["cameras"]["zone_a"]["rotation"]
+    square = np.reshape(flat, (3, 3)).tolist()
+    scaled = (2 * np.eye(3)).tolist()
+    for rotation, accepted in ((flat, True), (square, True), (scaled, False)):
+        camera = _set(["cameras", "zone_a", "rotation"], rotation)
+        assert _scenario_accepts("assembly", camera) is accepted
+        assert _ert_accepts("Rotate", {"object": "part", "rotation": rotation}) is accepted
+
+
 def test_load_scenario_rejects_invalid(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"version": 0}))
@@ -158,7 +210,7 @@ def test_build_store_mirrors_briefing_map():
         mean = store.records[v.grounding].envelope.mean
         assert np.allclose(mean, o["position"])
     # Briefed support relations arrive as verified edges.
-    gt_on = {(s, o) for p, s, o in world.ground_truth_relations() if p == "On"}
+    gt_on = {(s, o) for _p, s, o in world.on_relations()}
     believed = {(e.subject, e.obj) for e in store.find_edges(predicate="On")}
     assert believed == gt_on
     assert store.robot_zone == world.robot_zone
