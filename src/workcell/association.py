@@ -1,8 +1,8 @@
 """Observation-to-memory matching and belief updates.
 
 Gating by Mahalanobis distance, hybrid geometric-semantic cost, exact
-one-to-one assignment, a confirmation window for new tracks, and
-reliability-modulated information-filter fusion.
+one-to-one assignment, and reliability-modulated information-filter
+fusion.
 """
 
 from __future__ import annotations
@@ -35,12 +35,11 @@ class AssociationConfig:
     lambda_sem: float = 0.3
     tau_geo: float = 3.5
     tau_match: float = 0.55
-    n_confirm: int = 2
 
     def __post_init__(self):
         if abs(self.lambda_iou + self.lambda_sem - 1.0) > 1e-12:
             raise ValueError("lambda_iou + lambda_sem must equal 1")
-        if self.tau_geo <= 0 or self.tau_match <= 0 or self.n_confirm <= 0:
+        if self.tau_geo <= 0 or self.tau_match <= 0:
             raise ValueError("thresholds must be positive")
 
 
@@ -55,17 +54,6 @@ class MatchResult:
         mem = [m[1] for m in self.matched]
         if len(set(obs)) != len(obs) or len(set(mem)) != len(mem):
             raise ValueError("matched pairs must be one-to-one")
-
-
-@dataclass
-class TentativeTrack:
-    observation: object
-    count: int = 0
-
-
-class TrackFate(Enum):
-    TENTATIVE = "tentative"
-    PROMOTED = "promoted"
 
 
 class ReliabilityJudgment(Enum):
@@ -157,15 +145,6 @@ def assign(cost: np.ndarray, tau_match: float) -> MatchResult:
         unmatched_observations=[k for k in range(n_obs) if k not in used_obs],
         unmatched_memory=[i for i in range(n_mem) if i not in used_mem],
     )
-
-
-def confirm_or_promote(track: TentativeTrack, cfg: AssociationConfig) -> TrackFate:
-    """Advance a tentative track by one sighting. A track not sighted in a
-    cycle is discarded by ``register_or_update``."""
-    track.count += 1
-    if track.count >= cfg.n_confirm:
-        return TrackFate.PROMOTED
-    return TrackFate.TENTATIVE
 
 
 def fuse(

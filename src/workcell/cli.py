@@ -47,9 +47,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "run":
-            spec = load_scenario(args.scenario)
-            if args.seed is not None:
-                spec.doc["seed"] = args.seed
+            spec = load_scenario(args.scenario, seed=args.seed)
             report, logs = run_scenario(spec, out_dir=args.out, trials=args.trials)
             if args.trace:
                 for log in logs:

@@ -128,6 +128,9 @@ _ARG_KEYS = {
     **{key: STR for key in ("object", "destination", "part", "receptacle", "zone", "target")},
     "position": POINT, "mating_offset": POINT, "rotation": ROTATION,
 }
+# The uid arguments that must name an entity; "zone" must name a zone, and
+# "destination" may name either.
+_ENTITY_ARGS = ("object", "part", "receptacle", "target")
 _REQUIRED_ARGS = {
     "Pick": ("object",),
     "Place": ("destination", "position"),
@@ -193,8 +196,9 @@ def validate_ert(doc, store: WorldStore) -> tuple[ERT | None, ValidationReport]:
     """Three-stage check, short-circuiting at the first failure.
 
     Syntactic: schema shape and ranges, and args the action's skill can
-    run. Semantic: every referenced id exists. Physical: each stated belief
-    holds geometrically right now.
+    run. Semantic: every referenced id exists, and each uid argument names
+    the kind of thing its skill reads. Physical: each stated belief holds
+    geometrically right now.
     """
     stages = {s.value: "passed" for s in ValidationStage}
 
@@ -216,6 +220,15 @@ def validate_ert(doc, store: WorldStore) -> tuple[ERT | None, ValidationReport]:
         if uid not in store.vertices and uid not in store.zones:
             return None, _fail(
                 ValidationStage.SEMANTIC, f"unknown entity {uid!r}", stages
+            )
+    for key, uid in ert.args.items():
+        if key in _ENTITY_ARGS and uid not in store.vertices:
+            return None, _fail(
+                ValidationStage.SEMANTIC, f"{key} {uid!r} is not an entity", stages
+            )
+        if key == "zone" and uid not in store.zones:
+            return None, _fail(
+                ValidationStage.SEMANTIC, f"zone {uid!r} is not a zone", stages
             )
     for uid in referenced:
         v = store.vertices.get(uid)

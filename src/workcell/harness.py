@@ -77,6 +77,7 @@ from .simulator import (
 )
 from .transactions import SKILLS, FTEvent
 from .world_model import (
+    EPS_CONTACT,
     EdgeStatus,
     Lifecycle,
     ROBOT_UID,
@@ -112,9 +113,13 @@ class ScenarioSpec:
         return int(self.doc.get("seed", 0))
 
 
-def load_scenario(path: str | Path) -> ScenarioSpec:
+def load_scenario(path: str | Path, seed: int | None = None) -> ScenarioSpec:
+    """Read and validate a scenario file. A ``seed`` given here replaces
+    the file's before validation, so it is checked like one written there."""
     with open(path) as fh:
         doc = json.load(fh)
+    if seed is not None and isinstance(doc, dict):
+        doc["seed"] = seed
     errors = validate_scenario(doc)
     if errors:
         raise ScenarioError("; ".join(errors))
@@ -136,8 +141,13 @@ _ZONE_KEYS = {"id": STR, "center": POINT, "half_extents": EXTENTS,
 _OBJECT_KEYS = {"id": STR, "label": STR, "zone": STR, "position": POINT,
                 "half_extents": EXTENTS, "attributes?": DICT}
 _ROBOT_KEYS = {"zone": STR, "position": POINT}
+# A camera holds one ray per pixel, built when the trial starts.
+MAX_IMAGE_SIDE = 1024
+_IMAGE_SIDE = (lambda v: COUNT[0](v) and v <= MAX_IMAGE_SIDE,
+               f"an integer in [1, {MAX_IMAGE_SIDE}]")
 _CAMERA_KEYS = {"fx": LENGTH, "fy": LENGTH, "cx": SCALAR, "cy": SCALAR,
-                "rotation": ROTATION, "translation": POINT, "width?": COUNT, "height?": COUNT}
+                "rotation": ROTATION, "translation": POINT,
+                "width?": _IMAGE_SIDE, "height?": _IMAGE_SIDE}
 _INJECTION_KEYS = {"kind": _CAUSE, "params?": DICT,
                    "trigger_phase?": (lambda v: v in SKILLS, f"one of {', '.join(SKILLS)}"),
                    "trigger_step?": COUNT}
@@ -178,7 +188,7 @@ def validate_scenario(doc) -> list[str]:
     if not zone_ids:
         errors.append("scenario defines no zones")
     objects = [o for _, o in entries("objects", _OBJECT_KEYS)]
-    object_ids = {o["id"] for o in objects}
+    by_id = {o["id"]: o for o in objects}
     seen = set()
     for o in objects:
         oid = o["id"]
@@ -188,8 +198,14 @@ def validate_scenario(doc) -> list[str]:
         if o["zone"] not in zone_ids:
             errors.append(f"object {oid!r} references unknown zone {o['zone']!r}")
         sup = o.get("support")
-        if sup is not None and not (isinstance(sup, str) and sup in object_ids):
+        if sup is not None and not (isinstance(sup, str) and sup in by_id):
             errors.append(f"object {oid!r} supported by unknown {sup!r}")
+        elif sup is not None:
+            # The simulator's rule: an object's bottom lies on its supporter's top.
+            bottom = o["position"][2] - o["half_extents"][2]
+            top = by_id[sup]["position"][2] + by_id[sup]["half_extents"][2]
+            if abs(bottom - top) > 2 * EPS_CONTACT:
+                errors.append(f"object {oid!r} does not rest on its supporter {sup!r}")
     if "robot" in doc:
         errors += (found := key_errors(doc["robot"], "robot", _ROBOT_KEYS))
         if not found and doc["robot"]["zone"] not in zone_ids:
@@ -208,7 +224,7 @@ def validate_scenario(doc) -> list[str]:
     for name, inj in entries("injections", _INJECTION_KEYS):
         params = inj.get("params", {})
         errors += (found := key_errors(params, f"{name} params", _PARAM_KEYS[inj["kind"]]))
-        if not found and inj["kind"] == "TargetMoved" and params["target"] not in object_ids:
+        if not found and inj["kind"] == "TargetMoved" and params["target"] not in by_id:
             errors.append("TargetMoved injection references unknown target")
     entries("script", _SCRIPT_KEYS)
     for name, q in entries("questions", {"kind": ANY}) + entries("queries", {"kind": ANY}):

@@ -157,7 +157,9 @@ def cs_during_action(cs: ConstraintState, action: str, args: dict) -> Constraint
 
 def update_cs(cs: ConstraintState, event) -> ConstraintState:
     """Event-driven transition on a mapped controller event. A skill that
-    succeeds moves the state through its transaction instead."""
+    succeeds moves the state through its transaction instead. An
+    interruption with no target (a Move from Idle that names none) leaves
+    the robot Idle."""
     if isinstance(event, ControllerEvent):
         if event == ControllerEvent.GRASP_FAILURE:
             return ConstraintState(Phase.IDLE)
@@ -165,7 +167,7 @@ def update_cs(cs: ConstraintState, event) -> ConstraintState:
                      ControllerEvent.JAMMING_DETECTED,
                      ControllerEvent.OVER_SQUEEZE):
             if cs.target is None:
-                raise StateMachineError("interruption with no last target")
+                return cs
             return ConstraintState(Phase.INTERRUPTED, cs.target)
         if event == ControllerEvent.CONTACT_CONFIRMED:
             if cs.phase in (Phase.PLACING, Phase.HOLDING, Phase.TRANSPORTING):
@@ -287,7 +289,7 @@ def _check_preconditions(
         obj = args["object"]
         if obj not in store.vertices:
             raise TransactionError(f"Pick target {obj} not in graph")
-        if cs.phase == Phase.HOLDING:
+        if cs.phase in (Phase.HOLDING, Phase.TRANSPORTING):
             return "GripperEmpty"
         if not store.is_clear(obj):
             return f"Clear({obj})"

@@ -29,17 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
-from .association import (
-    AssociationConfig,
-    MatchResult,
-    TentativeTrack,
-    TrackFate,
-    confirm_or_promote,
-    fuse,
-)
+from .association import AssociationConfig, MatchResult, fuse
 from .errors import IntegrityError, WorkcellError
 from .geometry import (
     GaussianEnvelope,
@@ -133,6 +127,11 @@ class RelationEdge:
     obj: str
     status: EdgeStatus = EdgeStatus.HYPOTHESIS
 
+    @cached_property
+    def text(self) -> Encoded:
+        """The edge's canonical JSON, encoded on first use."""
+        return encoded(_edge_doc(self))
+
 
 ROBOT_UID = "robot"
 
@@ -166,7 +165,7 @@ class WorldStore:
         self.records: dict[str, ObjectRecord] = {}
         self.vertices: dict[str, ObjectVertex] = {}
         self.edges: list[RelationEdge] = []
-        self.tentative: dict[int, TentativeTrack] = {}
+        self.tentative: dict[int, Observation] = {}  # pending sightings
         self._uid_counters: dict[str, int] = {}
         env = GaussianEnvelope(np.zeros(3), 1e-6 * np.eye(3))
         self.records[ROBOT_UID] = ObjectRecord(envelope=env)
@@ -465,15 +464,11 @@ class WorldStore:
 
     def _clear_hash_cache(self):
         """Forget every cached text and mark the whole document dirty."""
-        # Per table: the '"uid":{...}' text of each entry in sorted uid
-        # order, each uid's place in that list, and the uids written since
-        # the last hash.
-        self._texts: dict[str, list[str]] = {"records": [], "vertices": []}
-        self._places: dict[str, dict[str, int]] = {"records": {}, "vertices": {}}
+        # Per table: uid -> the '"uid":{...}' text of its entry, in sorted
+        # uid order, and the uids written since the last hash.
+        self._texts: dict[str, dict[str, str]] = {"records": {}, "vertices": {}}
         self._dirty: dict[str, set[str]] = {"records": set(self.records),
                                             "vertices": set(self.vertices)}
-        # id(edge) -> (edge, its text); the edge is kept so its id stays its own.
-        self._edge_texts: dict[int, tuple[RelationEdge, str]] = {}
         self._edges_dirty = True
         self._dirty_head: set[str] = set(_HEAD_SECTIONS)
         self._sections: dict[str, Encoded] = {}  # top-level key -> its value's text
@@ -483,10 +478,10 @@ class WorldStore:
         """``sha256(serialize())``, assembled from cached texts.
 
         Writes mark what they touch. Only the marked records and vertices
-        are encoded again and only a marked table is joined again; a marked
-        edge list encodes only the edges it has not encoded before; a marked
-        head section is encoded again. When nothing is marked, the last
-        digest is returned.
+        are encoded again, and only a marked table is joined again; it is
+        sorted again only when a uid came into it. A marked edge list is
+        joined from the texts its edges keep. A marked head section is
+        encoded again. When nothing is marked, the last digest is returned.
         """
         sections = self._sections
         changed = False
@@ -495,38 +490,22 @@ class WorldStore:
             dirty = self._dirty[name]
             if not dirty:
                 continue
-            texts, places = self._texts[name], self._places[name]
-            moved = {}  # uid -> its text, or None, for entries that came or went
+            texts, added = self._texts[name], False
             for uid in dirty:
-                value, place = table.get(uid), places.get(uid)
-                if value is not None:
-                    text = encoded_member(uid, to_doc(value))
-                    if place is None:
-                        moved[uid] = text
-                    else:
-                        texts[place] = text
-                elif place is not None:
-                    moved[uid] = None
+                value = table.get(uid)
+                if value is None:
+                    texts.pop(uid, None)
+                else:
+                    added = added or uid not in texts
+                    texts[uid] = encoded_member(uid, to_doc(value))
             dirty.clear()
-            if moved:  # place every entry again
-                live = dict(zip(places, texts))  # places is in sorted order
-                live.update(moved)
-                order = sorted(uid for uid, text in live.items() if text is not None)
-                self._texts[name] = texts = [live[uid] for uid in order]
-                self._places[name] = dict(zip(order, range(len(order))))
-            sections[name] = encoded_object(texts)
+            if added:
+                self._texts[name] = texts = dict(sorted(texts.items()))
+            sections[name] = encoded_object(texts.values())
             changed = True
         if self._edges_dirty:
-            known, kept, texts = self._edge_texts, {}, []
-            for e in self.edges:
-                entry = known.get(id(e))
-                if entry is None or entry[0] is not e:
-                    entry = (e, encoded(_edge_doc(e)))
-                kept[id(e)] = entry
-                texts.append(entry[1])
-            self._edge_texts = kept
             self._edges_dirty = False
-            sections["edges"] = encoded_array(texts)
+            sections["edges"] = encoded_array([e.text for e in self.edges])
             changed = True
         if self._dirty_head:
             for name in self._dirty_head:
@@ -768,8 +747,10 @@ def register_or_update(
     zone_id: str,
     cfg: AssociationConfig | None = None,
 ) -> StoreDelta:
-    """Apply an association outcome: fuse matches, run the confirmation
-    window for unmatched observations, promote or restore as needed.
+    """Apply an association outcome: fuse matches, and restore or confirm
+    each unmatched observation. An unmatched observation that restores no
+    archived entity waits in ``store.tentative``; the next one that matches
+    it, in this cycle or the next, is promoted to a new entity.
 
     memory_uids maps match-result memory indices back to store uids;
     gammas maps observation indices to fusion weights.
@@ -801,14 +782,9 @@ def register_or_update(
             continue
         key = _tentative_key(store, obs, cfg)
         sighted_keys.add(key)
-        track = store.tentative.get(key)
-        if track is None:
-            track = TentativeTrack(observation=obs)
-            store.tentative[key] = track
+        if key not in store.tentative:
+            store.tentative[key] = obs
         else:
-            track.observation = obs
-        fate = confirm_or_promote(track, cfg)
-        if fate == TrackFate.PROMOTED:
             del store.tentative[key]
             uid = store.add_entity(
                 label=obs.label,
@@ -818,7 +794,7 @@ def register_or_update(
             )
             delta.promoted.append(uid)
 
-    # Tracks not sighted this cycle fall out of the window.
+    # Sightings not seen again this cycle fall out of the window.
     for key in list(store.tentative):
         if key not in sighted_keys:
             del store.tentative[key]
@@ -828,10 +804,10 @@ def register_or_update(
 
 
 def _tentative_key(store: WorldStore, obs: Observation, cfg: AssociationConfig) -> int:
-    """Stable key for the confirmation window: match against pending tracks."""
-    for key, track in sorted(store.tentative.items()):
-        if track.observation.label != obs.label:
+    """Stable key for the confirmation window: match against pending sightings."""
+    for key, pending in sorted(store.tentative.items()):
+        if pending.label != obs.label:
             continue
-        if mahalanobis_between(track.observation.envelope, obs.envelope) < cfg.tau_geo:
+        if mahalanobis_between(pending.envelope, obs.envelope) < cfg.tau_geo:
             return key
     return max(store.tentative, default=-1) + 1

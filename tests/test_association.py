@@ -1,5 +1,5 @@
-"""Association: gating, hybrid cost, assignment, confirmation window,
-and reliability-weighted fusion."""
+"""Association: gating, hybrid cost, assignment, and reliability-weighted
+fusion."""
 
 import numpy as np
 import pytest
@@ -11,11 +11,8 @@ from workcell.association import (
     GATED,
     MatchResult,
     ReliabilityJudgment,
-    TentativeTrack,
-    TrackFate,
     assign,
     build_cost_matrix,
-    confirm_or_promote,
     fuse,
     gamma_of,
     hybrid_cost,
@@ -132,16 +129,6 @@ def test_assign_matches_brute_force_small():
 def test_match_result_rejects_duplicates():
     with pytest.raises(ValueError):
         MatchResult(matched=[(0, 0, 0.1), (1, 0, 0.2)])
-
-
-# -- confirmation window ------------------------------------------------------
-
-
-def test_confirmation_window_two_sightings():
-    cfg = AssociationConfig()
-    track = TentativeTrack(observation=None)
-    assert confirm_or_promote(track, cfg) == TrackFate.TENTATIVE
-    assert confirm_or_promote(track, cfg) == TrackFate.PROMOTED
 
 
 # -- fusion -------------------------------------------------------------------

@@ -164,6 +164,27 @@ def test_validate_zone_scoped_beliefs_skip_geometry():
     assert ert is not None and report.ok
 
 
+@pytest.mark.parametrize("action, args, detail", [
+    ("Move", {"zone": "part", "position": [0.4, 0.0, 0.1]}, "zone 'part' is not a zone"),
+    ("Move", {"zone": "z1", "target": "z2"}, "target 'z2' is not an entity"),
+    ("Pick", {"object": "z1"}, "object 'z1' is not an entity"),
+    ("Place", {"destination": "plate", "position": [1.0, 0.0, 0.05], "zone": "plate"},
+     "zone 'plate' is not a zone"),
+    ("Insert", {"part": "part", "receptacle": "z2"}, "receptacle 'z2' is not an entity"),
+])
+def test_validate_rejects_uid_of_the_wrong_kind(action, args, detail):
+    ert, report = validate_ert(ert_doc(action, args, {"phase": "Idle"}), make_store())
+    assert ert is None and report.failing_stage == ValidationStage.SEMANTIC
+    assert report.detail == detail
+
+
+def test_validate_accepts_destination_of_either_kind():
+    for dest in ("plate", "z2"):
+        args = {"destination": dest, "position": [1.0, 0.0, 0.05]}
+        ert, report = validate_ert(ert_doc("Place", args, {"phase": "Idle"}), make_store())
+        assert ert is not None and report.ok
+
+
 _QUARTER_TURN = [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
 
 

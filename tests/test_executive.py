@@ -106,8 +106,9 @@ def test_update_cs_controller_events():
     assert update_cs(
         ConstraintState(Phase.PLACING, "A"), ControllerEvent.CONTACT_CONFIRMED
     ) == ConstraintState()
-    with pytest.raises(StateMachineError):
-        update_cs(ConstraintState(), ControllerEvent.COLLISION_DETECTED)
+    # An interruption with nothing under way leaves the robot Idle.
+    assert update_cs(ConstraintState(), ControllerEvent.COLLISION_DETECTED) == \
+        ConstraintState()
     with pytest.raises(StateMachineError):
         update_cs(ConstraintState(), ControllerEvent.CONTACT_CONFIRMED)
     with pytest.raises(StateMachineError):

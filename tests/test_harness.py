@@ -110,6 +110,10 @@ _BROKEN_SCENARIOS = {
     "question_not_a_mapping": ("assembly", _set(["questions", 0], "where?")),
     "camera_without_rotation": ("assembly", lambda d: d["cameras"]["zone_a"].pop("rotation")),
     "camera_height_negative": ("assembly", _set(["cameras", "zone_a", "height"], -1)),
+    "camera_width_huge": ("transfer_obstacle", _set(["cameras", "zone_b", "width"], 10**400)),
+    "camera_height_above_bound": ("assembly", _set(["cameras", "zone_a", "height"], 1025)),
+    "object_floats_above_support": ("transfer_targetmoved",
+                                    _set(["objects", 1, "support"], "base_plate")),
     "task_missing": ("assembly", lambda d: d.pop("task")),
     "cameras_missing": ("assembly", lambda d: d.pop("cameras")),
     "zone_count_of_unknown_zone": ("assembly", lambda d: d["queries"].append(
@@ -195,6 +199,51 @@ def test_load_scenario_rejects_invalid(tmp_path):
     bad.write_text(json.dumps({"version": 0}))
     with pytest.raises(ScenarioError):
         load_scenario(str(bad))
+
+
+def test_cli_seed_is_validated_with_the_scenario(capsys):
+    path = str(SCENARIOS / "transfer_obstacle.json")
+    assert cli.main(["run", path, "--trials", "1", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: scenario: 'seed' must be an integer >= 0\n"
+
+
+def _reply(key, action, args):
+    """Replace the first reply scripted under ``key`` with ``action(args)``."""
+    def mutate(doc):
+        rule = next(r for r in doc["script"] if r.get("key") == key)
+        rule["responses"][0]["action_proposal"] = {"action": action, "args": args}
+    return mutate
+
+
+# Replies that pass the syntactic stage and once crashed the run or
+# corrupted the store, each with the trace event that now settles it.
+_SETTLED_REPLIES = {
+    "move_without_target_interrupted": (
+        "transfer_obstacle", _reply("m1", "Move", {}), {"event": "rolled_back"}),
+    "move_to_a_part_as_zone": (
+        "assembly", _reply("m2", "Move", {"zone": "part_a", "target": "base_plate"}),
+        {"event": "ert_exhausted"}),
+    "pick_a_zone": ("transfer_obstacle", _reply("k2", "Pick", {"object": "zone_a"}),
+                    {"event": "ert_exhausted"}),
+    "place_into_a_part_as_zone": (
+        "assembly", _reply("p3", "Place", {"destination": "base_plate",
+                                           "position": [1.2, 0.0, 0.045],
+                                           "zone": "base_plate"}),
+        {"event": "ert_exhausted"}),
+    "pick_while_transporting": (
+        "assembly", _reply("p3", "Pick", {"object": "part_b"}),
+        {"event": "executed", "action": "Pick", "status": "PreconditionFailed"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SETTLED_REPLIES))
+def test_replies_that_crashed_the_run_are_settled(case):
+    name, mutate, expected = _SETTLED_REPLIES[case]
+    doc = _scenario(name)
+    mutate(doc)
+    assert validate_scenario(doc) == []
+    _report, logs = run_scenario(ScenarioSpec(doc), trials=1)
+    assert any(expected.items() <= e.items() for e in logs[0]["trace"])
 
 
 # -- briefing store -----------------------------------------------------------

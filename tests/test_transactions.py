@@ -106,12 +106,12 @@ def test_ft_mapping_table():
 def test_pick_requires_empty_gripper_and_clear_target():
     store = make_store()
     log = TransactionLog()
-    res = apply_transition(
-        store, ConstraintState(Phase.HOLDING, "plate"), log, "Pick",
-        {"object": "part"},
-    )
-    assert res.status == TransitionStatus.PRECONDITION_FAILED
-    assert res.failed_predicate == "GripperEmpty"
+    for phase in (Phase.HOLDING, Phase.TRANSPORTING):
+        res = apply_transition(
+            store, ConstraintState(phase, "plate"), log, "Pick", {"object": "part"},
+        )
+        assert res.status == TransitionStatus.PRECONDITION_FAILED
+        assert res.failed_predicate == "GripperEmpty"
 
     store.add_edge("On", "plate", "part")
     res = apply_transition(store, ConstraintState(), log, "Pick", {"object": "part"})
