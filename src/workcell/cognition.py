@@ -239,7 +239,7 @@ def validate_ert(doc, store: WorldStore) -> tuple[ERT | None, ValidationReport]:
 
     for pred, subj, obj in ert.world_belief:
         if pred == "Holding":
-            rec = store.records.get(store.vertices[obj].grounding) if obj in store.vertices else None
+            rec = store.records.get(obj)
             ok = rec is not None and rec.attached_to == "gripper"
         elif pred in _VERIFIABLE_PREDICATES:
             if subj not in store.vertices or obj not in store.vertices:
@@ -337,11 +337,10 @@ def serialize_context(
     vertices = []
     for uid in sorted(sub.vertices):
         v = store.vertices[uid]
-        rec = store.records.get(v.grounding)
+        rec = store.records.get(uid)
         vertices.append({
             "uid": uid,
             "label": v.label,
-            "state_tag": v.state_tag,
             "attributes": dict(sorted(v.attributes.items())),
             "zone": v.zone_id,
             "lifecycle": v.lifecycle.value,

@@ -22,7 +22,7 @@ class RegistrationError(WorkcellError):
 
 
 class IntegrityError(WorkcellError):
-    """A store invariant was violated (dangling grounding link, bad index)."""
+    """A store invariant was violated (a live vertex without a record, bad index)."""
 
 
 class StateMachineError(WorkcellError):

@@ -24,7 +24,7 @@ from .cognition import (
     validate_ert,
 )
 from .errors import ReasonerFault, ScenarioError, StateMachineError
-from .schema import DICT, INT, LIST, STR, key_errors, list_of
+from .schema import BOOL, DICT, INT, LIST, STR, key_errors, list_of
 from .transactions import (
     CommitDecision,
     ConstraintState,
@@ -35,6 +35,7 @@ from .transactions import (
     TransitionStatus,
     apply_transition,
     check_commit,
+    check_preconditions,
     cs_during_action,
     mark_committed,
     rollback,
@@ -64,7 +65,7 @@ class TaskNode:
 # The keys ``from_doc`` reads of a task node, each with the shape of its
 # value; a key ending in "?" has a default.
 _NODE_KEYS = {"id": INT, "function": STR, "args?": DICT, "deps?": list_of(INT),
-              "keywords?": LIST, "zones?": LIST}
+              "manipulation?": BOOL, "key?": STR, "keywords?": LIST, "zones?": LIST}
 
 
 class TaskDAG:
@@ -107,8 +108,8 @@ class TaskDAG:
             function=nd["function"],
             args=dict(nd.get("args", {})),
             deps=list(nd.get("deps", [])),
-            manipulation=bool(nd.get("manipulation", False)),
-            key=str(nd.get("key", "")),
+            manipulation=nd.get("manipulation", False),
+            key=nd.get("key", ""),
             keywords=list(nd.get("keywords", [])),
             zones=list(nd.get("zones", [])),
         ) for nd in doc.get("nodes", [])])
@@ -377,7 +378,10 @@ class Executive:
         self._clock += 1
         pre_edges = list(self.store.edges)
         cs_before = self.cs
-        ft_events: list[FTEvent] = self.execute_skill(ert.action, ert.args)
+        # A skill the store refuses is never dispatched to the robot.
+        refused = check_preconditions(self.store, self.cs, ert.action, ert.args)
+        ft_events: list[FTEvent] = (
+            [] if refused is not None else self.execute_skill(ert.action, ert.args))
         result = apply_transition(
             self.store, self.cs, self.log, ert.action, ert.args, ft_events=ft_events,
         )

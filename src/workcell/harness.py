@@ -153,7 +153,9 @@ _INJECTION_KEYS = {"kind": _CAUSE, "params?": DICT,
                    "trigger_step?": COUNT}
 _PARAM_KEYS = {"PartSlip": {"drop_offset?": POINT}, "Obstacle": {},
                "TargetMoved": {"target": STR, "move_delta": POINT}}
-_SCRIPT_KEYS = {"kind": STR, "responses": LIST, "key?": STR}
+_REQUEST_KINDS = tuple(kind.value for kind in RequestKind)
+_SCRIPT_KEYS = {"kind": (lambda v: v in _REQUEST_KINDS, f"one of {', '.join(_REQUEST_KINDS)}"),
+                "responses": LIST, "key?": STR}
 _QUESTION_KEYS = {
     "position": {"uid": STR, "expect": POINT, "tol?": SCALAR},
     "relation": {"predicate": STR, "subject": STR, "object": STR, "expect": ANY},
@@ -224,8 +226,14 @@ def validate_scenario(doc) -> list[str]:
     for name, inj in entries("injections", _INJECTION_KEYS):
         params = inj.get("params", {})
         errors += (found := key_errors(params, f"{name} params", _PARAM_KEYS[inj["kind"]]))
-        if not found and inj["kind"] == "TargetMoved" and params["target"] not in by_id:
-            errors.append("TargetMoved injection references unknown target")
+        if not found and inj["kind"] == "TargetMoved":
+            target = params["target"]
+            if target not in by_id:
+                errors.append("TargetMoved injection references unknown target")
+            elif any(o.get("support") == target for o in objects):
+                # The displacement would leave what rests on it floating.
+                errors.append(f"TargetMoved injection moves {target!r}, which supports "
+                              "another object")
     entries("script", _SCRIPT_KEYS)
     for name, q in entries("questions", {"kind": ANY}) + entries("queries", {"kind": ANY}):
         keys = _QUESTION_KEYS.get(q["kind"]) if isinstance(q["kind"], str) else None
@@ -388,13 +396,12 @@ class TrialRuntime:
         # belief below; the surface scan from the table is stale now.
         held_uids = self.store.held_uids()
         for uid in held_uids:
-            rid = self.store.vertices[uid].grounding
-            rec = self.store.records[rid]
+            rec = self.store.records[uid]
             if (rec.geometry is not None
                     or rec.envelope.mean.tobytes() != gripper_pos.tobytes()
                     or rec.envelope.covariance.tobytes() != _HELD_COVARIANCE.tobytes()):
                 self.store.update_record(
-                    rid, envelope=GaussianEnvelope(gripper_pos, _HELD_COVARIANCE),
+                    uid, envelope=GaussianEnvelope(gripper_pos, _HELD_COVARIANCE),
                     geometry=None)
 
         observations = assemble_snapshot(self.frame(), camera.intrinsics)
@@ -403,10 +410,7 @@ class TrialRuntime:
             v.uid for v in self.store.entities_in_zone(self.world.robot_zone)
         ]
         memory_uids += [u for u in held_uids if u not in memory_uids]
-        memory = [
-            self.store.records[self.store.vertices[u].grounding]
-            for u in memory_uids
-        ]
+        memory = [self.store.records[u] for u in memory_uids]
 
         # Each side's box depends on that side only: computed on first use.
         obs_boxes: dict[int, tuple] = {}
@@ -496,7 +500,7 @@ class TrialRuntime:
             if v is None or v.lifecycle == Lifecycle.ARCHIVED:
                 sample[oid] = False
                 continue
-            rec = self.store.records.get(v.grounding)
+            rec = self.store.records.get(oid)
             pos_ok = (
                 rec is not None
                 and float(np.linalg.norm(rec.envelope.mean - truth[oid]))
@@ -524,7 +528,7 @@ def answer_question(store: WorldStore, q: dict) -> tuple[object, bool]:
         v = store.vertices.get(q["uid"])
         if v is None or v.lifecycle == Lifecycle.ARCHIVED:
             return None, False
-        mean = store.records[v.grounding].envelope.mean
+        mean = store.records[q["uid"]].envelope.mean
         ok = float(np.linalg.norm(mean - np.asarray(q["expect"], dtype=float))) <= float(
             q.get("tol", STA_POSITION_TOL)
         )

@@ -66,6 +66,7 @@ def _is_rotation(value) -> bool:
 
 ROTATION = (_is_rotation, "9 finite numbers, flat or 3x3, that form a rotation")
 STR = (lambda v: isinstance(v, str), "a string")
+BOOL = (lambda v: isinstance(v, bool), "true or false")
 LIST = (lambda v: isinstance(v, list), "a list")
 DICT = (lambda v: isinstance(v, dict), "an object")
 INT = (_integer, "an integer")

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import StateMachineError, TransactionError
-from .geometry import GaussianEnvelope, PoseSE3
+from .geometry import GaussianEnvelope
 from .serialization import canonical_dumps
 from .world_model import (
     EdgeStatus,
@@ -281,7 +281,7 @@ class TransitionResult:
 # -- preconditions and effects -----------------------------------------------
 
 
-def _check_preconditions(
+def check_preconditions(
     store: WorldStore, cs: ConstraintState, action: str, args: dict
 ) -> str | None:
     """Name of the first failing predicate, or None."""
@@ -299,6 +299,8 @@ def _check_preconditions(
         dest = args["destination"]
         if dest not in store.vertices and dest not in store.zones:
             raise TransactionError(f"Place destination {dest} unknown")
+        if dest == cs.target:
+            return f"NotHeld({dest})"
     elif action == "Insert":
         part, receptacle = args["part"], args["receptacle"]
         if cs.phase not in (Phase.HOLDING, Phase.TRANSPORTING) or cs.target != part:
@@ -323,7 +325,7 @@ def _apply_effects(
     delta: list[str] = []
     if action == "Pick":
         obj = args["object"]
-        store.update_record(store.vertices[obj].grounding, attached_to="gripper")
+        store.update_record(obj, attached_to="gripper")
         delta.append(f"attach({obj},gripper)")
         for e in store.remove_edges(predicate="On", subject=obj):
             delta.append(f"-On({e.subject},{e.obj})")
@@ -332,16 +334,12 @@ def _apply_effects(
     elif action == "Place":
         obj = cs.target
         dest = args["destination"]
-        rid = store.vertices[obj].grounding
-        rec = store.records[rid]
         fields = {"attached_to": "world"}
         if "position" in args:
             pos = np.asarray(args["position"], dtype=float)
-            fields["envelope"] = GaussianEnvelope(pos, rec.envelope.covariance)
-            if rec.pose is not None:
-                fields["pose"] = PoseSE3(rec.pose.rotation, pos)
+            fields["envelope"] = GaussianEnvelope(pos, store.records[obj].envelope.covariance)
             delta.append(f"moveto({obj},{pos.tolist()})")
-        store.update_record(rid, **fields)
+        store.update_record(obj, **fields)
         if dest in store.vertices:
             store.add_edge("On", obj, dest, EdgeStatus.VERIFIED)
             delta.append(f"+On({obj},{dest})")
@@ -353,7 +351,7 @@ def _apply_effects(
         delta.append("CS=Idle")
     elif action == "Insert":
         part, receptacle = args["part"], args["receptacle"]
-        store.update_record(store.vertices[part].grounding, attached_to="world")
+        store.update_record(part, attached_to="world")
         store.add_edge("Inserted", part, receptacle, EdgeStatus.VERIFIED)
         delta.append(f"+Inserted({part},{receptacle})")
         cs = ConstraintState(Phase.IDLE)
@@ -371,18 +369,10 @@ def _apply_effects(
         if moving is not cs:
             cs = moving
             delta.append(f"CS={cs.phase.value}({cs.target})")
-    elif action == "Rotate":
-        obj = args["object"]
-        rid = store.vertices[obj].grounding
-        pose = store.records[rid].pose
-        if pose is not None:
-            store.update_record(rid, pose=PoseSE3(
-                np.asarray(args["rotation"], dtype=float), pose.translation))
-            delta.append(f"rotate({obj})")
     elif action == "OpenGripper":
         if cs.phase in (Phase.HOLDING, Phase.TRANSPORTING):
             obj = cs.target
-            store.update_record(store.vertices[obj].grounding, attached_to="world")
+            store.update_record(obj, attached_to="world")
             delta.append(f"detach({obj})")
             cs = ConstraintState(Phase.IDLE)
             delta.append("CS=Idle")
@@ -408,7 +398,7 @@ def apply_transition(
         raise TransactionError(f"unknown action {action!r}")
     args = dict(args or {})
 
-    failed = _check_preconditions(store, cs, action, args)
+    failed = check_preconditions(store, cs, action, args)
     if failed is not None:
         return TransitionResult(
             TransitionStatus.PRECONDITION_FAILED, cs, failed_predicate=failed
@@ -516,7 +506,7 @@ def check_commit(
             if float(np.linalg.norm(pos - gripper_position)) <= EPS_PLACE:
                 return CommitDecision(True)
             return CommitDecision(False, f"{obj} does not track the gripper")
-        rec = store.records[store.vertices[obj].grounding]
+        rec = store.records[obj]
         if float(np.linalg.norm(pos - rec.envelope.mean)) <= EPS_PLACE:
             return CommitDecision(True)
         return CommitDecision(False, f"{obj} stationary away from gripper")

@@ -1,13 +1,18 @@
-"""Persistent world store: zone layout, object registry, semantic graph
-with grounding links, relation verification, and lifecycle curation.
+"""Persistent world store: zone layout, object registry, semantic graph,
+relation verification, and lifecycle curation.
+
+An entity is one uid in both layers: its vertex in the semantic graph and
+its record in the registry share it, so a vertex's record is
+``records[uid]``. Every live vertex has a record (``check_integrity``);
+an archived vertex need not have one.
 
 The store document (``to_dict``) is the whole state. Everything else the
 store keeps is derived from it: the zone index, by one rule
-(``_indexed_zone``); the vertices grounded on each record; the records
-attached to the gripper; the edges by subject and by object; and the
-canonical-JSON text of each record, vertex, edge and head section, cached
-for ``state_hash``. So every write goes through a ``WorldStore`` method
-that keeps all of these and marks what it touched for hashing:
+(``_indexed_zone``); the records attached to the gripper; the edges by
+subject and by object; and the canonical-JSON text of each record,
+vertex, edge and head section, cached for ``state_hash``. So every write
+goes through a ``WorldStore`` method that keeps all of these and marks
+what it touched for hashing:
 ``add_entity``, ``update_record``, ``update_vertex``, ``restore_entity``,
 ``add_edge``, ``remove_edges``, ``set_edges``, ``add_zone`` and
 ``next_uid``. Records, vertices and edges are never mutated in place: a
@@ -19,10 +24,12 @@ checks every record's envelope at once with ``envelope_stack``, which
 applies ``GaussianEnvelope``'s rule to the whole stack of covariances and
 stores the same bits, and reads enum members from their value tables. A
 document the constructors refuse is refused with the constructor's
-exception, for the first fault in document order. The input document is
-never written to, and keys it does not read are ignored: older documents
-carry an occupancy ``background``, a ``priors`` table and a prior link in
-each record.
+exception, for the first fault in document order; a document with a live
+vertex that has no record is refused with ``IntegrityError``. The input
+document is never written to, and keys it does not read are ignored: older
+documents carry an occupancy ``background``, a ``priors`` table, and keys
+no longer written: a prior link and a pose in each record, and a record
+link and a state tag in each vertex.
 """
 
 from __future__ import annotations
@@ -39,7 +46,6 @@ from .geometry import (
     GaussianEnvelope,
     OrientedBox,
     PointCloudData,
-    PoseSE3,
     cholesky_solve,
     envelope_box,
     envelope_stack,
@@ -104,7 +110,6 @@ class ZoneNode:
 class ObjectRecord:
     envelope: GaussianEnvelope
     geometry: GeomAbstraction | None = None
-    pose: PoseSE3 | None = None
     attached_to: str = "world"  # "world" or "gripper"
 
 
@@ -112,9 +117,7 @@ class ObjectRecord:
 class ObjectVertex:
     uid: str
     label: str
-    state_tag: str = ""
     attributes: dict[str, str] = field(default_factory=dict)
-    grounding: str = ""  # ObjectRecord id
     lifecycle: Lifecycle = Lifecycle.ACTIVE
     confidence: float = 1.0
     zone_id: str = ""
@@ -151,12 +154,6 @@ def _indexed_zone(v: ObjectVertex | None) -> str:
     return v.zone_id
 
 
-def _index_keys(v: ObjectVertex | None) -> tuple[str, str]:
-    """What a vertex is indexed under: its zone by the rule above, and the
-    record it is grounded on ("" for none)."""
-    return ("", "") if v is None else (_indexed_zone(v), v.grounding)
-
-
 class WorldStore:
     """The persistent store: single-writer, consistent snapshots."""
 
@@ -169,9 +166,7 @@ class WorldStore:
         self._uid_counters: dict[str, int] = {}
         env = GaussianEnvelope(np.zeros(3), 1e-6 * np.eye(3))
         self.records[ROBOT_UID] = ObjectRecord(envelope=env)
-        self.vertices[ROBOT_UID] = ObjectVertex(
-            uid=ROBOT_UID, label="robot", grounding=ROBOT_UID
-        )
+        self.vertices[ROBOT_UID] = ObjectVertex(uid=ROBOT_UID, label="robot")
         self._derive()
 
     def _derive(self):
@@ -179,13 +174,10 @@ class WorldStore:
         the whole document for hashing."""
         self._clear_hash_cache()
         self._zone_index: dict[str, set[str]] = {}
-        self._grounded: dict[str, set[str]] = {}  # record id -> vertex uids
         for uid, v in self.vertices.items():
-            zone, grounding = _index_keys(v)
+            zone = _indexed_zone(v)
             if zone:
                 self._zone_index.setdefault(zone, set()).add(uid)
-            if grounding:
-                self._grounded.setdefault(grounding, set()).add(uid)
         self._held = {rid for rid, r in self.records.items() if r.attached_to == "gripper"}
         self._index_edges()
 
@@ -197,19 +189,15 @@ class WorldStore:
         self._dirty_head.add("uid_counters")
         return f"{label}_{n}"
 
-    def _reindex(self, uid: str, was: tuple[str, str]):
-        """The one writer of the vertex indexes: move ``uid`` from ``was``,
-        what ``_index_keys`` gave before a change, to what it gives now;
-        and mark the vertex for hashing."""
-        zone, grounding = _index_keys(self.vertices.get(uid))
-        if was[0] and was[0] != zone:
-            self._zone_index[was[0]].discard(uid)
+    def _reindex(self, uid: str, was: str):
+        """The one writer of the zone index: move ``uid`` from ``was``, the
+        zone ``_indexed_zone`` gave before a change, to the one it gives
+        now; and mark the vertex for hashing."""
+        zone = _indexed_zone(self.vertices.get(uid))
+        if was and was != zone:
+            self._zone_index[was].discard(uid)
         if zone:
             self._zone_index.setdefault(zone, set()).add(uid)
-        if was[1] and was[1] != grounding:
-            self._grounded[was[1]].discard(uid)
-        if grounding:
-            self._grounded.setdefault(grounding, set()).add(uid)
         self._dirty["vertices"].add(uid)
         if uid == ROBOT_UID:
             self._dirty_head.add("robot_zone")
@@ -255,11 +243,10 @@ class WorldStore:
             uid=uid,
             label=label,
             attributes=dict(attributes or {}),
-            grounding=uid,
             zone_id=zone_id,
         )
         self._record_written(uid)
-        self._reindex(uid, ("", ""))
+        self._reindex(uid, "")
         self.check_integrity([uid])
         return uid
 
@@ -270,8 +257,8 @@ class WorldStore:
 
     def update_vertex(self, uid: str, **fields):
         """Replace fields of a vertex, mark it for hashing, and move it in
-        the indexes if its zone, lifecycle or grounding changed."""
-        was = _index_keys(self.vertices[uid])
+        the zone index if its zone or lifecycle changed."""
+        was = _indexed_zone(self.vertices[uid])
         _assign(self.vertices[uid], fields)
         self._reindex(uid, was)
 
@@ -279,7 +266,7 @@ class WorldStore:
                        vertex: ObjectVertex | None):
         """Put back an entity's record and vertex as captured earlier;
         None means the entity did not exist then."""
-        was = _index_keys(self.vertices.get(uid))
+        was = _indexed_zone(self.vertices.get(uid))
         for table, value in ((self.records, record), (self.vertices, vertex)):
             if value is None:
                 table.pop(uid, None)
@@ -367,19 +354,17 @@ class WorldStore:
     def held_uids(self) -> list[str]:
         """Vertices whose record is attached to the gripper, in the order
         of the vertex table."""
-        held = {uid for rid in self._held for uid in self._grounded.get(rid, ())}
+        held = {uid for uid in self._held if uid in self.vertices}
         if len(held) > 1:
             return [uid for uid in self.vertices if uid in held]
         return list(held)
 
     def check_integrity(self, uids=None):
-        """No live vertex's grounding link dangles; only ``uids`` are
+        """Every live vertex has a record under its uid; only ``uids`` are
         checked when given, every vertex otherwise."""
         for uid in self.vertices if uids is None else uids:
-            v = self.vertices[uid]
-            if v.lifecycle in (Lifecycle.ACTIVE, Lifecycle.UNCERTAIN):
-                if v.grounding not in self.records:
-                    raise IntegrityError(f"vertex {uid} grounding link dangling")
+            if self.vertices[uid].lifecycle != Lifecycle.ARCHIVED and uid not in self.records:
+                raise IntegrityError(f"live vertex {uid} has no record")
 
     # -- queries -----------------------------------------------------------
 
@@ -404,11 +389,6 @@ class WorldStore:
     def from_dict(cls, data: dict) -> "WorldStore":
         if data.get("version") != STORE_SCHEMA_VERSION:
             raise WorkcellError(f"unsupported store schema {data.get('version')}")
-
-        def pose_f(d):
-            return None if d is None else PoseSE3(
-                np.array(d["rotation"]), np.array(d["translation"])
-            )
 
         store = cls.__new__(cls)
         store._uid_counters = dict(data["uid_counters"])
@@ -438,14 +418,12 @@ class WorldStore:
                 envelope=GaussianEnvelope(r["envelope"]["mean"], r["envelope"]["covariance"])
                 if envelopes is None else next(envelopes),
                 geometry=geom_from_dict(r["geometry"]),
-                pose=pose_f(r["pose"]),
                 attached_to=r["attached_to"],
             )
         store.vertices = {}
         for uid, v in data["vertices"].items():
             store.vertices[uid] = ObjectVertex(
-                uid=uid, label=v["label"], state_tag=v["state_tag"],
-                attributes=dict(v["attributes"]), grounding=v["grounding"],
+                uid=uid, label=v["label"], attributes=dict(v["attributes"]),
                 lifecycle=_member(Lifecycle, v["lifecycle"]), confidence=v["confidence"],
                 zone_id=v["zone_id"],
             )
@@ -455,6 +433,7 @@ class WorldStore:
             for e in data["edges"]
         ]
         store._derive()
+        store.check_integrity()
         return store
 
     def serialize(self) -> str:
@@ -517,12 +496,6 @@ class WorldStore:
         return self._digest
 
 
-def _pose_doc(p: PoseSE3 | None):
-    return None if p is None else {
-        "rotation": p.rotation.tolist(), "translation": p.translation.tolist()
-    }
-
-
 def _zones_doc(store: WorldStore) -> dict:
     return {
         z.zone_id: {
@@ -555,7 +528,6 @@ def _record_doc(r: ObjectRecord) -> dict:
             "covariance": r.envelope.covariance.tolist(),
         },
         "geometry": geom_to_dict(r.geometry),
-        "pose": _pose_doc(r.pose),
         "attached_to": r.attached_to,
     }
 
@@ -568,9 +540,7 @@ def _record_doc(r: ObjectRecord) -> dict:
 def _vertex_doc(v: ObjectVertex) -> dict:
     return {
         "label": v.label,
-        "state_tag": v.state_tag,
         "attributes": dict(v.attributes),
-        "grounding": v.grounding,
         "lifecycle": v.lifecycle._value_,
         "confidence": v.confidence,
         "zone_id": v.zone_id,
@@ -625,11 +595,11 @@ def record_bounds(record: ObjectRecord) -> tuple[np.ndarray, np.ndarray]:
     return envelope_box(record.envelope)
 
 
-def _grounded_record(store: WorldStore, uid: str) -> ObjectRecord:
-    v = store.vertices.get(uid)
-    if v is None or v.grounding not in store.records:
-        raise IntegrityError(f"relation endpoint {uid} is not grounded")
-    return store.records[v.grounding]
+def _endpoint_record(store: WorldStore, uid: str) -> ObjectRecord:
+    rec = store.records.get(uid)
+    if rec is None:
+        raise IntegrityError(f"relation endpoint {uid} has no record")
+    return rec
 
 
 def _mahal_sq(diff: np.ndarray, cov: np.ndarray) -> float:
@@ -638,8 +608,8 @@ def _mahal_sq(diff: np.ndarray, cov: np.ndarray) -> float:
 
 def verify_relation(edge: RelationEdge, store: WorldStore) -> EdgeStatus:
     """Geometric/statistical test for a hypothesized relation."""
-    a = _grounded_record(store, edge.subject)
-    b = _grounded_record(store, edge.obj)
+    a = _endpoint_record(store, edge.subject)
+    b = _endpoint_record(store, edge.obj)
     pred = edge.predicate
 
     if pred == "Contact":
@@ -719,7 +689,7 @@ def restore_candidates(
     for uid, v in sorted(store.vertices.items()):
         if v.lifecycle != Lifecycle.ARCHIVED or v.label != obs.label:
             continue
-        rec = store.records.get(v.grounding)
+        rec = store.records.get(uid)
         if rec is None:
             continue
         d = mahalanobis_between(obs.envelope, rec.envelope)
@@ -760,13 +730,12 @@ def register_or_update(
 
     for obs_idx, mem_idx, _cost in match.matched:
         uid = memory_uids[mem_idx]
-        rid = store.vertices[uid].grounding
         gamma = gammas.get(obs_idx, 1.0)
         obs = observations[obs_idx]
-        fields = {"envelope": fuse(store.records[rid].envelope, obs.envelope, gamma)}
+        fields = {"envelope": fuse(store.records[uid].envelope, obs.envelope, gamma)}
         if gamma > 0.1 and obs.geometry is not None:
             fields["geometry"] = obs.geometry
-        store.update_record(rid, **fields)
+        store.update_record(uid, **fields)
         delta.fused.append(uid)
 
     sighted_keys = set()
@@ -775,9 +744,8 @@ def register_or_update(
         restored = restore_candidates(store, obs, cfg)
         if restored is not None:
             store.update_vertex(restored, confidence=1.0, lifecycle=Lifecycle.ACTIVE)
-            rid = store.vertices[restored].grounding
-            store.update_record(rid, envelope=fuse(
-                store.records[rid].envelope, obs.envelope, gammas.get(obs_idx, 1.0)))
+            store.update_record(restored, envelope=fuse(
+                store.records[restored].envelope, obs.envelope, gammas.get(obs_idx, 1.0)))
             delta.restored.append(restored)
             continue
         key = _tentative_key(store, obs, cfg)

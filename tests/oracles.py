@@ -122,12 +122,11 @@ def is_clear_scan(store, uid: str) -> bool:
 
 
 def held_uids_scan(store) -> list:
-    """Vertices whose grounding record is attached to the gripper, in the
-    order of a scan of the vertex table."""
+    """Vertices whose record is attached to the gripper, in the order of a
+    scan of the vertex table."""
     return [
-        uid for uid, v in store.vertices.items()
-        if v.grounding in store.records
-        and store.records[v.grounding].attached_to == "gripper"
+        uid for uid in store.vertices
+        if uid in store.records and store.records[uid].attached_to == "gripper"
     ]
 
 

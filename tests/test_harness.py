@@ -4,6 +4,7 @@ metrics, the trial runner, and the CLI."""
 import copy
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -121,6 +122,13 @@ _BROKEN_SCENARIOS = {
     "task_keywords_not_a_list": ("assembly", _set(["task", "nodes", 0, "keywords"], 5)),
     "targetmoved_params_a_list": ("transfer_targetmoved", _set(["injections", 0, "params"], [])),
     "targetmoved_without_move_delta": ("transfer_targetmoved", _without_move_delta),
+    "targetmoved_moves_a_supporter": ("transfer_targetmoved", lambda d: d["objects"].append(
+        {"id": "cap", "label": "cap", "zone": "zone_a", "position": [0.45, -0.1, 0.04],
+         "half_extents": [0.01, 0.01, 0.01], "support": "part_x"})),
+    "task_manipulation_a_string": ("assembly",
+                                   _set(["task", "nodes", 1, "manipulation"], "false")),
+    "task_key_a_number": ("assembly", _set(["task", "nodes", 0, "key"], 5)),
+    "script_kind_unknown": ("assembly", _set(["script", 0, "kind"], "ProposeErt")),
     # These crash nothing: the injection never fires, or CDA is scored
     # against a cause that no diagnosis maps to.
     "trigger_step_a_string": ("transfer_obstacle", _set(["injections", 0, "trigger_step"], "1")),
@@ -215,6 +223,11 @@ def _reply(key, action, args):
     return mutate
 
 
+# The one single-leaf mutant of a shipped scenario that crashed the run
+# once its reply passed validation: the held part_a placed onto itself.
+_PLACE_ONTO_HELD = (["script", 2, "responses", 0, "action_proposal", "args", "destination"],
+                    "part_a")
+
 # Replies that pass the syntactic stage and once crashed the run or
 # corrupted the store, each with the trace event that now settles it.
 _SETTLED_REPLIES = {
@@ -233,6 +246,9 @@ _SETTLED_REPLIES = {
     "pick_while_transporting": (
         "assembly", _reply("p3", "Pick", {"object": "part_b"}),
         {"event": "executed", "action": "Pick", "status": "PreconditionFailed"}),
+    "place_onto_the_held_object": (
+        "assembly", _set(*_PLACE_ONTO_HELD),
+        {"event": "executed", "action": "Place", "status": "PreconditionFailed"}),
 }
 
 
@@ -246,6 +262,55 @@ def test_replies_that_crashed_the_run_are_settled(case):
     assert any(expected.items() <= e.items() for e in logs[0]["trace"])
 
 
+def test_a_refused_skill_is_never_dispatched(monkeypatch):
+    dispatched = []
+    dispatch = harness.TrialRuntime.execute_skill
+
+    def recorded(self, action, args):
+        dispatched.append(action)
+        return dispatch(self, action, args)
+
+    monkeypatch.setattr(harness.TrialRuntime, "execute_skill", recorded)
+    doc = _scenario("transfer_obstacle")
+    _reply("m1", "Rotate", {"object": "part_x", "rotation": np.eye(3).tolist()})(doc)
+    _report, logs = run_scenario(ScenarioSpec(doc), trials=1)
+    first = next(e for e in logs[0]["trace"] if e["event"] == "executed")
+    assert (first["action"], first["status"], first["events"]) == (
+        "Rotate", "PreconditionFailed", [])
+    assert "Rotate" not in dispatched
+
+
+def _leaves(value, path=()):
+    """The path of every value in a JSON document that is not an object
+    or a list."""
+    if isinstance(value, (dict, list)):
+        for key, item in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield from _leaves(item, (*path, key))
+    else:
+        yield list(path)
+
+
+_LEAF_VALUES = [None, True, False, 0, -1, 2, 0.5, -0.05, 1e6, "", "part_a", "zone_b",
+                "base_plate", [], {}]
+
+
+def test_single_leaf_mutants_are_refused_or_run():
+    """A shipped scenario with one leaf replaced is either refused by
+    ``validate_scenario`` or runs a trial without raising."""
+    docs = {p.stem: json.loads(p.read_text()) for p in sorted(SCENARIOS.glob("*.json"))}
+    mutants = [(name, path, value) for name, doc in docs.items()
+               for path in _leaves(doc) for value in _LEAF_VALUES]
+    sample = random.Random(17).sample(mutants, 300) + [("assembly", *_PLACE_ONTO_HELD)]
+    ran = 0
+    for name, path, value in sample:
+        doc = copy.deepcopy(docs[name])
+        _set(path, value)(doc)
+        if not validate_scenario(doc):
+            run_scenario(ScenarioSpec(doc), trials=1)
+            ran += 1
+    assert ran > 100
+
+
 # -- briefing store -----------------------------------------------------------
 
 
@@ -256,7 +321,7 @@ def test_build_store_mirrors_briefing_map():
     for o in doc["objects"]:
         v = store.vertices[o["id"]]
         assert v.label == o["label"] and v.zone_id == o["zone"]
-        mean = store.records[v.grounding].envelope.mean
+        mean = store.records[o["id"]].envelope.mean
         assert np.allclose(mean, o["position"])
     # Briefed support relations arrive as verified edges.
     gt_on = {(s, o) for _p, s, o in world.on_relations()}
@@ -437,6 +502,8 @@ def test_run_scenario_rejects_out_of_range_reasoner_replies(kind, reply):
     {"nodes": [{"id": "201", "function": "Move", "key": "r1"}]},
     {"nodes": [{"id": 201, "function": 7, "key": "r1"}]},
     {"nodes": [{"id": 201, "function": "Move", "key": "r1", "deps": "ab"}]},
+    {"nodes": [{"id": 201, "function": "Move", "key": 1}]},
+    {"nodes": [{"id": 201, "function": "Move", "key": "r1", "manipulation": 1}]},
 ])
 def test_malformed_recovery_plan_is_a_workcell_error(plan):
     doc = task3_doc("Obstacle")
@@ -483,7 +550,7 @@ def test_sense_does_not_rewrite_an_unmoved_held_object():
     # Held where the zone camera does not see it, so no observation is fused.
     world.execute_skill("Move", {"position": [0.3, -0.3, 0.3]})
     world.execute_skill("Pick", {"object": "part_a"})
-    rid = store.vertices["part_a"].grounding
+    rid = "part_a"
     store.update_record(rid, attached_to="gripper")
     runtime.sense()
     held = store.records[rid].envelope

@@ -132,6 +132,14 @@ def test_place_requires_holding_family():
             "Place", {"destination": "plate", "position": [1.0, 0, 0.055]},
         )
         assert res.status == TransitionStatus.COMMITTED
+        # Nothing is placed onto itself.
+        res = apply_transition(
+            store, ConstraintState(phase, "part"), log,
+            "Place", {"destination": "part", "position": [1.0, 0, 0.055]},
+        )
+        assert res.status == TransitionStatus.PRECONDITION_FAILED
+        assert res.failed_predicate == "NotHeld(part)"
+    assert log.entries == []
 
 
 def test_insert_requires_verified_alignment():

@@ -21,7 +21,7 @@ import workcell
 from workcell.association import AssociationConfig, MatchResult
 from workcell.cognition import ValidationStage, validate_ert
 from workcell.errors import IntegrityError, WorkcellError
-from workcell.geometry import GaussianEnvelope, PointCloudData, PoseSE3
+from workcell.geometry import GaussianEnvelope, PointCloudData
 from workcell.harness import build_store, build_world
 from workcell.perception import Observation, PointsGeom
 from workcell.serialization import (
@@ -94,26 +94,12 @@ def test_add_entity_and_grounding_invariant():
     store = _store_with_zone()
     uid = store.add_entity("bolt", _env([0, 0, 0]), "z1")
     assert uid == "bolt_1"
-    assert store.vertices[uid].grounding == uid
+    assert store.vertices[uid].uid == uid
     assert store.records[uid].envelope.mean.tolist() == [0, 0, 0]
     # Second entity of the same label gets a fresh uid.
     assert store.add_entity("bolt", _env([1, 0, 0]), "z1") == "bolt_2"
     with pytest.raises(IntegrityError):
         store.add_entity("bolt", _env([0, 0, 0]), "z1", uid="bolt_1")
-
-
-def test_posed_record_without_a_prior_round_trips():
-    # update_record(pose=) reaches this state; the store must load it back.
-    store = _store_with_zone()
-    a = store.add_entity("bolt", _env([0, 0, 0]), "z1")
-    b = store.add_entity("plate", _env([0, 0, 0.1]), "z1")
-    for uid in (a, b):
-        store.update_record(uid, pose=PoseSE3(np.eye(3), [0.1, 0.2, 0.3]))
-    clone = WorldStore.from_dict(store.to_dict())
-    assert clone.records[a].pose.translation.tolist() == [0.1, 0.2, 0.3]
-    assert clone.serialize() == store.serialize()
-    # The store holds no mating frame to compare the poses against.
-    assert verify_relation(RelationEdge("Aligned", a, b), clone) == EdgeStatus.REFUTED
 
 
 def test_edges_require_existing_endpoints():
@@ -150,11 +136,22 @@ def test_entities_in_zone_uses_index_and_skips_archived():
 
 
 def test_integrity_check_detects_dangling_grounding():
+    # Every live vertex has a record under its uid.
     store = _store_with_zone()
     uid = store.add_entity("a", _env([0, 0, 0]), "z1")
+    doc = store.to_dict()
     del store.records[uid]
     with pytest.raises(IntegrityError):
         store.check_integrity()
+    # A document that breaks the invariant is refused on load, whatever the
+    # vertex's lifecycle, unless the vertex is archived.
+    del doc["records"][uid]
+    for lifecycle in ("Active", "Uncertain"):
+        doc["vertices"][uid]["lifecycle"] = lifecycle
+        with pytest.raises(IntegrityError, match=f"live vertex {uid} has no record"):
+            WorldStore.from_dict(doc)
+    doc["vertices"][uid]["lifecycle"] = "Archived"
+    assert WorldStore.from_dict(doc).to_dict() == doc
 
 
 # -- persistence --------------------------------------------------------------
@@ -169,7 +166,7 @@ def _populated_store():
         attributes={"color": "red"},
     )
     b = store.add_entity("slot", _env([0.1, 0.2, 0.1]), "z1")
-    store.update_record(b, pose=PoseSE3.identity())
+    store.update_vertex(b, lifecycle=Lifecycle.UNCERTAIN, confidence=0.5)
     store.add_edge("On", a, b, EdgeStatus.VERIFIED)
     return store
 
@@ -212,6 +209,18 @@ def test_document_with_the_old_occupancy_section_resumes():
     for rid, r in old["records"].items():
         r["shape_prior"] = "gear_prior" if rid == "slot_1" else None
     assert WorldStore.from_dict(old).serialize() == WorldStore.from_dict(doc).serialize()
+    # Stores persisted before records and vertices shared one uid carry a
+    # pose in every record, and a grounding link and a state tag in every
+    # vertex; resuming ignores all three.
+    old = copy.deepcopy(doc)
+    for rid, r in old["records"].items():
+        r["pose"] = None if rid != "slot_1" else {
+            "rotation": np.eye(3).tolist(), "translation": [0.1, 0.2, 0.1]}
+    for uid, v in old["vertices"].items():
+        v["grounding"], v["state_tag"] = uid, ""
+    resumed = WorldStore.from_dict(old)
+    assert resumed.serialize() == WorldStore.from_dict(doc).serialize() == canonical_dumps(doc)
+    assert resumed.entities_in_zone("z1") == WorldStore.from_dict(doc).entities_in_zone("z1")
 
 
 def _stock_doc(n=500):
@@ -272,10 +281,9 @@ def test_from_dict_refuses_as_record_by_record():
         assert _refusal(WorldStore.from_dict, bad) == expected, name
         if expected is not None:
             # A fault in an earlier record is the one raised.
-            bad["records"]["stock_003"]["pose"] = {"rotation": (2 * np.eye(3)).tolist(),
-                                                   "translation": [0, 0, 0]}
+            bad["records"]["stock_003"]["geometry"] = {"kind": "mesh"}
             assert _refusal(WorldStore.from_dict, bad) == (
-                "ValueError", "rotation matrix is not orthonormal"), name
+                "WorkcellError", "unknown geometry kind mesh"), name
     # An unknown lifecycle or edge status is refused as the enum refuses it.
     for section, key, value, enum in (("vertices", "lifecycle", "Gone", Lifecycle),
                                       ("vertices", "lifecycle", ["Active"], Lifecycle),
@@ -406,14 +414,11 @@ def test_verify_on_support_geometry():
 
 
 def test_mating_relations_are_refuted_without_a_mating_frame():
-    # Even two records at the very same pose: the store holds no mating
+    # Even two records at the very same place: the store holds no mating
     # frame, so neither relation can be verified.
     store = _store_with_zone()
-    pose = PoseSE3(np.eye(3), [0.1, 0.2, 0.3])
     part = store.add_entity("part", _env([0.1, 0.2, 0.3]), "z1")
     hole = store.add_entity("hole", _env([0.1, 0.2, 0.3]), "z1")
-    store.update_record(part, pose=pose)
-    store.update_record(hole, pose=pose)
     for pred in ("Aligned", "Inserted"):
         assert verify_relation(RelationEdge(pred, part, hole), store) == EdgeStatus.REFUTED
     # The firewall still checks the belief, and rejects it as physics.
@@ -629,13 +634,12 @@ class StoreHashMachine(RuleBasedStateMachine):
         self.store.add_entity(label, _env(mean), zone)
 
     @rule(data=st.data(), mean=_mean, attached=st.sampled_from(["world", "gripper"]),
-          posed=st.booleans(), scanned=st.booleans())
-    def update_record(self, data, mean, attached, posed, scanned):
-        rid = self.store.vertices[self._uid(data)].grounding
+          scanned=st.booleans())
+    def update_record(self, data, mean, attached, scanned):
+        rid = self._uid(data)
         fields = data.draw(st.sampled_from([
             {"envelope": _env(mean)},
             {"attached_to": attached},
-            {"pose": PoseSE3(np.eye(3), mean) if posed else None},
             {"geometry": PointsGeom(PointCloudData(np.array([mean]))) if scanned else None},
         ]))
         self.store.update_record(rid, **fields)
@@ -645,7 +649,7 @@ class StoreHashMachine(RuleBasedStateMachine):
     def update_vertex(self, data, zone, confidence, lifecycle, tag):
         fields = data.draw(st.sampled_from([
             {"zone_id": zone}, {"confidence": confidence}, {"lifecycle": lifecycle},
-            {"state_tag": tag, "attributes": {"note": tag}},
+            {"attributes": {"note": tag}},
         ]))
         self.store.update_vertex(self._uid(data), **fields)
 
@@ -663,8 +667,7 @@ class StoreHashMachine(RuleBasedStateMachine):
         uid, cs = self._uid(data), ConstraintState()
         before = state_bytes(self.store, cs)
         inverse = capture_inverse(self.store, cs, {"object": uid})
-        self.store.update_record(self.store.vertices[uid].grounding,
-                                 envelope=_env(mean), attached_to="gripper")
+        self.store.update_record(uid, envelope=_env(mean), attached_to="gripper")
         self.store.update_vertex(uid, zone_id="z2", lifecycle=Lifecycle.UNCERTAIN)
         self.store.remove_edges(subject=uid)
         self.store.add_edge("Near", uid, "z1")
@@ -748,9 +751,8 @@ def test_hash_cache_matches_scratch_digest_under_random_writes():
 # Fields of records and vertices whose writes must go through update_record
 # or update_vertex, which drop the cached text state_hash re-assembles.
 _STORE_FIELDS = {"envelope", "geometry", "attached_to", "confidence", "lifecycle",
-                 "zone_id", "state_tag", "pose"}
-# The simulator moves its own objects by their pose; the store is not involved.
-_ALLOWED = {"world_model.py": _STORE_FIELDS, "simulator.py": {"pose"}}
+                 "zone_id"}
+_ALLOWED = {"world_model.py": _STORE_FIELDS}
 
 
 def _attribute_writes(tree):
