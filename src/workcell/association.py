@@ -156,7 +156,7 @@ def fuse(
     if gamma == 0.0:
         return prior
     prior_info = spd_inverse(prior.covariance)
-    obs_info = spd_inverse(obs.covariance)
+    obs_info = obs.info  # an observation's envelope is often fused again
     info = prior_info + gamma * obs_info
     cov = spd_inverse(info)
     cov = 0.5 * (cov + cov.T)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lapack
@@ -27,6 +28,13 @@ CORNER_SIGNS.flags.writeable = False
 
 _EYE3 = np.eye(3)
 _EYE3.flags.writeable = False
+
+
+def read_only_view(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``; ``a`` itself stays as it is."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def as_point3(p) -> np.ndarray:
@@ -118,6 +126,14 @@ class GaussianEnvelope:
             )
         object.__setattr__(self, "covariance", cov)
 
+    @cached_property
+    def info(self) -> np.ndarray:
+        """The information matrix, ``spd_inverse(covariance)``, computed on
+        first use and read-only."""
+        info = spd_inverse(self.covariance)
+        info.flags.writeable = False
+        return info
+
 
 # Bound on the gap between the smallest eigenvalue np.linalg.eigvalsh gives
 # for a symmetric 3x3 matrix and the one the constructor's dsyevd gives,
@@ -195,14 +211,15 @@ class OrientedBox:
         object.__setattr__(self, "rotation", _check_rotation(self.rotation))
 
 
-@dataclass
+@dataclass(frozen=True)
 class PointCloudData:
-    """Ordered point set."""
+    """Ordered point set, held in a read-only array."""
 
     points: np.ndarray
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
+        object.__setattr__(self, "points", read_only_view(
+            np.asarray(self.points, dtype=float).reshape(-1, 3)))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -229,7 +246,9 @@ def cholesky_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def spd_inverse(matrix: np.ndarray) -> np.ndarray:
-    return cholesky_solve(matrix, np.eye(len(matrix)))
+    # dpotrs solves into a copy of its right-hand side, so the shared
+    # read-only identity serves every 3x3 call.
+    return cholesky_solve(matrix, _EYE3 if len(matrix) == 3 else np.eye(len(matrix)))
 
 
 def mahalanobis_between(a: GaussianEnvelope, b: GaussianEnvelope) -> float:

@@ -345,13 +345,33 @@ def build_reasoner(doc: dict) -> ScriptedReasoner:
 # -- perception loop ---------------------------------------------------------
 
 
+def _scene(world: SimWorld) -> tuple:
+    """Everything ``render_frame`` reads of the world: each object's id,
+    label, half-extents, rotation and translation, by value."""
+    return tuple((oid, o.label, o.half_extents.tobytes(), o.pose.rotation.tobytes(),
+                  o.pose.translation.tobytes()) for oid, o in sorted(world.objects.items()))
+
+
+@dataclass
+class _CameraView:
+    """What one camera last saw, and what was derived from it."""
+
+    scene: tuple = ()
+    frame: Frame | None = None
+    observations: list | None = None  # assembled from ``frame`` when first sensed
+    parts: dict = field(default_factory=dict)  # assemble_snapshot's memo
+
+
 class TrialRuntime:
     """Wires simulator, store, and executive together for one trial.
 
-    The world changes only inside ``execute_skill``, so the runtime holds the
-    last rendered frame and serves it to ``sense`` and ``record_sta_sample``
-    until the next skill dispatch or a change of active camera: each world
-    state is rendered once, however often it is read.
+    Within a trial nothing pure is derived twice from the same inputs.
+    Each camera keeps its last frame under the scene it shows and renders
+    again only when the scene changes. A frame's observations and pixel
+    counts are kept with it, and each instance's envelope and geometry are
+    kept for the camera's next snapshot. A ``SemanticSimilarity`` reply is
+    kept per label pair for the trial, and a ``ReliabilityJudgment`` reply
+    per label for one sense cycle.
     """
 
     def __init__(self, doc: dict, world: SimWorld, store: WorldStore,
@@ -362,7 +382,9 @@ class TrialRuntime:
         self.cameras = build_cameras(doc)
         self.assoc_cfg = AssociationConfig()
         self.sta_samples: list[dict] = []
-        self._held: tuple[SimCamera, Frame] | None = None
+        self._views: dict[int, _CameraView] = {}  # by id of the camera
+        self._counted: tuple[Frame, dict[str, int]] | None = None  # last pixel counts
+        self._similarity: dict[str, float] = {}  # by "observed|remembered" labels
 
     def active_camera(self) -> SimCamera:
         cam = self.cameras.get(self.world.robot_zone)
@@ -370,20 +392,27 @@ class TrialRuntime:
             cam = next(iter(self.cameras.values()))
         return cam
 
+    def _view(self) -> _CameraView:
+        """The active camera's view, rendered again if the scene is not
+        the one the camera last saw."""
+        camera = self.active_camera()
+        view = self._views.get(id(camera))
+        if view is None:
+            view = self._views[id(camera)] = _CameraView()
+        scene = _scene(self.world)
+        if view.frame is None or view.scene != scene:
+            view.scene, view.frame = scene, render_frame(self.world, camera)
+            view.observations = None
+        return view
+
     def frame(self) -> Frame:
         """The active camera's frame of the current world state."""
-        camera = self.active_camera()
-        if self._held is None or self._held[0] is not camera:
-            self._held = (camera, render_frame(self.world, camera))
-        return self._held[1]
+        return self._view().frame
 
     # -- executive hooks ----------------------------------------------------
 
     def execute_skill(self, action: str, args: dict) -> list[FTEvent]:
         self.record_sta_sample()
-        # The only world writes of a trial follow; nothing renders until
-        # both have returned.
-        self._held = None
         self.world.step()
         return self.world.execute_skill(action, args)
 
@@ -404,7 +433,10 @@ class TrialRuntime:
                     uid, envelope=GaussianEnvelope(gripper_pos, _HELD_COVARIANCE),
                     geometry=None)
 
-        observations = assemble_snapshot(self.frame(), camera.intrinsics)
+        view = self._view()
+        if view.observations is None:
+            view.observations = assemble_snapshot(view.frame, camera.intrinsics, view.parts)
+        observations = view.observations
 
         memory_uids = [
             v.uid for v in self.store.entities_in_zone(self.world.robot_zone)
@@ -425,14 +457,16 @@ class TrialRuntime:
 
         def sim_fn(k, i):
             key = f"{observations[k].label}|{self.store.vertices[memory_uids[i]].label}"
-            resp = self.reasoner.query(
-                ReasonerRequest(RequestKind.SEMANTIC_SIMILARITY, key))
-            in_unit, wants = UNIT
-            if not in_unit(resp):
-                raise ReasonerFault(RequestKind.SEMANTIC_SIMILARITY.value,
-                                    f"SemanticSimilarity reply {resp!r} for {key!r} "
-                                    f"is not {wants}")
-            return float(resp)
+            if key not in self._similarity:
+                resp = self.reasoner.query(
+                    ReasonerRequest(RequestKind.SEMANTIC_SIMILARITY, key))
+                in_unit, wants = UNIT
+                if not in_unit(resp):
+                    raise ReasonerFault(RequestKind.SEMANTIC_SIMILARITY.value,
+                                        f"SemanticSimilarity reply {resp!r} for {key!r} "
+                                        f"is not {wants}")
+                self._similarity[key] = float(resp)
+            return self._similarity[key]
 
         cost = build_cost_matrix(observations, memory, self.assoc_cfg, iou_fn, sim_fn)
         match = assign(cost, self.assoc_cfg.tau_match)
@@ -457,18 +491,21 @@ class TrialRuntime:
                 unmatched_mem.remove(i)
                 gammas[k] = _RELOCALIZE_GAMMA
 
+        reliability: dict[str, float] = {}  # gamma by label, for this cycle
         for k, _i, _c in matched:
             if k in gammas:
                 continue
             key = observations[k].label
-            level = self.reasoner.query(
-                ReasonerRequest(RequestKind.RELIABILITY_JUDGMENT, key))
-            try:
-                gammas[k] = gamma_of(ReliabilityJudgment(level))
-            except ValueError:
-                raise ReasonerFault(RequestKind.RELIABILITY_JUDGMENT.value,
-                                    f"ReliabilityJudgment reply {level!r} for {key!r} "
-                                    "is not High, Medium, Low or Bad") from None
+            if key not in reliability:
+                level = self.reasoner.query(
+                    ReasonerRequest(RequestKind.RELIABILITY_JUDGMENT, key))
+                try:
+                    reliability[key] = gamma_of(ReliabilityJudgment(level))
+                except ValueError:
+                    raise ReasonerFault(RequestKind.RELIABILITY_JUDGMENT.value,
+                                        f"ReliabilityJudgment reply {level!r} for {key!r} "
+                                        "is not High, Medium, Low or Bad") from None
+            gammas[k] = reliability[key]
 
         final = MatchResult(matched, unmatched_obs, unmatched_mem)
         delta = register_or_update(
@@ -489,7 +526,10 @@ class TrialRuntime:
     # -- bookkeeping --------------------------------------------------------
 
     def record_sta_sample(self):
-        counts = visible_pixel_counts(self.world, self.frame())
+        frame = self.frame()
+        if self._counted is None or self._counted[0] is not frame:
+            self._counted = frame, visible_pixel_counts(self.world, frame)
+        counts = self._counted[1]
         truth = self.world.true_positions()
         gt_on = {(s, o) for _p, s, o in self.world.on_relations()}
         sample = {}

@@ -9,6 +9,7 @@ distance, and emits one observation per instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +19,9 @@ from .geometry import (
     PointCloudData,
     PoseSE3,
     envelope_from_points,
+    read_only_view,
 )
+from .serialization import Encoded, encoded
 
 # Distance bands for geometric abstraction (meters).
 DEFAULT_R_NEAR = 0.8
@@ -56,36 +59,76 @@ class Frame:
             raise ValueError("depth and mask dimensions differ")
 
 
-@dataclass
-class PointsGeom:
+class _Geom:
+    """A geometry is a frozen value, so what it derives is kept on first
+    use: its canonical JSON ``text`` here, and its axis-aligned ``bounds``
+    (None when it has no extent) in each kind."""
+
+    @cached_property
+    def text(self) -> Encoded:
+        return encoded(self.doc())
+
+
+@dataclass(frozen=True)
+class PointsGeom(_Geom):
     cloud: PointCloudData
 
+    def doc(self) -> dict:
+        return {"kind": "points", "points": self.cloud.points.tolist()}
 
-@dataclass
-class VoxelsGeom:
+    @cached_property
+    def bounds(self) -> tuple[np.ndarray, np.ndarray] | None:
+        pts = self.cloud.points
+        if len(pts) == 0:
+            return None
+        return read_only_view(pts.min(axis=0)), read_only_view(pts.max(axis=0))
+
+
+@dataclass(frozen=True)
+class VoxelsGeom(_Geom):
     cells: np.ndarray  # (N, 3) integer cell indices
     cell_size: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "cells", read_only_view(np.asarray(self.cells)))
 
-@dataclass
-class BillboardGeom:
+    def doc(self) -> dict:
+        return {"kind": "voxels", "cells": self.cells.tolist(), "cell_size": self.cell_size}
+
+    @cached_property
+    def bounds(self) -> tuple[np.ndarray, np.ndarray] | None:
+        if len(self.cells) == 0:
+            return None
+        return (read_only_view(self.cells.min(axis=0) * self.cell_size),
+                read_only_view((self.cells.max(axis=0) + 1) * self.cell_size))
+
+
+@dataclass(frozen=True)
+class BillboardGeom(_Geom):
     image_ref: str
     view_vector: np.ndarray
     centroid: np.ndarray
+
+    bounds = None  # a billboard has no extent
 
     def __post_init__(self):
         v = np.asarray(self.view_vector, dtype=float).reshape(3)
         n = np.linalg.norm(v)
         if abs(n - 1.0) > 1e-9:
             raise ValueError("billboard view vector must be unit norm")
-        self.view_vector = v
-        self.centroid = np.asarray(self.centroid, dtype=float).reshape(3)
+        object.__setattr__(self, "view_vector", read_only_view(v))
+        object.__setattr__(self, "centroid", read_only_view(
+            np.asarray(self.centroid, dtype=float).reshape(3)))
+
+    def doc(self) -> dict:
+        return {"kind": "billboard", "image_ref": self.image_ref,
+                "view_vector": self.view_vector.tolist(), "centroid": self.centroid.tolist()}
 
 
 GeomAbstraction = PointsGeom | VoxelsGeom | BillboardGeom
 
 
-@dataclass
+@dataclass(frozen=True)
 class Observation:
     label: str
     geometry: GeomAbstraction
@@ -143,6 +186,16 @@ def lift_frame(frame: Frame, k: CameraIntrinsics) -> LiftedPoints:
     return LiftedPoints(pts_b, ids)
 
 
+def unique_cells(cells: np.ndarray) -> np.ndarray:
+    """``np.unique(cells, axis=0)`` for an (N, 3) integer array: the
+    distinct rows in lexicographic order, from one ``lexsort`` and a
+    row-change mask."""
+    cells = cells[np.lexsort((cells[:, 2], cells[:, 1], cells[:, 0]))]
+    changed = np.ones(len(cells), dtype=bool)
+    changed[1:] = (cells[1:] != cells[:-1]).any(axis=1)
+    return cells[changed]
+
+
 def quantize_by_distance(
     points: np.ndarray, centroid: np.ndarray, image_ref: str = ""
 ) -> GeomAbstraction:
@@ -155,23 +208,38 @@ def quantize_by_distance(
     if dist < DEFAULT_R_NEAR:
         return PointsGeom(PointCloudData(pts))
     if dist < DEFAULT_R_FAR:
-        cells = np.unique(np.floor(pts / VOXEL_CELL_SIZE).astype(np.int64), axis=0)
+        cells = unique_cells(np.floor(pts / VOXEL_CELL_SIZE).astype(np.int64))
         return VoxelsGeom(cells, VOXEL_CELL_SIZE)
     view = centroid / dist
     return BillboardGeom(image_ref=image_ref, view_vector=view, centroid=centroid)
 
 
-def assemble_snapshot(frame: Frame, k: CameraIntrinsics) -> list[Observation]:
-    """One observation per mask instance with enough lifted points."""
+def assemble_snapshot(frame: Frame, k: CameraIntrinsics,
+                      memo: dict | None = None) -> list[Observation]:
+    """One observation per mask instance with enough lifted points.
+
+    An instance's envelope and geometry are a function of its id and its
+    lifted points. ``memo`` maps ``(instance_id, points.tobytes())`` to
+    that pair: an entry left there by the previous snapshot is reused, and
+    on return the memo holds this snapshot's entries only.
+    """
     lifted = lift_frame(frame, k)
+    memo = {} if memo is None else memo
+    previous = dict(memo)
+    memo.clear()
     observations = []
     for instance_id in sorted(frame.labels):
         pts = lifted.for_instance(instance_id)
         if len(pts) < 2:
             continue  # entirely invalid depth, or a single stray point
-        envelope = envelope_from_points(PointCloudData(pts))
-        geometry = quantize_by_distance(pts, envelope.mean,
-                                        image_ref=f"frame/crop/{instance_id}")
+        key = (instance_id, pts.tobytes())
+        parts = previous.get(key)
+        if parts is None:
+            envelope = envelope_from_points(PointCloudData(pts))
+            parts = envelope, quantize_by_distance(pts, envelope.mean,
+                                                   image_ref=f"frame/crop/{instance_id}")
+        memo[key] = parts
+        envelope, geometry = parts
         observations.append(
             Observation(label=frame.labels[instance_id], geometry=geometry, envelope=envelope)
         )

@@ -11,8 +11,8 @@ Rendering ray-casts each object's box against the camera's pixel rays, which
 the frozen ``SimCamera`` computes once. Each box is tested only against the
 pixels its projected corners can cover; the frame is the same, bit for bit,
 as a full-frame test of every box would give. The simulator keeps no frame:
-tests move ``SimObject`` poses directly, so a caller that wants to reuse a
-frame must know when the world last changed (``harness.TrialRuntime.frame``).
+tests move ``SimObject`` poses directly, so a caller that reuses a frame
+keys it on what ``render_frame`` reads (``harness.TrialRuntime.frame``).
 """
 
 from __future__ import annotations

@@ -457,15 +457,17 @@ class WorldStore:
         """``sha256(serialize())``, assembled from cached texts.
 
         Writes mark what they touch. Only the marked records and vertices
-        are encoded again, and only a marked table is joined again; it is
-        sorted again only when a uid came into it. A marked edge list is
+        are encoded again, a record around the text its geometry keeps,
+        and only a marked table is joined again; it is sorted again only
+        when a uid came into it. A marked edge list is
         joined from the texts its edges keep. A marked head section is
         encoded again. When nothing is marked, the last digest is returned.
         """
         sections = self._sections
         changed = False
-        for name, table, to_doc in (("records", self.records, _record_doc),
-                                    ("vertices", self.vertices, _vertex_doc)):
+        for name, table, to_text in (
+                ("records", self.records, _record_text),
+                ("vertices", self.vertices, lambda uid, v: encoded_member(uid, _vertex_doc(v)))):
             dirty = self._dirty[name]
             if not dirty:
                 continue
@@ -476,7 +478,7 @@ class WorldStore:
                     texts.pop(uid, None)
                 else:
                     added = added or uid not in texts
-                    texts[uid] = encoded_member(uid, to_doc(value))
+                    texts[uid] = to_text(uid, value)
             dirty.clear()
             if added:
                 self._texts[name] = texts = dict(sorted(texts.items()))
@@ -521,12 +523,21 @@ _HEAD_SECTIONS = {
 }
 
 
+def _record_text(uid: str, r: ObjectRecord) -> str:
+    """``encoded_member(uid, _record_doc(r))``, with the geometry's part
+    read from the text the geometry keeps: "geometry" sorts last."""
+    head = encoded_member(uid, {"attached_to": r.attached_to, "envelope": _envelope_doc(r)})
+    geometry = "null" if r.geometry is None else r.geometry.text
+    return f'{head[:-1]},"geometry":{geometry}}}'
+
+
+def _envelope_doc(r: ObjectRecord) -> dict:
+    return {"mean": r.envelope.mean.tolist(), "covariance": r.envelope.covariance.tolist()}
+
+
 def _record_doc(r: ObjectRecord) -> dict:
     return {
-        "envelope": {
-            "mean": r.envelope.mean.tolist(),
-            "covariance": r.envelope.covariance.tolist(),
-        },
+        "envelope": _envelope_doc(r),
         "geometry": geom_to_dict(r.geometry),
         "attached_to": r.attached_to,
     }
@@ -555,15 +566,8 @@ def _edge_doc(e: RelationEdge) -> dict:
 def geom_to_dict(g: GeomAbstraction | None):
     if g is None:
         return None
-    if isinstance(g, PointsGeom):
-        return {"kind": "points", "points": g.cloud.points.tolist()}
-    if isinstance(g, VoxelsGeom):
-        return {"kind": "voxels", "cells": g.cells.tolist(), "cell_size": g.cell_size}
-    if isinstance(g, BillboardGeom):
-        return {
-            "kind": "billboard", "image_ref": g.image_ref,
-            "view_vector": g.view_vector.tolist(), "centroid": g.centroid.tolist(),
-        }
+    if isinstance(g, (PointsGeom, VoxelsGeom, BillboardGeom)):
+        return g.doc()
     raise WorkcellError(f"unknown geometry {type(g)}")
 
 
@@ -585,14 +589,8 @@ def geom_from_dict(d) -> GeomAbstraction | None:
 
 def record_bounds(record: ObjectRecord) -> tuple[np.ndarray, np.ndarray]:
     """Axis-aligned bounds from stored geometry, else a 2-sigma envelope box."""
-    g = record.geometry
-    if isinstance(g, PointsGeom) and len(g.cloud) > 0:
-        return g.cloud.points.min(axis=0), g.cloud.points.max(axis=0)
-    if isinstance(g, VoxelsGeom) and len(g.cells) > 0:
-        lo = g.cells.min(axis=0) * g.cell_size
-        hi = (g.cells.max(axis=0) + 1) * g.cell_size
-        return lo, hi
-    return envelope_box(record.envelope)
+    bounds = None if record.geometry is None else record.geometry.bounds
+    return envelope_box(record.envelope) if bounds is None else bounds
 
 
 def _endpoint_record(store: WorldStore, uid: str) -> ObjectRecord:

@@ -131,6 +131,21 @@ def test_cholesky_solve_matches_numpy():
     assert np.allclose(spd_inverse(spd), np.linalg.inv(spd), atol=1e-10)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_spd_inverse_and_envelope_info_match_a_fresh_identity_solve(seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(3, 3))
+    cov = a @ a.T + 1e-3 * np.eye(3)
+    want = cholesky_solve(cov, np.eye(3)).tobytes()
+    assert spd_inverse(cov).tobytes() == want
+    env = GaussianEnvelope(rng.normal(size=3), cov)
+    assert env.info.tobytes() == cholesky_solve(env.covariance, np.eye(3)).tobytes()
+    assert env.info is env.info and not env.info.flags.writeable
+    assert spd_inverse(cov).flags.writeable  # a fresh array for the caller
+    assert np.array_equal(workcell.geometry._EYE3, np.eye(3))
+
+
 def test_cholesky_solve_rejects_indefinite():
     with pytest.raises(NumericError):
         cholesky_solve(np.diag([1.0, -1.0, 1.0]), np.ones(3))

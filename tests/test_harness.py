@@ -17,7 +17,7 @@ import workcell.harness as harness
 from workcell import cli, simulator
 from workcell.cognition import validate_ert
 from workcell.errors import ReasonerFault, ScenarioError, WorkcellError
-from workcell.geometry import GaussianEnvelope
+from workcell.geometry import GaussianEnvelope, PoseSE3
 from workcell.harness import (
     ScenarioSpec,
     answer_question,
@@ -717,6 +717,123 @@ def test_each_world_state_is_rendered_once(name, monkeypatch):
     report, _logs = run_scenario(load_scenario(SCENARIOS / name))
     assert report.tsr == pytest.approx(100.0)
     assert calls["samples"] > 0
+
+
+def _frame_bytes(frame):
+    return frame.depth.tobytes(), frame.mask.tobytes(), frame.labels
+
+
+def _runtime(doc):
+    world = build_world(doc, trial_seed=0)
+    store = build_store(doc, world)
+    return harness.TrialRuntime(doc, world, store, harness.build_reasoner(doc))
+
+
+@pytest.mark.parametrize("change", ["move", "turn", "relabel", "resize"])
+def test_kept_frame_follows_every_scene_change(change, monkeypatch):
+    """Each object in turn is changed in one of the ways render_frame reads;
+    the runtime's frame then equals a fresh render, and reading it again
+    with nothing changed renders nothing."""
+    renders = []
+    monkeypatch.setattr(harness, "render_frame",
+                        lambda world, camera: renders.append(1) or simulator.render_frame(
+                            world, camera))
+    runtime = _runtime(task1_doc())
+    world = runtime.world
+    c, s = np.cos(0.4), np.sin(0.4)
+    turn = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    changed = 0
+    for _oid, obj in sorted(world.objects.items()):
+        kept = runtime.frame()
+        if change == "move":
+            obj.pose = PoseSE3(obj.pose.rotation, obj.pose.translation + [0.01, 0, 0])
+        elif change == "turn":
+            obj.pose = PoseSE3(turn @ obj.pose.rotation, obj.pose.translation)
+        elif change == "relabel":
+            obj.label += "_x"
+        else:
+            obj.half_extents[1] *= 1.5  # in place: the key is the value
+        fresh = simulator.render_frame(world, runtime.active_camera())
+        assert _frame_bytes(runtime.frame()) == _frame_bytes(fresh)
+        changed += _frame_bytes(fresh) != _frame_bytes(kept)
+        count = len(renders)
+        assert runtime.frame() is runtime.frame()
+        assert len(renders) == count
+    assert changed > 0
+
+
+def _observation_bytes(observations):
+    return [(o.label, o.geometry.text, o.envelope.mean.tobytes(),
+             o.envelope.covariance.tobytes()) for o in observations]
+
+
+def test_sense_matches_fresh_snapshots_and_asks_each_question_once(monkeypatch):
+    """Over a cluttered assembly trial: every observation list sense hands
+    to association equals ``assemble_snapshot`` of a fresh render bit for
+    bit, although some lists and some instances are reused; each
+    ``SemanticSimilarity`` key is asked once per trial and each
+    ``ReliabilityJudgment`` key at most once per sense cycle; and the
+    planning counts equal the trial's planning queries."""
+    doc = task1_doc()
+    zone = next(z for z in doc["zones"] if z["id"] == "zone_a")
+    for i, label in enumerate(["nut", "washer", "nut", "washer", "clip", "clip"]):
+        x = zone["center"][0] - 0.12 + 0.05 * i
+        doc["objects"].append({"id": f"clutter_{i}", "label": label, "zone": "zone_a",
+                               "half_extents": [0.015, 0.015, 0.015],
+                               "position": [x, zone["center"][1] - 0.12, 0.015]})
+    assert validate_scenario(doc) == []
+    queries, snapshots, reused = [], [], []
+    sense, build, assemble = (harness.TrialRuntime.sense, harness.build_cost_matrix,
+                              harness.assemble_snapshot)
+    query = harness.ScriptedReasoner.query
+    current = {}
+
+    def watched_sense(self):
+        current["runtime"] = self
+        queries.append("sense")
+        return sense(self)
+
+    def checked_build(observations, memory, *args):
+        runtime = current["runtime"]
+        camera = runtime.active_camera()
+        fresh = simulator.render_frame(runtime.world, camera)
+        assert (_observation_bytes(observations)
+                == _observation_bytes(harness.assemble_snapshot(fresh, camera.intrinsics)))
+        snapshots.append(observations)
+        return build(observations, memory, *args)
+
+    def counted_assemble(frame, k, memo=None):
+        kept = dict(memo or {})
+        observations = assemble(frame, k, memo)
+        reused.extend(o for o in observations
+                      if any(o.envelope is e for e, _g in kept.values()))
+        return observations
+
+    def counted_query(self, request):
+        queries.append((request.kind.value, request.key))
+        return query(self, request)
+
+    monkeypatch.setattr(harness.TrialRuntime, "sense", watched_sense)
+    monkeypatch.setattr(harness, "build_cost_matrix", checked_build)
+    monkeypatch.setattr(harness, "assemble_snapshot", counted_assemble)
+    monkeypatch.setattr(harness.ScriptedReasoner, "query", counted_query)
+    log = run_trial(ScenarioSpec(doc), 0)
+    assert log["success"]
+    assert reused and any(a is b for a, b in zip(snapshots, snapshots[1:]))
+
+    similarity = [q for q in queries if q[0] == "SemanticSimilarity"]
+    assert len(similarity) == len(set(similarity)) > 0
+    cycles = [[]]
+    for q in queries:
+        if q == "sense":
+            cycles.append([])
+        elif q[0] == "ReliabilityJudgment":
+            cycles[-1].append(q)
+    assert all(len(c) == len(set(c)) for c in cycles)
+    assert sum(map(len, cycles)) > 0
+    planning = [q for q in queries if q != "sense"
+                and q[0] not in ("SemanticSimilarity", "ReliabilityJudgment")]
+    assert log["n_init"] + log["n_replan"] == len(planning)
 
 
 # -- CLI ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from workcell.errors import InvalidDepthError
-from workcell.geometry import PoseSE3
+from workcell.geometry import PointCloudData, PoseSE3
 from workcell.perception import (
     BillboardGeom,
     CameraIntrinsics,
@@ -18,7 +18,10 @@ from workcell.perception import (
     back_project,
     lift_frame,
     quantize_by_distance,
+    unique_cells,
 )
+from workcell.serialization import encoded
+from workcell.world_model import geom_to_dict
 
 from oracles import assemble_snapshot_reference
 
@@ -111,6 +114,58 @@ def test_quantize_voxels_dedupe():
     g = quantize_by_distance(pts, pts.mean(axis=0))
     assert isinstance(g, VoxelsGeom)
     assert len(g.cells) == 2  # first two share a cell
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_unique_cells_matches_np_unique(seed):
+    rng = np.random.default_rng(seed)
+    n, span = int(rng.integers(1, 60)), int(rng.integers(1, 6))
+    cells = rng.integers(-span, span + 1, (n, 3)).astype(np.int64)
+    if n > 1:
+        cells[rng.integers(0, n, n // 2)] = cells[0]  # guaranteed duplicates
+    got, want = unique_cells(cells), np.unique(cells, axis=0)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def _geometries():
+    pts = np.array([[0.0, -0.5, 0.3], [0.01, 0.2, 0.31], [-0.3, 0.0, 0.25]])
+    return [quantize_by_distance(pts, pts.mean(axis=0)),
+            quantize_by_distance(pts + [0.0, 0.0, 1.0], (pts + [0.0, 0.0, 1.0]).mean(axis=0)),
+            quantize_by_distance(pts + [0.0, 0.0, 5.0], (pts + [0.0, 0.0, 5.0]).mean(axis=0),
+                                 image_ref="frame/crop/3")]
+
+
+def test_geometries_are_frozen_values_with_read_only_arrays():
+    points, voxels, billboard = _geometries()
+    arrays = [points.cloud.points, voxels.cells, billboard.view_vector, billboard.centroid]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 1
+    for g, name in ((points, "cloud"), (voxels, "cells"), (billboard, "centroid")):
+        with pytest.raises(AttributeError):
+            setattr(g, name, None)
+    # The caller's array is left writable.
+    source = np.zeros((2, 3))
+    PointsGeom(PointCloudData(source))
+    VoxelsGeom(source.astype(np.int64), 0.02)
+    source[0, 0] = 1.0
+
+
+def test_geometry_text_and_bounds_equal_the_uncached_values():
+    for g in _geometries():
+        assert g.text == encoded(geom_to_dict(g))
+        assert g.text is g.text  # computed once
+    points, voxels, billboard = _geometries()
+    lo, hi = points.bounds
+    assert lo.tobytes() == points.cloud.points.min(axis=0).tobytes()
+    assert hi.tobytes() == points.cloud.points.max(axis=0).tobytes()
+    lo, hi = voxels.bounds
+    assert lo.tobytes() == (voxels.cells.min(axis=0) * voxels.cell_size).tobytes()
+    assert hi.tobytes() == ((voxels.cells.max(axis=0) + 1) * voxels.cell_size).tobytes()
+    assert billboard.bounds is None
+    assert PointsGeom(PointCloudData(np.zeros((0, 3)))).bounds is None
+    assert VoxelsGeom(np.zeros((0, 3), dtype=np.int64), 0.02).bounds is None
 
 
 def test_quantize_rejects_empty():
@@ -223,3 +278,42 @@ def test_snapshot_frames_cover_the_edge_cases():
         )
     assert seen == {"no pixels", "one point", "off ray", "zero depth",
                     "PointsGeom", "VoxelsGeom", "BillboardGeom"}
+
+
+def _moved(frame, k, instance, shift):
+    """The frame with one instance's depth scaled, so its points move."""
+    depth = frame.depth.copy()
+    depth[frame.mask == instance] *= shift
+    return Frame(depth, frame.mask, frame.labels, frame.camera_pose), k
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_memoized_snapshot_matches_a_fresh_one(seed):
+    """A sequence of frames in which one instance at a time moves: each
+    snapshot assembled with the memo equals ``assemble_snapshot(frame, k)``
+    bit for bit, an instance whose points did not change keeps its
+    envelope and geometry objects, and the memo holds the last snapshot's
+    instances only."""
+    frame, k = _snapshot_frame(seed)
+    rng = np.random.default_rng(seed)
+    memo: dict = {}
+    previous: dict = {}
+    for step in range(4):
+        observations = assemble_snapshot(frame, k, memo)
+        assert (_snapshot_outcome(lambda *_: observations, frame, k)
+                == _snapshot_outcome(assemble_snapshot, frame, k))
+        lifted = lift_frame(frame, k)
+        kept = 0
+        for (instance, data), (envelope, geometry) in memo.items():
+            assert data == lifted.for_instance(instance).tobytes()
+            assert any(o.envelope is envelope and o.geometry is geometry for o in observations)
+            if (instance, data) in previous:
+                old_envelope, old_geometry = previous[instance, data]
+                assert old_envelope is envelope and old_geometry is geometry
+                kept += 1
+        assert len(memo) == len(observations)
+        # Only the moved instance can be lifted again.
+        assert step == 0 or kept >= len(observations) - 1
+        previous = dict(memo)
+        frame, k = _moved(frame, k, int(rng.choice(sorted(frame.labels))), 1.01)

@@ -23,7 +23,7 @@ from workcell.cognition import ValidationStage, validate_ert
 from workcell.errors import IntegrityError, WorkcellError
 from workcell.geometry import GaussianEnvelope, PointCloudData
 from workcell.harness import build_store, build_world
-from workcell.perception import Observation, PointsGeom
+from workcell.perception import BillboardGeom, Observation, PointsGeom, VoxelsGeom
 from workcell.serialization import (
     canonical_dumps,
     encoded,
@@ -53,6 +53,8 @@ from workcell.world_model import (
     TAU_UNCERTAIN,
     WorldStore,
     ZoneNode,
+    _record_doc,
+    _record_text,
     curate_zone,
     record_bounds,
     register_or_update,
@@ -332,6 +334,28 @@ def test_encoded_parts_join_to_the_canonical_text(doc):
     whole = canonical_dumps(doc)
     assert canonical_dumps({key: encoded(value) for key, value in doc.items()}) == whole
     assert encoded_object([encoded_member(key, doc[key]) for key in sorted(doc)]) == whole
+
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False)
+_geometry = st.one_of(
+    st.none(),
+    st.lists(st.tuples(_finite, _finite, _finite), max_size=6).map(
+        lambda ps: PointsGeom(PointCloudData(np.array(ps, dtype=float).reshape(-1, 3)))),
+    st.builds(lambda cells, size: VoxelsGeom(np.array(cells, dtype=np.int64).reshape(-1, 3),
+                                             size),
+              st.lists(st.tuples(*[st.integers(-10**6, 10**6)] * 3), max_size=6),
+              st.floats(1e-3, 1.0)),
+    st.builds(lambda ref, centroid: BillboardGeom(ref, [0.0, 0.6, 0.8], centroid),
+              st.text(max_size=8), st.tuples(_finite, _finite, _finite)),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.text(max_size=8), _geometry, st.sampled_from(["world", "gripper"]),
+       st.tuples(_finite, _finite, _finite), st.floats(1e-4, 10.0))
+def test_record_text_is_the_encoded_record_document(uid, geometry, attached_to, mean, sigma):
+    record = ObjectRecord(_env(mean, sigma), geometry, attached_to)
+    assert _record_text(uid, record) == encoded_member(uid, _record_doc(record))
 
 
 def test_encoders_reject_what_json_cannot_hold():
