@@ -134,6 +134,14 @@ class GaussianEnvelope:
         info.flags.writeable = False
         return info
 
+    @cached_property
+    def box(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (lo, hi) corners of the axis-aligned box two standard
+        deviations either side of the mean, computed on first use and
+        read-only."""
+        sigma = np.sqrt(np.diag(self.covariance))
+        return read_only_view(self.mean - 2 * sigma), read_only_view(self.mean + 2 * sigma)
+
 
 # Bound on the gap between the smallest eigenvalue np.linalg.eigvalsh gives
 # for a symmetric 3x3 matrix and the one the constructor's dsyevd gives,
@@ -306,13 +314,6 @@ def envelope_from_points(pc: PointCloudData) -> GaussianEnvelope:
     centered = pc.points - mean
     cov = (centered.T @ centered) / (len(pc) - 1) + COV_EPSILON * np.eye(3)
     return GaussianEnvelope(mean, cov)
-
-
-def envelope_box(env: GaussianEnvelope) -> tuple[np.ndarray, np.ndarray]:
-    """The (lo, hi) corners of the axis-aligned box two standard deviations
-    either side of the envelope's mean."""
-    sigma = np.sqrt(np.diag(env.covariance))
-    return env.mean - 2 * sigma, env.mean + 2 * sigma
 
 
 def xy_iou(lo_a, hi_a, lo_b, hi_b) -> float:

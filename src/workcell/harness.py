@@ -40,7 +40,6 @@ from .geometry import (
     OrientedBox,
     PointCloudData,
     PoseSE3,
-    envelope_box,
     xy_iou,
 )
 from .perception import (
@@ -372,6 +371,14 @@ class TrialRuntime:
     kept for the camera's next snapshot. A ``SemanticSimilarity`` reply is
     kept per label pair for the trial, and a ``ReliabilityJudgment`` reply
     per label for one sense cycle.
+
+    Nor is a measurement fused twice. For each record the runtime keeps the
+    observation envelope last fused into it and the bytes of the envelope
+    that fusion produced (``register_or_update``'s ``fused``). An unchanged
+    instance hands back the same envelope object, so a later cycle that
+    matches it to the same record skips the fusion while the record's
+    envelope still has those bytes. Any other write to the envelope, such
+    as the held-object reset or a rollback, makes the next match fuse again.
     """
 
     def __init__(self, doc: dict, world: SimWorld, store: WorldStore,
@@ -385,6 +392,7 @@ class TrialRuntime:
         self._views: dict[int, _CameraView] = {}  # by id of the camera
         self._counted: tuple[Frame, dict[str, int]] | None = None  # last pixel counts
         self._similarity: dict[str, float] = {}  # by "observed|remembered" labels
+        self._fused: dict[str, tuple[GaussianEnvelope, bytes]] = {}  # by record uid
 
     def active_camera(self) -> SimCamera:
         cam = self.cameras.get(self.world.robot_zone)
@@ -444,16 +452,8 @@ class TrialRuntime:
         memory_uids += [u for u in held_uids if u not in memory_uids]
         memory = [self.store.records[u] for u in memory_uids]
 
-        # Each side's box depends on that side only: computed on first use.
-        obs_boxes: dict[int, tuple] = {}
-        memory_boxes: dict[int, tuple] = {}
-
         def iou_fn(k, i):
-            if k not in obs_boxes:
-                obs_boxes[k] = envelope_box(observations[k].envelope)
-            if i not in memory_boxes:
-                memory_boxes[i] = record_bounds(memory[i])
-            return xy_iou(*obs_boxes[k], *memory_boxes[i])
+            return xy_iou(*observations[k].envelope.box, *record_bounds(memory[i]))
 
         def sim_fn(k, i):
             key = f"{observations[k].label}|{self.store.vertices[memory_uids[i]].label}"
@@ -510,7 +510,7 @@ class TrialRuntime:
         final = MatchResult(matched, unmatched_obs, unmatched_mem)
         delta = register_or_update(
             self.store, observations, final, memory_uids, gammas,
-            zone_id=self.world.robot_zone, cfg=self.assoc_cfg,
+            zone_id=self.world.robot_zone, cfg=self.assoc_cfg, fused=self._fused,
         )
 
         observed = {memory_uids[i] for _k, i, _c in matched}

@@ -47,7 +47,6 @@ from .geometry import (
     OrientedBox,
     PointCloudData,
     cholesky_solve,
-    envelope_box,
     envelope_stack,
     mahalanobis_between,
 )
@@ -590,7 +589,7 @@ def geom_from_dict(d) -> GeomAbstraction | None:
 def record_bounds(record: ObjectRecord) -> tuple[np.ndarray, np.ndarray]:
     """Axis-aligned bounds from stored geometry, else a 2-sigma envelope box."""
     bounds = None if record.geometry is None else record.geometry.bounds
-    return envelope_box(record.envelope) if bounds is None else bounds
+    return record.envelope.box if bounds is None else bounds
 
 
 def _endpoint_record(store: WorldStore, uid: str) -> ObjectRecord:
@@ -714,6 +713,7 @@ def register_or_update(
     gammas: dict[int, float],
     zone_id: str,
     cfg: AssociationConfig | None = None,
+    fused: dict[str, tuple[GaussianEnvelope, bytes]] | None = None,
 ) -> StoreDelta:
     """Apply an association outcome: fuse matches, and restore or confirm
     each unmatched observation. An unmatched observation that restores no
@@ -722,18 +722,40 @@ def register_or_update(
 
     memory_uids maps match-result memory indices back to store uids;
     gammas maps observation indices to fusion weights.
+
+    ``fused``, when given, maps a record uid to the observation envelope
+    last fused into the record and the bytes of the envelope that fusion
+    produced. Every fusion here, a restore's included, writes its entry,
+    and so does a promotion, with the founding observation. A matched
+    observation is then fused into a record once: it is not fused again
+    while its envelope is that same object and the record's envelope
+    still has those bytes, so any other write to the envelope forces a
+    fresh fusion. A matched observation with gamma above 0.1 replaces a
+    stored geometry that is not its own, whether it is fused or not.
     """
     cfg = cfg or AssociationConfig()
     delta = StoreDelta()
+
+    def remember(uid: str, obs: Observation, envelope: GaussianEnvelope) -> GaussianEnvelope:
+        """Note in the memo that ``envelope`` holds ``obs``'s measurement."""
+        if fused is not None:
+            fused[uid] = obs.envelope, _envelope_bytes(envelope)
+        return envelope
 
     for obs_idx, mem_idx, _cost in match.matched:
         uid = memory_uids[mem_idx]
         gamma = gammas.get(obs_idx, 1.0)
         obs = observations[obs_idx]
-        fields = {"envelope": fuse(store.records[uid].envelope, obs.envelope, gamma)}
-        if gamma > 0.1 and obs.geometry is not None:
+        rec = store.records[uid]
+        last = None if fused is None else fused.get(uid)
+        fields = {}
+        if (last is None or last[0] is not obs.envelope
+                or last[1] != _envelope_bytes(rec.envelope)):
+            fields["envelope"] = remember(uid, obs, fuse(rec.envelope, obs.envelope, gamma))
+        if gamma > 0.1 and obs.geometry is not None and obs.geometry is not rec.geometry:
             fields["geometry"] = obs.geometry
-        store.update_record(uid, **fields)
+        if fields:
+            store.update_record(uid, **fields)
         delta.fused.append(uid)
 
     sighted_keys = set()
@@ -742,8 +764,8 @@ def register_or_update(
         restored = restore_candidates(store, obs, cfg)
         if restored is not None:
             store.update_vertex(restored, confidence=1.0, lifecycle=Lifecycle.ACTIVE)
-            store.update_record(restored, envelope=fuse(
-                store.records[restored].envelope, obs.envelope, gammas.get(obs_idx, 1.0)))
+            store.update_record(restored, envelope=remember(restored, obs, fuse(
+                store.records[restored].envelope, obs.envelope, gammas.get(obs_idx, 1.0))))
             delta.restored.append(restored)
             continue
         key = _tentative_key(store, obs, cfg)
@@ -758,6 +780,7 @@ def register_or_update(
                 zone_id=zone_id,
                 geometry=obs.geometry,
             )
+            remember(uid, obs, obs.envelope)
             delta.promoted.append(uid)
 
     # Sightings not seen again this cycle fall out of the window.
@@ -767,6 +790,10 @@ def register_or_update(
 
     store.check_integrity(delta.fused + delta.restored + delta.promoted)
     return delta
+
+
+def _envelope_bytes(envelope: GaussianEnvelope) -> bytes:
+    return envelope.mean.tobytes() + envelope.covariance.tobytes()
 
 
 def _tentative_key(store: WorldStore, obs: Observation, cfg: AssociationConfig) -> int:

@@ -18,7 +18,6 @@ from workcell.geometry import (
     PointCloudData,
     PoseSE3,
     cholesky_solve,
-    envelope_box,
     envelope_from_points,
     envelope_stack,
     mahalanobis_between,
@@ -488,11 +487,13 @@ def test_envelope_box_is_two_sigma_to_the_bit():
     for _ in range(50):
         a = rng.normal(size=(3, 3))
         env = GaussianEnvelope(rng.normal(size=3), a @ a.T + 1e-3 * np.eye(3))
-        lo, hi = envelope_box(env)
+        lo, hi = env.box
         # mean ± 2 sigma per axis, written out.
         sigma = np.sqrt(np.diag(env.covariance))
         assert lo.tobytes() == (env.mean - 2 * sigma).tobytes()
         assert hi.tobytes() == (env.mean + 2 * sigma).tobytes()
+        assert env.box is env.box
+        assert not lo.flags.writeable and not hi.flags.writeable
 
 
 # -- chi-square ---------------------------------------------------------------

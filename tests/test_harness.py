@@ -11,9 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import workcell.executive as executive
 import workcell.harness as harness
+import workcell.world_model as world_model
 from workcell import cli, simulator
 from workcell.cognition import validate_ert
 from workcell.errors import ReasonerFault, ScenarioError, WorkcellError
@@ -32,7 +35,13 @@ from workcell.harness import (
     sta_from_samples,
     validate_scenario,
 )
-from workcell.transactions import FTEvent, FTSignal
+from workcell.transactions import (
+    ConstraintState,
+    FTEvent,
+    FTSignal,
+    apply_inverse,
+    capture_inverse,
+)
 from workcell.world_model import EdgeStatus, Lifecycle, WorldStore, ZoneNode
 
 from fixtures import ert_doc, task1_doc, task3_doc
@@ -834,6 +843,103 @@ def test_sense_matches_fresh_snapshots_and_asks_each_question_once(monkeypatch):
     planning = [q for q in queries if q != "sense"
                 and q[0] not in ("SemanticSimilarity", "ReliabilityJudgment")]
     assert log["n_init"] + log["n_replan"] == len(planning)
+
+
+# -- fusion: each measurement once ----------------------------------------------
+
+
+def _sensing(monkeypatch):
+    """``sense(runtime)``: one sense cycle of ``runtime``, returning the uids
+    of the records it fused into, in call order."""
+    fuse, seen = world_model.fuse, {}
+
+    def spy(prior, obs, gamma):
+        records = seen["runtime"].store.records
+        seen["fused"].append(next(u for u, r in records.items() if r.envelope is prior))
+        return fuse(prior, obs, gamma)
+
+    def sense(runtime):
+        seen.update(runtime=runtime, fused=[])
+        runtime.sense()
+        return seen["fused"]
+
+    monkeypatch.setattr(world_model, "fuse", spy)
+    return sense
+
+
+def _shift(world, oid, dx, dy=0.0):
+    obj = world.objects[oid]
+    obj.pose = PoseSE3(obj.pose.rotation, obj.pose.translation + [dx, dy, 0.0])
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(k=st.integers(2, 5), zone=st.sampled_from(["zone_a", "zone_b", "zone_c"]),
+       offsets=st.lists(st.tuples(st.floats(-0.02, 0.02), st.floats(-0.02, 0.02)),
+                        min_size=5, max_size=5))
+def test_sensing_an_unchanged_scene_again_leaves_every_record(k, zone, offsets):
+    """Each object is moved off its briefing position, the robot is put in
+    a zone, and the scene is sensed k times: every record then equals the
+    record one sense gives."""
+    records = []
+    for senses in (1, k):
+        runtime = _runtime(task1_doc())
+        for (dx, dy), oid in zip(offsets, sorted(runtime.world.objects)):
+            _shift(runtime.world, oid, dx, dy)
+        runtime.world.robot_zone = runtime.store.robot_zone = zone
+        for _ in range(senses):
+            runtime.sense()
+        records.append(runtime.store.to_dict()["records"])
+    assert records[0] == records[1]
+
+
+def test_a_moved_object_is_fused_again_on_its_next_frame(monkeypatch):
+    sense = _sensing(monkeypatch)
+    runtime = _runtime(task1_doc())
+    assert sorted(sense(runtime)) == ["part_a", "part_b"]
+    assert sense(runtime) == []
+    _shift(runtime.world, "part_a", 0.01)
+    assert sense(runtime) == ["part_a"]
+    assert sense(runtime) == []
+
+
+def test_a_record_another_writer_changed_is_fused_again(monkeypatch):
+    """A rollback's ``apply_inverse`` puts back a record's envelope from
+    before a fusion, and the held-object reset writes the gripper's belief;
+    the same measurement is then fused again. After the rollback that gives
+    the record the first fusion gave."""
+    sense = _sensing(monkeypatch)
+    runtime = _runtime(task1_doc())
+    store = runtime.store
+    inverse = capture_inverse(store, ConstraintState(), {"object": "part_a"})
+    sense(runtime)
+    first = store.to_dict()["records"]["part_a"]
+    apply_inverse(store, inverse)
+    assert store.to_dict()["records"]["part_a"] != first
+    assert sense(runtime) == ["part_a"]
+    assert store.to_dict()["records"]["part_a"] == first
+    assert sense(runtime) == []
+    store.update_record("part_a", attached_to="gripper")
+    assert sense(runtime) == ["part_a"]
+
+
+def test_a_resumed_store_makes_the_same_fusion_decisions(monkeypatch):
+    """Two runtimes sense the same scenes, and one resumes its store from
+    the store's document before every cycle: both fuse the same records in
+    every cycle, and end with the same records."""
+    sense = _sensing(monkeypatch)
+    kept, resumed = _runtime(task1_doc()), _runtime(task1_doc())
+    decisions = []
+    for change in (None, None, "move", None, "hold", None, "move", None):
+        for runtime in (kept, resumed):
+            if change == "move":
+                _shift(runtime.world, "part_b", -0.01)
+            elif change == "hold":
+                runtime.store.update_record("part_a", attached_to="gripper")
+        resumed.store = WorldStore.from_dict(resumed.store.to_dict())
+        decisions.append((sense(kept), sense(resumed)))
+    assert all(a == b for a, b in decisions)
+    assert [] in (a for a, _b in decisions) and any(a for a, _b in decisions)
+    assert kept.store.serialize() == resumed.store.serialize()
 
 
 # -- CLI ----------------------------------------------------------------------

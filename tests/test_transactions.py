@@ -81,6 +81,9 @@ def test_ft_mapping_table():
     assert map_ft_event(grip(41.0), "close") == ControllerEvent.OVER_SQUEEZE
     assert map_ft_event(grip(41.0), "insert") == ControllerEvent.OVER_SQUEEZE
     assert map_ft_event(grip(20.0), "close") is None
+    # The low-force bound is strict: exactly 5 N still holds the part.
+    assert map_ft_event(grip(5.0), "close") is None
+    assert map_ft_event(grip(np.nextafter(5.0, 0.0)), "close") == ControllerEvent.GRASP_FAILURE
     # External force during transport: collision.
     ext = lambda v: FTEvent(FTSignal.EXTERNAL_FORCE, v, "N")
     assert map_ft_event(ext(16.0), "transport") == ControllerEvent.COLLISION_DETECTED
@@ -154,6 +157,16 @@ def test_insert_requires_verified_alignment():
     res = apply_transition(store, cs, log, "Insert",
                            {"part": "part", "receptacle": "plate"})
     assert res.status == TransitionStatus.COMMITTED
+
+
+def test_move_to_an_unknown_zone_is_refused():
+    """A Move names a zone the store holds, or raises before anything is
+    written or logged."""
+    store, log = make_store(), TransactionLog()
+    before = store.serialize()
+    with pytest.raises(TransactionError, match="zone nowhere unknown"):
+        apply_transition(store, ConstraintState(), log, "Move", {"zone": "nowhere"})
+    assert store.serialize() == before and log.entries == []
 
 
 def test_unknown_action_rejected():

@@ -594,6 +594,55 @@ def test_low_gamma_keeps_stored_geometry():
     assert store.records[uid].geometry is obs.geometry
 
 
+def test_a_measurement_is_fused_into_a_record_once():
+    """With the memo, a matched observation envelope is fused once whatever
+    its gamma, and the pair is still reported as fused; its geometry still
+    replaces a stored one at gamma above 0.1. An envelope with the same
+    values in a new object is a new measurement."""
+    store = _store_with_zone()
+    geom = PointsGeom(PointCloudData(np.zeros((2, 3))))
+    uid = store.add_entity("gear", _env([0, 0, 0]), "z1", geometry=geom)
+    obs = _obs("gear", [0.001, 0, 0],
+               geometry=PointsGeom(PointCloudData(np.ones((2, 3)))))
+    match = MatchResult(matched=[(0, 0, 0.1)])
+    fused = {}
+    register_or_update(store, [obs], match, [uid], {0: 0.01}, "z1", fused=fused)
+    once = store.records[uid].envelope
+    assert once.mean.tolist() != [0, 0, 0] and store.records[uid].geometry is geom
+    delta = register_or_update(store, [obs], match, [uid], {0: 1.0}, "z1", fused=fused)
+    assert delta.fused == [uid]
+    assert store.records[uid].envelope is once
+    assert store.records[uid].geometry is obs.geometry
+    same_values = Observation(obs.label, obs.geometry,
+                              GaussianEnvelope(obs.envelope.mean, obs.envelope.covariance))
+    register_or_update(store, [same_values], match, [uid], {0: 1.0}, "z1", fused=fused)
+    assert (store.records[uid].envelope.covariance < once.covariance).all(where=np.eye(3) > 0)
+
+
+def test_a_restored_or_promoted_record_holds_its_measurement_once():
+    """A restore fuses the observation into the archived record, and a
+    promotion stores it as the new record's envelope; with the memo, a
+    later match of the same observation to that record fuses nothing."""
+    store = _store_with_zone()
+    gear = store.add_entity("gear", _env([0, 0, 0]), "z1")
+    store.update_vertex(gear, lifecycle=Lifecycle.ARCHIVED)
+    observations = [_obs("gear", [0.01, 0, 0]), _obs("bolt", [0.5, 0, 0])]
+    fused = {}
+    delta = register_or_update(store, observations, MatchResult(unmatched_observations=[0, 1]),
+                               [], {}, "z1", fused=fused)
+    assert delta.restored == [gear]
+    restored = store.records[gear].envelope
+    delta = register_or_update(store, observations,
+                               MatchResult(matched=[(0, 0, 0.1)], unmatched_observations=[1]),
+                               [gear], {0: 1.0}, "z1", fused=fused)
+    assert delta.fused == [gear] and delta.promoted == ["bolt_1"]
+    assert store.records[gear].envelope is restored
+    register_or_update(store, observations, MatchResult(matched=[(0, 0, 0.1), (1, 1, 0.1)]),
+                       [gear, "bolt_1"], {0: 1.0, 1: 1.0}, "z1", fused=fused)
+    assert store.records[gear].envelope is restored
+    assert store.records["bolt_1"].envelope is observations[1].envelope
+
+
 def test_new_track_needs_two_sightings():
     store = _store_with_zone()
     obs = _obs("gear", [0.5, 0, 0])
