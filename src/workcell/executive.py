@@ -28,14 +28,12 @@ from .schema import BOOL, DICT, INT, LIST, STR, key_errors, list_of
 from .transactions import (
     CommitDecision,
     ConstraintState,
-    FTEvent,
     Phase,
     TransactionEntry,
     TransactionLog,
     TransitionStatus,
     apply_transition,
     check_commit,
-    check_preconditions,
     cs_during_action,
     mark_committed,
     rollback,
@@ -378,12 +376,9 @@ class Executive:
         self._clock += 1
         pre_edges = list(self.store.edges)
         cs_before = self.cs
-        # A skill the store refuses is never dispatched to the robot.
-        refused = check_preconditions(self.store, self.cs, ert.action, ert.args)
-        ft_events: list[FTEvent] = (
-            [] if refused is not None else self.execute_skill(ert.action, ert.args))
         result = apply_transition(
-            self.store, self.cs, self.log, ert.action, ert.args, ft_events=ft_events,
+            self.store, self.cs, self.log, ert.action, ert.args,
+            dispatch=lambda: self.execute_skill(ert.action, ert.args),
         )
         self._record(
             "executed", node=node.node_id, action=ert.action,

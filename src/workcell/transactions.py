@@ -11,6 +11,7 @@ transitions that controller events force.
 from __future__ import annotations
 
 import copy
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -387,12 +388,14 @@ def apply_transition(
     log: TransactionLog,
     action: str,
     args: dict | None = None,
-    ft_events: list[FTEvent] | None = None,
+    dispatch: Callable[[], list[FTEvent]] | None = None,
 ) -> TransitionResult:
     """Run one skill as an all-or-nothing delta.
 
-    Adverse force-torque events observed during the skill trigger an
-    immediate revert to the recorded pre-state.
+    ``dispatch`` runs the skill on the robot and returns the force-torque
+    events observed during it; it is called only once the preconditions
+    hold, so a refused skill is never dispatched. Adverse events trigger
+    an immediate revert to the recorded pre-state.
     """
     if action not in SKILLS:
         raise TransactionError(f"unknown action {action!r}")
@@ -404,12 +407,13 @@ def apply_transition(
             TransitionStatus.PRECONDITION_FAILED, cs, failed_predicate=failed
         )
 
+    ft_events = dispatch() if dispatch is not None else []
     pre_hash = store.state_hash()
     inverse = capture_inverse(store, cs, args)
     new_cs, delta = _apply_effects(store, cs, action, args)
 
     mapped = [
-        m for ev in (ft_events or [])
+        m for ev in ft_events
         if (m := map_ft_event(ev, _FT_CONTEXT[action])) is not None
     ]
     adverse = [m for m in mapped if m in _ADVERSE]

@@ -12,6 +12,7 @@ import json
 
 import numpy as np
 from scipy import linalg
+from scipy.optimize import linear_sum_assignment
 
 # The assignment convention under test: the solver sees gated pairs as a
 # large finite sentinel, always produces a full min(n, m) assignment, and
@@ -39,6 +40,35 @@ def brute_force_assignment_cost(cost: np.ndarray) -> float:
     # Strip the sentinel contribution of the gated pairs in the optimum.
     n_gated = int(round(best_total / _SENTINEL))
     return best_total - n_gated * _SENTINEL
+
+
+def scipy_assignment(cost) -> tuple[list[int], list[int]]:
+    """Rows and columns of scipy's minimum-cost assignment, the solver the
+    package's own port must reproduce tie for tie."""
+    rows, cols = linear_sum_assignment(np.asarray(cost, dtype=float))
+    return rows.tolist(), cols.tolist()
+
+
+def assign_reference(cost, tau_match):
+    """``association.assign`` as it was written on scipy's solver: gated
+    pairs enter as the sentinel, and non-finite or over-threshold pairs
+    are dropped after solving."""
+    from workcell.association import MatchResult
+
+    cost = np.asarray(cost, dtype=float)
+    n_obs, n_mem = cost.shape
+    if n_obs == 0 or n_mem == 0:
+        return MatchResult([], list(range(n_obs)), list(range(n_mem)))
+    rows, cols = linear_sum_assignment(np.where(np.isfinite(cost), cost, _SENTINEL))
+    matched = [(int(r), int(c), float(cost[r, c])) for r, c in zip(rows, cols)
+               if np.isfinite(cost[r, c]) and not cost[r, c] > tau_match]
+    used_obs = {m[0] for m in matched}
+    used_mem = {m[1] for m in matched}
+    return MatchResult(
+        matched,
+        [k for k in range(n_obs) if k not in used_obs],
+        [i for i in range(n_mem) if i not in used_mem],
+    )
 
 
 def padded_permutation_cost(cost: np.ndarray) -> float:

@@ -302,7 +302,7 @@ def test_c06_every_skill_rolls_back_byte_identically_on_every_trigger():
             log = TransactionLog()
             before = state_bytes(store, cs)
             result = apply_transition(store, cs, log, skill, args,
-                                      ft_events=[event])
+                                      dispatch=lambda: [event])
             assert result.status == TransitionStatus.ROLLED_BACK
             assert result.reason == expected.value
             assert state_bytes(store, result.cs) == before

@@ -983,13 +983,27 @@ def test_cli_reports_errors(tmp_path, capsys):
 # -- import path --------------------------------------------------------------
 
 
-def test_engine_import_leaves_out_scipy_stats():
-    # scipy.stats is slow and large to import, and the engine has no use
-    # for it; a fresh interpreter shows what the import path pulls in.
+def _engine_import_loads(*packages) -> list[str]:
+    """The modules of ``packages`` that importing the engine's entry points
+    loads in a fresh interpreter."""
     src = Path(cli.__file__).resolve().parents[1]
-    code = "import sys, workcell.harness; print('scipy.stats' in sys.modules)"
+    code = ("import json, sys, workcell.harness, workcell.cli; print(json.dumps(sorted("
+            f"m for m in sys.modules if m.startswith({packages!r}))))")
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=120,
     )
-    assert out.stdout.strip() == "False"
+    return json.loads(out.stdout)
+
+
+def test_engine_import_leaves_out_scipy_stats():
+    # scipy.stats is slow and large to import, and the engine has no use
+    # for it.
+    assert _engine_import_loads("scipy.stats") == []
+
+
+def test_engine_import_leaves_out_scipy_optimize_and_spatial():
+    # The engine solves its assignments itself, and only registration,
+    # which no run calls, uses a k-d tree: together the two packages add
+    # about 20 MB and 0.2 s to every process.
+    assert _engine_import_loads("scipy.optimize", "scipy.spatial") == []

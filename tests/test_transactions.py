@@ -242,7 +242,7 @@ def test_adverse_event_rolls_back_byte_identical():
     before = state_bytes(store, cs)
     res = apply_transition(
         store, cs, log, "Pick", {"object": "part"},
-        ft_events=[FTEvent(FTSignal.GRIPPER_FORCE, 3.0, "N")],
+        dispatch=lambda: [FTEvent(FTSignal.GRIPPER_FORCE, 3.0, "N")],
     )
     assert res.status == TransitionStatus.ROLLED_BACK
     assert res.reason == "GraspFailure"

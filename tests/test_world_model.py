@@ -753,7 +753,7 @@ class StoreHashMachine(RuleBasedStateMachine):
         before = state_bytes(self.store, ConstraintState())
         squeeze = FTEvent(FTSignal.GRIPPER_FORCE, 50.0, "N")
         apply_transition(self.store, ConstraintState(), TransactionLog(), "Pick",
-                         {"object": self._uid(data)}, ft_events=[squeeze])
+                         {"object": self._uid(data)}, dispatch=lambda: [squeeze])
         assert state_bytes(self.store, ConstraintState()) == before
 
     @rule(data=st.data(), mean=_mean, label=_label, new=st.booleans())
