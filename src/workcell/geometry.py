@@ -5,14 +5,40 @@ Everything here is a pure value or a pure function; no shared state.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lapack
+import scipy
 
 from .errors import InsufficientDataError, NumericError
+
+
+def _load_flapack():
+    """``scipy.linalg._flapack``, the compiled module whose LAPACK functions
+    ``scipy.linalg.lapack`` re-exports, loaded without ``scipy.linalg``'s
+    package init: that init clones numpy's namespace through
+    ``scipy._lib._array_api``, about 0.3 s and 20 MB."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    path = [os.path.join(d, "linalg") for d in scipy.__path__]
+    found = importlib.machinery.PathFinder.find_spec("_flapack", path)
+    if found is None:
+        raise ImportError(f"scipy's _flapack extension is not in {path}")
+    spec = importlib.util.spec_from_file_location(name, found.origin)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+lapack = _load_flapack()
 
 # Regularizer added to sample covariances so envelopes stay SPD.
 COV_EPSILON = 1e-6

@@ -1,6 +1,10 @@
 """Geometric value types: poses, envelopes, boxes, IoU, chi-square."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -452,6 +456,44 @@ def test_spd_algebra_lint_sees_every_form():
             "from numpy.linalg import inv\nnp.linalg.solve(a, b)\nnumpy.linalg.eigh(a)\n"
             "np.linalg.norm(v)\nnp.linalg.svd(a)\n")
     assert [line for line, _ in _spd_algebra_uses(ast.parse(code))] == [1, 2, 3, 4, 5, 6]
+
+
+def _fresh_interpreter_stdout(code: str) -> str:
+    src = Path(workcell.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=120,
+    ).stdout
+
+
+@pytest.mark.parametrize("imports", [
+    "import workcell.geometry as geometry\nimport scipy.linalg.lapack as lapack",
+    "import scipy.linalg.lapack as lapack\nimport workcell.geometry as geometry",
+])
+def test_engine_lapack_is_scipy_linalg_lapack_in_either_import_order(imports):
+    # geometry loads scipy's compiled LAPACK module without scipy.linalg's
+    # package init; whichever side imports first, both hand out the same
+    # routines from one module.
+    out = _fresh_interpreter_stdout(imports + (
+        "\nimport json, sys\nprint(json.dumps([\n"
+        "    [getattr(geometry.lapack, f) is getattr(lapack, f)\n"
+        "     for f in ('dpotrf', 'dpotrs', 'dsyevd')],\n"
+        "    [m for m in sys.modules if m.endswith('_flapack')]]))\n"))
+    assert json.loads(out) == [[True, True, True], ["scipy.linalg._flapack"]]
+
+
+def test_engine_lapack_missing_raises_import_error(tmp_path):
+    # No fallback to scipy.linalg.lapack: when the extension is not where
+    # the engine looks for it, the engine's import fails and names the place.
+    out = _fresh_interpreter_stdout(
+        "import json, sys, scipy\nscipy.__path__ = [%r]\n"
+        "try:\n    import workcell.geometry\nexcept ImportError as e:\n"
+        "    linalg = [m for m in sys.modules if m.startswith('scipy.linalg')]\n"
+        "    print(json.dumps([str(e), linalg]))\n"
+        % str(tmp_path))
+    message, loaded = json.loads(out)
+    assert str(tmp_path / "linalg") in message
+    assert loaded == []
 
 
 # -- IoU ----------------------------------------------------------------------

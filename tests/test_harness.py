@@ -2,6 +2,7 @@
 metrics, the trial runner, and the CLI."""
 
 import copy
+import functools
 import json
 import os
 import random
@@ -983,17 +984,23 @@ def test_cli_reports_errors(tmp_path, capsys):
 # -- import path --------------------------------------------------------------
 
 
-def _engine_import_loads(*packages) -> list[str]:
-    """The modules of ``packages`` that importing the engine's entry points
-    loads in a fresh interpreter."""
+@functools.cache
+def _engine_import_modules() -> tuple[str, ...]:
+    """Every module that importing the engine's entry points loads in a
+    fresh interpreter; one run serves every import guard."""
     src = Path(cli.__file__).resolve().parents[1]
-    code = ("import json, sys, workcell.harness, workcell.cli; print(json.dumps(sorted("
-            f"m for m in sys.modules if m.startswith({packages!r}))))")
+    code = ("import json, sys, workcell.harness, workcell.cli; "
+            "print(json.dumps(sorted(sys.modules)))")
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(src)}, check=True, timeout=120,
     )
-    return json.loads(out.stdout)
+    return tuple(json.loads(out.stdout))
+
+
+def _engine_import_loads(*packages) -> list[str]:
+    """The modules of ``packages`` that importing the engine loads."""
+    return [m for m in _engine_import_modules() if m.startswith(packages)]
 
 
 def test_engine_import_leaves_out_scipy_stats():
@@ -1007,3 +1014,13 @@ def test_engine_import_leaves_out_scipy_optimize_and_spatial():
     # which no run calls, uses a k-d tree: together the two packages add
     # about 20 MB and 0.2 s to every process.
     assert _engine_import_loads("scipy.optimize", "scipy.spatial") == []
+
+
+def test_engine_import_loads_only_lapack_from_scipy_linalg():
+    # geometry loads the compiled LAPACK module by itself: scipy.linalg's
+    # package init clones numpy's namespace through scipy's array API
+    # layer, which pulls in numpy.f2py and numpy.testing, about 0.3 s and
+    # 20 MB in all.
+    assert _engine_import_loads("scipy.linalg") == ["scipy.linalg._flapack"]
+    assert _engine_import_loads("scipy._lib._array_api", "scipy._lib.array_api_compat",
+                                "numpy.f2py", "numpy.testing") == []
