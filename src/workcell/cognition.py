@@ -72,22 +72,7 @@ class ERT:
     add_relations: list[tuple[str, str, str]]
     remove_relations: list[tuple[str, str, str]]
     confidence: float
-    fallback: dict | None = None
     expected_positions: dict[str, list[float]] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "action_proposal": {"action": self.action, "args": self.args},
-            "world_belief": [list(b) for b in self.world_belief],
-            "causal_assump": {
-                "expected_cs": self.expected_cs,
-                "add_relations": [list(r) for r in self.add_relations],
-                "remove_relations": [list(r) for r in self.remove_relations],
-                "expected_positions": self.expected_positions,
-            },
-            "confidence": self.confidence,
-            "fallback": self.fallback,
-        }
 
 
 class ValidationStage(Enum):
@@ -186,7 +171,6 @@ def parse_ert(doc) -> tuple[ERT | None, str]:
         add_relations=_triples(ca.get("add_relations", [])),
         remove_relations=_triples(ca.get("remove_relations", [])),
         confidence=float(doc["confidence"]),
-        fallback=doc.get("fallback"),
         expected_positions={str(uid): [float(x) for x in pos]
                             for uid, pos in ca.get("expected_positions", {}).items()},
     ), ""
@@ -375,19 +359,14 @@ class Reasoner:
 class ScriptedReasoner(Reasoner):
     """Deterministic, replayable reasoner driven by a response table.
 
-    The script maps (kind, key) to an ordered list of responses; each
-    query consumes the next response, and the final one repeats. A rule
-    with key "" answers any key of that kind.
+    The script maps a (kind value, key) pair of strings to an ordered
+    list of responses; each query consumes the next response, and the
+    final one repeats. A rule with key "" answers any key of that kind.
     """
 
-    def __init__(self, script: dict):
+    def __init__(self, script: dict[tuple[str, str], list]):
         self.call_count = 0
-        self._queues: dict[tuple[str, str], list] = {}
-        for (kind, key), responses in script.items():
-            kind_v = kind.value if isinstance(kind, RequestKind) else str(kind)
-            if not isinstance(responses, list):
-                responses = [responses]
-            self._queues[(kind_v, key)] = list(responses)
+        self._queues = {rule: list(responses) for rule, responses in script.items()}
 
     def query(self, request: ReasonerRequest):
         self.call_count += 1

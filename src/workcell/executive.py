@@ -1,8 +1,10 @@
-"""Task memory, the main planning loop, and rule-based discrepancy
-diagnosis.
+"""Task memory, the main planning loop, rule-based discrepancy
+diagnosis, and the one door every reasoner reply but an ERT comes through.
 
-The executive is the single orchestrator: it alone issues reasoner calls,
-applies transactions, and mutates task memory and the constraint state.
+The executive is the single orchestrator of a task: it applies
+transactions and mutates task memory and the constraint state. Reasoner
+calls come from here and from the harness's perception cycle; every one
+goes through ``ask`` or, for an ERT, ``get_valid_ert``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from enum import Enum
 
 import numpy as np
 
+from .association import ReliabilityJudgment, gamma_of
 from .cognition import (
     ERT,
     Reasoner,
@@ -24,7 +27,7 @@ from .cognition import (
     validate_ert,
 )
 from .errors import ReasonerFault, ScenarioError, StateMachineError
-from .schema import BOOL, DICT, INT, LIST, STR, key_errors, list_of
+from .schema import BOOL, DICT, INT, LIST, STR, UNIT, key_errors, list_of
 from .transactions import (
     CommitDecision,
     ConstraintState,
@@ -113,10 +116,54 @@ class TaskDAG:
         ) for nd in doc.get("nodes", [])])
 
 
+# -- reasoner replies --------------------------------------------------------
+
+
+def _unit(reply) -> float:
+    accepts, wants = UNIT
+    if not accepts(reply):
+        raise ValueError(f"must be {wants}")
+    return float(reply)
+
+
+def _sequence(reply) -> list:
+    errors = key_errors(reply, "reply", {"sequence": LIST})
+    if errors:
+        raise ValueError(errors[0])
+    return reply["sequence"]
+
+
+# Each request kind's reply parser, and what the reply must be, in words.
+# A parser returns the value the loop reads, or raises ValueError or
+# ScenarioError with its reason. ERTs are not here: ``get_valid_ert``
+# retries a malformed one.
+REPLIES = {
+    RequestKind.SEMANTIC_SIMILARITY: (_unit, "a similarity"),
+    RequestKind.RELIABILITY_JUDGMENT: (lambda reply: gamma_of(ReliabilityJudgment(reply)),
+                                       "a reliability level"),
+    RequestKind.PROPOSE_MICRO_SEQUENCE: (_sequence, "a micro sequence"),
+    RequestKind.RECOVERY_PLAN: (TaskDAG.from_doc, "a task graph"),
+}
+
+
+def ask(reasoner: Reasoner, request: ReasonerRequest):
+    """The reasoner's reply to ``request``, as its kind's parser in
+    ``REPLIES`` reads it. A reply the parser refuses raises
+    ``ReasonerFault``, which ends the trial."""
+    parse, wants = REPLIES[request.kind]
+    reply = reasoner.query(request)
+    try:
+        return parse(reply)
+    except (ValueError, ScenarioError) as exc:
+        raise ReasonerFault(request.kind.value,
+                            f"{request.kind.value} reply is not {wants}: {exc} "
+                            f"(key {request.key!r}, reply {reply!r})") from None
+
+
 @dataclass
 class HistoryEntry:
     subtask_id: int
-    ert: dict
+    ert: ERT
     outcome: str
     timestamp: int
 
@@ -229,7 +276,7 @@ def synthesize_replan(
             **report.to_dict(),
         },
         "history": [
-            {"subtask": h.subtask_id, "action": h.ert.get("action_proposal", {}),
+            {"subtask": h.subtask_id, "action": {"action": h.ert.action, "args": h.ert.args},
              "outcome": h.outcome, "t": h.timestamp}
             for h in history_tail
         ],
@@ -246,8 +293,8 @@ def synthesize_replan(
 class SenseResult:
     """Post-action perception summary the loop uses for commit checks."""
 
-    positions: dict[str, np.ndarray] = field(default_factory=dict)
-    gripper_position: np.ndarray | None = None
+    positions: dict[str, np.ndarray]
+    gripper_position: np.ndarray
 
 
 class Executive:
@@ -285,6 +332,14 @@ class Executive:
             self.n_replan += delta
         else:
             self.n_init += delta
+
+    def _ask(self, request: ReasonerRequest):
+        """``ask``, with the call counted whether or not the reply parses."""
+        before = self.reasoner.call_count
+        try:
+            return ask(self.reasoner, request)
+        finally:
+            self._count_calls(before)
 
     def _sense_logged(self) -> SenseResult:
         """Run a perception cycle and, if it mutated the store, record the
@@ -352,17 +407,12 @@ class Executive:
         return self._execute_primitive(node, outcome.ert)
 
     def _micro_routine(self, node: TaskNode) -> bool:
-        before = self.reasoner.call_count
-        response = self.reasoner.query(ReasonerRequest(
+        sequence = self._ask(ReasonerRequest(
             RequestKind.PROPOSE_MICRO_SEQUENCE,
             key=node.key or f"{node.function}:{node.node_id}",
             payload=self._context_payload(node),
         ))
-        self._count_calls(before)
-        errors = key_errors(response, "ProposeMicroSequence reply", {"sequence": LIST})
-        if errors:
-            raise ReasonerFault(RequestKind.PROPOSE_MICRO_SEQUENCE.value, errors[0])
-        for doc in response["sequence"]:
+        for doc in sequence:
             ert, report = validate_ert(doc, self.store)
             if ert is None:
                 self._record("micro_invalid", node=node.node_id,
@@ -403,8 +453,7 @@ class Executive:
             if ert.action == "Place" and "object" not in commit_args:
                 commit_args["object"] = cs_before.target
             decision: CommitDecision = check_commit(
-                self.store, ert.action, commit_args, sensed.positions,
-                gripper_position=sensed.gripper_position,
+                ert.action, commit_args, sensed.positions, sensed.gripper_position,
             )
             if decision.commit:
                 outcome = "committed"
@@ -419,7 +468,7 @@ class Executive:
                 self._record("aborted", node=node.node_id, hint=decision.hint)
 
         self.history.append(HistoryEntry(
-            node.node_id, ert.to_dict(), outcome, self._clock
+            node.node_id, ert, outcome, self._clock
         ))
         if outcome == "committed":
             return True
@@ -454,20 +503,11 @@ class Executive:
             report, category, self.history[-3:],
             self._context_payload(node), cs_before,
         )
-        before = self.reasoner.call_count
         self._in_recovery = True
         try:
-            try:
-                plan_doc = self.reasoner.query(request)
-            finally:
-                self._count_calls(before)
+            recovery_dag = self._ask(request)
             self._record("recovery_plan", node=node.node_id,
                          category=category.value)
-            try:
-                recovery_dag = TaskDAG.from_doc(plan_doc)
-            except ScenarioError as exc:
-                raise ReasonerFault(RequestKind.RECOVERY_PLAN.value,
-                                    f"RecoveryPlan reply is not a task graph: {exc}") from None
             completed = self.main_loop(recovery_dag)
         finally:
             self._in_recovery = False

@@ -17,10 +17,8 @@ import numpy as np
 from .association import (
     AssociationConfig,
     MatchResult,
-    ReliabilityJudgment,
     assign,
     build_cost_matrix,
-    gamma_of,
 )
 from .cognition import (
     ReasonerRequest,
@@ -33,6 +31,7 @@ from .executive import (
     FailureCategory,
     SenseResult,
     TaskDAG,
+    ask,
 )
 from .geometry import (
     CORNER_SIGNS,
@@ -61,7 +60,6 @@ from .schema import (
     ROTATION,
     SCALAR,
     STR,
-    UNIT,
     key_errors,
     mapping_of,
 )
@@ -330,12 +328,8 @@ def build_cameras(doc: dict) -> dict[str, SimCamera]:
 
 
 def build_reasoner(doc: dict) -> ScriptedReasoner:
-    script: dict = {}
-    for rule in doc.get("script", []):
-        kind = rule["kind"]
-        key = rule.get("key", "")
-        responses = rule["responses"]
-        script[(kind, key)] = list(responses)
+    script = {(rule["kind"], rule.get("key", "")): rule["responses"]
+              for rule in doc.get("script", [])}
     script.setdefault((RequestKind.SEMANTIC_SIMILARITY.value, ""), [1.0])
     script.setdefault((RequestKind.RELIABILITY_JUDGMENT.value, ""), ["High"])
     return ScriptedReasoner(script)
@@ -458,14 +452,8 @@ class TrialRuntime:
         def sim_fn(k, i):
             key = f"{observations[k].label}|{self.store.vertices[memory_uids[i]].label}"
             if key not in self._similarity:
-                resp = self.reasoner.query(
-                    ReasonerRequest(RequestKind.SEMANTIC_SIMILARITY, key))
-                in_unit, wants = UNIT
-                if not in_unit(resp):
-                    raise ReasonerFault(RequestKind.SEMANTIC_SIMILARITY.value,
-                                        f"SemanticSimilarity reply {resp!r} for {key!r} "
-                                        f"is not {wants}")
-                self._similarity[key] = float(resp)
+                self._similarity[key] = ask(
+                    self.reasoner, ReasonerRequest(RequestKind.SEMANTIC_SIMILARITY, key))
             return self._similarity[key]
 
         cost = build_cost_matrix(observations, memory, self.assoc_cfg, iou_fn, sim_fn)
@@ -497,14 +485,8 @@ class TrialRuntime:
                 continue
             key = observations[k].label
             if key not in reliability:
-                level = self.reasoner.query(
-                    ReasonerRequest(RequestKind.RELIABILITY_JUDGMENT, key))
-                try:
-                    reliability[key] = gamma_of(ReliabilityJudgment(level))
-                except ValueError:
-                    raise ReasonerFault(RequestKind.RELIABILITY_JUDGMENT.value,
-                                        f"ReliabilityJudgment reply {level!r} for {key!r} "
-                                        "is not High, Medium, Low or Bad") from None
+                reliability[key] = ask(
+                    self.reasoner, ReasonerRequest(RequestKind.RELIABILITY_JUDGMENT, key))
             gammas[k] = reliability[key]
 
         final = MatchResult(matched, unmatched_obs, unmatched_mem)

@@ -487,18 +487,16 @@ class CommitDecision:
 
 
 def check_commit(
-    store: WorldStore,
     action: str,
     args: dict,
-    post_positions: dict[str, np.ndarray] | None,
-    gripper_position: np.ndarray | None = None,
+    post_positions: dict[str, np.ndarray],
+    gripper_position: np.ndarray,
 ) -> CommitDecision:
     """Confirm an applied transition: the expected geometric change is
-    visible in post-action perception."""
+    visible in post-action perception, the observed positions by uid and
+    the gripper's position."""
     if action in ("Move", "Rotate", "OpenGripper", "CloseGripper"):
         return CommitDecision(True)
-    if post_positions is None:
-        return CommitDecision(False, "no post-action perception available")
 
     if action == "Pick":
         obj = args["object"]
@@ -506,14 +504,9 @@ def check_commit(
         if pos is None:
             # Not visible on any support surface: consistent with in-gripper.
             return CommitDecision(True)
-        if gripper_position is not None:
-            if float(np.linalg.norm(pos - gripper_position)) <= EPS_PLACE:
-                return CommitDecision(True)
-            return CommitDecision(False, f"{obj} does not track the gripper")
-        rec = store.records[obj]
-        if float(np.linalg.norm(pos - rec.envelope.mean)) <= EPS_PLACE:
+        if float(np.linalg.norm(pos - gripper_position)) <= EPS_PLACE:
             return CommitDecision(True)
-        return CommitDecision(False, f"{obj} stationary away from gripper")
+        return CommitDecision(False, f"{obj} does not track the gripper")
 
     if action == "Place":
         obj = args["object"]

@@ -245,8 +245,9 @@ def test_keyword_similarity_binary():
 
 
 def test_semantic_similarity_helper_validates_range():
-    # The reasoner's similarity answer is range-checked where it is used:
-    # hybrid_cost rejects a value outside [0, 1].
+    # The loop reads a similarity reply through executive.ask, which
+    # refuses one outside [0, 1]; hybrid_cost, which it feeds, refuses one
+    # too.
     cfg = AssociationConfig()
     req = ReasonerRequest(RequestKind.SEMANTIC_SIMILARITY, key="gear|cog")
     r = ScriptedReasoner({("SemanticSimilarity", ""): [0.25]})

@@ -1,17 +1,24 @@
-"""Task memory, constraint-state machine, discrepancy diagnosis, and the
-recovery synthesis request."""
+"""Task memory, constraint-state machine, discrepancy diagnosis, the
+recovery synthesis request, and the one door for reasoner replies."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from workcell.cognition import ERT, RequestKind
-from workcell.errors import ScenarioError, StateMachineError
+import workcell
+from workcell.association import ReliabilityJudgment, gamma_of
+from workcell.cognition import ERT, ReasonerRequest, RequestKind, ScriptedReasoner
+from workcell.errors import ReasonerFault, ScenarioError, StateMachineError
 from workcell.executive import (
+    REPLIES,
     DiscrepancyReport,
     FailureCategory,
     HistoryEntry,
     TaskDAG,
     TaskNode,
+    ask,
     compute_discrepancy,
     diagnose,
     synthesize_replan,
@@ -220,12 +227,144 @@ def test_diagnosis_rule_table():
 
 def test_synthesize_replan_payload_shape():
     report = _cs_report("Holding", "A", "Idle", None)
-    history = [HistoryEntry(3, {"action_proposal": {"action": "Pick"}},
-                            "rolled_back", 7)]
+    ert = _ert("Pick", {"object": "A"}, {"phase": "Holding", "target": "A"})
+    history = [HistoryEntry(3, ert, "rolled_back", 7)]
     req = synthesize_replan(report, FailureCategory.GRASP_SLIP, history,
                             {"vertices": []}, ConstraintState())
     assert req.kind == RequestKind.RECOVERY_PLAN
     assert req.key == "GraspSlip"
     assert req.payload["failure_report"]["likely_cause"] == "GraspSlip"
-    assert req.payload["history"][0]["outcome"] == "rolled_back"
+    assert req.payload["history"] == [{"subtask": 3, "t": 7, "outcome": "rolled_back",
+                                       "action": {"action": "Pick", "args": {"object": "A"}}}]
     assert req.payload["cs_before"] == {"phase": "Idle", "target": None}
+
+
+# -- the reply door -----------------------------------------------------------
+
+_PLAN = {"nodes": [{"id": 2, "function": "Move", "deps": [1]},
+                   {"id": 1, "function": "Pick", "manipulation": True}]}
+_STEP = {"action_proposal": {"action": "Move", "args": {}}}
+
+# Well-formed replies to each kind ``ask`` reads, with the value the loop
+# reads of each: a float, a fusion weight, the sequence list, a task graph's
+# order.
+_WELL_FORMED = [
+    (RequestKind.SEMANTIC_SIMILARITY, 0.25, 0.25),
+    (RequestKind.SEMANTIC_SIMILARITY, 1, 1.0),
+    (RequestKind.RELIABILITY_JUDGMENT, "Low", gamma_of(ReliabilityJudgment.LOW)),
+    (RequestKind.RELIABILITY_JUDGMENT, "High", 1.0),
+    (RequestKind.PROPOSE_MICRO_SEQUENCE, {"sequence": [_STEP]}, [_STEP]),
+    (RequestKind.PROPOSE_MICRO_SEQUENCE, {"sequence": []}, []),
+    (RequestKind.RECOVERY_PLAN, _PLAN, TaskDAG.from_doc(_PLAN).order),
+]
+
+# Replies of the wrong type, out of range, or missing a key.
+_MALFORMED = [
+    (RequestKind.SEMANTIC_SIMILARITY, 1.7),
+    (RequestKind.SEMANTIC_SIMILARITY, -0.1),
+    (RequestKind.SEMANTIC_SIMILARITY, float("nan")),
+    (RequestKind.SEMANTIC_SIMILARITY, "high"),
+    (RequestKind.SEMANTIC_SIMILARITY, True),
+    (RequestKind.SEMANTIC_SIMILARITY, None),
+    (RequestKind.RELIABILITY_JUDGMENT, "Maybe"),
+    (RequestKind.RELIABILITY_JUDGMENT, "high"),
+    (RequestKind.RELIABILITY_JUDGMENT, 1.0),
+    (RequestKind.RELIABILITY_JUDGMENT, ["High"]),
+    (RequestKind.PROPOSE_MICRO_SEQUENCE, "garbage"),
+    (RequestKind.PROPOSE_MICRO_SEQUENCE, {"steps": []}),
+    (RequestKind.PROPOSE_MICRO_SEQUENCE, {"sequence": _STEP}),
+    (RequestKind.RECOVERY_PLAN, "garbage"),
+    (RequestKind.RECOVERY_PLAN, {"nodes": "garbage"}),
+    (RequestKind.RECOVERY_PLAN, {"nodes": [{"function": "Move"}]}),
+    (RequestKind.RECOVERY_PLAN, {"nodes": [{"id": "1", "function": "Move"}]}),
+    (RequestKind.RECOVERY_PLAN, {"nodes": [{"id": 1, "function": "Move", "deps": [1]}]}),
+]
+
+
+def _ids(cases):
+    return [f"{kind.value}-{reply!r}" for kind, reply, *_ in cases]
+
+
+def _read(value):
+    return value.order if isinstance(value, TaskDAG) else value
+
+
+@pytest.mark.parametrize("kind,reply,read", _WELL_FORMED, ids=_ids(_WELL_FORMED))
+def test_ask_returns_what_the_loop_reads(kind, reply, read):
+    reasoner = ScriptedReasoner({(kind.value, "k"): [reply]})
+    value = _read(ask(reasoner, ReasonerRequest(kind, "k")))
+    assert value == read and type(value) is type(read)
+    assert reasoner.call_count == 1
+
+
+@pytest.mark.parametrize("kind,reply", _MALFORMED, ids=_ids(_MALFORMED))
+def test_ask_refuses_a_malformed_reply(kind, reply):
+    reasoner = ScriptedReasoner({(kind.value, ""): [reply]})
+    with pytest.raises(ReasonerFault) as fault:
+        ask(reasoner, ReasonerRequest(kind, "gear|cog"))
+    assert fault.value.kind == kind.value
+    message = str(fault.value)
+    assert message.startswith(f"{kind.value} reply is not {REPLIES[kind][1]}: ")
+    assert "'gear|cog'" in message and repr(reply) in message
+
+
+def test_every_request_kind_has_one_reader():
+    assert {kind for kind, *_ in _WELL_FORMED} == set(REPLIES)
+    assert {kind for kind, _ in _MALFORMED} == set(REPLIES)
+    # ProposeERT replies go through get_valid_ert, which retries a
+    # malformed one. DecomposeTask has no sender: it is kept only because
+    # bench/spans.py reports a reasoner-call metric for each kind. The
+    # benchmark change of ROADMAP item 1 deletes both the kind and its metric.
+    assert set(RequestKind) == set(REPLIES) | {RequestKind.PROPOSE_ERT,
+                                               RequestKind.DECOMPOSE_TASK}
+
+
+# Where the engine may query a reasoner or build a reasoner fault: the
+# door, the ERT retry loop, and the scripted reasoner's own gap.
+# ``icp_register``'s query is cKDTree's nearest-neighbour search.
+_DOOR_SITES = [
+    ("cognition.py", "get_valid_ert", "query"),
+    ("cognition.py", "query", "ScriptGapError"),
+    ("executive.py", "ask", "ReasonerFault"),
+    ("executive.py", "ask", "query"),
+    ("registration.py", "icp_register", "query"),
+]
+
+
+def _door_sites(tree):
+    """(function, name) for each call of ``query``, ``ReasonerFault`` or
+    ``ScriptGapError``, as a name or as an attribute, by the innermost
+    function it sits in ("" at module level)."""
+    sites = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in ("query", "ReasonerFault", "ScriptGapError"):
+                sites.append((function, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "")
+    return sites
+
+
+def test_reasoner_replies_come_through_one_door():
+    sites = sorted((path.name, *site)
+                   for path in sorted(Path(workcell.__file__).parent.glob("*.py"))
+                   for site in _door_sites(ast.parse(path.read_text())))
+    assert sites == _DOOR_SITES
+
+
+def test_door_lint_sees_every_form_of_call():
+    code = ("class K:\n    def m(self, r):\n        x = self.reasoner.query(r)\n"
+            "        def inner():\n            raise errors.ReasonerFault('k', x)\n"
+            "        return inner\n"
+            "def f(q):\n    query = q.query\n    raise ScriptGapError('k', query(1))\n"
+            "q.query(0)\nq.ask(0)\n")
+    assert sorted(_door_sites(ast.parse(code))) == [
+        ("", "query"), ("f", "ScriptGapError"), ("f", "query"),
+        ("inner", "ReasonerFault"), ("m", "query")]

@@ -332,35 +332,26 @@ def test_chain_detects_tampering():
 # -- commit confirmation ------------------------------------------------------
 
 
+_GRIP = np.array([0.4, 0.0, 0.1])
+
+
 def test_check_commit_motion_actions_trivially_commit():
-    store = make_store()
-    assert check_commit(store, "Move", {}, None).commit
-
-
-def test_check_commit_requires_perception_for_manipulation():
-    store = make_store()
-    assert not check_commit(store, "Pick", {"object": "part"}, None).commit
+    assert check_commit("Move", {}, {}, _GRIP).commit
 
 
 def test_check_commit_pick_object_tracks_gripper():
-    store = make_store()
-    grip = np.array([0.4, 0.0, 0.1])
-    near = {"part": grip + np.array([0.005, 0, 0])}
+    near = {"part": _GRIP + np.array([0.005, 0, 0])}
     far = {"part": np.array([0.6, 0.0, 0.02])}
-    assert check_commit(store, "Pick", {"object": "part"}, near,
-                        gripper_position=grip).commit
-    assert not check_commit(store, "Pick", {"object": "part"}, far,
-                            gripper_position=grip).commit
+    assert check_commit("Pick", {"object": "part"}, near, _GRIP).commit
+    assert not check_commit("Pick", {"object": "part"}, far, _GRIP).commit
     # Vanished from the support surfaces: consistent with being in-hand.
-    assert check_commit(store, "Pick", {"object": "part"}, {},
-                        gripper_position=grip).commit
+    assert check_commit("Pick", {"object": "part"}, {}, _GRIP).commit
 
 
 def test_check_commit_place_within_tolerance():
-    store = make_store()
     args = {"object": "part", "position": [1.0, 0.0, 0.055]}
     good = {"part": np.array([1.01, 0.0, 0.055])}
     bad = {"part": np.array([1.1, 0.0, 0.055])}
-    assert check_commit(store, "Place", args, good).commit
-    assert not check_commit(store, "Place", args, bad).commit
-    assert not check_commit(store, "Place", args, {}).commit
+    assert check_commit("Place", args, good, _GRIP).commit
+    assert not check_commit("Place", args, bad, _GRIP).commit
+    assert not check_commit("Place", args, {}, _GRIP).commit

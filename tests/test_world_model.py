@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     invariant,
+    precondition,
     rule,
     run_state_machine_as_test,
 )
@@ -35,11 +36,14 @@ from workcell.transactions import (
     ConstraintState,
     FTEvent,
     FTSignal,
+    TransactionEntry,
     TransactionLog,
+    TransitionStatus,
     apply_inverse,
     apply_transition,
     capture_inverse,
     check_commit,
+    rollback,
     state_bytes,
 )
 from workcell.world_model import (
@@ -452,7 +456,8 @@ def test_mating_relations_are_refuted_without_a_mating_frame():
     assert ert is None and report.failing_stage == ValidationStage.PHYSICAL
     # And no commit rule confirms an Insert.
     seen = {part: np.array([0.1, 0.2, 0.3])}
-    assert not check_commit(store, "Insert", {"part": part, "receptacle": hole}, seen).commit
+    assert not check_commit("Insert", {"part": part, "receptacle": hole}, seen,
+                            np.zeros(3)).commit
 
 
 def test_verify_clear_and_unknown_predicate():
@@ -688,19 +693,76 @@ _zone = st.sampled_from(["z1", "z2"])
 _label = st.sampled_from(["gear", "bolt"])
 
 
+# A gripper force the controller reads as nominal in every context, and
+# one it reads as an over-squeeze, which reverts the skill.
+_NOMINAL = FTEvent(FTSignal.GRIPPER_FORCE, 20.0, "N")
+_SQUEEZE = FTEvent(FTSignal.GRIPPER_FORCE, 50.0, "N")
+_adverse = st.sampled_from([False, False, True])
+
+
 class StoreHashMachine(RuleBasedStateMachine):
-    """Random writes through the store's methods. After every step the
-    cached ``state_hash`` equals the digest computed from scratch, the
-    store's indexes answer as scans of its tables do, and the document
-    round-trips; a reverted write restores ``state_bytes``."""
+    """Random writes through the store's methods, and skills through
+    ``apply_transition`` and ``rollback`` with one transaction log kept
+    across steps. After every step the cached ``state_hash`` equals the
+    digest computed from scratch, the store's indexes answer as scans of
+    its tables do, the document round-trips, the log's hash chain holds,
+    every live vertex has a record, and reverting the latest uncommitted
+    skill while the store is as it left it restores ``state_bytes``."""
 
     def __init__(self):
         super().__init__()
         self.store = _store_with_zone()
         self.store.add_zone(ZoneNode("z2", "z2"))
+        self.cs = ConstraintState()
+        self.log = TransactionLog()
+        self.before: dict[int, str] = {}  # state_bytes before each applied entry, by id
 
     def _uid(self, data):
         return data.draw(st.sampled_from(sorted(self.store.vertices)))
+
+    def _log_other_writes(self):
+        """Log what the other rules wrote since the last entry, as the
+        executive logs a perception update, so the chain stays contiguous."""
+        post = self.store.state_hash()
+        if self.log.entries and self.log.entries[-1].post_hash != post:
+            self.log.append(TransactionEntry(self.log.entries[-1].post_hash, post,
+                                             "PerceptionUpdate", {}, [], "committed"))
+
+    def _skill(self, action, args, adverse):
+        self._log_other_writes()
+        before = state_bytes(self.store, self.cs)
+        result = apply_transition(self.store, self.cs, self.log, action, args,
+                                  dispatch=lambda: [_SQUEEZE if adverse else _NOMINAL])
+        if result.status == TransitionStatus.COMMITTED:
+            self.before[id(self.log.entries[-1])] = before
+        else:
+            assert state_bytes(self.store, result.cs) == before
+        self.cs = result.cs
+
+    @rule(data=st.data(), adverse=_adverse)
+    def pick(self, data, adverse):
+        self._skill("Pick", {"object": self._uid(data)}, adverse)
+
+    @precondition(lambda self: self.cs.target is not None)
+    @rule(data=st.data(), mean=_mean, adverse=_adverse)
+    def place(self, data, mean, adverse):
+        destination = data.draw(st.sampled_from([*self.store.vertices, *self.store.zones]))
+        self._skill("Place", {"destination": destination, "position": list(mean)}, adverse)
+
+    @rule(data=st.data(), adverse=_adverse)
+    def move(self, data, adverse):
+        self._skill("Move", {"zone": data.draw(st.sampled_from(sorted(self.store.zones)))},
+                    adverse)
+
+    @rule(adverse=_adverse)
+    def open_gripper(self, adverse):
+        self._skill("OpenGripper", {}, adverse)
+
+    @precondition(lambda self: self.log.pending())
+    @rule()
+    def revert(self):
+        self._log_other_writes()
+        self.cs = rollback(self.log, self.store)
 
     @rule(label=_label, mean=_mean, zone=_zone)
     def add_entity(self, label, mean, zone):
@@ -803,6 +865,24 @@ class StoreHashMachine(RuleBasedStateMachine):
         for zone in store.zones:
             members = zone_members(store, zone)
             assert [v.uid for v in store.entities_in_zone(zone)] == members
+
+    @invariant()
+    def log_chain_holds(self):
+        assert self.log.validate_chain()
+
+    @invariant()
+    def live_vertices_have_records(self):
+        self.store.check_integrity()
+
+    @invariant()
+    def latest_skill_reverts_exactly(self):
+        pending = self.log.pending()
+        if not pending or pending[-1].post_hash != self.store.state_hash():
+            return
+        entry = pending[-1]
+        store, log = copy.deepcopy((self.store, self.log))
+        cs = rollback(log, store)
+        assert state_bytes(store, cs) == self.before[id(entry)]
 
     @invariant()
     def round_trip_keeps_document_and_digest(self):
