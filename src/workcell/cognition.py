@@ -105,17 +105,32 @@ def _fail(stage: ValidationStage, detail: str, stages: dict) -> ValidationReport
     return ValidationReport(False, stages, stage, detail)
 
 
+def _entity_error(store: WorldStore, uid: str) -> str:
+    v = store.vertices.get(uid)
+    if v is None or uid == ROBOT_UID:
+        return "is not an entity"
+    return "is archived" if v.lifecycle == Lifecycle.ARCHIVED else ""
+
+
+# Each uid argument a skill reads, and why a name cannot fill its role, or
+# "". An entity is a vertex that is neither the robot nor archived; a
+# destination is a zone or an entity.
+_UID_ARGS = {
+    "object": _entity_error,
+    "destination": lambda store, uid: "" if uid in store.zones else _entity_error(store, uid),
+    "part": _entity_error,
+    "receptacle": _entity_error,
+    "zone": lambda store, uid: "" if uid in store.zones else "is not a zone",
+    "target": _entity_error,
+}
 # What the skills read of an action's args (``transactions`` and
 # ``simulator``): the shape of every key any of them reads, and the keys
 # each one requires. Place needs a position because its commit check reads
 # one.
 _ARG_KEYS = {
-    **{key: STR for key in ("object", "destination", "part", "receptacle", "zone", "target")},
+    **dict.fromkeys(_UID_ARGS, STR),
     "position": POINT, "mating_offset": POINT, "rotation": ROTATION,
 }
-# The uid arguments that must name an entity; "zone" must name a zone, and
-# "destination" may name either.
-_ENTITY_ARGS = ("object", "part", "receptacle", "target")
 _REQUIRED_ARGS = {
     "Pick": ("object",),
     "Place": ("destination", "position"),
@@ -180,9 +195,9 @@ def validate_ert(doc, store: WorldStore) -> tuple[ERT | None, ValidationReport]:
     """Three-stage check, short-circuiting at the first failure.
 
     Syntactic: schema shape and ranges, and args the action's skill can
-    run. Semantic: every referenced id exists, and each uid argument names
-    the kind of thing its skill reads. Physical: each stated belief holds
-    geometrically right now.
+    run. Semantic: each uid argument names what its role takes
+    (``_UID_ARGS``), and each relation endpoint is a known vertex or zone,
+    not archived. Physical: each stated belief holds geometrically now.
     """
     stages = {s.value: "passed" for s in ValidationStage}
 
@@ -197,29 +212,17 @@ def validate_ert(doc, store: WorldStore) -> tuple[ERT | None, ValidationReport]:
     if err:
         return None, _fail(ValidationStage.SYNTACTIC, err, stages)
 
-    referenced = [v for v in ert.args.values() if isinstance(v, str)]
-    for _, s, o in ert.world_belief + ert.add_relations + ert.remove_relations:
-        referenced.extend([s, o])
-    for uid in referenced:
-        if uid not in store.vertices and uid not in store.zones:
-            return None, _fail(
-                ValidationStage.SEMANTIC, f"unknown entity {uid!r}", stages
-            )
     for key, uid in ert.args.items():
-        if key in _ENTITY_ARGS and uid not in store.vertices:
-            return None, _fail(
-                ValidationStage.SEMANTIC, f"{key} {uid!r} is not an entity", stages
-            )
-        if key == "zone" and uid not in store.zones:
-            return None, _fail(
-                ValidationStage.SEMANTIC, f"zone {uid!r} is not a zone", stages
-            )
-    for uid in referenced:
-        v = store.vertices.get(uid)
-        if v is not None and v.lifecycle == Lifecycle.ARCHIVED:
-            return None, _fail(
-                ValidationStage.SEMANTIC, f"entity {uid!r} is archived", stages
-            )
+        reason = _UID_ARGS[key](store, uid) if key in _UID_ARGS else ""
+        if reason:
+            return None, _fail(ValidationStage.SEMANTIC, f"{key} {uid!r} {reason}", stages)
+    for _, s, o in ert.world_belief + ert.add_relations + ert.remove_relations:
+        for uid in (s, o):
+            v = store.vertices.get(uid)
+            if v is None and uid not in store.zones:
+                return None, _fail(ValidationStage.SEMANTIC, f"unknown entity {uid!r}", stages)
+            if v is not None and v.lifecycle == Lifecycle.ARCHIVED:
+                return None, _fail(ValidationStage.SEMANTIC, f"entity {uid!r} is archived", stages)
 
     for pred, subj, obj in ert.world_belief:
         if pred == "Holding":

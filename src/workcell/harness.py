@@ -188,7 +188,7 @@ def validate_scenario(doc) -> list[str]:
         errors.append("scenario defines no zones")
     objects = [o for _, o in entries("objects", _OBJECT_KEYS)]
     by_id = {o["id"]: o for o in objects}
-    seen = set()
+    seen = {ROBOT_UID}  # the store's robot vertex holds this uid
     for o in objects:
         oid = o["id"]
         if oid in seen:
@@ -352,6 +352,7 @@ class _CameraView:
     scene: tuple = ()
     frame: Frame | None = None
     observations: list | None = None  # assembled from ``frame`` when first sensed
+    counts: dict | None = None  # ``frame``'s pixel count per object id, when first sampled
     parts: dict = field(default_factory=dict)  # assemble_snapshot's memo
 
 
@@ -384,7 +385,6 @@ class TrialRuntime:
         self.assoc_cfg = AssociationConfig()
         self.sta_samples: list[dict] = []
         self._views: dict[int, _CameraView] = {}  # by id of the camera
-        self._counted: tuple[Frame, dict[str, int]] | None = None  # last pixel counts
         self._similarity: dict[str, float] = {}  # by "observed|remembered" labels
         self._fused: dict[str, tuple[GaussianEnvelope, bytes]] = {}  # by record uid
 
@@ -404,7 +404,7 @@ class TrialRuntime:
         scene = _scene(self.world)
         if view.frame is None or view.scene != scene:
             view.scene, view.frame = scene, render_frame(self.world, camera)
-            view.observations = None
+            view.observations = view.counts = None
         return view
 
     def frame(self) -> Frame:
@@ -461,7 +461,7 @@ class TrialRuntime:
 
         # Semantic re-identification: an observation the gate rejected can
         # still reclaim a uniquely labeled unmatched belief (the object
-        # physically moved). The belief is reset, not fused.
+        # physically moved), fused with it at weight ``_RELOCALIZE_GAMMA``.
         matched = list(match.matched)
         unmatched_obs = list(match.unmatched_observations)
         unmatched_mem = list(match.unmatched_memory)
@@ -508,14 +508,13 @@ class TrialRuntime:
     # -- bookkeeping --------------------------------------------------------
 
     def record_sta_sample(self):
-        frame = self.frame()
-        if self._counted is None or self._counted[0] is not frame:
-            self._counted = frame, visible_pixel_counts(self.world, frame)
-        counts = self._counted[1]
+        view = self._view()
+        if view.counts is None:
+            view.counts = visible_pixel_counts(self.world, view.frame)
         truth = self.world.true_positions()
         gt_on = {(s, o) for _p, s, o in self.world.on_relations()}
         sample = {}
-        for oid, n_pixels in counts.items():
+        for oid, n_pixels in view.counts.items():
             if n_pixels > 0:
                 continue  # in view; not part of the tracked-state population
             v = self.store.vertices.get(oid)

@@ -196,21 +196,14 @@ class SimWorld:
         self.validate_supports()
         return events
 
-    def _resolve(self, object_id: str) -> SimObject:
-        obj = self.objects.get(object_id)
-        if obj is None:
-            raise WorkcellError(f"unresolvable object {object_id!r}")
-        return obj
-
     def _do_pick(self, args: dict) -> list[FTEvent]:
-        obj = self._resolve(args["object"])
-        grasp_at = np.asarray(
-            args.get("position", obj.pose.translation), dtype=float
-        ).reshape(3)
         if self.gripper is not None:
             return []  # the gripper is occupied
-        if float(np.linalg.norm(obj.pose.translation - grasp_at)) > GRASP_TOLERANCE:
-            # Fingers close on air: grip force never builds up.
+        obj = self.objects.get(args["object"])
+        if obj is None or float(np.linalg.norm(obj.pose.translation - np.asarray(
+                args.get("position", obj.pose.translation), dtype=float))) > GRASP_TOLERANCE:
+            # Fingers close on air, where nothing is or off the object:
+            # grip force never builds up.
             return [FTEvent(FTSignal.GRIPPER_FORCE, _SLIP_GRIP, "N")]
         self.gripper = obj.object_id
         obj.support = None
@@ -272,10 +265,10 @@ class SimWorld:
         return [FTEvent(FTSignal.VERTICAL_FORCE, _CONTACT_FORCE, "N", _CONTACT_SUSTAIN)]
 
     def _do_insert(self, args: dict) -> list[FTEvent]:
-        if self.gripper is None or self.gripper != args["part"]:
-            return []  # the part is not in the gripper
+        receptacle = self.objects.get(args["receptacle"])
+        if self.gripper is None or self.gripper != args["part"] or receptacle is None:
+            return []  # the part is not in the gripper, or nothing receives it
         part = self.objects[args["part"]]
-        receptacle = self._resolve(args["receptacle"])
         mating = args.get("mating_offset", [0.0, 0.0, 0.0])
         part.pose = PoseSE3(
             receptacle.pose.rotation,
@@ -287,9 +280,10 @@ class SimWorld:
         return [FTEvent(FTSignal.EXTERNAL_TORQUE, _NOMINAL_TORQUE, "Nm")]
 
     def _do_rotate(self, args: dict) -> list[FTEvent]:
-        obj = self._resolve(args["object"])
-        rot = np.asarray(args["rotation"], dtype=float).reshape(3, 3)
-        obj.pose = PoseSE3(rot, obj.pose.translation)
+        obj = self.objects.get(args["object"])
+        if obj is not None:
+            rot = np.asarray(args["rotation"], dtype=float).reshape(3, 3)
+            obj.pose = PoseSE3(rot, obj.pose.translation)
         return []
 
     def _do_open(self, _args: dict) -> list[FTEvent]:

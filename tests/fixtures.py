@@ -29,6 +29,16 @@ def ert_doc(action, args, expected_cs, add=(), remove=(), beliefs=(),
     }
 
 
+def leaves(value, path=()):
+    """The path of every value in a JSON document that is not an object
+    or a list."""
+    if isinstance(value, (dict, list)):
+        for key, item in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield from leaves(item, (*path, key))
+    else:
+        yield list(path)
+
+
 def _load(name: str) -> dict:
     return json.loads((SCENARIOS / name).read_text())
 

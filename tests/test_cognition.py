@@ -171,6 +171,7 @@ def test_validate_zone_scoped_beliefs_skip_geometry():
     ("Place", {"destination": "plate", "position": [1.0, 0.0, 0.05], "zone": "plate"},
      "zone 'plate' is not a zone"),
     ("Insert", {"part": "part", "receptacle": "z2"}, "receptacle 'z2' is not an entity"),
+    ("Pick", {"object": "robot"}, "object 'robot' is not an entity"),
 ])
 def test_validate_rejects_uid_of_the_wrong_kind(action, args, detail):
     ert, report = validate_ert(ert_doc(action, args, {"phase": "Idle"}), make_store())

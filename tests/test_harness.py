@@ -45,7 +45,7 @@ from workcell.transactions import (
 )
 from workcell.world_model import EdgeStatus, Lifecycle, WorldStore, ZoneNode
 
-from fixtures import ert_doc, task1_doc, task3_doc
+from fixtures import ert_doc, leaves, task1_doc, task3_doc
 from oracles import (
     find_edges_scan,
     held_uids_scan,
@@ -139,6 +139,7 @@ _BROKEN_SCENARIOS = {
                                    _set(["task", "nodes", 1, "manipulation"], "false")),
     "task_key_a_number": ("assembly", _set(["task", "nodes", 0, "key"], 5)),
     "script_kind_unknown": ("assembly", _set(["script", 0, "kind"], "ProposeErt")),
+    "object_id_robot": ("assembly", _set(["objects", 4, "id"], "robot")),
     # These crash nothing: the injection never fires, or CDA is scored
     # against a cause that no diagnosis maps to.
     "trigger_step_a_string": ("transfer_obstacle", _set(["injections", 0, "trigger_step"], "1")),
@@ -259,6 +260,14 @@ _SETTLED_REPLIES = {
     "place_onto_the_held_object": (
         "assembly", _set(*_PLACE_ONTO_HELD),
         {"event": "executed", "action": "Place", "status": "PreconditionFailed"}),
+    "micro_sequence_picks_the_robot": (
+        "assembly", _set(["script", 0, "responses", 0, "sequence", 2, "action_proposal",
+                          "args", "object"], "robot"),
+        {"event": "micro_invalid"}),
+    **{f"{key}_picks_the_robot": (name, _reply(key, "Pick", {"object": "robot"}),
+                                  {"event": "ert_exhausted"})
+       for name, key in [("assembly", "m7"), ("transfer_obstacle", "m1"),
+                         ("transfer_obstacle", "k2"), ("transfer_obstacle", "r1")]},
 }
 
 
@@ -270,6 +279,27 @@ def test_replies_that_crashed_the_run_are_settled(case):
     assert validate_scenario(doc) == []
     _report, logs = run_scenario(ScenarioSpec(doc), trials=1)
     assert any(expected.items() <= e.items() for e in logs[0]["trace"])
+
+
+def test_a_uid_only_the_store_knows_ends_one_trial(monkeypatch):
+    """The store can mint a uid the world has no object for. Picking it
+    passes the firewall, closes the gripper on air and fails the trial."""
+    build_store = harness.build_store
+
+    def with_a_phantom(doc, world):
+        store = build_store(doc, world)
+        store.add_entity("spacer", GaussianEnvelope([0.35, 1.3, 0.015], 1e-4 * np.eye(3)),
+                         "zone_c", uid="spacer_1")
+        return store
+
+    monkeypatch.setattr(harness, "build_store", with_a_phantom)
+    doc = _scenario("assembly")
+    _reply("m7", "Pick", {"object": "spacer_1"})(doc)
+    _report, logs = run_scenario(ScenarioSpec(doc), trials=1)
+    expected = {"event": "executed", "action": "Pick", "status": "RolledBack",
+                "events": ["GraspFailure"]}
+    assert any(expected.items() <= e.items() for e in logs[0]["trace"])
+    assert not logs[0]["success"]
 
 
 def test_a_refused_skill_is_never_dispatched(monkeypatch):
@@ -290,18 +320,8 @@ def test_a_refused_skill_is_never_dispatched(monkeypatch):
     assert "Rotate" not in dispatched
 
 
-def _leaves(value, path=()):
-    """The path of every value in a JSON document that is not an object
-    or a list."""
-    if isinstance(value, (dict, list)):
-        for key, item in (value.items() if isinstance(value, dict) else enumerate(value)):
-            yield from _leaves(item, (*path, key))
-    else:
-        yield list(path)
-
-
 _LEAF_VALUES = [None, True, False, 0, -1, 2, 0.5, -0.05, 1e6, "", "part_a", "zone_b",
-                "base_plate", [], {}]
+                "base_plate", "robot", "gear", [], {}]
 
 
 def test_single_leaf_mutants_are_refused_or_run():
@@ -309,7 +329,7 @@ def test_single_leaf_mutants_are_refused_or_run():
     ``validate_scenario`` or runs a trial without raising."""
     docs = {p.stem: json.loads(p.read_text()) for p in sorted(SCENARIOS.glob("*.json"))}
     mutants = [(name, path, value) for name, doc in docs.items()
-               for path in _leaves(doc) for value in _LEAF_VALUES]
+               for path in leaves(doc) for value in _LEAF_VALUES]
     sample = random.Random(17).sample(mutants, 300) + [("assembly", *_PLACE_ONTO_HELD)]
     ran = 0
     for name, path, value in sample:

@@ -221,6 +221,31 @@ def test_pick_miss_emits_slip_signature():
     assert world.sim_time == PRIMITIVE_SECONDS
 
 
+def _poses(world):
+    return {oid: (o.pose.rotation.tobytes(), o.pose.translation.tobytes())
+            for oid, o in world.objects.items()}
+
+
+def test_pick_of_an_id_the_world_lacks_closes_on_air():
+    world = make_world()
+    before = _poses(world)
+    [ev] = world.execute_skill("Pick", {"object": "spacer_1"})
+    assert ev.signal == FTSignal.GRIPPER_FORCE and ev.value < 5.0
+    assert world.gripper is None and _poses(world) == before
+
+
+@pytest.mark.parametrize("action, args", [
+    ("Insert", {"part": "part", "receptacle": "spacer_1"}),
+    ("Rotate", {"object": "spacer_1", "rotation": np.eye(3).tolist()}),
+])
+def test_insert_or_rotate_of_an_id_the_world_lacks_changes_nothing(action, args):
+    world = make_world()
+    world.execute_skill("Pick", {"object": "part"})
+    before = _poses(world)
+    assert world.execute_skill(action, args) == []
+    assert world.gripper == "part" and _poses(world) == before
+
+
 def test_pick_success_attaches_and_move_carries():
     world = make_world()
     [ev] = world.execute_skill("Pick", {"object": "part"})
