@@ -88,9 +88,6 @@ from .world_model import (
 SCENARIO_VERSION = 1
 STA_POSITION_TOL = 0.05
 _RELOCALIZE_GAMMA = 100.0
-# Belief covariance of an object riding the end effector.
-_HELD_COVARIANCE = 1e-4 * np.eye(3)
-_HELD_COVARIANCE.flags.writeable = False
 _PRIOR_SIGMA_FLOOR = 0.02
 
 
@@ -231,6 +228,10 @@ def validate_scenario(doc) -> list[str]:
                 # The displacement would leave what rests on it floating.
                 errors.append(f"TargetMoved injection moves {target!r}, which supports "
                               "another object")
+            elif (by_id[target].get("support") is not None and params["move_delta"][2] != 0
+                  and not np.linalg.norm(np.asarray(params["move_delta"][:2], dtype=float))):
+                # The simulator keeps the support of a target moved straight up or down.
+                errors.append(f"TargetMoved injection moves {target!r} straight off its supporter")
     entries("script", _SCRIPT_KEYS)
     for name, q in entries("questions", {"kind": ANY}) + entries("queries", {"kind": ANY}):
         keys = _QUESTION_KEYS.get(q["kind"]) if isinstance(q["kind"], str) else None
@@ -373,7 +374,8 @@ class TrialRuntime:
     instance hands back the same envelope object, so a later cycle that
     matches it to the same record skips the fusion while the record's
     envelope still has those bytes. Any other write to the envelope, such
-    as the held-object reset or a rollback, makes the next match fuse again.
+    as a rollback, makes the next match fuse again. A held record, which
+    the Pick and Move effects write, is matched but never fused.
     """
 
     def __init__(self, doc: dict, world: SimWorld, store: WorldStore,
@@ -421,20 +423,6 @@ class TrialRuntime:
     def sense(self) -> SenseResult:
         camera = self.active_camera()
         gripper_pos = self.world.robot_position.copy()
-
-        # Kinematic tracking: a held object rides the end effector. Its
-        # record is written only when it differs, byte for byte, from the
-        # belief below; the surface scan from the table is stale now.
-        held_uids = self.store.held_uids()
-        for uid in held_uids:
-            rec = self.store.records[uid]
-            if (rec.geometry is not None
-                    or rec.envelope.mean.tobytes() != gripper_pos.tobytes()
-                    or rec.envelope.covariance.tobytes() != _HELD_COVARIANCE.tobytes()):
-                self.store.update_record(
-                    uid, envelope=GaussianEnvelope(gripper_pos, _HELD_COVARIANCE),
-                    geometry=None)
-
         view = self._view()
         if view.observations is None:
             view.observations = assemble_snapshot(view.frame, camera.intrinsics, view.parts)
@@ -443,7 +431,7 @@ class TrialRuntime:
         memory_uids = [
             v.uid for v in self.store.entities_in_zone(self.world.robot_zone)
         ]
-        memory_uids += [u for u in held_uids if u not in memory_uids]
+        memory_uids += [u for u in self.store.held_uids() if u not in memory_uids]
         memory = [self.store.records[u] for u in memory_uids]
 
         def iou_fn(k, i):

@@ -27,6 +27,9 @@ from .world_model import (
 )
 
 EPS_PLACE = 0.02
+# Belief covariance of an object riding the end effector.
+HELD_COVARIANCE = 1e-4 * np.eye(3)
+HELD_COVARIANCE.flags.writeable = False
 
 SKILLS = ("Pick", "Place", "Insert", "Move", "Rotate", "OpenGripper", "CloseGripper")
 
@@ -326,7 +329,8 @@ def _apply_effects(
     delta: list[str] = []
     if action == "Pick":
         obj = args["object"]
-        store.update_record(obj, attached_to="gripper")
+        held = GaussianEnvelope(store.records[ROBOT_UID].envelope.mean, HELD_COVARIANCE)
+        store.update_record(obj, envelope=held, geometry=None, attached_to="gripper")
         delta.append(f"attach({obj},gripper)")
         for e in store.remove_edges(predicate="On", subject=obj):
             delta.append(f"-On({e.subject},{e.obj})")
@@ -366,6 +370,8 @@ def _apply_effects(
             store.update_record(ROBOT_UID, envelope=GaussianEnvelope(
                 pos, store.records[ROBOT_UID].envelope.covariance))
             delta.append(f"robot_pos={pos.tolist()}")
+            if cs.phase in (Phase.HOLDING, Phase.TRANSPORTING):
+                store.update_record(cs.target, envelope=GaussianEnvelope(pos, HELD_COVARIANCE))
         moving = cs_during_action(cs, action, args)
         if moving is not cs:
             cs = moving

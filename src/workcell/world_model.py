@@ -712,8 +712,8 @@ def register_or_update(
     memory_uids: list[str],
     gammas: dict[int, float],
     zone_id: str,
+    fused: dict[str, tuple[GaussianEnvelope, bytes]],
     cfg: AssociationConfig | None = None,
-    fused: dict[str, tuple[GaussianEnvelope, bytes]] | None = None,
 ) -> StoreDelta:
     """Apply an association outcome: fuse matches, and restore or confirm
     each unmatched observation. An unmatched observation that restores no
@@ -723,23 +723,22 @@ def register_or_update(
     memory_uids maps match-result memory indices back to store uids;
     gammas maps observation indices to fusion weights.
 
-    ``fused``, when given, maps a record uid to the observation envelope
-    last fused into the record and the bytes of the envelope that fusion
-    produced. Every fusion here, a restore's included, writes its entry,
-    and so does a promotion, with the founding observation. A matched
-    observation is then fused into a record once: it is not fused again
-    while its envelope is that same object and the record's envelope
-    still has those bytes, so any other write to the envelope forces a
-    fresh fusion. A matched observation with gamma above 0.1 replaces a
-    stored geometry that is not its own, whether it is fused or not.
+    ``fused`` maps a record uid to the observation envelope last fused
+    into the record and the bytes of the envelope that fusion produced.
+    Every fusion here, a restore's included, writes its entry, and so does
+    a promotion, with the founding observation. A matched observation is
+    then fused into a record once: not again while its envelope is that
+    same object and the record's envelope still has those bytes. It
+    replaces a stored geometry that is not its own at gamma above 0.1,
+    fused or not. A match to a held record, which the Pick and Move
+    effects write, counts as fused and writes nothing.
     """
     cfg = cfg or AssociationConfig()
     delta = StoreDelta()
 
     def remember(uid: str, obs: Observation, envelope: GaussianEnvelope) -> GaussianEnvelope:
         """Note in the memo that ``envelope`` holds ``obs``'s measurement."""
-        if fused is not None:
-            fused[uid] = obs.envelope, _envelope_bytes(envelope)
+        fused[uid] = obs.envelope, _envelope_bytes(envelope)
         return envelope
 
     for obs_idx, mem_idx, _cost in match.matched:
@@ -747,7 +746,10 @@ def register_or_update(
         gamma = gammas.get(obs_idx, 1.0)
         obs = observations[obs_idx]
         rec = store.records[uid]
-        last = None if fused is None else fused.get(uid)
+        delta.fused.append(uid)
+        if rec.attached_to == "gripper":
+            continue
+        last = fused.get(uid)
         fields = {}
         if (last is None or last[0] is not obs.envelope
                 or last[1] != _envelope_bytes(rec.envelope)):
@@ -756,7 +758,6 @@ def register_or_update(
             fields["geometry"] = obs.geometry
         if fields:
             store.update_record(uid, **fields)
-        delta.fused.append(uid)
 
     sighted_keys = set()
     for obs_idx in match.unmatched_observations:

@@ -40,7 +40,10 @@ from workcell.transactions import (
     ConstraintState,
     FTEvent,
     FTSignal,
+    HELD_COVARIANCE,
+    TransactionLog,
     apply_inverse,
+    apply_transition,
     capture_inverse,
 )
 from workcell.world_model import EdgeStatus, Lifecycle, WorldStore, ZoneNode
@@ -135,6 +138,11 @@ _BROKEN_SCENARIOS = {
     "targetmoved_moves_a_supporter": ("transfer_targetmoved", lambda d: d["objects"].append(
         {"id": "cap", "label": "cap", "zone": "zone_a", "position": [0.45, -0.1, 0.04],
          "half_extents": [0.01, 0.01, 0.01], "support": "part_x"})),
+    "targetmoved_lifts_a_supported_object": ("transfer_targetmoved", lambda d: (
+        d["objects"].append({"id": "washer", "label": "washer", "zone": "zone_b",
+                             "position": [1.2, 0.0, 0.035], "half_extents": [0.01, 0.01, 0.005],
+                             "support": "base_plate"}),
+        d["injections"][0]["params"].update(target="washer", move_delta=[0, 0, 0.05]))),
     "task_manipulation_a_string": ("assembly",
                                    _set(["task", "nodes", 1, "manipulation"], "false")),
     "task_key_a_number": ("assembly", _set(["task", "nodes", 0, "key"], 5)),
@@ -572,20 +580,40 @@ def test_validate_scenario_reports_a_malformed_task_graph():
     assert any(e.startswith("task graph") for e in validate_scenario(doc))
 
 
-def test_sense_does_not_rewrite_an_unmoved_held_object():
-    doc = task1_doc()
-    world = build_world(doc, trial_seed=0)
-    store = build_store(doc, world)
-    runtime = harness.TrialRuntime(doc, world, store, harness.build_reasoner(doc))
-    # Held where the zone camera does not see it, so no observation is fused.
-    world.execute_skill("Move", {"position": [0.3, -0.3, 0.3]})
-    world.execute_skill("Pick", {"object": "part_a"})
-    rid = "part_a"
-    store.update_record(rid, attached_to="gripper")
-    runtime.sense()
-    held = store.records[rid].envelope
-    assert held.mean.tolist() == world.robot_position.tolist()
+_ASSEMBLY_OBJECTS = [o["id"] for o in _scenario("assembly")["objects"]]
+_ASSEMBLY_ZONES = {z["id"]: z["center"][:2] for z in _scenario("assembly")["zones"]}
 
+
+@st.composite
+def _skill_step(draw):
+    zone = draw(st.sampled_from(sorted(_ASSEMBLY_ZONES)))
+    x, y = (c + draw(st.floats(-0.15, 0.15)) for c in _ASSEMBLY_ZONES[zone])
+    action = draw(st.sampled_from(["Move", "Pick", "Place", "OpenGripper"]))
+    if action == "Move":
+        position = [x, y, draw(st.floats(0.03, 0.3))]
+        args = draw(st.sampled_from([{"zone": zone}, {"position": position},
+                                     {"zone": zone, "position": position}]))
+    elif action == "Pick":
+        args = {"object": draw(st.sampled_from(_ASSEMBLY_OBJECTS))}
+    elif action == "Place":
+        destination = draw(st.sampled_from([zone, *_ASSEMBLY_OBJECTS]))
+        args = {"destination": destination, "position": [x, y, 0.015], "zone": zone}
+    else:
+        args = {}
+    return action, args
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(steps=st.lists(_skill_step(), min_size=1, max_size=10))
+def test_a_held_belief_is_the_gripper_after_every_sense(steps):
+    """Random skills run through ``apply_transition`` on the assembly
+    scenario, each followed by a sense. After every sense each held record
+    is the gripper's belief, to the byte: the robot's position, the held
+    covariance and no geometry. Pick and Move write it; sense writes no
+    held record, and its observation is never fused into it."""
+    runtime = _runtime(_scenario("assembly"))
+    store, world = runtime.store, runtime.world
+    cs, log = ConstraintState(), TransactionLog()
     written = []
     update = store.update_record
 
@@ -594,9 +622,18 @@ def test_sense_does_not_rewrite_an_unmoved_held_object():
         update(record_id, **fields)
 
     store.update_record = spy
-    runtime.sense()
-    assert rid not in written
-    assert store.records[rid].envelope is held
+    for action, args in steps:
+        cs = apply_transition(store, cs, log, action, args,
+                              dispatch=lambda: runtime.execute_skill(action, args)).cs
+        written.clear()
+        runtime.sense()
+        held = store.held_uids()
+        assert not set(written) & set(held)
+        for uid in held:
+            rec = store.records[uid]
+            assert rec.envelope.mean.tobytes() == world.robot_position.tobytes()
+            assert rec.envelope.covariance.tobytes() == HELD_COVARIANCE.tobytes()
+            assert rec.geometry is None
 
 
 def test_rollback_after_a_refused_commit(monkeypatch):
@@ -925,9 +962,8 @@ def test_a_moved_object_is_fused_again_on_its_next_frame(monkeypatch):
 
 def test_a_record_another_writer_changed_is_fused_again(monkeypatch):
     """A rollback's ``apply_inverse`` puts back a record's envelope from
-    before a fusion, and the held-object reset writes the gripper's belief;
-    the same measurement is then fused again. After the rollback that gives
-    the record the first fusion gave."""
+    before a fusion; the same measurement is then fused again, and that
+    gives the record the first fusion gave."""
     sense = _sensing(monkeypatch)
     runtime = _runtime(task1_doc())
     store = runtime.store
@@ -939,8 +975,6 @@ def test_a_record_another_writer_changed_is_fused_again(monkeypatch):
     assert sense(runtime) == ["part_a"]
     assert store.to_dict()["records"]["part_a"] == first
     assert sense(runtime) == []
-    store.update_record("part_a", attached_to="gripper")
-    assert sense(runtime) == ["part_a"]
 
 
 def test_a_resumed_store_makes_the_same_fusion_decisions(monkeypatch):

@@ -179,9 +179,17 @@ def _populated_store():
 
 def test_serialization_roundtrip_lossless():
     store = _populated_store()
+    geometries = {
+        store.add_entity("bin", _env([1.0, 0.0, 0.1]), "z2", geometry=VoxelsGeom(
+            np.array([[20, 0, 1], [21, 0, 2]]), 0.05)): VoxelsGeom,
+        store.add_entity("crate", _env([2.0, 0.5, 0.2]), "z2", geometry=BillboardGeom(
+            "frame_7#3", np.array([0.0, 0.6, 0.8]), np.array([2.0, 0.5, 0.2]))): BillboardGeom,
+    }
     clone = WorldStore.from_dict(store.to_dict())
     assert clone.state_hash() == store.state_hash()
     assert clone.serialize() == store.serialize()
+    for uid, kind in geometries.items():
+        assert type(clone.records[uid].geometry) is kind
     # The round-tripped store keeps working (indexes rebuilt).
     assert {v.uid for v in clone.entities_in_zone("z1")} == {"gear_1", "slot_1"}
     # A briefing store puts the robot in a zone; the clone's index must
@@ -580,7 +588,7 @@ def test_register_fuses_matched_observation():
     uid = store.add_entity("gear", _env([0, 0, 0], sigma=0.04), "z1")
     obs = _obs("gear", [0.02, 0, 0])
     match = MatchResult(matched=[(0, 0, 0.1)])
-    delta = register_or_update(store, [obs], match, [uid], {0: 1.0}, "z1")
+    delta = register_or_update(store, [obs], match, [uid], {0: 1.0}, "z1", {})
     assert delta.fused == [uid]
     mean = store.records[uid].envelope.mean
     assert 0 < mean[0] < 0.02  # pulled toward the observation
@@ -593,9 +601,9 @@ def test_low_gamma_keeps_stored_geometry():
     obs = _obs("gear", [0.001, 0, 0],
                geometry=PointsGeom(PointCloudData(np.ones((2, 3)))))
     match = MatchResult(matched=[(0, 0, 0.1)])
-    register_or_update(store, [obs], match, [uid], {0: 0.01}, "z1")
+    register_or_update(store, [obs], match, [uid], {0: 0.01}, "z1", {})
     assert store.records[uid].geometry is geom
-    register_or_update(store, [obs], match, [uid], {0: 1.0}, "z1")
+    register_or_update(store, [obs], match, [uid], {0: 1.0}, "z1", {})
     assert store.records[uid].geometry is obs.geometry
 
 
@@ -652,10 +660,10 @@ def test_new_track_needs_two_sightings():
     store = _store_with_zone()
     obs = _obs("gear", [0.5, 0, 0])
     match = MatchResult(unmatched_observations=[0])
-    d1 = register_or_update(store, [obs], match, [], {}, "z1")
+    d1 = register_or_update(store, [obs], match, [], {}, "z1", {})
     assert d1.promoted == [] and len(store.tentative) == 1
     assert "gear_1" not in store.vertices
-    d2 = register_or_update(store, [obs], match, [], {}, "z1")
+    d2 = register_or_update(store, [obs], match, [], {}, "z1", {})
     assert d2.promoted == ["gear_1"]
     assert store.vertices["gear_1"].zone_id == "z1"
 
@@ -664,10 +672,10 @@ def test_unsighted_track_is_discarded():
     store = _store_with_zone()
     obs = _obs("gear", [0.5, 0, 0])
     register_or_update(
-        store, [obs], MatchResult(unmatched_observations=[0]), [], {}, "z1"
+        store, [obs], MatchResult(unmatched_observations=[0]), [], {}, "z1", {}
     )
     assert len(store.tentative) == 1
-    register_or_update(store, [], MatchResult(), [], {}, "z1")
+    register_or_update(store, [], MatchResult(), [], {}, "z1", {})
     assert store.tentative == {}
 
 
@@ -678,7 +686,7 @@ def test_register_restores_archived_before_opening_track():
     assert store.entities_in_zone("z1") == []
     obs = _obs("gear", [0.02, 0, 0])
     d = register_or_update(
-        store, [obs], MatchResult(unmatched_observations=[0]), [], {0: 1.0}, "z1"
+        store, [obs], MatchResult(unmatched_observations=[0]), [], {0: 1.0}, "z1", {}
     )
     assert d.restored == [uid] and store.tentative == {}
     assert store.vertices[uid].lifecycle == Lifecycle.ACTIVE
@@ -831,7 +839,7 @@ class StoreHashMachine(RuleBasedStateMachine):
             observations.append(_obs(label, [0.3, 0.3, 0.0]))
         gammas = {k: 1.0 for k in range(len(observations))}
         register_or_update(self.store, observations, MatchResult(matched, unmatched),
-                           memory, gammas, "z1")
+                           memory, gammas, "z1", {})
 
     @rule(data=st.data(), zone=_zone)
     def curate(self, data, zone):
