@@ -83,26 +83,31 @@ class ValidationStage(Enum):
 
 @dataclass
 class ValidationReport:
-    ok: bool
-    stages: dict[str, str]  # stage -> "passed" | "failed" | "skipped"
+    """The stage that failed, if any, and why; every stage before it
+    passed and every stage after it was skipped."""
+
     failing_stage: ValidationStage | None = None
     detail: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return self.failing_stage is None
+
+    @property
+    def stages(self) -> dict[str, str]:
+        """Each stage's status: "passed", "failed" or "skipped"."""
+        order = list(ValidationStage)
+        at = len(order) if self.failing_stage is None else order.index(self.failing_stage)
+        return {s.value: "passed" if i < at else "failed" if i == at else "skipped"
+                for i, s in enumerate(order)}
 
     def to_dict(self) -> dict:
         return {
             "ok": self.ok,
-            "stages": dict(self.stages),
+            "stages": self.stages,
             "failing_stage": None if self.failing_stage is None else self.failing_stage.value,
             "detail": self.detail,
         }
-
-
-def _fail(stage: ValidationStage, detail: str, stages: dict) -> ValidationReport:
-    stages[stage.value] = "failed"
-    order = [ValidationStage.SYNTACTIC, ValidationStage.SEMANTIC, ValidationStage.PHYSICAL]
-    for later in order[order.index(stage) + 1:]:
-        stages[later.value] = "skipped"
-    return ValidationReport(False, stages, stage, detail)
 
 
 def _entity_error(store: WorldStore, uid: str) -> str:
@@ -199,30 +204,27 @@ def validate_ert(doc, store: WorldStore) -> tuple[ERT | None, ValidationReport]:
     (``_UID_ARGS``), and each relation endpoint is a known vertex or zone,
     not archived. Physical: each stated belief holds geometrically now.
     """
-    stages = {s.value: "passed" for s in ValidationStage}
-
     ert, err = parse_ert(doc)
     if ert is None:
-        return None, _fail(ValidationStage.SYNTACTIC, err, stages)
+        return None, ValidationReport(ValidationStage.SYNTACTIC, err)
     if ert.action not in SKILLS:
-        return None, _fail(
-            ValidationStage.SYNTACTIC, f"unknown action {ert.action!r}", stages
-        )
+        return None, ValidationReport(ValidationStage.SYNTACTIC, f"unknown action {ert.action!r}")
     err = _args_error(ert.action, ert.args)
     if err:
-        return None, _fail(ValidationStage.SYNTACTIC, err, stages)
+        return None, ValidationReport(ValidationStage.SYNTACTIC, err)
 
     for key, uid in ert.args.items():
         reason = _UID_ARGS[key](store, uid) if key in _UID_ARGS else ""
         if reason:
-            return None, _fail(ValidationStage.SEMANTIC, f"{key} {uid!r} {reason}", stages)
+            return None, ValidationReport(ValidationStage.SEMANTIC, f"{key} {uid!r} {reason}")
     for _, s, o in ert.world_belief + ert.add_relations + ert.remove_relations:
         for uid in (s, o):
             v = store.vertices.get(uid)
             if v is None and uid not in store.zones:
-                return None, _fail(ValidationStage.SEMANTIC, f"unknown entity {uid!r}", stages)
+                return None, ValidationReport(ValidationStage.SEMANTIC, f"unknown entity {uid!r}")
             if v is not None and v.lifecycle == Lifecycle.ARCHIVED:
-                return None, _fail(ValidationStage.SEMANTIC, f"entity {uid!r} is archived", stages)
+                return None, ValidationReport(ValidationStage.SEMANTIC,
+                                              f"entity {uid!r} is archived")
 
     for pred, subj, obj in ert.world_belief:
         if pred == "Holding":
@@ -236,12 +238,9 @@ def validate_ert(doc, store: WorldStore) -> tuple[ERT | None, ValidationReport]:
         else:
             continue
         if not ok:
-            return None, _fail(
-                ValidationStage.PHYSICAL,
-                f"belief {pred}({subj},{obj}) contradicts geometry",
-                stages,
-            )
-    return ert, ValidationReport(True, stages)
+            return None, ValidationReport(
+                ValidationStage.PHYSICAL, f"belief {pred}({subj},{obj}) contradicts geometry")
+    return ert, ValidationReport()
 
 
 # -- context subgraph --------------------------------------------------------

@@ -341,17 +341,21 @@ class Executive:
         finally:
             self._count_calls(before)
 
-    def _sense_logged(self) -> SenseResult:
-        """Run a perception cycle and, if it mutated the store, record the
-        mutation as a committed entry so the hash chain stays contiguous."""
+    def _logged(self, action: str, write):
+        """Run ``write`` and, if it mutated the store, record the mutation as
+        a committed ``action`` entry so the hash chain stays contiguous."""
         pre = self.store.state_hash()
-        sensed: SenseResult = self.sense()
+        out = write()
         post = self.store.state_hash()
         if post != pre:
-            self.log.append(TransactionEntry(
-                pre, post, "PerceptionUpdate", {}, [], outcome="committed"
-            ))
-        return sensed
+            self.log.append(TransactionEntry(pre, post, action, {}, [], outcome="committed"))
+        return out
+
+    def _release_held(self):
+        """Put every held record back in the world: a revert restores the
+        store as the skill found it, which can hold a part the gripper lost."""
+        for uid in self.store.held_uids():
+            self.store.update_record(uid, attached_to="world")
 
     def _context_payload(self, node: TaskNode) -> dict:
         subtask = {
@@ -444,11 +448,13 @@ class Executive:
             self.cs = update_cs_from_events(
                 cs_during_action(cs_before, ert.action, ert.args), result.events
             )
+            if self.cs.phase == Phase.IDLE and self.store.held_uids():
+                self._logged("GraspLost", self._release_held)
             self._record("rolled_back", node=node.node_id, reason=result.reason)
         else:
             # Applied; confirm against post-action perception.
             self.cs = result.cs
-            sensed = self._sense_logged()
+            sensed = self._logged("PerceptionUpdate", self.sense)
             commit_args = dict(ert.args)
             if ert.action == "Place" and "object" not in commit_args:
                 commit_args["object"] = cs_before.target
@@ -486,7 +492,7 @@ class Executive:
     ) -> bool:
         if self._in_recovery:
             return False  # one level of recovery; nested failures abort
-        sensed = sensed or self._sense_logged()
+        sensed = sensed or self._logged("PerceptionUpdate", self.sense)
         pre_live = {
             (e.predicate, e.subject, e.obj)
             for e in pre_edges if e.status != EdgeStatus.REFUTED

@@ -44,6 +44,7 @@ from .geometry import (
 from .perception import (
     CameraIntrinsics,
     Frame,
+    Observation,
     PointsGeom,
     assemble_snapshot,
 )
@@ -376,6 +377,9 @@ class TrialRuntime:
     envelope still has those bytes. Any other write to the envelope, such
     as a rollback, makes the next match fuse again. A held record, which
     the Pick and Move effects write, is matched but never fused.
+
+    It also keeps the confirmation window (``register_or_update``'s
+    ``pending``): new sightings, each waiting one cycle for a second one.
     """
 
     def __init__(self, doc: dict, world: SimWorld, store: WorldStore,
@@ -389,6 +393,7 @@ class TrialRuntime:
         self._views: dict[int, _CameraView] = {}  # by id of the camera
         self._similarity: dict[str, float] = {}  # by "observed|remembered" labels
         self._fused: dict[str, tuple[GaussianEnvelope, bytes]] = {}  # by record uid
+        self._pending: list[Observation] = []  # sightings awaiting a second one
 
     def active_camera(self) -> SimCamera:
         cam = self.cameras.get(self.world.robot_zone)
@@ -479,8 +484,8 @@ class TrialRuntime:
 
         final = MatchResult(matched, unmatched_obs, unmatched_mem)
         delta = register_or_update(
-            self.store, observations, final, memory_uids, gammas,
-            zone_id=self.world.robot_zone, cfg=self.assoc_cfg, fused=self._fused,
+            self.store, observations, final, memory_uids, gammas, self.world.robot_zone,
+            self._fused, self._pending, cfg=self.assoc_cfg,
         )
 
         observed = {memory_uids[i] for _k, i, _c in matched}

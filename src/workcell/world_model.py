@@ -7,17 +7,18 @@ its record in the registry share it, so a vertex's record is
 an archived vertex need not have one.
 
 The store document (``to_dict``) is the whole state. Everything else the
-store keeps is derived from it: the zone index, by one rule
-(``_indexed_zone``); the records attached to the gripper; the edges by
-subject and by object; and the canonical-JSON text of each record,
-vertex, edge and head section, cached for ``state_hash``. So every write
-goes through a ``WorldStore`` method that keeps all of these and marks
-what it touched for hashing:
-``add_entity``, ``update_record``, ``update_vertex``, ``restore_entity``,
-``add_edge``, ``remove_edges``, ``set_edges``, ``add_zone`` and
-``next_uid``. Records, vertices and edges are never mutated in place: a
-field is replaced through ``update_record``/``update_vertex``, and edges
-are frozen.
+store keeps is derived from it, as ``from_dict`` does: the zone index, by
+one rule (``_indexed_zone``); the records attached to the gripper; the
+edges by subject and by object; and the canonical-JSON text of each
+record, vertex, edge and head section, cached for ``state_hash``. So
+every write goes through a ``WorldStore`` method that keeps all of these
+and marks what it touched for hashing: ``add_entity``, ``update_record``,
+``update_vertex``, ``restore_entity``, ``add_edge``, ``remove_edges``,
+``set_edges``, ``add_zone`` and ``next_uid``. Records, vertices and
+edges are never mutated in place: a field is replaced through
+``update_record``/``update_vertex``, and edges are frozen. The tracker's
+state between cycles, its pending sightings and fused-once memo, is the
+trial runtime's, not the store's.
 
 ``from_dict`` resumes a store from its document in one stacked pass: it
 checks every record's envelope at once with ``envelope_stack``, which
@@ -161,7 +162,6 @@ class WorldStore:
         self.records: dict[str, ObjectRecord] = {}
         self.vertices: dict[str, ObjectVertex] = {}
         self.edges: list[RelationEdge] = []
-        self.tentative: dict[int, Observation] = {}  # pending sightings
         self._uid_counters: dict[str, int] = {}
         env = GaussianEnvelope(np.zeros(3), 1e-6 * np.eye(3))
         self.records[ROBOT_UID] = ObjectRecord(envelope=env)
@@ -391,7 +391,6 @@ class WorldStore:
 
         store = cls.__new__(cls)
         store._uid_counters = dict(data["uid_counters"])
-        store.tentative = {}
         store.zones = {}
         for zid, z in data["zones"].items():
             extent = None
@@ -713,12 +712,14 @@ def register_or_update(
     gammas: dict[int, float],
     zone_id: str,
     fused: dict[str, tuple[GaussianEnvelope, bytes]],
+    pending: list[Observation],
     cfg: AssociationConfig | None = None,
 ) -> StoreDelta:
     """Apply an association outcome: fuse matches, and restore or confirm
-    each unmatched observation. An unmatched observation that restores no
-    archived entity waits in ``store.tentative``; the next one that matches
-    it, in this cycle or the next, is promoted to a new entity.
+    each unmatched observation. One that restores no archived entity takes
+    the first sighting in ``pending`` (oldest first) with its label inside
+    ``tau_geo`` and is promoted to a new entity, or else joins ``pending``,
+    which then keeps only this cycle's sightings that nothing took.
 
     memory_uids maps match-result memory indices back to store uids;
     gammas maps observation indices to fusion weights.
@@ -759,7 +760,7 @@ def register_or_update(
         if fields:
             store.update_record(uid, **fields)
 
-    sighted_keys = set()
+    stale = len(pending)  # sightings from earlier cycles lead the window
     for obs_idx in match.unmatched_observations:
         obs = observations[obs_idx]
         restored = restore_candidates(store, obs, cfg)
@@ -769,25 +770,18 @@ def register_or_update(
                 store.records[restored].envelope, obs.envelope, gammas.get(obs_idx, 1.0))))
             delta.restored.append(restored)
             continue
-        key = _tentative_key(store, obs, cfg)
-        sighted_keys.add(key)
-        if key not in store.tentative:
-            store.tentative[key] = obs
-        else:
-            del store.tentative[key]
-            uid = store.add_entity(
-                label=obs.label,
-                envelope=obs.envelope,
-                zone_id=zone_id,
-                geometry=obs.geometry,
-            )
-            remember(uid, obs, obs.envelope)
-            delta.promoted.append(uid)
-
-    # Sightings not seen again this cycle fall out of the window.
-    for key in list(store.tentative):
-        if key not in sighted_keys:
-            del store.tentative[key]
+        seen = next((i for i, p in enumerate(pending) if p.label == obs.label
+                     and mahalanobis_between(p.envelope, obs.envelope) < cfg.tau_geo), None)
+        if seen is None:
+            pending.append(obs)
+            continue
+        del pending[seen]
+        if seen < stale:
+            stale -= 1
+        uid = store.add_entity(obs.label, obs.envelope, zone_id, geometry=obs.geometry)
+        remember(uid, obs, obs.envelope)
+        delta.promoted.append(uid)
+    del pending[:stale]  # sightings not seen again this cycle fall out
 
     store.check_integrity(delta.fused + delta.restored + delta.promoted)
     return delta
@@ -795,13 +789,3 @@ def register_or_update(
 
 def _envelope_bytes(envelope: GaussianEnvelope) -> bytes:
     return envelope.mean.tobytes() + envelope.covariance.tobytes()
-
-
-def _tentative_key(store: WorldStore, obs: Observation, cfg: AssociationConfig) -> int:
-    """Stable key for the confirmation window: match against pending sightings."""
-    for key, pending in sorted(store.tentative.items()):
-        if pending.label != obs.label:
-            continue
-        if mahalanobis_between(pending.envelope, obs.envelope) < cfg.tau_geo:
-            return key
-    return max(store.tentative, default=-1) + 1

@@ -19,7 +19,7 @@ import workcell.executive as executive
 import workcell.harness as harness
 import workcell.world_model as world_model
 from workcell import cli, simulator
-from workcell.cognition import validate_ert
+from workcell.cognition import ValidationStage, validate_ert
 from workcell.errors import ReasonerFault, ScenarioError, WorkcellError
 from workcell.geometry import GaussianEnvelope, PoseSE3
 from workcell.harness import (
@@ -41,6 +41,7 @@ from workcell.transactions import (
     FTEvent,
     FTSignal,
     HELD_COVARIANCE,
+    Phase,
     TransactionLog,
     apply_inverse,
     apply_transition,
@@ -677,6 +678,31 @@ def test_rollback_after_a_refused_commit(monkeypatch):
     assert aborted and "does not track the gripper" in aborted[0]["hint"]
 
 
+def test_a_lost_grasp_leaves_nothing_held(monkeypatch):
+    """In transfer_partslip trial 0 the part slips during the Move, and the
+    GraspFailure revert restores the store as the Move found it: holding
+    the part. The executive then puts the part back in the world, as one
+    logged write, so when recovery starts nothing is held and an ERT that
+    believes the gripper holds the part fails the physical stage."""
+    seen, entries = [], []
+    recover = executive.Executive._recover
+    believes_held = ert_doc("Pick", {"object": "part_x"},
+                            {"phase": "Holding", "target": "part_x"},
+                            beliefs=[("Holding", "robot", "part_x")])
+
+    def watched(self, *args):
+        entries.append([(e.action, e.outcome) for e in self.log.entries[-2:]])
+        seen.append((self.cs.phase, self.store.held_uids(),
+                     validate_ert(believes_held, self.store)[1].failing_stage))
+        return recover(self, *args)
+
+    monkeypatch.setattr(executive.Executive, "_recover", watched)
+    log = run_trial(load_scenario(SCENARIOS / "transfer_partslip.json"), 0)
+    assert log["success"] and log["log_chain_valid"]
+    assert seen == [(Phase.IDLE, [], ValidationStage.PHYSICAL)]
+    assert entries == [[("Move", "rolled_back"), ("GraspLost", "committed")]]
+
+
 def test_metrics_from_dir_empty_raises(tmp_path):
     with pytest.raises(ScenarioError):
         metrics_from_dir(tmp_path)
@@ -995,6 +1021,65 @@ def test_a_resumed_store_makes_the_same_fusion_decisions(monkeypatch):
     assert all(a == b for a, b in decisions)
     assert [] in (a for a, _b in decisions) and any(a for a, _b in decisions)
     assert kept.store.serialize() == resumed.store.serialize()
+
+
+# -- the store is its document --------------------------------------------------
+
+
+@functools.cache
+def _cluttered_layouts() -> tuple[ScenarioSpec, ...]:
+    """The benchmark's ten seed-1 cluttered_assembly layouts."""
+    sys.path.insert(0, str(SCENARIOS.parent / "bench"))
+    from workloads import make_workload
+    return tuple(t.spec for t in make_workload("cluttered_assembly", 1, SCENARIOS.parent).trials)
+
+
+def _trials(case):
+    if case == "cluttered_assembly":
+        return [(spec, 0) for spec in _cluttered_layouts()]
+    return [(load_scenario(SCENARIOS / f"{case}.json"), i) for i in range(3)]
+
+
+@pytest.mark.parametrize("case", ["assembly", "transfer_partslip", "transfer_obstacle",
+                                  "transfer_targetmoved", "cluttered_assembly"])
+def test_a_store_resumed_from_its_document_runs_the_same_trial(case, monkeypatch):
+    """Each trial runs twice: as it is, and with its store replaced in place
+    by ``from_dict`` of its serialized document after every sense cycle and
+    every transition. The swap reaches every holder of the store, so any
+    state the store keeps beyond its document, or any cache that differs
+    from what ``from_dict`` derives, shows as a different trace, answer or
+    final document."""
+    stores, swaps = [], []
+    build, sense, transition = harness.build_store, harness.TrialRuntime.sense, apply_transition
+
+    def resume(store):
+        store.__dict__ = WorldStore.from_dict(json.loads(store.serialize())).__dict__
+        swaps.append(1)
+
+    def resumed_sense(self):
+        sensed = sense(self)
+        resume(self.store)
+        return sensed
+
+    def resumed_transition(store, *args, **kwargs):
+        result = transition(store, *args, **kwargs)
+        resume(store)
+        return result
+
+    def run(spec, i):
+        log = run_trial(spec, i)
+        return log, stores[-1].serialize()
+
+    monkeypatch.setattr(harness, "build_store",
+                        lambda doc, world: stores.append(build(doc, world)) or stores[-1])
+    for spec, i in _trials(case):
+        kept = run(spec, i)
+        with monkeypatch.context() as m:
+            m.setattr(harness.TrialRuntime, "sense", resumed_sense)
+            m.setattr(executive, "apply_transition", resumed_transition)
+            resumed = run(spec, i)
+        assert resumed == kept, f"trial {i} of {case} diverged"
+    assert len(swaps) > 10
 
 
 # -- CLI ----------------------------------------------------------------------

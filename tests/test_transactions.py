@@ -292,9 +292,10 @@ def test_rollback_across_perception_update_keeps_promoted_entity():
     pre = store.state_hash()
     obs = Observation(label="gear", geometry=None,
                       envelope=_env([0.6, 0.2, 0.02]))
+    pending = []
     for _ in range(2):  # two sightings promote the track
         register_or_update(store, [obs], MatchResult(unmatched_observations=[0]),
-                           [], {}, "z1", {})
+                           [], {}, "z1", {}, pending)
     log.append(TransactionEntry(pre, store.state_hash(), "PerceptionUpdate",
                                 {}, [], outcome="committed"))
     rollback(log, store)

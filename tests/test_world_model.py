@@ -588,7 +588,7 @@ def test_register_fuses_matched_observation():
     uid = store.add_entity("gear", _env([0, 0, 0], sigma=0.04), "z1")
     obs = _obs("gear", [0.02, 0, 0])
     match = MatchResult(matched=[(0, 0, 0.1)])
-    delta = register_or_update(store, [obs], match, [uid], {0: 1.0}, "z1", {})
+    delta = register_or_update(store, [obs], match, [uid], {0: 1.0}, "z1", {}, [])
     assert delta.fused == [uid]
     mean = store.records[uid].envelope.mean
     assert 0 < mean[0] < 0.02  # pulled toward the observation
@@ -601,9 +601,9 @@ def test_low_gamma_keeps_stored_geometry():
     obs = _obs("gear", [0.001, 0, 0],
                geometry=PointsGeom(PointCloudData(np.ones((2, 3)))))
     match = MatchResult(matched=[(0, 0, 0.1)])
-    register_or_update(store, [obs], match, [uid], {0: 0.01}, "z1", {})
+    register_or_update(store, [obs], match, [uid], {0: 0.01}, "z1", {}, [])
     assert store.records[uid].geometry is geom
-    register_or_update(store, [obs], match, [uid], {0: 1.0}, "z1", {})
+    register_or_update(store, [obs], match, [uid], {0: 1.0}, "z1", {}, [])
     assert store.records[uid].geometry is obs.geometry
 
 
@@ -619,16 +619,16 @@ def test_a_measurement_is_fused_into_a_record_once():
                geometry=PointsGeom(PointCloudData(np.ones((2, 3)))))
     match = MatchResult(matched=[(0, 0, 0.1)])
     fused = {}
-    register_or_update(store, [obs], match, [uid], {0: 0.01}, "z1", fused=fused)
+    register_or_update(store, [obs], match, [uid], {0: 0.01}, "z1", fused, [])
     once = store.records[uid].envelope
     assert once.mean.tolist() != [0, 0, 0] and store.records[uid].geometry is geom
-    delta = register_or_update(store, [obs], match, [uid], {0: 1.0}, "z1", fused=fused)
+    delta = register_or_update(store, [obs], match, [uid], {0: 1.0}, "z1", fused, [])
     assert delta.fused == [uid]
     assert store.records[uid].envelope is once
     assert store.records[uid].geometry is obs.geometry
     same_values = Observation(obs.label, obs.geometry,
                               GaussianEnvelope(obs.envelope.mean, obs.envelope.covariance))
-    register_or_update(store, [same_values], match, [uid], {0: 1.0}, "z1", fused=fused)
+    register_or_update(store, [same_values], match, [uid], {0: 1.0}, "z1", fused, [])
     assert (store.records[uid].envelope.covariance < once.covariance).all(where=np.eye(3) > 0)
 
 
@@ -640,57 +640,106 @@ def test_a_restored_or_promoted_record_holds_its_measurement_once():
     gear = store.add_entity("gear", _env([0, 0, 0]), "z1")
     store.update_vertex(gear, lifecycle=Lifecycle.ARCHIVED)
     observations = [_obs("gear", [0.01, 0, 0]), _obs("bolt", [0.5, 0, 0])]
-    fused = {}
+    fused, pending = {}, []
     delta = register_or_update(store, observations, MatchResult(unmatched_observations=[0, 1]),
-                               [], {}, "z1", fused=fused)
+                               [], {}, "z1", fused, pending)
     assert delta.restored == [gear]
     restored = store.records[gear].envelope
     delta = register_or_update(store, observations,
                                MatchResult(matched=[(0, 0, 0.1)], unmatched_observations=[1]),
-                               [gear], {0: 1.0}, "z1", fused=fused)
+                               [gear], {0: 1.0}, "z1", fused, pending)
     assert delta.fused == [gear] and delta.promoted == ["bolt_1"]
     assert store.records[gear].envelope is restored
     register_or_update(store, observations, MatchResult(matched=[(0, 0, 0.1), (1, 1, 0.1)]),
-                       [gear, "bolt_1"], {0: 1.0, 1: 1.0}, "z1", fused=fused)
+                       [gear, "bolt_1"], {0: 1.0, 1: 1.0}, "z1", fused, pending)
     assert store.records[gear].envelope is restored
     assert store.records["bolt_1"].envelope is observations[1].envelope
 
 
 def test_new_track_needs_two_sightings():
-    store = _store_with_zone()
+    store, pending = _store_with_zone(), []
     obs = _obs("gear", [0.5, 0, 0])
     match = MatchResult(unmatched_observations=[0])
-    d1 = register_or_update(store, [obs], match, [], {}, "z1", {})
-    assert d1.promoted == [] and len(store.tentative) == 1
+    d1 = register_or_update(store, [obs], match, [], {}, "z1", {}, pending)
+    assert d1.promoted == [] and _same(pending, [obs])
     assert "gear_1" not in store.vertices
-    d2 = register_or_update(store, [obs], match, [], {}, "z1", {})
-    assert d2.promoted == ["gear_1"]
+    d2 = register_or_update(store, [obs], match, [], {}, "z1", {}, pending)
+    assert d2.promoted == ["gear_1"] and pending == []
     assert store.vertices["gear_1"].zone_id == "z1"
 
 
 def test_unsighted_track_is_discarded():
-    store = _store_with_zone()
+    store, pending = _store_with_zone(), []
     obs = _obs("gear", [0.5, 0, 0])
     register_or_update(
-        store, [obs], MatchResult(unmatched_observations=[0]), [], {}, "z1", {}
+        store, [obs], MatchResult(unmatched_observations=[0]), [], {}, "z1", {}, pending
     )
-    assert len(store.tentative) == 1
-    register_or_update(store, [], MatchResult(), [], {}, "z1", {})
-    assert store.tentative == {}
+    assert _same(pending, [obs])
+    register_or_update(store, [], MatchResult(), [], {}, "z1", {}, pending)
+    assert pending == []
 
 
 def test_register_restores_archived_before_opening_track():
-    store = _store_with_zone()
+    store, pending = _store_with_zone(), []
     uid = store.add_entity("gear", _env([0, 0, 0], sigma=0.04), "z1")
     store.update_vertex(uid, lifecycle=Lifecycle.ARCHIVED)
     assert store.entities_in_zone("z1") == []
     obs = _obs("gear", [0.02, 0, 0])
     d = register_or_update(
-        store, [obs], MatchResult(unmatched_observations=[0]), [], {0: 1.0}, "z1", {}
+        store, [obs], MatchResult(unmatched_observations=[0]), [], {0: 1.0}, "z1", {}, pending
     )
-    assert d.restored == [uid] and store.tentative == {}
+    assert d.restored == [uid] and pending == []
     assert store.vertices[uid].lifecycle == Lifecycle.ACTIVE
     assert [v.uid for v in store.entities_in_zone("z1")] == [uid]
+
+
+def _same(pending, observations):
+    """The window holds exactly these observation objects, in this order."""
+    return len(pending) == len(observations) and all(
+        a is b for a, b in zip(pending, observations))
+
+
+def _sight(store, pending, *observations):
+    """One cycle in which every observation is unmatched; the uids it promoted."""
+    match = MatchResult(unmatched_observations=list(range(len(observations))))
+    return register_or_update(store, list(observations), match, [], {}, "z1", {},
+                              pending).promoted
+
+
+def test_two_sightings_in_one_cycle_promote_on_the_second():
+    store, pending = _store_with_zone(), []
+    first, second = _obs("gear", [0.5, 0, 0]), _obs("gear", [0.52, 0, 0])
+    assert _sight(store, pending, first, second) == ["gear_1"]
+    assert store.records["gear_1"].envelope is second.envelope
+    assert pending == []
+
+
+def test_a_sighting_consumes_the_earliest_pending_match():
+    """Two pending gear sightings 0.8 apart, outside each other's gate, and
+    a third between them inside both gates: the third consumes the one
+    first sighted, whether it came a cycle earlier or earlier in this one,
+    and the other stays pending."""
+    old, new, between = (_obs("gear", [0, 0, 0]), _obs("gear", [0.8, 0, 0]),
+                         _obs("gear", [0.4, 0, 0]))
+    store, pending = _store_with_zone(), []
+    assert _sight(store, pending, old) == []
+    assert _sight(store, pending, new, between) == ["gear_1"]
+    assert store.records["gear_1"].envelope is between.envelope
+    assert _same(pending, [new])
+    store, pending = _store_with_zone(), []
+    assert _sight(store, pending, old, new, between) == ["gear_1"]
+    assert _same(pending, [new])
+    assert _sight(store, pending, _obs("gear", [0.8, 0, 0])) == ["gear_2"]
+
+
+def test_a_sighting_not_seen_in_the_next_cycle_is_dropped():
+    store, pending = _store_with_zone(), []
+    gear, bolt = _obs("gear", [0.5, 0, 0]), _obs("bolt", [0.5, 0, 0])
+    assert _sight(store, pending, gear) == []
+    assert _sight(store, pending, bolt) == []
+    assert _same(pending, [bolt])
+    assert _sight(store, pending, gear) == []
+    assert _same(pending, [gear])
 
 
 # -- hash cache ---------------------------------------------------------------
@@ -723,6 +772,7 @@ class StoreHashMachine(RuleBasedStateMachine):
         self.store.add_zone(ZoneNode("z2", "z2"))
         self.cs = ConstraintState()
         self.log = TransactionLog()
+        self.pending = []  # the confirmation window the register rule keeps
         self.before: dict[int, str] = {}  # state_bytes before each applied entry, by id
 
     def _uid(self, data):
@@ -839,7 +889,7 @@ class StoreHashMachine(RuleBasedStateMachine):
             observations.append(_obs(label, [0.3, 0.3, 0.0]))
         gammas = {k: 1.0 for k in range(len(observations))}
         register_or_update(self.store, observations, MatchResult(matched, unmatched),
-                           memory, gammas, "z1", {})
+                           memory, gammas, "z1", {}, self.pending)
 
     @rule(data=st.data(), zone=_zone)
     def curate(self, data, zone):
@@ -993,7 +1043,7 @@ def test_store_field_lint_sees_every_form_of_write():
     assert names == ["confidence", "envelope", "label", "lifecycle", "pose", "zone_id"]
     code = ("s.edges = []\ns.records[u] = r\ndel s.vertices[u]\ns.records.update(p)\n"
             "s.zones.pop(z)\nx, s.edges[-1] = 1, e\n"
-            "self.store.records.clear()\ns.tentative[k] = t\ns.edges.index(e)\n"
+            "self.store.records.clear()\ns.pending[k] = t\ns.edges.index(e)\n"
             "x = s.records[u]\nlog.append(s.edges)\n")
     names = sorted(name for _, name in _container_writes(ast.parse(code)))
     assert names == ["edges", "edges", "records", "records", "records", "vertices", "zones"]
