@@ -22,7 +22,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run = sub.add_parser("run", help="run a scenario file")
     p_run.add_argument("scenario")
     p_run.add_argument("--trials", type=int, default=None)
-    p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--trace", action="store_true",
                        help="print the event trace of each trial")
@@ -47,7 +46,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "run":
-            spec = load_scenario(args.scenario, seed=args.seed)
+            spec = load_scenario(args.scenario)
             report, logs = run_scenario(spec, out_dir=args.out, trials=args.trials)
             if args.trace:
                 for log in logs:

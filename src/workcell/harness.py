@@ -2,8 +2,9 @@
 
 A scenario file fully determines a run: world layout, pre-decomposed task
 graph, scripted reasoner responses, failure injections, and the question
-sets used for the information metrics. Trials are isolated: each gets a
-fresh store and a fresh world; only the shape library is shared.
+sets used for the information metrics. It carries no seed, and every trial
+of it runs the same way. Trials are isolated: each gets a fresh store and
+a fresh world.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from .schema import (
     INT,
     LENGTH,
     LIST,
-    NATURAL,
     POINT,
     ROTATION,
     SCALAR,
@@ -75,7 +75,6 @@ from .simulator import (
 )
 from .transactions import SKILLS, FTEvent
 from .world_model import (
-    EPS_CONTACT,
     EdgeStatus,
     Lifecycle,
     ROBOT_UID,
@@ -103,18 +102,11 @@ class ScenarioSpec:
     def trials(self) -> int:
         return int(self.doc.get("trials", 1))
 
-    @property
-    def seed(self) -> int:
-        return int(self.doc.get("seed", 0))
 
-
-def load_scenario(path: str | Path, seed: int | None = None) -> ScenarioSpec:
-    """Read and validate a scenario file. A ``seed`` given here replaces
-    the file's before validation, so it is checked like one written there."""
+def load_scenario(path: str | Path) -> ScenarioSpec:
+    """Read and validate a scenario file."""
     with open(path) as fh:
         doc = json.load(fh)
-    if seed is not None and isinstance(doc, dict):
-        doc["seed"] = seed
     errors = validate_scenario(doc)
     if errors:
         raise ScenarioError("; ".join(errors))
@@ -127,7 +119,7 @@ _CAUSE = (lambda v: v in ("PartSlip", "Obstacle", "TargetMoved"),
           "PartSlip, Obstacle or TargetMoved")
 _SCENARIO_KEYS = {
     "zones": LIST, "objects": LIST, "robot": ANY, "task": ANY,
-    "trials?": COUNT, "seed?": NATURAL, "cameras?": DICT, "root_cause?": _CAUSE,
+    "trials?": COUNT, "cameras?": DICT, "root_cause?": _CAUSE,
     "synonyms?": mapping_of(LIST),
     **{f"{key}?": LIST for key in ("injections", "script", "questions", "queries")},
 }
@@ -185,7 +177,7 @@ def validate_scenario(doc) -> list[str]:
     if not zone_ids:
         errors.append("scenario defines no zones")
     objects = [o for _, o in entries("objects", _OBJECT_KEYS)]
-    by_id = {o["id"]: o for o in objects}
+    object_ids = {o["id"] for o in objects}
     seen = {ROBOT_UID}  # the store's robot vertex holds this uid
     for o in objects:
         oid = o["id"]
@@ -194,15 +186,6 @@ def validate_scenario(doc) -> list[str]:
         seen.add(oid)
         if o["zone"] not in zone_ids:
             errors.append(f"object {oid!r} references unknown zone {o['zone']!r}")
-        sup = o.get("support")
-        if sup is not None and not (isinstance(sup, str) and sup in by_id):
-            errors.append(f"object {oid!r} supported by unknown {sup!r}")
-        elif sup is not None:
-            # The simulator's rule: an object's bottom lies on its supporter's top.
-            bottom = o["position"][2] - o["half_extents"][2]
-            top = by_id[sup]["position"][2] + by_id[sup]["half_extents"][2]
-            if abs(bottom - top) > 2 * EPS_CONTACT:
-                errors.append(f"object {oid!r} does not rest on its supporter {sup!r}")
     if "robot" in doc:
         errors += (found := key_errors(doc["robot"], "robot", _ROBOT_KEYS))
         if not found and doc["robot"]["zone"] not in zone_ids:
@@ -221,18 +204,8 @@ def validate_scenario(doc) -> list[str]:
     for name, inj in entries("injections", _INJECTION_KEYS):
         params = inj.get("params", {})
         errors += (found := key_errors(params, f"{name} params", _PARAM_KEYS[inj["kind"]]))
-        if not found and inj["kind"] == "TargetMoved":
-            target = params["target"]
-            if target not in by_id:
-                errors.append("TargetMoved injection references unknown target")
-            elif any(o.get("support") == target for o in objects):
-                # The displacement would leave what rests on it floating.
-                errors.append(f"TargetMoved injection moves {target!r}, which supports "
-                              "another object")
-            elif (by_id[target].get("support") is not None and params["move_delta"][2] != 0
-                  and not np.linalg.norm(np.asarray(params["move_delta"][:2], dtype=float))):
-                # The simulator keeps the support of a target moved straight up or down.
-                errors.append(f"TargetMoved injection moves {target!r} straight off its supporter")
+        if not found and inj["kind"] == "TargetMoved" and params["target"] not in object_ids:
+            errors.append("TargetMoved injection references unknown target")
     entries("script", _SCRIPT_KEYS)
     for name, q in entries("questions", {"kind": ANY}) + entries("queries", {"kind": ANY}):
         keys = _QUESTION_KEYS.get(q["kind"]) if isinstance(q["kind"], str) else None
@@ -248,7 +221,9 @@ def validate_scenario(doc) -> list[str]:
 # -- world / store construction ---------------------------------------------
 
 
-def build_world(doc: dict, trial_seed: int) -> SimWorld:
+def build_world(doc: dict, **_ignored) -> SimWorld:
+    # ``_ignored`` takes the ``trial_seed`` that ``bench/workloads.py``
+    # still passes; nothing in the simulator draws from a generator.
     objects = []
     for o in doc["objects"]:
         objects.append(SimObject(
@@ -257,7 +232,6 @@ def build_world(doc: dict, trial_seed: int) -> SimWorld:
             half_extents=np.asarray(o["half_extents"], dtype=float),
             pose=PoseSE3(np.eye(3), np.asarray(o["position"], dtype=float)),
             zone=o["zone"],
-            support=o.get("support"),
         ))
     injections = [
         FailureInjection(
@@ -275,7 +249,6 @@ def build_world(doc: dict, trial_seed: int) -> SimWorld:
         robot_zone=robot["zone"],
         robot_position=np.asarray(robot["position"], dtype=float),
         injections=injections,
-        seed=trial_seed,
     )
 
 
@@ -422,7 +395,6 @@ class TrialRuntime:
 
     def execute_skill(self, action: str, args: dict) -> list[FTEvent]:
         self.record_sta_sample()
-        self.world.step()
         return self.world.execute_skill(action, args)
 
     def sense(self) -> SenseResult:
@@ -704,7 +676,7 @@ def compute_metrics(trial_logs: list[dict]) -> MetricsReport:
 
 def run_trial(spec: ScenarioSpec, trial_index: int) -> dict:
     doc = spec.doc
-    world = build_world(doc, trial_seed=spec.seed + trial_index)
+    world = build_world(doc)
     store = build_store(doc, world)
     reasoner = build_reasoner(doc)
     runtime = TrialRuntime(doc, world, store, reasoner)

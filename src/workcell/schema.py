@@ -70,7 +70,6 @@ BOOL = (lambda v: isinstance(v, bool), "true or false")
 LIST = (lambda v: isinstance(v, list), "a list")
 DICT = (lambda v: isinstance(v, dict), "an object")
 INT = (_integer, "an integer")
-NATURAL = (lambda v: _integer(v) and v >= 0, "an integer >= 0")
 COUNT = (lambda v: _integer(v) and v >= 1, "an integer >= 1")
 ANY = (lambda v: True, "")
 UNIT = (lambda v: _number(v) and 0.0 <= v <= 1.0, "a number in [0, 1]")

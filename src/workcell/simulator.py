@@ -1,11 +1,15 @@
 """Deterministic multi-zone workcell simulator.
 
-Ground-truth object states live here, never in the engine's store. Skills
-execute abstractly (no dynamics) and report back only the force-torque
-events a controller senses, so whether a skill worked is for the engine to
-find out; frames render from oriented-box proxies with perfect masks, and
-failure injections synthesize exactly the force-torque signatures the
-transaction layer watches for.
+Ground-truth object states live here, never in the engine's store: the
+poses, the zones and what the gripper holds. What rests on what is not
+kept but read from the poses (``SimWorld.on_relations``). Skills execute
+abstractly (no dynamics), one a step, and report back only the
+force-torque events a controller senses, so whether a skill worked is for
+the engine to find out; frames render from oriented-box proxies with
+perfect masks. A failure injection fires at the first skill that matches
+each trigger it sets, its action and its step, and synthesizes exactly
+the force-torque signature the transaction layer watches for. Nothing
+draws random numbers.
 
 Rendering ray-casts each object's box against the camera's pixel rays, which
 the frozen ``SimCamera`` computes once. Each box is tested only against the
@@ -46,7 +50,6 @@ class SimObject:
     half_extents: np.ndarray
     pose: PoseSE3
     zone: str
-    support: str | None = None  # object id, or None for the work surface
 
     def __post_init__(self):
         self.half_extents = np.asarray(self.half_extents, dtype=float).reshape(3)
@@ -56,10 +59,6 @@ class SimObject:
     @property
     def top_z(self) -> float:
         return float(self.pose.translation[2] + self.half_extents[2])
-
-    @property
-    def bottom_z(self) -> float:
-        return float(self.pose.translation[2] - self.half_extents[2])
 
 
 @dataclass
@@ -107,7 +106,6 @@ class SimWorld:
         robot_zone: str,
         robot_position: np.ndarray,
         injections: list[FailureInjection] | None = None,
-        seed: int = 0,
     ):
         self.zones = set(zones)
         self.objects = {o.object_id: o for o in objects}
@@ -117,27 +115,8 @@ class SimWorld:
         self.injections = list(injections or [])
         self.step_count = 0
         self.sim_time = 0.0
-        self.rng = np.random.default_rng(seed)
         # Stable instance ids for rendering, fixed at construction.
         self.instance_ids = {oid: i for i, oid in enumerate(sorted(self.objects))}
-        self.validate_supports()
-
-    # -- invariants ---------------------------------------------------------
-
-    def validate_supports(self):
-        for obj in self.objects.values():
-            if obj.object_id == self.gripper:
-                continue
-            if obj.support is not None:
-                sup = self.objects.get(obj.support)
-                if sup is None:
-                    raise ScenarioError(
-                        f"{obj.object_id} supported by missing {obj.support}"
-                    )
-                if abs(obj.bottom_z - sup.top_z) > 2 * EPS_CONTACT:
-                    raise WorkcellError(
-                        f"{obj.object_id} floats above its supporter {obj.support}"
-                    )
 
     # -- injections ---------------------------------------------------------
 
@@ -152,29 +131,19 @@ class SimWorld:
             return inj
         return None
 
-    def step(self) -> "SimWorld":
-        """Advance the counter and fire any step-triggered displacement."""
-        self.step_count += 1
-        for inj in self.injections:
-            if inj.consumed or inj.kind != "TargetMoved":
-                continue
-            if inj.trigger_step is not None and inj.trigger_step == self.step_count:
-                self._apply_target_moved(inj)
-        return self
-
     def _apply_target_moved(self, inj: FailureInjection):
         target = inj.params["target"]
         delta = np.asarray(inj.params["move_delta"], dtype=float).reshape(3)
         obj = self.objects[target]
         obj.pose = PoseSE3(obj.pose.rotation, obj.pose.translation + delta)
-        obj.support = None if float(np.linalg.norm(delta[:2])) > 0 else obj.support
         inj.consumed = True
 
     # -- skills -------------------------------------------------------------
 
     def execute_skill(self, action: str, args: dict) -> list[FTEvent]:
-        """Run one skill for ``PRIMITIVE_SECONDS``; what the controller
-        reports back is the force-torque events it sensed."""
+        """Run one skill, the next step, for ``PRIMITIVE_SECONDS``; what
+        the controller reports back is the force-torque events it sensed.
+        Every displacement armed on this step or action lands first."""
         args = dict(args or {})
         handler = {
             "Pick": self._do_pick,
@@ -187,13 +156,11 @@ class SimWorld:
         }.get(action)
         if handler is None:
             raise WorkcellError(f"unknown action {action!r}")
-        # A movement-phase displacement can also be armed on the action itself.
-        inj = self._pending_injection("TargetMoved", action)
-        if inj is not None:
+        self.step_count += 1
+        while (inj := self._pending_injection("TargetMoved", action)) is not None:
             self._apply_target_moved(inj)
         events = handler(args)
         self.sim_time += PRIMITIVE_SECONDS
-        self.validate_supports()
         return events
 
     def _do_pick(self, args: dict) -> list[FTEvent]:
@@ -206,7 +173,6 @@ class SimWorld:
             # grip force never builds up.
             return [FTEvent(FTSignal.GRIPPER_FORCE, _SLIP_GRIP, "N")]
         self.gripper = obj.object_id
-        obj.support = None
         obj.pose = PoseSE3(obj.pose.rotation, self.robot_position.copy())
         return [FTEvent(FTSignal.GRIPPER_FORCE, _NOMINAL_GRIP, "N")]
 
@@ -229,7 +195,6 @@ class SimWorld:
                     np.array([drop_pos[0], drop_pos[1],
                               float(dropped.half_extents[2])]),
                 )
-                dropped.support = None
                 dropped.zone = self.robot_zone
                 self.gripper = None  # the part slipped during transport
                 return [FTEvent(FTSignal.GRIPPER_FORCE, _SLIP_GRIP, "N")]
@@ -252,14 +217,10 @@ class SimWorld:
         pos = np.asarray(
             args.get("position", self.robot_position), dtype=float
         ).reshape(3)
-        dest = args.get("destination")
-        support = None
-        if dest in self.objects:
-            sup = self.objects[dest]
-            support = dest
-            pos = np.array([pos[0], pos[1], sup.top_z + float(obj.half_extents[2])])
+        dest = self.objects.get(args.get("destination"))
+        if dest is not None:
+            pos = np.array([pos[0], pos[1], dest.top_z + float(obj.half_extents[2])])
         obj.pose = PoseSE3(obj.pose.rotation, pos)
-        obj.support = support
         obj.zone = args.get("zone", self.robot_zone)
         self.gripper = None
         return [FTEvent(FTSignal.VERTICAL_FORCE, _CONTACT_FORCE, "N", _CONTACT_SUSTAIN)]
@@ -274,7 +235,6 @@ class SimWorld:
             receptacle.pose.rotation,
             receptacle.pose.translation + np.asarray(mating, dtype=float),
         )
-        part.support = receptacle.object_id
         part.zone = receptacle.zone
         self.gripper = None
         return [FTEvent(FTSignal.EXTERNAL_TORQUE, _NOMINAL_TORQUE, "Nm")]
@@ -294,7 +254,6 @@ class SimWorld:
                 np.array([self.robot_position[0], self.robot_position[1],
                           float(obj.half_extents[2])]),
             )
-            obj.support = None
             self.gripper = None
         return []
 
@@ -304,9 +263,20 @@ class SimWorld:
     # -- ground truth -------------------------------------------------------
 
     def on_relations(self) -> set[tuple[str, str, str]]:
-        """("On", object, supporter) for each object resting on another."""
-        return {("On", obj.object_id, obj.support)
-                for obj in self.objects.values() if obj.support is not None}
+        """("On", a, b) for each box a resting on a box b, read from the
+        poses: neither is in the gripper, a's bottom face lies within
+        ``2 * EPS_CONTACT`` of b's top face, and a's centre lies within b's
+        half-extents in x and y."""
+        boxes = [(oid, o.pose.translation, o.half_extents)
+                 for oid, o in self.objects.items() if oid != self.gripper]
+        if not boxes:
+            return set()
+        ids, centres, halves = zip(*boxes)
+        centre, half = np.array(centres), np.array(halves)
+        bottom, top = centre[:, 2] - half[:, 2], centre[:, 2] + half[:, 2]
+        a, b = np.nonzero(np.abs(bottom[:, None] - top[None, :]) <= 2 * EPS_CONTACT)
+        return {("On", ids[i], ids[j]) for i, j in zip(a.tolist(), b.tolist())
+                if i != j and np.all(np.abs(centre[i, :2] - centre[j, :2]) <= half[j, :2])}
 
     def true_positions(self) -> dict[str, np.ndarray]:
         return {oid: o.pose.translation.copy() for oid, o in self.objects.items()}

@@ -118,7 +118,6 @@ def _set(path, value):
 _BROKEN_SCENARIOS = {
     "object_without_position": ("assembly", _without_object_position),
     "trials_not_a_number": ("assembly", _set(["trials"], "many")),
-    "seed_negative": ("assembly", _set(["seed"], -1)),
     "zones_not_a_list": ("assembly", _set(["zones"], "z")),
     "object_not_a_mapping": ("assembly", _set(["objects", 0], "widget")),
     "robot_not_a_mapping": ("assembly", _set(["robot"], "arm")),
@@ -127,8 +126,6 @@ _BROKEN_SCENARIOS = {
     "camera_height_negative": ("assembly", _set(["cameras", "zone_a", "height"], -1)),
     "camera_width_huge": ("transfer_obstacle", _set(["cameras", "zone_b", "width"], 10**400)),
     "camera_height_above_bound": ("assembly", _set(["cameras", "zone_a", "height"], 1025)),
-    "object_floats_above_support": ("transfer_targetmoved",
-                                    _set(["objects", 1, "support"], "base_plate")),
     "task_missing": ("assembly", lambda d: d.pop("task")),
     "cameras_missing": ("assembly", lambda d: d.pop("cameras")),
     "zone_count_of_unknown_zone": ("assembly", lambda d: d["queries"].append(
@@ -136,14 +133,6 @@ _BROKEN_SCENARIOS = {
     "task_keywords_not_a_list": ("assembly", _set(["task", "nodes", 0, "keywords"], 5)),
     "targetmoved_params_a_list": ("transfer_targetmoved", _set(["injections", 0, "params"], [])),
     "targetmoved_without_move_delta": ("transfer_targetmoved", _without_move_delta),
-    "targetmoved_moves_a_supporter": ("transfer_targetmoved", lambda d: d["objects"].append(
-        {"id": "cap", "label": "cap", "zone": "zone_a", "position": [0.45, -0.1, 0.04],
-         "half_extents": [0.01, 0.01, 0.01], "support": "part_x"})),
-    "targetmoved_lifts_a_supported_object": ("transfer_targetmoved", lambda d: (
-        d["objects"].append({"id": "washer", "label": "washer", "zone": "zone_b",
-                             "position": [1.2, 0.0, 0.035], "half_extents": [0.01, 0.01, 0.005],
-                             "support": "base_plate"}),
-        d["injections"][0]["params"].update(target="washer", move_delta=[0, 0, 0.05]))),
     "task_manipulation_a_string": ("assembly",
                                    _set(["task", "nodes", 1, "manipulation"], "false")),
     "task_key_a_number": ("assembly", _set(["task", "nodes", 0, "key"], 5)),
@@ -171,6 +160,37 @@ def test_validation_reports_what_the_builders_would_crash_on(case, tmp_path, cap
         assert cli.main([command, str(path)]) == 1
         err = capsys.readouterr().err
         assert err and all(line.startswith("error: ") for line in err.splitlines())
+
+
+# What rests on what is read from the poses, so a stale ``support`` key, a
+# TargetMoved of a supporter, and a TargetMoved straight up off a supporter
+# leave nothing to refuse: each validates and runs.
+_STACKS_THAT_RUN = {
+    "object_floats_above_support": ("transfer_targetmoved",
+                                    _set(["objects", 1, "support"], "base_plate")),
+    "targetmoved_moves_a_supporter": ("transfer_targetmoved", lambda d: d["objects"].append(
+        {"id": "cap", "label": "cap", "zone": "zone_a", "position": [0.45, -0.1, 0.04],
+         "half_extents": [0.01, 0.01, 0.01], "support": "part_x"})),
+    "targetmoved_lifts_a_supported_object": ("transfer_targetmoved", lambda d: (
+        d["objects"].append({"id": "washer", "label": "washer", "zone": "zone_b",
+                             "position": [1.2, 0.0, 0.035], "half_extents": [0.01, 0.01, 0.005],
+                             "support": "base_plate"}),
+        d["injections"][0]["params"].update(target="washer", move_delta=[0, 0, 0.05]))),
+    # Lifted off the plate after the Place that stacks it there.
+    "targetmoved_lifts_a_placed_part": ("assembly", lambda d: d.setdefault("injections", [])
+                                        .append({"kind": "TargetMoved", "trigger_step": 6,
+                                                 "params": {"target": "part_a",
+                                                            "move_delta": [0, 0, 0.05]}})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STACKS_THAT_RUN))
+def test_a_stack_the_poses_give_validates_and_runs(case):
+    name, mutate = _STACKS_THAT_RUN[case]
+    doc = _scenario(name)
+    mutate(doc)
+    assert validate_scenario(doc) == []
+    run_trial(ScenarioSpec(doc), 0)
 
 
 # -- one value rule for scenarios and reasoner replies -------------------------
@@ -227,12 +247,6 @@ def test_load_scenario_rejects_invalid(tmp_path):
     bad.write_text(json.dumps({"version": 0}))
     with pytest.raises(ScenarioError):
         load_scenario(str(bad))
-
-
-def test_cli_seed_is_validated_with_the_scenario(capsys):
-    path = str(SCENARIOS / "transfer_obstacle.json")
-    assert cli.main(["run", path, "--trials", "1", "--seed", "-1"]) == 1
-    assert capsys.readouterr().err == "error: scenario: 'seed' must be an integer >= 0\n"
 
 
 def _reply(key, action, args):
@@ -355,7 +369,7 @@ def test_single_leaf_mutants_are_refused_or_run():
 
 def test_build_store_mirrors_briefing_map():
     doc = task1_doc()
-    world = build_world(doc, trial_seed=0)
+    world = build_world(doc)
     store = build_store(doc, world)
     for o in doc["objects"]:
         v = store.vertices[o["id"]]
@@ -742,7 +756,7 @@ def test_hash_cache_matches_scratch_digest_on_resumed_store(checked_hashes, monk
     # An assembly trial resumed from persisted memory: the briefing store
     # plus 300 remembered entities and 150 On edges in a camera-less zone.
     doc = task1_doc()
-    store = build_store(doc, build_world(doc, trial_seed=0))
+    store = build_store(doc, build_world(doc))
     store.add_zone(ZoneNode("stock", "stock"))
     rng = np.random.default_rng(5)
     for i in range(300):
@@ -817,7 +831,7 @@ def _frame_bytes(frame):
 
 
 def _runtime(doc):
-    world = build_world(doc, trial_seed=0)
+    world = build_world(doc)
     store = build_store(doc, world)
     return harness.TrialRuntime(doc, world, store, harness.build_reasoner(doc))
 

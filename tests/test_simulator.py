@@ -26,10 +26,9 @@ from oracles import render_frame_reference, visible_pixel_counts_reference
 TOPDOWN = np.array([[1.0, 0, 0], [0, -1.0, 0], [0, 0, -1.0]])
 
 
-def _obj(oid, pos, he=(0.02, 0.02, 0.015), zone="z1", support=None, label=None):
+def _obj(oid, pos, he=(0.02, 0.02, 0.015), zone="z1", label=None):
     return SimObject(oid, label or oid, np.array(he),
-                     PoseSE3(np.eye(3), np.asarray(pos, float)), zone,
-                     support=support)
+                     PoseSE3(np.eye(3), np.asarray(pos, float)), zone)
 
 
 def _camera(x, y):
@@ -52,24 +51,6 @@ def make_world(**kw):
 
 
 # -- construction invariants --------------------------------------------------
-
-
-def test_support_consistency_checked():
-    stack = [
-        _obj("base", [0.5, 0.0, 0.015]),
-        _obj("top", [0.5, 0.0, 0.045], support="base"),
-    ]
-    SimWorld(["z1"], stack, "z1", [0.5, 0, 0.1])
-    floating = [
-        _obj("base", [0.5, 0.0, 0.015]),
-        _obj("top", [0.5, 0.0, 0.2], support="base"),
-    ]
-    with pytest.raises(WorkcellError):
-        SimWorld(["z1"], floating, "z1", [0.5, 0, 0.1])
-    with pytest.raises(ScenarioError):
-        SimWorld(["z1"],
-                 [_obj("top", [0.5, 0, 0.045], support="ghost")],
-                 "z1", [0.5, 0, 0.1])
 
 
 def test_injection_kind_validated():
@@ -266,10 +247,11 @@ def test_place_snaps_onto_destination():
     events = world.execute_skill("Place", {"destination": "plate",
                                            "position": [1.2, 0.0, 0.5]})
     assert world.gripper is None
-    part = world.objects["part"]
-    assert part.support == "plate"
+    assert world.on_relations() == {("On", "part", "plate")}
     # Bottom of the part rests on the plate's top face.
-    assert part.bottom_z == pytest.approx(world.objects["plate"].top_z)
+    part = world.objects["part"]
+    assert part.pose.translation[2] - part.half_extents[2] == pytest.approx(
+        world.objects["plate"].top_z)
     [ev] = events
     assert ev.signal == FTSignal.VERTICAL_FORCE
     assert ev.value > 10.0 and ev.sustained_s >= 0.5
@@ -307,12 +289,45 @@ def test_target_moved_fires_on_step():
         "TargetMoved", trigger_step=2,
         params={"target": "part", "move_delta": [0.15, 0.0, 0.0]},
     )])
-    world.step()
+    world.execute_skill("CloseGripper", {})
     assert np.allclose(world.objects["part"].pose.translation,
                        [0.5, 0.0, 0.015])
-    world.step()
+    world.execute_skill("CloseGripper", {})
+    assert world.step_count == 2
     assert np.allclose(world.objects["part"].pose.translation,
                        [0.65, 0.0, 0.015])
+
+
+def test_every_displacement_due_at_a_step_lands():
+    world = make_world(injections=[
+        FailureInjection("TargetMoved", trigger_step=1,
+                         params={"target": oid, "move_delta": [0.0, 0.1, 0.0]})
+        for oid in ("part", "plate")])
+    world.execute_skill("CloseGripper", {})
+    assert [float(o.pose.translation[1]) for o in world.objects.values()] == [0.1, 0.1]
+
+
+def test_target_moved_with_phase_and_step_fires_when_both_match():
+    """Armed on a Pick at step 2: a Pick at step 1 or 4 and a Move at
+    step 2 leave the plate where it is; a Pick at step 2 lifts it."""
+    def world():
+        return make_world(injections=[FailureInjection(
+            "TargetMoved", trigger_phase="Pick", trigger_step=2,
+            params={"target": "plate", "move_delta": [0.0, 0.0, 0.05]},
+        )])
+
+    def plate_z(w):
+        return float(w.objects["plate"].pose.translation[2])
+
+    missed = world()
+    for action, args in [("Pick", {"object": "part"}), ("Move", {"zone": "z1"}),
+                         ("OpenGripper", {}), ("Pick", {"object": "part"})]:
+        missed.execute_skill(action, args)
+        assert plate_z(missed) == pytest.approx(0.015)
+    fired = world()
+    for action, args in [("CloseGripper", {}), ("Pick", {"object": "part"})]:
+        fired.execute_skill(action, args)
+    assert plate_z(fired) == pytest.approx(0.065)
 
 
 def test_unknown_action_and_zone_rejected():
@@ -330,13 +345,40 @@ def test_ground_truth_relations():
     world = SimWorld(
         ["z1"],
         [_obj("base", [0.5, 0.0, 0.015]),
-         _obj("top", [0.5, 0.0, 0.045], support="base"),
+         _obj("top", [0.5, 0.0, 0.045]),
          _obj("nearby", [0.6, 0.0, 0.015])],
         "z1", [0.5, 0, 0.1],
     )
     assert world.on_relations() == {("On", "top", "base")}
     world.execute_skill("Pick", {"object": "top"})
     assert world.on_relations() == set()
+
+
+def test_on_is_read_from_the_poses():
+    """A box counts as resting on another when its bottom face meets the
+    other's top face and its centre lies over the other's footprint; the
+    held object rests on nothing, and nothing rests on it."""
+    stack = {
+        "resting": [0.52, 0.03, 0.045],
+        "lifted": [0.5, 0.0, 0.075],  # 0.03 m above the base's top face
+        "off_footprint": [0.56, 0.0, 0.045],
+    }
+
+    def world_with(name):
+        base = _obj("base", [0.5, 0.0, 0.015], he=(0.05, 0.05, 0.015))
+        return SimWorld(["z1"], [base, _obj(name, stack[name])], "z1", [0.5, 0.0, 0.1])
+
+    assert world_with("resting").on_relations() == {("On", "resting", "base")}
+    assert world_with("lifted").on_relations() == set()
+    assert world_with("off_footprint").on_relations() == set()
+
+    held = world_with("resting")
+    held.execute_skill("Pick", {"object": "resting"})
+    assert held.on_relations() == set()  # the held object rests on nothing
+    # The base, lifted onto the held box's top face:
+    held.objects["base"].pose = PoseSE3(
+        np.eye(3), [0.5, 0.0, held.objects["resting"].top_z + 0.015])
+    assert held.on_relations() == set()  # and nothing rests on it
 
 
 def test_true_positions_are_copies():

@@ -195,7 +195,7 @@ def test_serialization_roundtrip_lossless():
     # A briefing store puts the robot in a zone; the clone's index must
     # still leave it out, like the original's.
     doc = task1_doc()
-    briefed = build_store(doc, build_world(doc, trial_seed=0))
+    briefed = build_store(doc, build_world(doc))
     assert briefed.vertices[ROBOT_UID].zone_id == doc["robot"]["zone"]
     clone = WorldStore.from_dict(briefed.to_dict())
     assert clone.serialize() == briefed.serialize()

@@ -31,7 +31,7 @@ from workcell.harness import (
 
 def vocabulary(doc: dict) -> list[str]:
     """Every name the briefing store of ``doc`` knows."""
-    store = build_store(doc, build_world(doc, trial_seed=0))
+    store = build_store(doc, build_world(doc))
     return sorted({*store.vertices, *store.zones,
                    *(v.label for v in store.vertices.values())})
 
