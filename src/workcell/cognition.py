@@ -246,72 +246,30 @@ def validate_ert(doc, store: WorldStore) -> tuple[ERT | None, ValidationReport]:
 # -- context subgraph --------------------------------------------------------
 
 
-# Relevance weights: direct argument, 1-hop neighbour, keyword match; a
-# candidate is kept when its score exceeds TAU_REL.
-W_DIRECT = 1.0
-W_HOP = 0.5
-W_KEYWORD = 0.2
-TAU_REL = 0.3
-
-
-def keyword_similarity(category: str, keywords: list[str], synonyms: dict) -> float:
-    """Exact / synonym-table match scored in {0, 1}."""
-    expansions = {category, *synonyms.get(category, [])}
-    for kw in keywords:
-        if kw in expansions or category in set(synonyms.get(kw, [])):
-            return 1.0
-    return 0.0
-
-
 @dataclass
 class ContextSubgraph:
     vertices: list[str]  # uids, ascending, robot always present
     edges: list[RelationEdge]
 
 
-def extract_subgraph(
-    store: WorldStore,
-    subtask: dict,
-    synonyms: dict[str, list[str]] | None = None,
-) -> ContextSubgraph:
-    """Relevance-scored vertex subset plus induced edges.
+def extract_subgraph(store: WorldStore, subtask: dict) -> ContextSubgraph:
+    """The task-relevant vertex subset plus induced edges.
 
-    subtask carries "args" (entity uids), optional "zones" (goal zones),
-    and optional "keywords" (category words for soft matching); synonyms
-    maps a category to the words that also name it.
+    subtask carries "args" (entity uids) and optional "zones" (goal
+    zones); nothing else of it is read here. The subset holds every
+    argument that is a live (not archived) vertex, wherever it lives, and
+    every 1-hop neighbour of an argument that is a live entity of a scoped
+    zone: the robot's zone, a goal zone, or a zone named as an argument.
+    The robot is always in.
     """
-    synonyms = synonyms or {}
-    args = [a for a in subtask.get("args", []) if isinstance(a, str)]
-    zones = {store.robot_zone} | set(subtask.get("zones", []))
-    zones |= {a for a in args if a in store.zones}
-    zones.discard("")
-
-    candidates: dict[str, object] = {}
-    for z in sorted(zones):
+    args = {a for a in subtask.get("args", []) if isinstance(a, str)}
+    hop = store.neighbors(args)
+    members = {a for a in args
+               if a in store.vertices and store.vertices[a].lifecycle != Lifecycle.ARCHIVED}
+    for z in {store.robot_zone, *subtask.get("zones", []), *args}:
         if z in store.zones:
-            for v in store.entities_in_zone(z):
-                candidates[v.uid] = v
-    for a in args:  # direct arguments count wherever they live
-        if a in store.vertices and store.vertices[a].lifecycle != Lifecycle.ARCHIVED:
-            candidates[a] = store.vertices[a]
-
-    arg_set = set(args)
-    hop = store.neighbors(arg_set)
-    keywords = list(subtask.get("keywords", []))
-
-    kept = []
-    for uid, v in sorted(candidates.items()):
-        if uid == ROBOT_UID:
-            continue
-        r = (
-            W_DIRECT * (uid in arg_set)
-            + W_HOP * (uid in hop)
-            + W_KEYWORD * keyword_similarity(v.label, keywords, synonyms)
-        )
-        if r > TAU_REL:
-            kept.append(uid)
-
-    members = set(kept) | {ROBOT_UID}
+            members.update(v.uid for v in store.entities_in_zone(z) if v.uid in hop)
+    members.add(ROBOT_UID)
     induced = [e for e in store.edges if e.subject in members and e.obj in members]
     return ContextSubgraph(vertices=sorted(members), edges=induced)
 

@@ -304,13 +304,11 @@ class Executive:
         reasoner: Reasoner,
         execute_skill,  # (action, args) -> list[FTEvent]
         sense,  # () -> SenseResult
-        synonyms: dict[str, list[str]] | None = None,
     ):
         self.store = store
         self.reasoner = reasoner
         self.execute_skill = execute_skill
         self.sense = sense
-        self.synonyms = synonyms
         self.cs = ConstraintState()
         self.log = TransactionLog()
         self.history: list[HistoryEntry] = []
@@ -348,7 +346,7 @@ class Executive:
         out = write()
         post = self.store.state_hash()
         if post != pre:
-            self.log.append(TransactionEntry(pre, post, action, {}, [], outcome="committed"))
+            self.log.append(TransactionEntry(pre, post, action, {}, outcome="committed"))
         return out
 
     def _release_held(self):
@@ -367,7 +365,7 @@ class Executive:
             "keywords": node.keywords,
             "zones": node.zones,
         }
-        sub = extract_subgraph(self.store, subtask, self.synonyms)
+        sub = extract_subgraph(self.store, subtask)
         return serialize_context(sub, self.store, subtask, self.cs)
 
     # -- loop ---------------------------------------------------------------

@@ -62,7 +62,6 @@ from .schema import (
     SCALAR,
     STR,
     key_errors,
-    mapping_of,
 )
 from .serialization import canonical_dumps, json_line
 from .simulator import (
@@ -120,7 +119,6 @@ _CAUSE = (lambda v: v in ("PartSlip", "Obstacle", "TargetMoved"),
 _SCENARIO_KEYS = {
     "zones": LIST, "objects": LIST, "robot": ANY, "task": ANY,
     "trials?": COUNT, "cameras?": DICT, "root_cause?": _CAUSE,
-    "synonyms?": mapping_of(LIST),
     **{f"{key}?": LIST for key in ("injections", "script", "questions", "queries")},
 }
 _ZONE_KEYS = {"id": STR, "center": POINT, "half_extents": EXTENTS,
@@ -681,10 +679,7 @@ def run_trial(spec: ScenarioSpec, trial_index: int) -> dict:
     reasoner = build_reasoner(doc)
     runtime = TrialRuntime(doc, world, store, reasoner)
 
-    synonyms = {k: list(v) for k, v in doc.get("synonyms", {}).items()}
-    executive = Executive(
-        store, reasoner, runtime.execute_skill, runtime.sense, synonyms=synonyms,
-    )
+    executive = Executive(store, reasoner, runtime.execute_skill, runtime.sense)
     dag = TaskDAG.from_doc(doc["task"])
     try:
         completed = executive.main_loop(dag)

@@ -200,7 +200,6 @@ class TransactionEntry:
     post_hash: str
     action: str
     args: dict
-    delta: list[str]
     outcome: str  # applied | committed | rolled_back | rollback
     inverse: dict | None = field(default=None, repr=False)
 
@@ -325,17 +324,13 @@ def check_preconditions(
 
 def _apply_effects(
     store: WorldStore, cs: ConstraintState, action: str, args: dict
-) -> tuple[ConstraintState, list[str]]:
-    delta: list[str] = []
+) -> ConstraintState:
     if action == "Pick":
         obj = args["object"]
         held = GaussianEnvelope(store.records[ROBOT_UID].envelope.mean, HELD_COVARIANCE)
         store.update_record(obj, envelope=held, geometry=None, attached_to="gripper")
-        delta.append(f"attach({obj},gripper)")
-        for e in store.remove_edges(predicate="On", subject=obj):
-            delta.append(f"-On({e.subject},{e.obj})")
+        store.remove_edges(predicate="On", subject=obj)
         cs = ConstraintState(Phase.HOLDING, obj)
-        delta.append(f"CS=Holding({obj})")
     elif action == "Place":
         obj = cs.target
         dest = args["destination"]
@@ -343,49 +338,32 @@ def _apply_effects(
         if "position" in args:
             pos = np.asarray(args["position"], dtype=float)
             fields["envelope"] = GaussianEnvelope(pos, store.records[obj].envelope.covariance)
-            delta.append(f"moveto({obj},{pos.tolist()})")
         store.update_record(obj, **fields)
         if dest in store.vertices:
             store.add_edge("On", obj, dest, EdgeStatus.VERIFIED)
-            delta.append(f"+On({obj},{dest})")
         if "zone" in args:
             store.update_vertex(obj, zone_id=args["zone"])
-            delta.append(f"zone({obj},{args['zone']})")
-        delta.append(f"detach({obj})")
         cs = ConstraintState(Phase.IDLE)
-        delta.append("CS=Idle")
     elif action == "Insert":
         part, receptacle = args["part"], args["receptacle"]
         store.update_record(part, attached_to="world")
         store.add_edge("Inserted", part, receptacle, EdgeStatus.VERIFIED)
-        delta.append(f"+Inserted({part},{receptacle})")
         cs = ConstraintState(Phase.IDLE)
-        delta.append("CS=Idle")
     elif action == "Move":
         if "zone" in args:
             store.robot_zone = args["zone"]
-            delta.append(f"robot_zone={args['zone']}")
         if "position" in args:
             pos = np.asarray(args["position"], dtype=float)
             store.update_record(ROBOT_UID, envelope=GaussianEnvelope(
                 pos, store.records[ROBOT_UID].envelope.covariance))
-            delta.append(f"robot_pos={pos.tolist()}")
             if cs.phase in (Phase.HOLDING, Phase.TRANSPORTING):
                 store.update_record(cs.target, envelope=GaussianEnvelope(pos, HELD_COVARIANCE))
-        moving = cs_during_action(cs, action, args)
-        if moving is not cs:
-            cs = moving
-            delta.append(f"CS={cs.phase.value}({cs.target})")
+        cs = cs_during_action(cs, action, args)
     elif action == "OpenGripper":
         if cs.phase in (Phase.HOLDING, Phase.TRANSPORTING):
-            obj = cs.target
-            store.update_record(obj, attached_to="world")
-            delta.append(f"detach({obj})")
+            store.update_record(cs.target, attached_to="world")
             cs = ConstraintState(Phase.IDLE)
-            delta.append("CS=Idle")
-    elif action == "CloseGripper":
-        delta.append("gripper=closed")
-    return cs, delta
+    return cs
 
 
 def apply_transition(
@@ -416,7 +394,7 @@ def apply_transition(
     ft_events = dispatch() if dispatch is not None else []
     pre_hash = store.state_hash()
     inverse = capture_inverse(store, cs, args)
-    new_cs, delta = _apply_effects(store, cs, action, args)
+    new_cs = _apply_effects(store, cs, action, args)
 
     mapped = [
         m for ev in ft_events
@@ -430,7 +408,7 @@ def apply_transition(
         if post_hash != pre_hash:
             raise TransactionError("rollback failed to restore pre-state")
         log.append(TransactionEntry(
-            pre_hash, post_hash, action, args, delta,
+            pre_hash, post_hash, action, args,
             outcome="rolled_back", inverse=None,
         ))
         return TransitionResult(
@@ -440,7 +418,7 @@ def apply_transition(
 
     post_hash = store.state_hash()
     log.append(TransactionEntry(
-        pre_hash, post_hash, action, args, delta,
+        pre_hash, post_hash, action, args,
         outcome="applied", inverse=inverse,
     ))
     return TransitionResult(TransitionStatus.COMMITTED, new_cs, events=mapped)
@@ -477,7 +455,6 @@ def rollback(
         post_hash=restored_hash,
         action=f"rollback({entry.action})",
         args=entry.args,
-        delta=[f"revert:{d}" for d in entry.delta],
         outcome="rollback",
     ))
     return cs

@@ -3,8 +3,9 @@ relation verification, and lifecycle curation.
 
 An entity is one uid in both layers: its vertex in the semantic graph and
 its record in the registry share it, so a vertex's record is
-``records[uid]``. Every live vertex has a record (``check_integrity``);
-an archived vertex need not have one.
+``records[uid]``. Every live vertex has a record; an archived vertex need
+not have one. ``check_integrity`` checks that on the one input from
+outside the program, a document ``from_dict`` resumes.
 
 The store document (``to_dict``) is the whole state. Everything else the
 store keeps is derived from it, as ``from_dict`` does: the zone index, by
@@ -246,7 +247,6 @@ class WorldStore:
         )
         self._record_written(uid)
         self._reindex(uid, "")
-        self.check_integrity([uid])
         return uid
 
     def update_record(self, record_id: str, **fields):
@@ -358,10 +358,9 @@ class WorldStore:
             return [uid for uid in self.vertices if uid in held]
         return list(held)
 
-    def check_integrity(self, uids=None):
-        """Every live vertex has a record under its uid; only ``uids`` are
-        checked when given, every vertex otherwise."""
-        for uid in self.vertices if uids is None else uids:
+    def check_integrity(self):
+        """Every live vertex has a record under its uid."""
+        for uid in self.vertices:
             if self.vertices[uid].lifecycle != Lifecycle.ARCHIVED and uid not in self.records:
                 raise IntegrityError(f"live vertex {uid} has no record")
 
@@ -650,8 +649,6 @@ def curate_zone(
     store: WorldStore, zone_id: str, observed_uids: set[str]
 ) -> list[LifecycleEvent]:
     """Decay unobserved entities; reinforce and restore observed ones."""
-    if zone_id not in store.zones:
-        raise WorkcellError(f"unknown zone {zone_id}")
     events: list[LifecycleEvent] = []
     for v in store.entities_in_zone(zone_id):
         if v.uid in observed_uids:
@@ -699,7 +696,6 @@ def restore_candidates(
 
 @dataclass
 class StoreDelta:
-    fused: list[str] = field(default_factory=list)
     promoted: list[str] = field(default_factory=list)
     restored: list[str] = field(default_factory=list)
 
@@ -732,7 +728,7 @@ def register_or_update(
     same object and the record's envelope still has those bytes. It
     replaces a stored geometry that is not its own at gamma above 0.1,
     fused or not. A match to a held record, which the Pick and Move
-    effects write, counts as fused and writes nothing.
+    effects write, writes nothing.
     """
     cfg = cfg or AssociationConfig()
     delta = StoreDelta()
@@ -747,7 +743,6 @@ def register_or_update(
         gamma = gammas.get(obs_idx, 1.0)
         obs = observations[obs_idx]
         rec = store.records[uid]
-        delta.fused.append(uid)
         if rec.attached_to == "gripper":
             continue
         last = fused.get(uid)
@@ -782,8 +777,6 @@ def register_or_update(
         remember(uid, obs, obs.envelope)
         delta.promoted.append(uid)
     del pending[:stale]  # sightings not seen again this cycle fall out
-
-    store.check_integrity(delta.fused + delta.restored + delta.promoted)
     return delta
 
 

@@ -145,6 +145,36 @@ def neighbors_scan(store, uids) -> set:
             | {e.subject for e in store.edges if e.obj in uids})
 
 
+def extract_subgraph_weighted(store, subtask: dict, synonyms: dict) -> tuple[list, list]:
+    """The context subgraph as a relevance score: a candidate (an entity of
+    a scoped zone, or a live argument) scores 1.0 as an argument, 0.5 as a
+    1-hop neighbour of one and 0.2 when a keyword names its label, exactly
+    or through ``synonyms``; it is kept above 0.3. The robot is always in.
+    Returns the sorted vertex uids and the induced edges in edge order."""
+    args = [a for a in subtask.get("args", []) if isinstance(a, str)]
+    keywords = list(subtask.get("keywords", []))
+    zones = {store.robot_zone} | set(subtask.get("zones", []))
+    zones |= {a for a in args if a in store.zones}
+    zones.discard("")
+
+    def keyword_match(label: str) -> float:
+        expansions = {label, *synonyms.get(label, [])}
+        return float(any(kw in expansions or label in synonyms.get(kw, []) for kw in keywords))
+
+    candidates = set()
+    for z in zones:
+        if z in store.zones:
+            candidates.update(zone_members(store, z))
+    candidates.update(a for a in args
+                      if a in store.vertices and store.vertices[a].lifecycle.value != "Archived")
+    hop = neighbors_scan(store, args)
+    kept = {uid for uid in candidates if uid != "robot"
+            and 1.0 * (uid in args) + 0.5 * (uid in hop)
+            + 0.2 * keyword_match(store.vertices[uid].label) > 0.3}
+    members = kept | {"robot"}
+    return sorted(members), [e for e in store.edges if e.subject in members and e.obj in members]
+
+
 def is_clear_scan(store, uid: str) -> bool:
     """No On edge that is not refuted has ``uid`` as its object, by a scan."""
     return not any(e.predicate == "On" and e.obj == uid and e.status.value != "Refuted"

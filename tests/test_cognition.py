@@ -3,6 +3,8 @@ replay, and the verify-retry loop."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from workcell.association import AssociationConfig, hybrid_cost
 from workcell.cognition import (
@@ -15,7 +17,6 @@ from workcell.cognition import (
     ValidationStage,
     extract_subgraph,
     get_valid_ert,
-    keyword_similarity,
     parse_ert,
     serialize_context,
     validate_ert,
@@ -24,9 +25,10 @@ from workcell.errors import ScriptGapError
 from workcell.geometry import GaussianEnvelope
 from workcell.serialization import canonical_dumps
 from workcell.transactions import ConstraintState
-from workcell.world_model import Lifecycle, WorldStore, ZoneNode
+from workcell.world_model import EdgeStatus, Lifecycle, WorldStore, ZoneNode
 
 from fixtures import ert_doc
+from oracles import extract_subgraph_weighted
 
 
 def _env(mean, sigma=0.01):
@@ -237,14 +239,6 @@ def test_validate_rejects_args_the_skill_cannot_run(action, args):
 # -- subgraph extraction ------------------------------------------------------
 
 
-def test_keyword_similarity_binary():
-    syn = {"fastener": ["bolt", "screw"]}
-    assert keyword_similarity("fastener", ["bolt"], syn) == 1.0
-    assert keyword_similarity("bolt", ["fastener"], syn) == 1.0
-    assert keyword_similarity("gear", ["bolt"], syn) == 0.0
-    assert keyword_similarity("gear", [], syn) == 0.0
-
-
 def test_semantic_similarity_helper_validates_range():
     # The loop reads a similarity reply through executive.ask, which
     # refuses one outside [0, 1]; hybrid_cost, which it feeds, refuses one
@@ -265,7 +259,7 @@ def test_extract_subgraph_direct_args_and_hops():
     store.add_entity("clamp", _env([0.45, 0, 0.02]), "z1", uid="clamp")
     store.add_edge("Near", "clamp", "part")
     sub = extract_subgraph(store, {"args": ["part"]})
-    # Direct argument (1.0) and its 1-hop neighbor (0.5) both clear 0.3.
+    # A direct argument and its 1-hop neighbor in the robot's zone.
     assert set(sub.vertices) == {"robot", "part", "clamp"}
     assert {(e.predicate, e.subject, e.obj) for e in sub.edges} == {
         ("Near", "clamp", "part")
@@ -276,20 +270,65 @@ def test_extract_subgraph_threshold_prunes_bystanders():
     store = make_store()
     store.add_entity("junk", _env([0.3, 0.2, 0.02]), "z1", uid="junk")
     sub = extract_subgraph(store, {"args": ["part"]})
-    assert "junk" not in sub.vertices  # relevance 0 for unrelated zone-mate
+    assert "junk" not in sub.vertices  # a zone-mate no edge links to an argument
 
 
 def test_extract_subgraph_keyword_only_insufficient():
+    # A keyword naming a bystander's label, in the robot's zone, pulls in
+    # nothing: only arguments and their neighbours count.
     store = make_store()
     store.add_entity("bolt", _env([0.3, 0.2, 0.02]), "z1", uid="bolt")
-    sub = extract_subgraph(
-        store, {"args": [], "keywords": ["fastener"]},
-        synonyms={"fastener": ["bolt"]},
-    )
-    # Keyword weight 0.2 alone does not clear tau_rel = 0.3.
-    assert "bolt" not in sub.vertices
-    # But it breaks ties upward for a 1-hop neighbor: 0.5 + 0.2 > 0.3.
-    assert "robot" in sub.vertices
+    for args in ([], ["part"]):
+        sub = extract_subgraph(store, {"args": args, "keywords": ["bolt"]})
+        assert sub.vertices == sorted(["robot", *args])
+
+
+_LABELS = ("bolt", "screw", "fastener", "gear")
+_ZONES = ("z1", "z2")
+
+
+@st.composite
+def _context_cases(draw):
+    """A store whose vertices have every lifecycle, some in a zone the store
+    lacks; edges of every status between entities, zones and the robot; and
+    a subtask with non-string and unknown args, keywords and a synonym
+    table."""
+    store = WorldStore()
+    for z in _ZONES:
+        store.add_zone(ZoneNode(z, z))
+    store.robot_zone = draw(st.sampled_from([*_ZONES, "", "zx"]))
+    uids = []
+    for i in range(draw(st.integers(1, 8))):
+        uid = store.add_entity(draw(st.sampled_from(_LABELS)), _env([0.1 * i, 0, 0.02]),
+                               draw(st.sampled_from([*_ZONES, "zx"])))
+        store.update_vertex(uid, lifecycle=draw(st.sampled_from(list(Lifecycle))))
+        uids.append(uid)
+    ends = st.sampled_from(["robot", *uids, *uids, *_ZONES])
+    for _ in range(draw(st.integers(1, 16))):
+        store.add_edge(draw(st.sampled_from(["On", "Near", "Inserted"])), draw(ends), draw(ends),
+                       draw(st.sampled_from(list(EdgeStatus))))
+    names = st.one_of(st.sampled_from(uids),
+                      st.sampled_from(["robot", "ghost", "zx", *_ZONES]),
+                      st.integers(0, 3) | st.none())
+    subtask = {
+        "args": draw(st.lists(names, min_size=1, max_size=3)),
+        "zones": draw(st.lists(st.sampled_from([*_ZONES, "zx", ""]), max_size=2)),
+        "keywords": draw(st.lists(st.sampled_from(_LABELS), max_size=2)),
+    }
+    synonyms = draw(st.dictionaries(st.sampled_from(_LABELS),
+                                    st.lists(st.sampled_from(_LABELS), max_size=2), max_size=3))
+    return store, subtask, synonyms
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_context_cases())
+def test_extract_subgraph_keeps_what_the_weighted_rule_kept(case):
+    """The subset is the one the relevance score (argument 1.0, neighbour
+    0.5, keyword 0.2, kept above 0.3) chose, keywords and synonyms
+    included, and so are the induced edges."""
+    store, subtask, synonyms = case
+    sub = extract_subgraph(store, subtask)
+    assert (sub.vertices, sub.edges) == extract_subgraph_weighted(store, subtask, synonyms)
 
 
 def test_extract_subgraph_goal_zone_pulls_entities():

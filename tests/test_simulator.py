@@ -19,7 +19,7 @@ from workcell.simulator import (
     render_frame,
     visible_pixel_counts,
 )
-from workcell.transactions import FTSignal
+from workcell.transactions import FTSignal, map_ft_event
 
 from oracles import render_frame_reference, visible_pixel_counts_reference
 
@@ -238,6 +238,53 @@ def test_pick_success_attaches_and_move_carries():
     assert world.robot_zone == "z2"
     assert np.allclose(world.objects["part"].pose.translation, [1.2, 0.0, 0.1])
     assert world.objects["part"].zone == "z2"
+
+
+def test_rotate_turns_the_held_part_in_place():
+    world = make_world()
+    world.execute_skill("Pick", {"object": "part"})
+    at = world.objects["part"].pose.translation.copy()
+    turn = Rotation.from_euler("z", 90, degrees=True).as_matrix()
+    assert world.execute_skill("Rotate", {"object": "part", "rotation": turn.tolist()}) == []
+    pose = world.objects["part"].pose
+    assert np.allclose(pose.rotation, turn) and np.array_equal(pose.translation, at)
+    assert world.gripper == "part"
+
+
+def test_open_gripper_drops_the_part_onto_the_floor_below():
+    world = make_world()
+    world.execute_skill("Pick", {"object": "part"})
+    world.execute_skill("Move", {"position": [0.7, 0.1, 0.3]})
+    assert world.execute_skill("OpenGripper", {}) == []
+    part = world.objects["part"]
+    x, y, z = part.pose.translation
+    assert (x, y, z - part.half_extents[2]) == (0.7, 0.1, 0.0)
+    assert world.gripper is None
+
+
+def test_insert_seats_the_held_part_on_the_receptacle():
+    world = make_world()
+    world.execute_skill("Pick", {"object": "part"})
+    turn = Rotation.from_euler("z", 30, degrees=True).as_matrix()
+    world.execute_skill("Rotate", {"object": "part", "rotation": turn.tolist()})
+    [ev] = world.execute_skill("Insert", {"part": "part", "receptacle": "plate",
+                                          "mating_offset": [0.0, 0.0, 0.03]})
+    part, plate = world.objects["part"], world.objects["plate"]
+    assert np.array_equal(part.pose.rotation, plate.pose.rotation)
+    assert np.array_equal(part.pose.translation, plate.pose.translation + [0.0, 0.0, 0.03])
+    assert part.zone == plate.zone == "z2" != world.robot_zone
+    assert world.gripper is None
+    # Nominal seating torque: the controller maps it to no event.
+    assert ev.signal == FTSignal.EXTERNAL_TORQUE and map_ft_event(ev, "insert") is None
+
+
+def test_insert_of_a_part_other_than_the_held_one_changes_nothing():
+    world = make_world()
+    world.execute_skill("Pick", {"object": "part"})
+    before = _poses(world)
+    assert world.execute_skill("Insert", {"part": "plate", "receptacle": "part"}) == []
+    assert world.gripper == "part" and _poses(world) == before
+    assert world.objects["plate"].zone == "z2"
 
 
 def test_place_snaps_onto_destination():

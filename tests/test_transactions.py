@@ -297,7 +297,7 @@ def test_rollback_across_perception_update_keeps_promoted_entity():
         register_or_update(store, [obs], MatchResult(unmatched_observations=[0]),
                            [], {}, "z1", {}, pending)
     log.append(TransactionEntry(pre, store.state_hash(), "PerceptionUpdate",
-                                {}, [], outcome="committed"))
+                                args={}, outcome="committed"))
     rollback(log, store)
     assert store.vertices["gear_1"].lifecycle == Lifecycle.ACTIVE
     assert store.records["part"].attached_to == "world"

@@ -588,8 +588,7 @@ def test_register_fuses_matched_observation():
     uid = store.add_entity("gear", _env([0, 0, 0], sigma=0.04), "z1")
     obs = _obs("gear", [0.02, 0, 0])
     match = MatchResult(matched=[(0, 0, 0.1)])
-    delta = register_or_update(store, [obs], match, [uid], {0: 1.0}, "z1", {}, [])
-    assert delta.fused == [uid]
+    register_or_update(store, [obs], match, [uid], {0: 1.0}, "z1", {}, [])
     mean = store.records[uid].envelope.mean
     assert 0 < mean[0] < 0.02  # pulled toward the observation
 
@@ -609,7 +608,7 @@ def test_low_gamma_keeps_stored_geometry():
 
 def test_a_measurement_is_fused_into_a_record_once():
     """With the memo, a matched observation envelope is fused once whatever
-    its gamma, and the pair is still reported as fused; its geometry still
+    its gamma; its geometry still
     replaces a stored one at gamma above 0.1. An envelope with the same
     values in a new object is a new measurement."""
     store = _store_with_zone()
@@ -622,8 +621,7 @@ def test_a_measurement_is_fused_into_a_record_once():
     register_or_update(store, [obs], match, [uid], {0: 0.01}, "z1", fused, [])
     once = store.records[uid].envelope
     assert once.mean.tolist() != [0, 0, 0] and store.records[uid].geometry is geom
-    delta = register_or_update(store, [obs], match, [uid], {0: 1.0}, "z1", fused, [])
-    assert delta.fused == [uid]
+    register_or_update(store, [obs], match, [uid], {0: 1.0}, "z1", fused, [])
     assert store.records[uid].envelope is once
     assert store.records[uid].geometry is obs.geometry
     same_values = Observation(obs.label, obs.geometry,
@@ -648,7 +646,7 @@ def test_a_restored_or_promoted_record_holds_its_measurement_once():
     delta = register_or_update(store, observations,
                                MatchResult(matched=[(0, 0, 0.1)], unmatched_observations=[1]),
                                [gear], {0: 1.0}, "z1", fused, pending)
-    assert delta.fused == [gear] and delta.promoted == ["bolt_1"]
+    assert delta.promoted == ["bolt_1"]
     assert store.records[gear].envelope is restored
     register_or_update(store, observations, MatchResult(matched=[(0, 0, 0.1), (1, 1, 0.1)]),
                        [gear, "bolt_1"], {0: 1.0, 1: 1.0}, "z1", fused, pending)
@@ -784,7 +782,7 @@ class StoreHashMachine(RuleBasedStateMachine):
         post = self.store.state_hash()
         if self.log.entries and self.log.entries[-1].post_hash != post:
             self.log.append(TransactionEntry(self.log.entries[-1].post_hash, post,
-                                             "PerceptionUpdate", {}, [], "committed"))
+                                             "PerceptionUpdate", args={}, outcome="committed"))
 
     def _skill(self, action, args, adverse):
         self._log_other_writes()
