@@ -66,7 +66,7 @@ class TaskNode:
 # The keys ``from_doc`` reads of a task node, each with the shape of its
 # value; a key ending in "?" has a default.
 _NODE_KEYS = {"id": INT, "function": STR, "args?": DICT, "deps?": list_of(INT),
-              "manipulation?": BOOL, "key?": STR, "keywords?": LIST, "zones?": LIST}
+              "manipulation?": BOOL, "key?": STR, "keywords?": LIST, "zones?": list_of(STR)}
 
 
 class TaskDAG:

@@ -21,7 +21,7 @@ from .geometry import (
     envelope_from_points,
     read_only_view,
 )
-from .serialization import Encoded, encoded
+from .serialization import encode
 
 # Distance bands for geometric abstraction (meters).
 DEFAULT_R_NEAR = 0.8
@@ -65,8 +65,8 @@ class _Geom:
     (None when it has no extent) in each kind."""
 
     @cached_property
-    def text(self) -> Encoded:
-        return encoded(self.doc())
+    def text(self) -> str:
+        return encode(self.doc())
 
 
 @dataclass(frozen=True)

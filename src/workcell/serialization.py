@@ -5,10 +5,14 @@ Every persisted document and every transaction hash flows through
 Encoding is one pass of CPython's C JSON encoder, built once, over
 str-keyed documents; ``_plain`` converts numpy values as it meets them
 and rejects everything else. A document can also be assembled from parts
-encoded at different times: ``encoded`` and ``encoded_member`` encode
-the parts, ``encoded_object`` joins members, ``encoded_array`` joins
-items, and ``canonical_dumps`` joins a dict whose values are all
-``Encoded``. The text is the same either way.
+encoded at different times: ``encode`` and ``encoded_member`` give the
+text of a value or of an object member. An ``Encoded`` holds a value's
+text as pieces: ``encoded`` gives one piece, and ``encoded_object`` and
+``encoded_array`` lay out member or item texts with their brackets and
+separators, without joining them. ``canonical_dumps`` builds a dict whose
+values are all ``Encoded`` in one ``"".join`` over the ``,"key":``
+prefixes and the pieces, so the document is the only large text made.
+The text is the same either way.
 """
 
 from __future__ import annotations
@@ -36,40 +40,64 @@ _iterencode = c_make_encoder(None, _plain, encode_basestring_ascii, None, ":", "
                              True, False, True)
 
 
-def _encode(value) -> str:
+def encode(value) -> str:
+    """The canonical JSON text of a value."""
     return "".join(_iterencode(value, 0))
 
 
-class Encoded(str):
-    """Canonical JSON text of a value, encoded earlier."""
+class Encoded:
+    """Canonical JSON text of a value, encoded earlier, as the pieces that
+    ``canonical_dumps`` joins into the document around them."""
+
+    __slots__ = ("pieces",)
+
+    def __init__(self, pieces: list[str]):
+        self.pieces = pieces
 
 
 def encoded(value) -> Encoded:
-    return Encoded(_encode(value))
+    return Encoded([encode(value)])
 
 
 def encoded_member(key: str, value) -> str:
     """``"key":value`` as it appears inside a canonical JSON object."""
-    return encode_basestring_ascii(key) + ":" + _encode(value)
+    return encode_basestring_ascii(key) + ":" + encode(value)
 
 
-def encoded_object(members: list[str]) -> Encoded:
+def _bracketed(opening: str, texts, closing: str) -> Encoded:
+    """The texts between ``opening`` and ``closing`` with ``,`` between
+    them, as pieces: nothing is joined."""
+    if not texts:
+        return Encoded([opening + closing])
+    pieces = [","] * (2 * len(texts) + 1)
+    pieces[1:-1:2] = texts
+    pieces[0], pieces[-1] = opening, closing
+    return Encoded(pieces)
+
+
+def encoded_object(members) -> Encoded:
     """The JSON object of ``encoded_member`` texts given in sorted-key order."""
-    return Encoded("{" + ",".join(members) + "}")
+    return _bracketed("{", members, "}")
 
 
-def encoded_array(items: list[str]) -> Encoded:
-    """The JSON array of ``encoded`` texts given in order."""
-    return Encoded("[" + ",".join(items) + "]")
+def encoded_array(items) -> Encoded:
+    """The JSON array of ``encode`` texts given in order."""
+    return _bracketed("[", items, "]")
 
 
 def canonical_dumps(value) -> str:
     """Deterministic JSON: sorted keys, compact separators. A non-empty
-    str-keyed dict whose values are all ``Encoded`` is joined from them as
-    they are."""
+    str-keyed dict whose values are all ``Encoded`` is joined from their
+    pieces as they are, in one join."""
     if isinstance(value, dict) and value and all(isinstance(v, Encoded) for v in value.values()):
-        return encoded_object([encode_basestring_ascii(k) + ":" + value[k] for k in sorted(value)])
-    return _encode(value)
+        parts = []
+        for key in sorted(value):
+            parts += (",", encode_basestring_ascii(key), ":")
+            parts += value[key].pieces
+        parts[0] = "{"
+        parts.append("}")
+        return "".join(parts)
+    return encode(value)
 
 
 def json_line(value) -> str:

@@ -56,6 +56,8 @@ from .perception import BillboardGeom, GeomAbstraction, Observation, PointsGeom,
 from .serialization import (
     Encoded,
     canonical_dumps,
+    encode,
+    encode_basestring_ascii,
     encoded,
     encoded_array,
     encoded_member,
@@ -132,9 +134,9 @@ class RelationEdge:
     status: EdgeStatus = EdgeStatus.HYPOTHESIS
 
     @cached_property
-    def text(self) -> Encoded:
+    def text(self) -> str:
         """The edge's canonical JSON, encoded on first use."""
-        return encoded(_edge_doc(self))
+        return encode(_edge_doc(self))
 
 
 ROBOT_UID = "robot"
@@ -454,11 +456,13 @@ class WorldStore:
         """``sha256(serialize())``, assembled from cached texts.
 
         Writes mark what they touch. Only the marked records and vertices
-        are encoded again, a record around the text its geometry keeps,
-        and only a marked table is joined again; it is sorted again only
-        when a uid came into it. A marked edge list is
-        joined from the texts its edges keep. A marked head section is
-        encoded again. When nothing is marked, the last digest is returned.
+        are encoded again, a record in one format around the text its
+        geometry keeps. A table with a marked entry lays out its entries'
+        texts again, sorted again only when a uid came into it; a marked
+        edge list lays out the texts its edges keep; a marked head section
+        is encoded again. No section is joined on its own: ``sha256_of``
+        hashes the document that ``canonical_dumps`` joins once from all
+        the pieces. When nothing is marked, the last digest is returned.
         """
         sections = self._sections
         changed = False
@@ -521,20 +525,19 @@ _HEAD_SECTIONS = {
 
 
 def _record_text(uid: str, r: ObjectRecord) -> str:
-    """``encoded_member(uid, _record_doc(r))``, with the geometry's part
-    read from the text the geometry keeps: "geometry" sorts last."""
-    head = encoded_member(uid, {"attached_to": r.attached_to, "envelope": _envelope_doc(r)})
+    """``encoded_member(uid, _record_doc(r))`` in one format, with the
+    geometry's part read from the text the geometry keeps."""
+    env = r.envelope
     geometry = "null" if r.geometry is None else r.geometry.text
-    return f'{head[:-1]},"geometry":{geometry}}}'
-
-
-def _envelope_doc(r: ObjectRecord) -> dict:
-    return {"mean": r.envelope.mean.tolist(), "covariance": r.envelope.covariance.tolist()}
+    return (f'{encode_basestring_ascii(uid)}:{{"attached_to":{encode(r.attached_to)},'
+            f'"envelope":{{"covariance":{encode(env.covariance.tolist())},'
+            f'"mean":{encode(env.mean.tolist())}}},"geometry":{geometry}}}')
 
 
 def _record_doc(r: ObjectRecord) -> dict:
     return {
-        "envelope": _envelope_doc(r),
+        "envelope": {"mean": r.envelope.mean.tolist(),
+                     "covariance": r.envelope.covariance.tolist()},
         "geometry": geom_to_dict(r.geometry),
         "attached_to": r.attached_to,
     }

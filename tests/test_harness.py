@@ -131,6 +131,7 @@ _BROKEN_SCENARIOS = {
     "zone_count_of_unknown_zone": ("assembly", lambda d: d["queries"].append(
         {"kind": "zone_count", "zone": "nowhere", "expect": 0})),
     "task_keywords_not_a_list": ("assembly", _set(["task", "nodes", 0, "keywords"], 5)),
+    "task_zones_nested_list": ("assembly", _set(["task", "nodes", 0, "zones"], [["zone_a"]])),
     "targetmoved_params_a_list": ("transfer_targetmoved", _set(["injections", 0, "params"], [])),
     "targetmoved_without_move_delta": ("transfer_targetmoved", _without_move_delta),
     "task_manipulation_a_string": ("assembly",

@@ -20,7 +20,7 @@ from workcell.perception import (
     quantize_by_distance,
     unique_cells,
 )
-from workcell.serialization import encoded
+from workcell.serialization import encode
 from workcell.world_model import geom_to_dict
 
 from oracles import assemble_snapshot_reference
@@ -154,7 +154,7 @@ def test_geometries_are_frozen_values_with_read_only_arrays():
 
 def test_geometry_text_and_bounds_equal_the_uncached_values():
     for g in _geometries():
-        assert g.text == encoded(geom_to_dict(g))
+        assert g.text == encode(geom_to_dict(g))
         assert g.text is g.text  # computed once
     points, voxels, billboard = _geometries()
     lo, hi = points.bounds

@@ -27,7 +27,9 @@ from workcell.harness import build_store, build_world
 from workcell.perception import BillboardGeom, Observation, PointsGeom, VoxelsGeom
 from workcell.serialization import (
     canonical_dumps,
+    encode,
     encoded,
+    encoded_array,
     encoded_member,
     encoded_object,
     json_line,
@@ -341,11 +343,13 @@ def test_one_pass_encoders_match_recursive_encoder(value):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.dictionaries(st.text(max_size=6), _json_values, min_size=1, max_size=5))
+@given(st.dictionaries(st.text(max_size=6), _json_values, max_size=5))
 def test_encoded_parts_join_to_the_canonical_text(doc):
     whole = canonical_dumps(doc)
     assert canonical_dumps({key: encoded(value) for key, value in doc.items()}) == whole
-    assert encoded_object([encoded_member(key, doc[key]) for key in sorted(doc)]) == whole
+    pieces = {"doc": encoded_object([encoded_member(key, doc[key]) for key in sorted(doc)]),
+              "items": encoded_array([encode(value) for value in doc.values()])}
+    assert canonical_dumps(pieces) == canonical_dumps({"doc": doc, "items": list(doc.values())})
 
 
 _finite = st.floats(-1e6, 1e6, allow_nan=False)
@@ -957,6 +961,30 @@ def test_hash_cache_matches_scratch_digest_under_random_writes():
         max_examples=40, stateful_step_count=30, deadline=None, derandomize=True))
 
 
+def test_a_resumed_large_store_hashes_as_its_document():
+    # The state machine's stores are small. Here each write lands on a
+    # member or section boundary of a resumed store's cached texts.
+    store = WorldStore.from_dict(_stock_doc())
+    assert len(store.records) >= 500 and len(store.edges) >= 250
+    assert store.state_hash() == store_digest(store)
+    first, last = min(store.records), max(store.records)
+    middle = sorted(store.records)[len(store.records) // 2] + "_b"
+    geometry = PointsGeom(PointCloudData(np.array([[0.1, 0.2, 0.3], [0.2, 0.2, 0.3]])))
+    writes = [
+        lambda: store.update_record(first, envelope=_env([0.1, -0.2, 0.3], 0.02)),
+        lambda: store.update_record(last, geometry=geometry, attached_to="gripper"),
+        lambda: store.update_vertex(last, confidence=0.5),
+        lambda: store.add_entity("bolt", _env([0.4, 0.4, 0.0]), "z1", uid=middle),
+        lambda: store.remove_edges(obj=last),
+        lambda: store.restore_entity(last, None, None),
+        lambda: store.add_edge("Near", middle, first),
+    ]
+    for write in writes:
+        write()
+        assert store.state_hash() == store_digest(store)
+    assert max(store.records) != last and middle in store.records
+
+
 # Fields of records and vertices whose writes must go through update_record
 # or update_vertex, which drop the cached text state_hash re-assembles.
 _STORE_FIELDS = {"envelope", "geometry", "attached_to", "confidence", "lifecycle",
@@ -1093,7 +1121,7 @@ _UNREAD_MEMBERS_ALLOWED = {
     # c09 checks that the retry budget ran out.
     "GetErtOutcome.exhausted",
     # Kept for recording the report of each retry and the failing
-    # precondition (ROADMAP item 5).
+    # precondition (ROADMAP item 8).
     "GetErtOutcome.reports",
     "TransitionResult.failed_predicate",
     # Written to metrics.json by MetricsReport.to_dict through
