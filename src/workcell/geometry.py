@@ -110,11 +110,6 @@ class PoseSE3:
     def identity(cls) -> "PoseSE3":
         return cls(np.eye(3), np.zeros(3))
 
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = pts @ self.rotation.T + self.translation
-        return out[0] if np.asarray(points).ndim == 1 else out
-
 
 @dataclass(frozen=True)
 class GaussianEnvelope:

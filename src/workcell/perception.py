@@ -162,24 +162,34 @@ def lift_frame(frame: Frame, k: CameraIntrinsics) -> LiftedPoints:
 
     A point keeps its pixel's instance label only if it lies within
     DEFAULT_RAY_EPSILON of the pixel's viewing ray.
+
+    Each float is computed in a fixed order: the camera-frame point is
+    ``((u - cx) / fx * d, (v - cy) / fy * d, d)``, its base-frame point
+    ``p @ R.T + t``, a cross product's columns ``a1*b2 - a2*b1``,
+    ``a2*b0 - a0*b2`` and ``a0*b1 - a1*b0`` (``np.cross``'s), and a norm
+    ``sqrt`` of ``np.add.reduce`` of the squares over each row
+    (``np.linalg.norm``'s).
     """
     vv, uu = np.nonzero((frame.mask >= 0) & (frame.depth > 0))
     if len(uu) == 0:
         return LiftedPoints(np.zeros((0, 3)), np.zeros(0, dtype=np.int32))
     d = frame.depth[vv, uu].astype(float)
-    rays_c = np.stack(
-        [(uu - k.cx) / k.fx, (vv - k.cy) / k.fy, np.ones_like(d)], axis=1
-    )
-    pts_c = rays_c * d[:, None]
-    pts_b = frame.camera_pose.apply(pts_c)
+    pts_c = np.empty((len(d), 3))
+    pts_c[:, 0] = (uu - k.cx) / k.fx * d
+    pts_c[:, 1] = (vv - k.cy) / k.fy * d
+    pts_c[:, 2] = d
+    rotation, origin = frame.camera_pose.rotation, frame.camera_pose.translation
+    dirs_b = pts_c @ rotation.T
+    pts_b = dirs_b + origin
 
     # Perpendicular distance of each point to its own pixel ray (base frame).
-    origin = frame.camera_pose.translation
-    dirs_b = pts_c @ frame.camera_pose.rotation.T
-    dirs_b /= np.linalg.norm(dirs_b, axis=1, keepdims=True)
+    dirs_b /= np.sqrt(np.add.reduce(dirs_b * dirs_b, axis=1))[:, None]
     rel = pts_b - origin
-    cross = np.cross(dirs_b, rel)
-    perp = np.linalg.norm(cross, axis=1)
+    cross = np.empty_like(rel)
+    cross[:, 0] = dirs_b[:, 1] * rel[:, 2] - dirs_b[:, 2] * rel[:, 1]
+    cross[:, 1] = dirs_b[:, 2] * rel[:, 0] - dirs_b[:, 0] * rel[:, 2]
+    cross[:, 2] = dirs_b[:, 0] * rel[:, 1] - dirs_b[:, 1] * rel[:, 0]
+    perp = np.sqrt(np.add.reduce(cross * cross, axis=1))
     ids = frame.mask[vv, uu].astype(np.int32)
     ids[perp >= DEFAULT_RAY_EPSILON] = -1
 

@@ -12,9 +12,10 @@ the force-torque signature the transaction layer watches for. Nothing
 draws random numbers.
 
 Rendering ray-casts each object's box against the camera's pixel rays, which
-the frozen ``SimCamera`` computes once. Each box is tested only against the
-pixels its projected corners can cover; the frame is the same, bit for bit,
-as a full-frame test of every box would give. The simulator keeps no frame:
+the frozen ``SimCamera`` computes on first use and turns into each box
+rotation once. Each box is tested only against the pixels its projected
+corners can cover; the frame is the same, bit for bit, as a full-frame test
+of every box would give. The simulator keeps no frame:
 tests move ``SimObject`` poses directly, so a caller that reuses a frame
 keys it on what ``render_frame`` reads (``harness.TrialRuntime.frame``).
 """
@@ -22,11 +23,12 @@ keys it on what ``render_frame`` reads (``harness.TrialRuntime.frame``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ScenarioError, WorkcellError
-from .geometry import CORNER_SIGNS, PoseSE3
+from .geometry import CORNER_SIGNS, PoseSE3, read_only_view
 from .perception import CameraIntrinsics, Frame
 from .transactions import FTEvent, FTSignal
 from .world_model import EPS_CONTACT
@@ -77,25 +79,43 @@ class FailureInjection:
 @dataclass(frozen=True)
 class SimCamera:
     """A pinhole camera. ``rays`` holds one base-frame direction per pixel,
-    row-major, scaled so its camera-frame z component is 1; it is computed
-    once here, and the camera is frozen so it cannot go stale."""
+    row-major, scaled so its camera-frame z component is 1. What the camera
+    derives is computed on first use and kept, read-only: the camera is
+    frozen, so none of it can go stale."""
 
     intrinsics: CameraIntrinsics
     pose: PoseSE3  # camera-to-base
     width: int = 64
     height: int = 48
-    rays: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    @cached_property
+    def rays(self) -> np.ndarray:
         k, w, h = self.intrinsics, self.width, self.height
         uu, vv = np.meshgrid(np.arange(w), np.arange(h))
         rays_c = np.stack(
             [(uu.ravel() - k.cx) / k.fx, (vv.ravel() - k.cy) / k.fy,
              np.ones(w * h)], axis=1,
         )
-        rays = rays_c @ self.pose.rotation.T
-        rays.flags.writeable = False
-        object.__setattr__(self, "rays", rays)
+        return read_only_view(rays_c @ self.pose.rotation.T)
+
+    @cached_property
+    def pixel_index(self) -> np.ndarray:
+        """Each pixel's row-major index, as an (height, width) grid."""
+        return read_only_view(np.arange(self.height * self.width).reshape(self.height, self.width))
+
+    @cached_property
+    def _turned(self) -> dict[bytes, np.ndarray]:
+        """``turned_rays`` by the bytes of each rotation asked for."""
+        return {}
+
+    def turned_rays(self, rotation: np.ndarray) -> np.ndarray:
+        """``(rays @ rotation).T``: column i is ray i in the frame of a box
+        with that rotation, ``R^T @ d``. Computed once per rotation."""
+        key = rotation.tobytes()
+        turned = self._turned.get(key)
+        if turned is None:
+            turned = self._turned[key] = read_only_view((self.rays @ rotation).T.copy())
+        return turned
 
 
 class SimWorld:
@@ -275,8 +295,11 @@ class SimWorld:
         centre, half = np.array(centres), np.array(halves)
         bottom, top = centre[:, 2] - half[:, 2], centre[:, 2] + half[:, 2]
         a, b = np.nonzero(np.abs(bottom[:, None] - top[None, :]) <= 2 * EPS_CONTACT)
-        return {("On", ids[i], ids[j]) for i, j in zip(a.tolist(), b.tolist())
-                if i != j and np.all(np.abs(centre[i, :2] - centre[j, :2]) <= half[j, :2])}
+        if len(a) == 0:
+            return set()
+        over = (np.abs(centre[a, :2] - centre[b, :2]) <= half[b, :2]).all(axis=1)
+        return {("On", ids[i], ids[j]) for i, j in zip(a[over].tolist(), b[over].tolist())
+                if i != j}
 
     def true_positions(self) -> dict[str, np.ndarray]:
         return {oid: o.pose.translation.copy() for oid, o in self.objects.items()}
@@ -295,34 +318,29 @@ def _ray_box_depth(
 ) -> np.ndarray:
     """Slab-test depth (distance along each unit-z camera ray) of a box.
 
-    Row i tests ray direction d_local[i] against the box whose frame it is
-    given in, from the camera origin o_local[i] in that frame, with
-    half-extents half_extents[i]. Directions are scaled so the camera-frame
-    z component is 1; rays with no hit come back as +inf.
+    Column i tests ray direction d_local[:, i] against the box whose frame
+    it is given in, from the camera origin o_local[:, i] in that frame, with
+    half-extents half_extents[:, i]. Directions are scaled so the
+    camera-frame z component is 1; rays with no hit come back as +inf. A ray
+    parallel to an axis's slabs enters at -inf and leaves at +inf on that
+    axis, and misses if its origin lies outside them. The three axes are the
+    rows of one pass: numpy reduces a (3, n) array over its first axis with
+    n-long inner loops, where it would reduce an (n, 3) one row by row.
     """
-    t_near = np.full(len(d_local), -np.inf)
-    t_far = np.full(len(d_local), np.inf)
-    hit = np.ones(len(d_local), dtype=bool)
-    for axis in range(3):
-        d = d_local[:, axis]
-        o = o_local[:, axis]
-        h = half_extents[:, axis]
-        parallel = np.abs(d) < 1e-12
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = (-h - o) / d
-            t2 = (h - o) / d
-        lo = np.minimum(t1, t2)
-        hi = np.maximum(t1, t2)
-        t_near = np.where(parallel, t_near, np.maximum(t_near, lo))
-        t_far = np.where(parallel, t_far, np.minimum(t_far, hi))
-        hit &= ~(parallel & (np.abs(o) > h))
-    hit &= (t_far >= t_near) & (t_far > 0)
-    t_enter = np.where(t_near > 0, t_near, t_far)
-    return np.where(hit, t_enter, np.inf)
+    parallel = np.abs(d_local) < 1e-12
+    d = np.where(parallel, 1.0, d_local)  # a parallel axis's quotients are unused
+    t1 = (-half_extents - o_local) / d
+    t2 = (half_extents - o_local) / d
+    t_near = np.where(parallel, -np.inf, np.minimum(t1, t2)).max(axis=0)
+    t_far = np.where(parallel, np.inf, np.maximum(t1, t2)).min(axis=0)
+    hit = (t_far >= t_near) & (t_far > 0)
+    hit &= ~(parallel & (np.abs(o_local) > half_extents)).any(axis=0)
+    return np.where(hit, np.where(t_near > 0, t_near, t_far), np.inf)
 
 
 def _screen_windows(camera: SimCamera, objects: list[SimObject]) -> list:
-    """Per box, the pixel rows and columns it can cover, or None.
+    """Per box, the pixel columns c0..c1 and rows r0..r1 it can cover, as
+    ``(c0, r0, c1, r1)``, or None.
 
     The rectangle holds the pixel centres inside the bounding box of the
     projected corners, widened by one pixel so that rounding cannot put a
@@ -334,67 +352,68 @@ def _screen_windows(camera: SimCamera, objects: list[SimObject]) -> list:
     centres = np.array([o.pose.translation for o in objects]).reshape(-1, 3)
     corners = (centres[:, None]
                + (CORNER_SIGNS * extents[:, None]) @ rotations.transpose(0, 2, 1))
-    cam = (corners - camera.pose.translation) @ camera.pose.rotation
+    # Corner-major, (8, boxes, 3): each reduction over the corners then runs
+    # over whole rows of boxes.
+    cam = ((corners - camera.pose.translation) @ camera.pose.rotation).transpose(1, 0, 2).copy()
     z = cam[..., 2]
+    near = (z <= _NEAR_PLANE).any(axis=0)
     k = camera.intrinsics
+    last = [camera.width - 1, camera.height - 1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u = k.fx * cam[..., 0] / z + k.cx  # used only where every z is in front
-        v = k.fy * cam[..., 1] / z + k.cy
-        u0 = np.maximum(np.ceil(u.min(axis=1)) - 1, 0)
-        u1 = np.minimum(np.floor(u.max(axis=1)) + 1, camera.width - 1)
-        v0 = np.maximum(np.ceil(v.min(axis=1)) - 1, 0)
-        v1 = np.minimum(np.floor(v.max(axis=1)) + 1, camera.height - 1)
-    near = (z <= _NEAR_PLANE).any(axis=1)
-    skip = (z < -_NEAR_PLANE).all(axis=1) | (~near & ((u0 > u1) | (v0 > v1)))
-    windows = []
-    for skip_i, near_i, (r0, r1, c0, c1) in zip(
-            skip.tolist(), near.tolist(), np.stack([v0, v1, u0, u1], axis=1).tolist()):
-        if skip_i:
-            windows.append(None)
-        elif near_i:
-            windows.append((slice(None), slice(None)))
-        else:
-            windows.append((slice(int(r0), int(r1) + 1), slice(int(c0), int(c1) + 1)))
-    return windows
+        # (u, v) = (fx * x / z + cx, fy * y / z + cy), used only where every
+        # z is in front; a skipped box's window may not be finite.
+        uv = np.array([k.fx, k.fy]) * cam[..., :2] / z[..., None] + np.array([k.cx, k.cy])
+        lo = np.maximum(np.ceil(uv.min(axis=0)) - 1, 0)
+        hi = np.minimum(np.floor(uv.max(axis=0)) + 1, last)
+        windows = np.where(near[:, None], [0, 0, *last],
+                           np.concatenate([lo, hi], axis=1)).astype(np.intp)
+    skip = (z < -_NEAR_PLANE).all(axis=0) | (~near & (lo > hi).any(axis=1))
+    return [None if skip_i else window
+            for skip_i, window in zip(skip.tolist(), windows.tolist())]
 
 
 def render_frame(world: SimWorld, camera: SimCamera) -> Frame:
     """Depth + exact instance mask from oriented-box proxies.
 
     The rays of every box's window, each in its box's frame, go through one
-    slab test; the rays are turned into each distinct box rotation once.
-    Each pixel then keeps its nearest hit, a depth tie going to the earlier
-    id: the frame that drawing the boxes in id order, with a pixel changing
-    owner only on a strictly nearer hit, would leave.
+    slab test. The floats are those a full-frame test of each box would
+    use: a ray in the frame of a box of rotation R is its column of
+    ``camera.turned_rays(R)``, computed over every ray as ``(rays @ R).T``,
+    and the camera origin is ``R.T @ (camera translation - box
+    translation)``, one box at a time. Each pixel then keeps its nearest
+    hit, a depth tie going to the earlier id: the frame that drawing the
+    boxes in id order, with a pixel changing owner only on a strictly
+    nearer hit, would leave. That sort decides every pixel, so the order
+    the rays are tested in does not matter.
     """
     h, w = camera.height, camera.width
     ids = sorted(world.objects)
     objects = [world.objects[oid] for oid in ids]
-    drawn = [(world.instance_ids[oid], obj, window) for oid, obj, window
-             in zip(ids, objects, _screen_windows(camera, objects)) if window is not None]
-
     depth = np.zeros(h * w)
     mask = np.full(h * w, -1, dtype=np.int32)
-    if drawn:
-        pixel_index = np.arange(h * w).reshape(h, w)
-        local_rays: dict[bytes, np.ndarray] = {}
-        d_local, o_local, extents, pixels, owners = [], [], [], [], []
-        for instance, obj, window in drawn:
-            rotation = obj.pose.rotation
-            key = rotation.tobytes()
-            if key not in local_rays:
-                # Row-wise R^T @ d over every ray: the floats a full-frame
-                # slab test would use.
-                local_rays[key] = (camera.rays @ rotation).reshape(h, w, 3)
-            rays = local_rays[key]
-            d_local.append(rays[window].reshape(-1, 3))
-            pixels.append(pixel_index[window].ravel())
-            o_local.append(rotation.T @ (camera.pose.translation - obj.pose.translation))
-            extents.append(obj.half_extents)
-            owners.append(instance)
+    labels = {}
+    o_local, extents, pixels, owners = [], [], [], []
+    runs = []  # (turned rays, pixels) for each run of boxes of one rotation
+    origin = camera.pose.translation
+    for oid, obj, window in zip(ids, objects, _screen_windows(camera, objects)):
+        if window is None:
+            continue
+        c0, r0, c1, r1 = window
+        rotation = obj.pose.rotation
+        pixels.append(camera.pixel_index[r0:r1 + 1, c0:c1 + 1].ravel())
+        turned = camera.turned_rays(rotation)
+        if not runs or runs[-1][0] is not turned:
+            runs.append((turned, []))
+        runs[-1][1].append(pixels[-1])
+        o_local.append(rotation.T @ (origin - obj.pose.translation))
+        extents.append(obj.half_extents)
+        owners.append(world.instance_ids[oid])
+    if owners:
         sizes = [len(p) for p in pixels]
-        t = _ray_box_depth(np.concatenate(d_local), np.repeat(o_local, sizes, axis=0),
-                           np.repeat(extents, sizes, axis=0))
+        d_local = [turned[:, np.concatenate(run)] for turned, run in runs]
+        t = _ray_box_depth(np.concatenate(d_local, axis=1),
+                           np.repeat(np.transpose(o_local), sizes, axis=1),
+                           np.repeat(np.transpose(extents), sizes, axis=1))
         pixel = np.concatenate(pixels)
         owner = np.repeat(np.array(owners, dtype=np.int32), sizes)
         hit = np.isfinite(t)
@@ -403,15 +422,12 @@ def render_frame(world: SimWorld, camera: SimCamera) -> Frame:
         pixel, t, owner = pixel[order], t[order], owner[order]
         first = np.ones(len(pixel), dtype=bool)
         first[1:] = pixel[1:] != pixel[:-1]
+        owner = owner[first]
         depth[pixel[first]] = t[first]
-        mask[pixel[first]] = owner[first]
-
-    in_view = np.bincount(mask + 1, minlength=len(ids) + 1).tolist()
-    labels = {
-        world.instance_ids[oid]: world.objects[oid].label
-        for oid in ids
-        if in_view[world.instance_ids[oid] + 1]
-    }
+        mask[pixel[first]] = owner
+        in_view = set(owner.tolist())
+        labels = {world.instance_ids[oid]: world.objects[oid].label
+                  for oid in ids if world.instance_ids[oid] in in_view}
     return Frame(
         depth=depth.reshape(h, w).astype(np.float32),
         mask=mask.reshape(h, w),

@@ -361,10 +361,23 @@ class WorldStore:
         return list(held)
 
     def check_integrity(self):
-        """Every live vertex has a record under its uid."""
-        for uid in self.vertices:
-            if self.vertices[uid].lifecycle != Lifecycle.ARCHIVED and uid not in self.records:
+        """Every live vertex has a record under its uid, and every vertex's
+        zone is a zone or none (""). Every record is attached to the world
+        or the gripper. Every edge endpoint is a vertex or a zone, the rule
+        ``add_edge`` applies."""
+        archived, zones, records, vertices = Lifecycle.ARCHIVED, self.zones, self.records, self.vertices
+        for uid, v in vertices.items():
+            if v.lifecycle is not archived and uid not in records:
                 raise IntegrityError(f"live vertex {uid} has no record")
+            if v.zone_id != "" and v.zone_id not in zones:
+                raise IntegrityError(f"vertex {uid} is in unknown zone {v.zone_id}")
+        for uid, r in records.items():
+            if r.attached_to not in ("world", "gripper"):
+                raise IntegrityError(f"record {uid} is attached to {r.attached_to!r}")
+        for e in self.edges:
+            for endpoint in (e.subject, e.obj):
+                if endpoint not in vertices and endpoint not in zones:
+                    raise IntegrityError(f"edge endpoint {endpoint} does not exist")
 
     # -- queries -----------------------------------------------------------
 

@@ -266,6 +266,53 @@ def render_frame_reference(world, camera):
     return depth.astype(np.float32), mask, labels
 
 
+def lift_frame_reference(frame, k):
+    """``perception.lift_frame`` as it was written on ``np.stack``,
+    ``np.cross``, ``np.linalg.norm`` and ``PoseSE3.apply``; the package
+    must reproduce it to the bit."""
+    from workcell.perception import DEFAULT_RAY_EPSILON, LiftedPoints
+
+    vv, uu = np.nonzero((frame.mask >= 0) & (frame.depth > 0))
+    if len(uu) == 0:
+        return LiftedPoints(np.zeros((0, 3)), np.zeros(0, dtype=np.int32))
+    d = frame.depth[vv, uu].astype(float)
+    rays_c = np.stack(
+        [(uu - k.cx) / k.fx, (vv - k.cy) / k.fy, np.ones_like(d)], axis=1
+    )
+    pts_c = rays_c * d[:, None]
+    # PoseSE3.apply on an (n, 3) array.
+    pts_b = np.atleast_2d(pts_c) @ frame.camera_pose.rotation.T + frame.camera_pose.translation
+
+    # Perpendicular distance of each point to its own pixel ray (base frame).
+    origin = frame.camera_pose.translation
+    dirs_b = pts_c @ frame.camera_pose.rotation.T
+    dirs_b /= np.linalg.norm(dirs_b, axis=1, keepdims=True)
+    rel = pts_b - origin
+    cross = np.cross(dirs_b, rel)
+    perp = np.linalg.norm(cross, axis=1)
+    ids = frame.mask[vv, uu].astype(np.int32)
+    ids[perp >= DEFAULT_RAY_EPSILON] = -1
+
+    return LiftedPoints(pts_b, ids)
+
+
+def on_relations_reference(world):
+    """``SimWorld.on_relations`` as it was written, testing the footprint
+    of one candidate pair at a time."""
+    from workcell.world_model import EPS_CONTACT
+
+    boxes = [(oid, o.pose.translation, o.half_extents)
+             for oid, o in world.objects.items() if oid != world.gripper]
+    if not boxes:
+        return set()
+    ids, centres, halves = zip(*boxes)
+    centre, half = np.array(centres), np.array(halves)
+    bottom, top = centre[:, 2] - half[:, 2], centre[:, 2] + half[:, 2]
+    a, b = np.nonzero(np.abs(bottom[:, None] - top[None, :]) <= 2 * EPS_CONTACT)
+    return {("On", ids[i], ids[j]) for i, j in zip(a.tolist(), b.tolist())
+            if i != j and np.all(np.abs(centre[i, :2] - centre[j, :2]) <= half[j, :2])}
+
+
 def visible_pixel_counts_reference(world, frame):
     """Pixel count per object id, tallied by ``np.unique``."""
     ids, tallies = np.unique(frame.mask, return_counts=True)

@@ -48,7 +48,8 @@ def random_rotation(seed):
 
 def test_pose_identity_is_noop():
     p = np.array([1.0, -2.0, 3.0])
-    assert np.allclose(PoseSE3.identity().apply(p), p)
+    pose = PoseSE3.identity()
+    assert np.allclose(p @ pose.rotation.T + pose.translation, p)
 
 
 def test_pose_rejects_non_rotation():

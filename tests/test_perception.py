@@ -23,7 +23,7 @@ from workcell.perception import (
 from workcell.serialization import encode
 from workcell.world_model import geom_to_dict
 
-from oracles import assemble_snapshot_reference
+from oracles import assemble_snapshot_reference, lift_frame_reference
 
 K = CameraIntrinsics(fx=100.0, fy=100.0, cx=2.0, cy=2.0)
 
@@ -278,6 +278,32 @@ def test_snapshot_frames_cover_the_edge_cases():
         )
     assert seen == {"no pixels", "one point", "off ray", "zero depth",
                     "PointsGeom", "VoxelsGeom", "BillboardGeom"}
+
+
+def _far_frame(seed, reach):
+    """``_snapshot_frame(seed)`` seen from a camera ``reach`` metres from the
+    base origin. At 3e14 m, rounding moves lifted points about
+    DEFAULT_RAY_EPSILON off their pixel rays, so the label test splits."""
+    frame, k = _snapshot_frame(seed)
+    direction = Rotation.random(random_state=np.random.default_rng(seed + 1)).as_matrix()[0]
+    pose = PoseSE3(frame.camera_pose.rotation, frame.camera_pose.translation + reach * direction)
+    return Frame(frame.depth, frame.mask, frame.labels, pose), k
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1.0, 3e14]))
+def test_lift_frame_matches_its_reference_bit_for_bit(seed, reach):
+    frame, k = _far_frame(seed, reach)
+    lifted, reference = lift_frame(frame, k), lift_frame_reference(frame, k)
+    for got, want in ((lifted.points, reference.points),
+                      (lifted.instance_ids, reference.instance_ids)):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def test_far_frames_split_at_the_ray_epsilon():
+    for seed in range(5):
+        ids = lift_frame(*_far_frame(seed, 3e14)).instance_ids
+        assert (ids == -1).any() and (ids >= 0).any()
 
 
 def _moved(frame, k, instance, shift):

@@ -3,7 +3,7 @@ ground truth."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
@@ -21,7 +21,11 @@ from workcell.simulator import (
 )
 from workcell.transactions import FTSignal, map_ft_event
 
-from oracles import render_frame_reference, visible_pixel_counts_reference
+from oracles import (
+    on_relations_reference,
+    render_frame_reference,
+    visible_pixel_counts_reference,
+)
 
 TOPDOWN = np.array([[1.0, 0, 0], [0, -1.0, 0], [0, 0, -1.0]])
 
@@ -153,7 +157,7 @@ def _scenes(draw):
                 signs = [-np.sign(local[0]), -np.sign(local[1]), 1.0]
                 local = [c + s * e for c, s, e in zip(local, signs, he)]
                 rotation = cam.pose.rotation
-        center = cam.pose.apply(np.array(local)[None, :])[0]
+        center = (np.array(local)[None, :] @ cam.pose.rotation.T + cam.pose.translation)[0]
         objects.append(SimObject(f"o{i}", f"l{i}", np.array(he),
                                  PoseSE3(rotation, center), "z1"))
     world = SimWorld(["z1"], objects, "z1", [0.0, 0.0, 0.0])
@@ -172,6 +176,33 @@ def test_render_matches_full_frame_reference(scene):
     assert visible_pixel_counts(world, frame) == visible_pixel_counts_reference(world, frame)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_scenes(), st.randoms(use_true_random=True))
+def test_a_camera_that_renders_again_matches_a_fresh_one(scene, rnd):
+    """One camera renders four scenes in turn, each of the same boxes moved
+    and given rotations from a pool of three, so that every scene holds two
+    rotations or more and the last one brings back the rotations of the
+    first. Each frame equals the full-frame reference and a fresh camera's
+    render, bit for bit, whatever the camera kept from earlier renders."""
+    world, cam = scene
+    assume(len(world.objects) >= 2)
+    pool = [np.eye(3), TOPDOWN, _rotation(rnd, "random")]
+    for step, turn in enumerate((0, 1, 2, 0)):
+        shift = 0.01 * step * np.array([1.0, -1.0, 0.5])
+        objects = [SimObject(o.object_id, o.label, o.half_extents,
+                             PoseSE3(pool[(i + turn) % 3], o.pose.translation + shift), "z1")
+                   for i, o in enumerate(world.objects.values())]
+        moved = SimWorld(["z1"], objects, "z1", [0.0, 0.0, 0.0])
+        frame = render_frame(moved, cam)
+        depth, mask, labels = render_frame_reference(moved, cam)
+        fresh = render_frame(moved, SimCamera(cam.intrinsics, cam.pose, cam.width, cam.height))
+        for other_depth, other_mask, other_labels in (
+                (depth, mask, labels), (fresh.depth, fresh.mask, fresh.labels)):
+            assert frame.depth.tobytes() == other_depth.tobytes()
+            assert np.array_equal(frame.mask, other_mask)
+            assert frame.labels == other_labels
+
+
 def test_render_depth_tie_goes_to_earlier_id():
     box = dict(he=(0.05, 0.05, 0.015))
     world = SimWorld(["z1"],
@@ -181,7 +212,7 @@ def test_render_depth_tie_goes_to_earlier_id():
     assert set(np.unique(frame.mask)) == {-1, world.instance_ids["a"]}
 
 
-def test_camera_rays_are_fixed_at_construction():
+def test_camera_is_frozen_and_its_rays_read_only():
     cam = _camera(0.5, 0.0)
     with pytest.raises(AttributeError):
         cam.pose = PoseSE3(np.eye(3), [0.0, 0.0, 1.0])
@@ -426,6 +457,41 @@ def test_on_is_read_from_the_poses():
     held.objects["base"].pose = PoseSE3(
         np.eye(3), [0.5, 0.0, held.objects["resting"].top_z + 0.015])
     assert held.on_relations() == set()  # and nothing rests on it
+
+
+# Dyadic sizes and places, so that a footprint edge meeting a centre, and a
+# face meeting a face, are exact.
+_HALF = st.sampled_from([1 / 64, 1 / 32, 1 / 16])
+_STEP = st.sampled_from([-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5])  # in the base's half-extents
+_GAP = st.sampled_from([-1 / 32, -1 / 64, 0.0, 1 / 64, 1 / 32])  # 1/64 is within 2 * EPS_CONTACT
+
+
+@st.composite
+def _stacks(draw):
+    """0-5 boxes: each on the floor or resting, up to a small gap, on an
+    earlier box, with its centre at a multiple of half the earlier box's
+    half-extents from that box's centre (so some centres lie exactly on a
+    footprint edge); and maybe one of them held."""
+    objects = []
+    for i in range(draw(st.integers(0, 5))):
+        he = np.array([draw(_HALF), draw(_HALF), draw(_HALF)])
+        if objects and draw(st.booleans()):
+            base = objects[draw(st.integers(0, len(objects) - 1))]
+            centre = base.pose.translation + [draw(_STEP) * base.half_extents[0],
+                                              draw(_STEP) * base.half_extents[1], 0.0]
+            centre[2] = base.top_z + he[2] + draw(_GAP)
+        else:
+            centre = np.array([draw(_STEP) / 8, draw(_STEP) / 8, he[2]])
+        objects.append(SimObject(f"o{i}", "box", he, PoseSE3(np.eye(3), centre), "z1"))
+    world = SimWorld(["z1"], objects, "z1", [0.0, 0.0, 0.5])
+    world.gripper = draw(st.sampled_from([None, *world.objects]))
+    return world
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_stacks())
+def test_on_relations_match_the_pairwise_reference(world):
+    assert world.on_relations() == on_relations_reference(world)
 
 
 def test_true_positions_are_copies():

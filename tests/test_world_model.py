@@ -162,6 +162,31 @@ def test_integrity_check_detects_dangling_grounding():
     assert WorldStore.from_dict(doc).to_dict() == doc
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("edge_to_ghost", "edge endpoint ghost does not exist"),
+    ("attached_to_5", "record a_1 is attached to 5"),
+    ("zone_nowhere", "vertex a_1 is in unknown zone nowhere"),
+])
+def test_from_dict_refuses_what_the_store_cannot_use(fault, message):
+    """A document is refused where the store's writers would refuse it: an
+    edge endpoint that is neither a vertex nor a zone (``add_edge``'s
+    rule), a record attached to neither the world nor the gripper, and a
+    vertex in a zone the store lacks."""
+    store = _store_with_zone()
+    store.add_entity("a", _env([0, 0, 0]), "z1")
+    store.add_edge("On", "a_1", "z1")
+    doc = store.to_dict()
+    assert WorldStore.from_dict(doc).to_dict() == doc
+    if fault == "edge_to_ghost":
+        doc["edges"][0]["object"] = "ghost"
+    elif fault == "attached_to_5":
+        doc["records"]["a_1"]["attached_to"] = 5
+    else:
+        doc["vertices"]["a_1"]["zone_id"] = "nowhere"
+    with pytest.raises(IntegrityError, match=message):
+        WorldStore.from_dict(doc)
+
+
 # -- persistence --------------------------------------------------------------
 
 
