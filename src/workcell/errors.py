@@ -13,10 +13,6 @@ class InsufficientDataError(WorkcellError):
     """Not enough data to perform the requested estimate."""
 
 
-class InvalidDepthError(WorkcellError):
-    """Depth value is missing, zero, or negative."""
-
-
 class RegistrationError(WorkcellError):
     """Point-set registration could not produce a valid transform."""
 

@@ -13,7 +13,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidDepthError
 from .geometry import (
     GaussianEnvelope,
     PointCloudData,
@@ -135,13 +134,6 @@ class Observation:
     envelope: GaussianEnvelope
 
 
-def back_project(u: float, v: float, d: float, k: CameraIntrinsics) -> np.ndarray:
-    """Pixel + depth to a camera-frame point."""
-    if not np.isfinite(d) or d <= 0:
-        raise InvalidDepthError(f"invalid depth {d} at pixel ({u}, {v})")
-    return np.array([(u - k.cx) / k.fx * d, (v - k.cy) / k.fy * d, d])
-
-
 @dataclass
 class LiftedPoints:
     """Base-frame points with per-point instance assignment.
@@ -199,10 +191,12 @@ def lift_frame(frame: Frame, k: CameraIntrinsics) -> LiftedPoints:
 def unique_cells(cells: np.ndarray) -> np.ndarray:
     """``np.unique(cells, axis=0)`` for an (N, 3) integer array: the
     distinct rows in lexicographic order, from one ``lexsort`` and a
-    row-change mask."""
+    row-change mask. The mask ORs the compare's three columns, since numpy
+    reduces an (N, 3) array over its last axis one row at a time."""
     cells = cells[np.lexsort((cells[:, 2], cells[:, 1], cells[:, 0]))]
     changed = np.ones(len(cells), dtype=bool)
-    changed[1:] = (cells[1:] != cells[:-1]).any(axis=1)
+    differ = cells[1:] != cells[:-1]
+    changed[1:] = differ[:, 0] | differ[:, 1] | differ[:, 2]
     return cells[changed]
 
 

@@ -5,8 +5,9 @@ Every persisted document and every transaction hash flows through
 Encoding is one pass of CPython's C JSON encoder, built once, over
 str-keyed documents; ``_plain`` converts numpy values as it meets them
 and rejects everything else. A document can also be assembled from parts
-encoded at different times: ``encode`` and ``encoded_member`` give the
-text of a value or of an object member. An ``Encoded`` holds a value's
+encoded at different times: ``encode`` gives the text of a value, and an
+object member's text is ``"key":`` before its value's text (the store
+formats its entries' member texts itself). An ``Encoded`` holds a value's
 text as pieces: ``encoded`` gives one piece, and ``encoded_object`` and
 ``encoded_array`` lay out member or item texts with their brackets and
 separators, without joining them. ``canonical_dumps`` builds a dict whose
@@ -59,11 +60,6 @@ def encoded(value) -> Encoded:
     return Encoded([encode(value)])
 
 
-def encoded_member(key: str, value) -> str:
-    """``"key":value`` as it appears inside a canonical JSON object."""
-    return encode_basestring_ascii(key) + ":" + encode(value)
-
-
 def _bracketed(opening: str, texts, closing: str) -> Encoded:
     """The texts between ``opening`` and ``closing`` with ``,`` between
     them, as pieces: nothing is joined."""
@@ -76,7 +72,7 @@ def _bracketed(opening: str, texts, closing: str) -> Encoded:
 
 
 def encoded_object(members) -> Encoded:
-    """The JSON object of ``encoded_member`` texts given in sorted-key order."""
+    """The JSON object of ``"key":value`` member texts given in sorted-key order."""
     return _bracketed("{", members, "}")
 
 

@@ -11,7 +11,9 @@ The store document (``to_dict``) is the whole state. Everything else the
 store keeps is derived from it, as ``from_dict`` does: the zone index, by
 one rule (``_indexed_zone``); the records attached to the gripper; the
 edges by subject and by object; and the canonical-JSON text of each
-record, vertex, edge and head section, cached for ``state_hash``. So
+record, vertex, edge and head section, cached for ``state_hash``. A
+record, vertex or edge text is one string format, with each finite float
+written as its ``repr``, the text the JSON encoder writes for it. So
 every write goes through a ``WorldStore`` method that keeps all of these
 and marks what it touched for hashing: ``add_entity``, ``update_record``,
 ``update_vertex``, ``restore_entity``, ``add_edge``, ``remove_edges``,
@@ -60,7 +62,6 @@ from .serialization import (
     encode_basestring_ascii,
     encoded,
     encoded_array,
-    encoded_member,
     encoded_object,
     sha256_of,
 )
@@ -91,12 +92,12 @@ class EdgeStatus(Enum):
     REFUTED = "Refuted"
 
 
-def _member(enum: type[Enum], value):
-    """``enum(value)``, read from the enum's own value table first: the
-    call costs two Python frames, and a resumed store makes one per vertex
-    and edge. A value the table lacks goes to the call, which raises."""
+def _member(enum: type[Enum], members: dict, value):
+    """``enum(value)``, read from ``members``, the enum's value table, which
+    the caller reads once: a resumed store makes one call per vertex and
+    edge. A value the table lacks goes to the enum's call, which raises."""
     try:
-        return enum._value2member_map_[value]
+        return members[value]
     except (KeyError, TypeError):
         return enum(value)
 
@@ -135,8 +136,10 @@ class RelationEdge:
 
     @cached_property
     def text(self) -> str:
-        """The edge's canonical JSON, encoded on first use."""
-        return encode(_edge_doc(self))
+        """``encode(_edge_doc(self))`` in one format, built on first use."""
+        return (f'{{"object":{_text(self.obj)},"predicate":{_text(self.predicate)},'
+                f'"status":{encode_basestring_ascii(self.status._value_)},'
+                f'"subject":{_text(self.subject)}}}')
 
 
 ROBOT_UID = "robot"
@@ -175,11 +178,14 @@ class WorldStore:
         """Build everything derived from the document from scratch, and mark
         the whole document for hashing."""
         self._clear_hash_cache()
-        self._zone_index: dict[str, set[str]] = {}
+        index: dict[str, set[str]] = {}
         for uid, v in self.vertices.items():
             zone = _indexed_zone(v)
-            if zone:
-                self._zone_index.setdefault(zone, set()).add(uid)
+            if zone in index:
+                index[zone].add(uid)
+            elif zone:
+                index[zone] = {uid}
+        self._zone_index = index
         self._held = {rid for rid, r in self.records.items() if r.attached_to == "gripper"}
         self._index_edges()
 
@@ -417,33 +423,25 @@ class WorldStore:
             store.zones[zid] = ZoneNode(zid, z["name"], list(z["reachable"]), extent)
         records = data["records"]
         try:
-            envelopes = iter(envelope_stack(
+            envelopes = envelope_stack(
                 [r["envelope"]["mean"] for r in records.values()],
-                [r["envelope"]["covariance"] for r in records.values()]))
+                [r["envelope"]["covariance"] for r in records.values()])
         except (KeyError, TypeError, ValueError):
-            # A refused document: build it record by record, so that the
-            # fault raised is the first in document order.
-            envelopes = None
-        store.records = {}
-        for rid, r in records.items():
-            store.records[rid] = ObjectRecord(
-                envelope=GaussianEnvelope(r["envelope"]["mean"], r["envelope"]["covariance"])
-                if envelopes is None else next(envelopes),
-                geometry=geom_from_dict(r["geometry"]),
-                attached_to=r["attached_to"],
-            )
-        store.vertices = {}
-        for uid, v in data["vertices"].items():
-            store.vertices[uid] = ObjectVertex(
-                uid=uid, label=v["label"], attributes=dict(v["attributes"]),
-                lifecycle=_member(Lifecycle, v["lifecycle"]), confidence=v["confidence"],
-                zone_id=v["zone_id"],
-            )
-        store.edges = [
-            RelationEdge(e["predicate"], e["subject"], e["object"],
-                         _member(EdgeStatus, e["status"]))
-            for e in data["edges"]
-        ]
+            # A refused document: each envelope is built as its record is,
+            # so that the fault raised is the first in document order.
+            envelopes = (GaussianEnvelope(r["envelope"]["mean"], r["envelope"]["covariance"])
+                         for r in records.values())
+        store.records = {rid: ObjectRecord(envelope, geom_from_dict(r["geometry"]), r["attached_to"])
+                         for (rid, r), envelope in zip(records.items(), envelopes)}
+        lifecycles, statuses = Lifecycle._value2member_map_, EdgeStatus._value2member_map_
+        store.vertices = {
+            uid: ObjectVertex(uid, v["label"], dict(v["attributes"]),
+                              _member(Lifecycle, lifecycles, v["lifecycle"]),
+                              v["confidence"], v["zone_id"])
+            for uid, v in data["vertices"].items()}
+        store.edges = [RelationEdge(e["predicate"], e["subject"], e["object"],
+                                    _member(EdgeStatus, statuses, e["status"]))
+                       for e in data["edges"]]
         store._derive()
         store.check_integrity()
         return store
@@ -469,19 +467,18 @@ class WorldStore:
         """``sha256(serialize())``, assembled from cached texts.
 
         Writes mark what they touch. Only the marked records and vertices
-        are encoded again, a record in one format around the text its
-        geometry keeps. A table with a marked entry lays out its entries'
-        texts again, sorted again only when a uid came into it; a marked
-        edge list lays out the texts its edges keep; a marked head section
-        is encoded again. No section is joined on its own: ``sha256_of``
+        are formatted again, each in one format with floats as ``repr``. A
+        table with a marked entry lays out its entries' texts again, sorted
+        again only when a uid came into it; a marked edge list lays out the
+        texts its edges keep; a marked head section is encoded again. No
+        section is joined on its own: ``sha256_of``
         hashes the document that ``canonical_dumps`` joins once from all
         the pieces. When nothing is marked, the last digest is returned.
         """
         sections = self._sections
         changed = False
-        for name, table, to_text in (
-                ("records", self.records, _record_text),
-                ("vertices", self.vertices, lambda uid, v: encoded_member(uid, _vertex_doc(v)))):
+        for name, table, to_text in (("records", self.records, _record_text),
+                                     ("vertices", self.vertices, _vertex_text)):
             dirty = self._dirty[name]
             if not dirty:
                 continue
@@ -537,14 +534,34 @@ _HEAD_SECTIONS = {
 }
 
 
+def _text(value) -> str:
+    """``encode(value)``, without the encoder's call for a str or a finite
+    float, whose ``repr`` is the text the encoder writes for it."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is float and value - value == 0:  # inf - inf and nan - nan are nan
+        return repr(value)
+    return encode(value)
+
+
 def _record_text(uid: str, r: ObjectRecord) -> str:
-    """``encoded_member(uid, _record_doc(r))`` in one format, with the
-    geometry's part read from the text the geometry keeps."""
-    env = r.envelope
+    """``"uid":`` and the encoded ``_record_doc(r)`` in one format: envelope
+    entries are finite floats, and the geometry keeps its own text."""
+    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = r.envelope.covariance.tolist()
+    x, y, z = r.envelope.mean.tolist()
     geometry = "null" if r.geometry is None else r.geometry.text
-    return (f'{encode_basestring_ascii(uid)}:{{"attached_to":{encode(r.attached_to)},'
-            f'"envelope":{{"covariance":{encode(env.covariance.tolist())},'
-            f'"mean":{encode(env.mean.tolist())}}},"geometry":{geometry}}}')
+    return (f'{encode_basestring_ascii(uid)}:{{"attached_to":{_text(r.attached_to)},'
+            f'"envelope":{{"covariance":[[{c00!r},{c01!r},{c02!r}],[{c10!r},{c11!r},{c12!r}],'
+            f'[{c20!r},{c21!r},{c22!r}]],"mean":[{x!r},{y!r},{z!r}]}},"geometry":{geometry}}}')
+
+
+def _vertex_text(uid: str, v: ObjectVertex) -> str:
+    """``"uid":`` and the encoded ``_vertex_doc(v)`` in one format."""
+    return (f'{encode_basestring_ascii(uid)}:{{"attributes":'
+            f'{encode(v.attributes) if v.attributes else "{}"},'
+            f'"confidence":{_text(v.confidence)},"label":{_text(v.label)},'
+            f'"lifecycle":{encode_basestring_ascii(v.lifecycle._value_)},'
+            f'"zone_id":{_text(v.zone_id)}}}')
 
 
 def _record_doc(r: ObjectRecord) -> dict:

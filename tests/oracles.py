@@ -197,6 +197,19 @@ def store_digest(store) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def encoded_member(key: str, value) -> str:
+    """``"key":value`` as it appears inside a canonical JSON object, encoded
+    by the reference path above: the oracle for the store's entry texts."""
+    return json.dumps(key) + ":" + json.dumps(to_jsonable(value), sort_keys=True,
+                                              separators=(",", ":"))
+
+
+def back_project(u: float, v: float, d: float, k) -> np.ndarray:
+    """Pixel and depth to a camera-frame point: the per-pixel oracle for
+    ``perception.lift_frame``."""
+    return np.array([(u - k.cx) / k.fx * d, (v - k.cy) / k.fy * d, d])
+
+
 def _ray_box_depth_reference(origins_dir, box, cam_origin):
     """Slab-test depth (distance along each unit-z camera ray) for one box.
 
