@@ -1,8 +1,8 @@
 """Observation-to-memory matching and belief updates.
 
 Gating by Mahalanobis distance, hybrid geometric-semantic cost, exact
-one-to-one assignment, and reliability-modulated information-filter
-fusion.
+one-to-one assignment by scipy's compiled solver, and reliability-modulated
+information-filter fusion.
 """
 
 from __future__ import annotations
@@ -15,10 +15,15 @@ import numpy as np
 
 from .geometry import (
     GaussianEnvelope,
+    load_scipy_extension,
     mahalanobis_between,
     mahalanobis_pairs,
     spd_inverse,
 )
+
+# scipy's compiled assignment solver, which scipy.optimize re-exports:
+# Crouse's shortest augmenting path (IEEE TAES 2016).
+linear_sum_assignment = load_scipy_extension("optimize", "_lsap").linear_sum_assignment
 
 # Sentinel for gated (infeasible) pairs.
 GATED = np.inf
@@ -116,78 +121,6 @@ def build_cost_matrix(
     return cost
 
 
-def _solve_assignment(cost: list[list[float]]) -> tuple[list[int], list[int]]:
-    """Rows and columns of a minimum-cost assignment of a finite, non-empty
-    matrix given as a list of rows.
-
-    Crouse's shortest augmenting path ("On implementing 2D rectangular
-    assignment algorithms", IEEE TAES 2016) as ``scipy.optimize.
-    linear_sum_assignment`` runs it, step for step and in the same
-    floating-point order, so ties break the same way and the result is
-    scipy's: a tall matrix is solved transposed and reported in row
-    order; each search scans the unvisited columns from a list filled in
-    reverse and shrunk by moving its last entry into the gap; among
-    equally cheap columns the scan takes the first, unless a later one is
-    free.
-    """
-    n_rows, n_cols = len(cost), len(cost[0])
-    transpose = n_cols < n_rows
-    if transpose:
-        cost = [list(col) for col in zip(*cost)]
-        n_rows, n_cols = n_cols, n_rows
-    u = [0.0] * n_rows
-    v = [0.0] * n_cols
-    path = [-1] * n_cols
-    col4row = [-1] * n_rows
-    row4col = [-1] * n_cols
-    for cur_row in range(n_rows):
-        # Shortest path from cur_row to a free column over reduced costs.
-        shortest = [math.inf] * n_cols
-        remaining = list(range(n_cols - 1, -1, -1))
-        seen_rows: list[int] = []
-        seen_cols: list[int] = []
-        min_val = 0.0
-        i = cur_row
-        while True:
-            seen_rows.append(i)
-            row, u_i = cost[i], u[i]
-            index, lowest = -1, math.inf
-            for it, j in enumerate(remaining):
-                r = min_val + row[j] - u_i - v[j]
-                if r < shortest[j]:
-                    path[j] = i
-                    shortest[j] = r
-                else:
-                    r = shortest[j]
-                if r < lowest or (r == lowest and row4col[j] == -1):
-                    lowest = r
-                    index = it
-            min_val = lowest
-            j = remaining[index]
-            seen_cols.append(j)
-            remaining[index] = remaining[-1]
-            remaining.pop()
-            if row4col[j] == -1:
-                break
-            i = row4col[j]
-        # Dual updates, then flip the path's assignments.
-        u[cur_row] += min_val
-        for i in seen_rows[1:]:
-            u[i] += min_val - shortest[col4row[i]]
-        for k in seen_cols:
-            v[k] -= min_val - shortest[k]
-        while True:
-            i = path[j]
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
-            if i == cur_row:
-                break
-    if transpose:
-        pairs = sorted(zip(col4row, range(n_rows)))
-        return [r for r, _ in pairs], [c for _, c in pairs]
-    return list(range(n_rows)), col4row
-
-
 def assign(cost: np.ndarray, tau_match: float) -> MatchResult:
     """Exact minimum-cost one-to-one assignment over finite entries.
 
@@ -195,21 +128,10 @@ def assign(cost: np.ndarray, tau_match: float) -> MatchResult:
     """
     cost = np.asarray(cost, dtype=float)
     n_obs, n_mem = cost.shape
-    if n_obs == 0 or n_mem == 0:
-        return MatchResult(
-            matched=[],
-            unmatched_observations=list(range(n_obs)),
-            unmatched_memory=list(range(n_mem)),
-        )
     values = cost.tolist()
-    rows, cols = _solve_assignment(
-        np.where(np.isfinite(cost), cost, _BIG_COST).tolist())
-    matched = []
-    for r, c in zip(rows, cols):
-        x = values[r][c]
-        if not math.isfinite(x) or x > tau_match:
-            continue
-        matched.append((r, c, x))
+    rows, cols = linear_sum_assignment(np.where(np.isfinite(cost), cost, _BIG_COST))
+    matched = [(r, c, values[r][c]) for r, c in zip(rows.tolist(), cols.tolist())
+               if math.isfinite(values[r][c]) and not values[r][c] > tau_match]
     used_obs = {m[0] for m in matched}
     used_mem = {m[1] for m in matched}
     return MatchResult(

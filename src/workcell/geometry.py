@@ -1,6 +1,7 @@
 """Core geometric and probabilistic value types.
 
-Everything here is a pure value or a pure function; no shared state.
+Everything here is a pure value or a pure function; no shared state. The
+engine's one loader of scipy's compiled modules lives here too.
 """
 
 from __future__ import annotations
@@ -19,26 +20,28 @@ import scipy
 from .errors import InsufficientDataError, NumericError
 
 
-def _load_flapack():
-    """``scipy.linalg._flapack``, the compiled module whose LAPACK functions
-    ``scipy.linalg.lapack`` re-exports, loaded without ``scipy.linalg``'s
-    package init: that init clones numpy's namespace through
-    ``scipy._lib._array_api``, about 0.3 s and 20 MB."""
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
-    path = [os.path.join(d, "linalg") for d in scipy.__path__]
-    found = importlib.machinery.PathFinder.find_spec("_flapack", path)
+def load_scipy_extension(package: str, name: str):
+    """``scipy.<package>.<name>``, one of scipy's compiled modules, loaded
+    without ``scipy.<package>``'s package init and with no fallback. The
+    ``linalg`` init clones numpy's namespace through ``scipy._lib._array_api``
+    (about 0.3 s and 20 MB); the ``optimize`` init also loads ``linalg``,
+    ``sparse``, ``spatial`` and ``special`` (about 0.5 s and 48 MB)."""
+    qualified = f"scipy.{package}.{name}"
+    if qualified in sys.modules:
+        return sys.modules[qualified]
+    path = [os.path.join(d, package) for d in scipy.__path__]
+    found = importlib.machinery.PathFinder.find_spec(name, path)
     if found is None:
-        raise ImportError(f"scipy's _flapack extension is not in {path}")
-    spec = importlib.util.spec_from_file_location(name, found.origin)
+        raise ImportError(f"scipy's {name} extension is not in {path}")
+    spec = importlib.util.spec_from_file_location(qualified, found.origin)
     module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
+    sys.modules[qualified] = module
     spec.loader.exec_module(module)
     return module
 
 
-lapack = _load_flapack()
+# The compiled module whose LAPACK functions scipy.linalg.lapack re-exports.
+lapack = load_scipy_extension("linalg", "_flapack")
 
 # Regularizer added to sample covariances so envelopes stay SPD.
 COV_EPSILON = 1e-6

@@ -51,6 +51,7 @@ from .perception import (
 )
 from .schema import (
     ANY,
+    BOOL,
     COUNT,
     DICT,
     EXTENTS,
@@ -734,9 +735,29 @@ def run_scenario(
     return report, logs
 
 
+# The keys compute_metrics reads from the items of a trial log's lists and
+# from the log itself, each in the shape run_trial writes.
+_LOG_ITEM_KEYS = {
+    "sta_samples": {"oov_correct": DICT},
+    "diagnostics": {"round": INT, "category": STR, "failed_action": STR, "drift_flagged": LIST},
+    "question_results": {"correct": BOOL}, "query_results": {"correct": BOOL},
+}
+_LOG_KEYS = {"success": BOOL, "n_init": INT, "n_replan": INT, "n_items?": INT,
+             **{f"{key}?": LIST for key in _LOG_ITEM_KEYS}}
+
+
 def metrics_from_dir(trace_dir: str | Path) -> MetricsReport:
     paths = sorted(Path(trace_dir).glob("trial_*.json"))
     if not paths:
         raise ScenarioError(f"no trial logs under {trace_dir}")
     logs = [json.loads(p.read_text()) for p in paths]
+    for path, log in zip(paths, logs):
+        errors = key_errors(log, "trial log", _LOG_KEYS) or [
+            error for key, keys in _LOG_ITEM_KEYS.items()
+            for i, item in enumerate(log.get(key, []))
+            for error in key_errors(item, f"{key}[{i}]", keys)]
+        if not errors and log.get("diagnostics") and log["diagnostics"][0]["round"] > 1:
+            errors = ["diagnostics[0] is a later round of an episode with no first round"]
+        if errors:
+            raise ScenarioError(f"{path}: {'; '.join(errors)}")
     return compute_metrics(logs)

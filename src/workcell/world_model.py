@@ -86,6 +86,10 @@ class Lifecycle(Enum):
     ARCHIVED = "Archived"
 
 
+# Read once: a member read through its Enum class takes the slow path.
+_ARCHIVED = Lifecycle.ARCHIVED
+
+
 class EdgeStatus(Enum):
     HYPOTHESIS = "Hypothesis"
     VERIFIED = "Verified"
@@ -155,7 +159,7 @@ def _assign(obj, fields: dict):
 def _indexed_zone(v: ObjectVertex | None) -> str:
     """The zone index rule: a vertex is indexed under its zone_id if and
     only if it is not the robot and is not archived ("" for no zone)."""
-    if v is None or v.uid == ROBOT_UID or v.lifecycle == Lifecycle.ARCHIVED:
+    if v is None or v.uid == ROBOT_UID or v.lifecycle is _ARCHIVED:
         return ""
     return v.zone_id
 

@@ -42,13 +42,6 @@ def brute_force_assignment_cost(cost: np.ndarray) -> float:
     return best_total - n_gated * _SENTINEL
 
 
-def scipy_assignment(cost) -> tuple[list[int], list[int]]:
-    """Rows and columns of scipy's minimum-cost assignment, the solver the
-    package's own port must reproduce tie for tie."""
-    rows, cols = linear_sum_assignment(np.asarray(cost, dtype=float))
-    return rows.tolist(), cols.tolist()
-
-
 def assign_reference(cost, tau_match):
     """``association.assign`` as it was written on scipy's solver: gated
     pairs enter as the sentinel, and non-finite or over-threshold pairs

@@ -7,12 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from workcell.association import (
-    _BIG_COST,
     AssociationConfig,
     GATED,
     MatchResult,
     ReliabilityJudgment,
-    _solve_assignment,
     assign,
     build_cost_matrix,
     fuse,
@@ -28,7 +26,6 @@ from oracles import (
     build_cost_matrix_reference,
     fuse_reference,
     mahalanobis_reference,
-    scipy_assignment,
 )
 
 
@@ -130,28 +127,18 @@ def test_assign_matches_brute_force_small():
         )
 
 
-# Values that tie often: hybrid costs on a 0.35 grid, the costs of a
-# perfect-IoU pair at similarity 1, 0.5 and 0.2, and the gated sentinel.
+# Values that tie often: hybrid costs on a 0.35 grid, and the costs of a
+# perfect-IoU pair at similarity 1, 0.5 and 0.2.
 _TIED_COSTS = [0.0, 0.35, 0.7, 1.05] + [0.7 + 0.3 * (1 - s) for s in (1.0, 0.5, 0.2)]
-_COST_VALUES = st.one_of(
-    st.sampled_from(_TIED_COSTS + [_BIG_COST]),
-    st.floats(0.0, 1.0, allow_nan=False),
-)
 
 
 @st.composite
-def _cost_lists(draw, values=_COST_VALUES):
+def _cost_lists(draw, values):
     n_rows, n_cols = draw(st.integers(1, 8)), draw(st.integers(1, 24))
     if draw(st.booleans()):
         n_rows, n_cols = n_cols, n_rows
     row = st.lists(values, min_size=n_cols, max_size=n_cols)
     return draw(st.lists(row, min_size=n_rows, max_size=n_rows))
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(cost=_cost_lists())
-def test_solver_equals_scipy_tie_for_tie(cost):
-    assert _solve_assignment(cost) == scipy_assignment(cost)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
@@ -467,33 +468,56 @@ def _fresh_interpreter_stdout(code: str) -> str:
     ).stdout
 
 
-@pytest.mark.parametrize("imports", [
-    "import workcell.geometry as geometry\nimport scipy.linalg.lapack as lapack",
-    "import scipy.linalg.lapack as lapack\nimport workcell.geometry as geometry",
+def _either_order(engine: str, reexport: str, same: str, module: str) -> list:
+    """Both import orders of the engine module that loads one of scipy's
+    compiled modules and the scipy module that re-exports it, with the
+    expression that compares what the two hand out."""
+    return [pytest.param(f"{a}\n{b}", same, module, id=f"{a}\n{b}")
+            for a, b in ((engine, reexport), (reexport, engine))]
+
+
+@pytest.mark.parametrize("imports, same, module", [
+    *_either_order("import workcell.geometry as geometry",
+                   "import scipy.linalg.lapack as lapack",
+                   "[getattr(geometry.lapack, f) is getattr(lapack, f)\n"
+                   "     for f in ('dpotrf', 'dpotrs', 'dsyevd')]",
+                   "scipy.linalg._flapack"),
+    *_either_order("import workcell.association as association",
+                   "import scipy.optimize as optimize",
+                   "[association.linear_sum_assignment is optimize.linear_sum_assignment]",
+                   "scipy.optimize._lsap"),
 ])
-def test_engine_lapack_is_scipy_linalg_lapack_in_either_import_order(imports):
-    # geometry loads scipy's compiled LAPACK module without scipy.linalg's
-    # package init; whichever side imports first, both hand out the same
-    # routines from one module.
+def test_engine_lapack_is_scipy_linalg_lapack_in_either_import_order(imports, same, module):
+    # The engine loads scipy's compiled LAPACK module and assignment solver
+    # without the package inits around them; whichever side imports first,
+    # both hand out the same functions from one module.
     out = _fresh_interpreter_stdout(imports + (
         "\nimport json, sys\nprint(json.dumps([\n"
-        "    [getattr(geometry.lapack, f) is getattr(lapack, f)\n"
-        "     for f in ('dpotrf', 'dpotrs', 'dsyevd')],\n"
-        "    [m for m in sys.modules if m.endswith('_flapack')]]))\n"))
-    assert json.loads(out) == [[True, True, True], ["scipy.linalg._flapack"]]
+        "    all(%s),\n"
+        "    [m for m in sys.modules if m.endswith(%r)]]))\n"
+        % (same, module.rpartition(".")[2])))
+    assert json.loads(out) == [True, [module]]
 
 
-def test_engine_lapack_missing_raises_import_error(tmp_path):
-    # No fallback to scipy.linalg.lapack: when the extension is not where
-    # the engine looks for it, the engine's import fails and names the place.
+@pytest.mark.parametrize("engine, missing", [
+    ("workcell.geometry", "linalg"),
+    ("workcell.association", "optimize"),
+])
+def test_engine_lapack_missing_raises_import_error(tmp_path, engine, missing):
+    # No fallback to scipy's packages: when an extension is not where the
+    # engine looks for it, the engine's import fails, names the place and
+    # loads nothing from that package. The scipy path holds every package
+    # the engine loads from but the missing one.
+    for package in sorted({"linalg", "optimize"} - {missing}):
+        os.symlink(Path(scipy.__path__[0]) / package, tmp_path / package)
     out = _fresh_interpreter_stdout(
         "import json, sys, scipy\nscipy.__path__ = [%r]\n"
-        "try:\n    import workcell.geometry\nexcept ImportError as e:\n"
-        "    linalg = [m for m in sys.modules if m.startswith('scipy.linalg')]\n"
-        "    print(json.dumps([str(e), linalg]))\n"
-        % str(tmp_path))
+        "try:\n    import %s\nexcept ImportError as e:\n"
+        "    loaded = [m for m in sys.modules if m.startswith('scipy.%s')]\n"
+        "    print(json.dumps([str(e), loaded]))\n"
+        % (str(tmp_path), engine, missing))
     message, loaded = json.loads(out)
-    assert str(tmp_path / "linalg") in message
+    assert str(tmp_path / missing) in message
     assert loaded == []
 
 
