@@ -128,10 +128,10 @@ def assign(cost: np.ndarray, tau_match: float) -> MatchResult:
     """
     cost = np.asarray(cost, dtype=float)
     n_obs, n_mem = cost.shape
-    values = cost.tolist()
     rows, cols = linear_sum_assignment(np.where(np.isfinite(cost), cost, _BIG_COST))
-    matched = [(r, c, values[r][c]) for r, c in zip(rows.tolist(), cols.tolist())
-               if math.isfinite(values[r][c]) and not values[r][c] > tau_match]
+    matched = [(r, c, v) for r, c, v in zip(rows.tolist(), cols.tolist(),
+                                            cost[rows, cols].tolist())
+               if math.isfinite(v) and not v > tau_match]
     used_obs = {m[0] for m in matched}
     used_mem = {m[1] for m in matched}
     return MatchResult(
@@ -149,8 +149,9 @@ def fuse(
         raise ValueError("gamma must be non-negative")
     if gamma == 0.0:
         return prior
+    # Each measurement is fused once, so neither side's inverse is kept.
     prior_info = spd_inverse(prior.covariance)
-    obs_info = obs.info  # an observation's envelope is often fused again
+    obs_info = spd_inverse(obs.covariance)
     info = prior_info + gamma * obs_info
     cov = spd_inverse(info)
     cov = 0.5 * (cov + cov.T)

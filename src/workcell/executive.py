@@ -43,7 +43,7 @@ from .transactions import (
     touched_uids,
     update_cs_from_events,
 )
-from .world_model import EdgeStatus, RelationEdge, WorldStore
+from .world_model import EdgeStatus, WorldStore
 
 DRIFT_FLAG_METERS = 0.05
 
@@ -324,20 +324,18 @@ class Executive:
     def _record(self, event: str, **details):
         self.trace.append({"event": event, "t": self._clock, **details})
 
-    def _count_calls(self, before: int):
-        delta = self.reasoner.call_count - before
-        if self._in_recovery:
-            self.n_replan += delta
-        else:
-            self.n_init += delta
-
-    def _ask(self, request: ReasonerRequest):
-        """``ask``, with the call counted whether or not the reply parses."""
+    def _counted(self, call, *args):
+        """``call(self.reasoner, *args)``, with every reasoner call it makes
+        counted whether or not it raises."""
         before = self.reasoner.call_count
         try:
-            return ask(self.reasoner, request)
+            return call(self.reasoner, *args)
         finally:
-            self._count_calls(before)
+            delta = self.reasoner.call_count - before
+            if self._in_recovery:
+                self.n_replan += delta
+            else:
+                self.n_init += delta
 
     def _logged(self, action: str, write):
         """Run ``write`` and, if it mutated the store, record the mutation as
@@ -399,9 +397,7 @@ class Executive:
             key=node.key or f"{node.function}:{node.node_id}",
             payload=payload,
         )
-        before = self.reasoner.call_count
-        outcome = get_valid_ert(self.reasoner, request, self.store)
-        self._count_calls(before)
+        outcome = self._counted(get_valid_ert, request, self.store)
         if outcome.ert is None:
             self._record("ert_exhausted", node=node.node_id, attempts=outcome.attempts)
             return False
@@ -409,7 +405,7 @@ class Executive:
         return self._execute_primitive(node, outcome.ert)
 
     def _micro_routine(self, node: TaskNode) -> bool:
-        sequence = self._ask(ReasonerRequest(
+        sequence = self._counted(ask, ReasonerRequest(
             RequestKind.PROPOSE_MICRO_SEQUENCE,
             key=node.key or f"{node.function}:{node.node_id}",
             payload=self._context_payload(node),
@@ -426,7 +422,6 @@ class Executive:
 
     def _execute_primitive(self, node: TaskNode, ert: ERT) -> bool:
         self._clock += 1
-        pre_edges = list(self.store.edges)
         cs_before = self.cs
         result = apply_transition(
             self.store, self.cs, self.log, ert.action, ert.args,
@@ -476,7 +471,7 @@ class Executive:
         ))
         if outcome == "committed":
             return True
-        return self._recover(node, ert, pre_edges, cs_before, sensed)
+        return self._recover(node, ert, cs_before, sensed)
 
     # -- recovery -----------------------------------------------------------
 
@@ -484,16 +479,18 @@ class Executive:
         self,
         node: TaskNode,
         ert: ERT,
-        pre_edges: list[RelationEdge],
         cs_before: ConstraintState,
         sensed: SenseResult | None,
     ) -> bool:
         if self._in_recovery:
             return False  # one level of recovery; nested failures abort
         sensed = sensed or self._logged("PerceptionUpdate", self.sense)
+        # A step that did not commit left the edges as it found them: a
+        # refused precondition and sense write none, and a revert restores
+        # the list. So the store's edges are the step's pre-state.
         pre_live = {
             (e.predicate, e.subject, e.obj)
-            for e in pre_edges if e.status != EdgeStatus.REFUTED
+            for e in self.store.edges if e.status != EdgeStatus.REFUTED
         }
         report, category = self._diagnose(node, ert, pre_live, sensed, 1)
         if category == FailureCategory.UNKNOWN and self.cs.phase == Phase.INTERRUPTED:
@@ -509,7 +506,7 @@ class Executive:
         )
         self._in_recovery = True
         try:
-            recovery_dag = self._ask(request)
+            recovery_dag = self._counted(ask, request)
             self._record("recovery_plan", node=node.node_id,
                          category=category.value)
             completed = self.main_loop(recovery_dag)

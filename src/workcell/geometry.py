@@ -151,14 +151,6 @@ class GaussianEnvelope:
         object.__setattr__(self, "covariance", cov)
 
     @cached_property
-    def info(self) -> np.ndarray:
-        """The information matrix, ``spd_inverse(covariance)``, computed on
-        first use and read-only."""
-        info = spd_inverse(self.covariance)
-        info.flags.writeable = False
-        return info
-
-    @cached_property
     def box(self) -> tuple[np.ndarray, np.ndarray]:
         """The (lo, hi) corners of the axis-aligned box two standard
         deviations either side of the mean, computed on first use and

@@ -2,8 +2,9 @@
 
 A frame provides per-pixel depth, an instance mask, a per-instance label
 table, and the camera pose in the robot base frame. The pipeline lifts
-masked pixels to labeled base-frame points, quantizes each instance by
-distance, and emits one observation per instance.
+each masked pixel to a base-frame point that keeps its pixel's instance
+label, quantizes each instance by distance, and emits one observation per
+instance.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from .serialization import encode
 DEFAULT_R_NEAR = 0.8
 DEFAULT_R_FAR = 2.0
 VOXEL_CELL_SIZE = 0.02
-# Perpendicular ray tolerance for label assignment (one voxel).
-DEFAULT_RAY_EPSILON = 0.01
 
 
 @dataclass(frozen=True)
@@ -136,11 +135,7 @@ class Observation:
 
 @dataclass
 class LiftedPoints:
-    """Base-frame points with per-point instance assignment.
-
-    instance_ids holds -1 for points that failed the ray-distance check
-    (present but unlabeled).
-    """
+    """Base-frame points with the instance id of each point's pixel."""
 
     points: np.ndarray
     instance_ids: np.ndarray
@@ -150,42 +145,23 @@ class LiftedPoints:
 
 
 def lift_frame(frame: Frame, k: CameraIntrinsics) -> LiftedPoints:
-    """Lift every masked pixel with positive depth into the base frame.
-
-    A point keeps its pixel's instance label only if it lies within
-    DEFAULT_RAY_EPSILON of the pixel's viewing ray.
+    """Lift every masked pixel with positive depth into the base frame,
+    labeled with its pixel's instance id.
 
     Each float is computed in a fixed order: the camera-frame point is
-    ``((u - cx) / fx * d, (v - cy) / fy * d, d)``, its base-frame point
-    ``p @ R.T + t``, a cross product's columns ``a1*b2 - a2*b1``,
-    ``a2*b0 - a0*b2`` and ``a0*b1 - a1*b0`` (``np.cross``'s), and a norm
-    ``sqrt`` of ``np.add.reduce`` of the squares over each row
-    (``np.linalg.norm``'s).
+    ``((u - cx) / fx * d, (v - cy) / fy * d, d)`` and its base-frame point
+    ``p @ R.T + t``. A point lies on its own pixel's ray by construction, so
+    no label needs a distance test.
     """
     vv, uu = np.nonzero((frame.mask >= 0) & (frame.depth > 0))
-    if len(uu) == 0:
-        return LiftedPoints(np.zeros((0, 3)), np.zeros(0, dtype=np.int32))
     d = frame.depth[vv, uu].astype(float)
     pts_c = np.empty((len(d), 3))
     pts_c[:, 0] = (uu - k.cx) / k.fx * d
     pts_c[:, 1] = (vv - k.cy) / k.fy * d
     pts_c[:, 2] = d
-    rotation, origin = frame.camera_pose.rotation, frame.camera_pose.translation
-    dirs_b = pts_c @ rotation.T
-    pts_b = dirs_b + origin
-
-    # Perpendicular distance of each point to its own pixel ray (base frame).
-    dirs_b /= np.sqrt(np.add.reduce(dirs_b * dirs_b, axis=1))[:, None]
-    rel = pts_b - origin
-    cross = np.empty_like(rel)
-    cross[:, 0] = dirs_b[:, 1] * rel[:, 2] - dirs_b[:, 2] * rel[:, 1]
-    cross[:, 1] = dirs_b[:, 2] * rel[:, 0] - dirs_b[:, 0] * rel[:, 2]
-    cross[:, 2] = dirs_b[:, 0] * rel[:, 1] - dirs_b[:, 1] * rel[:, 0]
-    perp = np.sqrt(np.add.reduce(cross * cross, axis=1))
-    ids = frame.mask[vv, uu].astype(np.int32)
-    ids[perp >= DEFAULT_RAY_EPSILON] = -1
-
-    return LiftedPoints(pts_b, ids)
+    pose = frame.camera_pose
+    return LiftedPoints(pts_c @ pose.rotation.T + pose.translation,
+                        frame.mask[vv, uu].astype(np.int32))
 
 
 def unique_cells(cells: np.ndarray) -> np.ndarray:

@@ -273,10 +273,10 @@ def render_frame_reference(world, camera):
 
 
 def lift_frame_reference(frame, k):
-    """``perception.lift_frame`` as it was written on ``np.stack``,
-    ``np.cross``, ``np.linalg.norm`` and ``PoseSE3.apply``; the package
-    must reproduce it to the bit."""
-    from workcell.perception import DEFAULT_RAY_EPSILON, LiftedPoints
+    """``perception.lift_frame`` as it was written on ``np.stack`` and
+    ``PoseSE3.apply``: every lifted point keeps its pixel's label. The
+    package must reproduce it to the bit."""
+    from workcell.perception import LiftedPoints
 
     vv, uu = np.nonzero((frame.mask >= 0) & (frame.depth > 0))
     if len(uu) == 0:
@@ -288,18 +288,7 @@ def lift_frame_reference(frame, k):
     pts_c = rays_c * d[:, None]
     # PoseSE3.apply on an (n, 3) array.
     pts_b = np.atleast_2d(pts_c) @ frame.camera_pose.rotation.T + frame.camera_pose.translation
-
-    # Perpendicular distance of each point to its own pixel ray (base frame).
-    origin = frame.camera_pose.translation
-    dirs_b = pts_c @ frame.camera_pose.rotation.T
-    dirs_b /= np.linalg.norm(dirs_b, axis=1, keepdims=True)
-    rel = pts_b - origin
-    cross = np.cross(dirs_b, rel)
-    perp = np.linalg.norm(cross, axis=1)
-    ids = frame.mask[vv, uu].astype(np.int32)
-    ids[perp >= DEFAULT_RAY_EPSILON] = -1
-
-    return LiftedPoints(pts_b, ids)
+    return LiftedPoints(pts_b, frame.mask[vv, uu].astype(np.int32))
 
 
 def on_relations_reference(world):

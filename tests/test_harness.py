@@ -578,6 +578,17 @@ def test_missing_recovery_plan_fails_the_trial():
         assert [d["category"] for d in log["diagnostics"]][-1] == "MotionInterrupted"
 
 
+def test_a_proposal_that_raises_is_counted():
+    """A ProposeERT script gap raises inside ``get_valid_ert``; the call is
+    counted all the same, as a reply that fails to parse is. The trial asks
+    m1, then RecoveryPlan and r1 in recovery, then k2, which has no rule."""
+    doc = _scenario("transfer_obstacle")
+    doc["script"] = [e for e in doc["script"] if e.get("key") != "k2"]
+    _report, logs = run_scenario(ScenarioSpec(doc), trials=1)
+    assert "'k2'" in _faulted(logs[0], "ProposeERT")["detail"]
+    assert (logs[0]["n_init"], logs[0]["n_replan"]) == (2, 2)
+
+
 @pytest.mark.parametrize("reply", ["garbage", {"steps": []}],
                          ids=["not_a_mapping", "no_sequence"])
 def test_micro_sequence_without_a_list_fails_the_trial(reply):
@@ -716,6 +727,40 @@ def test_a_lost_grasp_leaves_nothing_held(monkeypatch):
     assert log["success"] and log["log_chain_valid"]
     assert seen == [(Phase.IDLE, [], ValidationStage.PHYSICAL)]
     assert entries == [[("Move", "rolled_back"), ("GraspLost", "committed")]]
+
+
+@pytest.mark.parametrize("kind", ["PartSlip", "Obstacle", "TargetMoved"])
+def test_a_failed_step_leaves_the_edges_it_started_from(monkeypatch, kind):
+    """Diagnosis reads the store's edges as the failed step's pre-state: at
+    every ``compute_discrepancy`` the store holds the same edge objects, in
+    the same order, as it did before that step's ``apply_transition``. The
+    shipped transfer scenarios start with no edge, so each part is put on
+    its zone here."""
+    build = harness.build_store
+    apply, discrepancy = executive.apply_transition, executive.compute_discrepancy
+    before, checked = [], []
+
+    def store_with_supports(doc, world):
+        store = build(doc, world)
+        store.add_edge("On", "part_x", "zone_a", EdgeStatus.VERIFIED)
+        store.add_edge("On", "base_plate", "zone_b", EdgeStatus.VERIFIED)
+        return store
+
+    def copied(store, *args, **kwargs):
+        before[:] = list(store.edges)
+        return apply(store, *args, **kwargs)
+
+    def compared(store, *args, **kwargs):
+        assert len(store.edges) == len(before)
+        assert all(a is b for a, b in zip(store.edges, before))
+        checked.append(len(before))
+        return discrepancy(store, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "build_store", store_with_supports)
+    monkeypatch.setattr(executive, "apply_transition", copied)
+    monkeypatch.setattr(executive, "compute_discrepancy", compared)
+    assert run_trial(ScenarioSpec(task3_doc(kind)), 0)["success"]
+    assert checked and all(checked)
 
 
 def test_metrics_from_dir_empty_raises(tmp_path):

@@ -192,11 +192,10 @@ _BAND_DEPTHS = (0.3, 1.2, 4.0)
 
 def _snapshot_frame(seed):
     """A frame of 4-8 by 4-8 pixels seen from a camera within 0.2 m of the
-    base origin or, in one frame of four, 1e15 m from it, where rounding
-    moves lifted points more than DEFAULT_RAY_EPSILON off their pixel rays.
-    Its label table always holds an id with no pixels and an id with one
-    pixel; each band depth gets one or two ids of two or more pixels, and a
-    tenth of the masked pixels read zero depth. The rest is unlabeled."""
+    base origin or, in one frame of four, 1e15 m from it. Its label table
+    always holds an id with no pixels and an id with one pixel; each band
+    depth gets one or two ids of two or more pixels, and a tenth of the
+    masked pixels read zero depth. The rest is unlabeled."""
     rng = np.random.default_rng(seed)
     h, w = (int(x) for x in rng.integers(4, 9, 2))
     k = CameraIntrinsics(*rng.uniform(20.0, 120.0, 2), *rng.uniform(0.0, [w, h]))
@@ -264,18 +263,17 @@ def test_snapshot_frames_cover_the_edge_cases():
         seen.update(
             {"no pixels"} if 0 in counts.values() else set(),
             {"one point"} if 1 in counts.values() else set(),
-            {"off ray"} if (lifted.instance_ids == -1).any() else set(),
             {"zero depth"} if ((frame.mask >= 0) & (frame.depth == 0)).any() else set(),
             {type(o.geometry).__name__ for o in assemble_snapshot(frame, k)},
         )
-    assert seen == {"no pixels", "one point", "off ray", "zero depth",
+    assert seen == {"no pixels", "one point", "zero depth",
                     "PointsGeom", "VoxelsGeom", "BillboardGeom"}
 
 
 def _far_frame(seed, reach):
     """``_snapshot_frame(seed)`` seen from a camera ``reach`` metres from the
-    base origin. At 3e14 m, rounding moves lifted points about
-    DEFAULT_RAY_EPSILON off their pixel rays, so the label test splits."""
+    base origin. At 3e14 m, rounding moves lifted points centimetres off
+    their pixel rays; each still keeps its pixel's label."""
     frame, k = _snapshot_frame(seed)
     direction = Rotation.random(random_state=np.random.default_rng(seed + 1)).as_matrix()[0]
     pose = PoseSE3(frame.camera_pose.rotation, frame.camera_pose.translation + reach * direction)
@@ -290,12 +288,6 @@ def test_lift_frame_matches_its_reference_bit_for_bit(seed, reach):
     for got, want in ((lifted.points, reference.points),
                       (lifted.instance_ids, reference.instance_ids)):
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
-
-
-def test_far_frames_split_at_the_ray_epsilon():
-    for seed in range(5):
-        ids = lift_frame(*_far_frame(seed, 3e14)).instance_ids
-        assert (ids == -1).any() and (ids >= 0).any()
 
 
 def _moved(frame, k, instance, shift):
